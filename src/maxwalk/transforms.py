@@ -6,17 +6,17 @@ by finite differencing, so second derivatives are as accurate as values.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import fft, ifft, next_fast_len
 from scipy.integrate import quad
 
 from .grid import GridDensity, rescale_sqrt, restrict
 from .walk import WalkLaws
-
-_T_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -39,18 +39,45 @@ class CharFnSamples:
 
 
 def charfn(f: GridDensity, t_grid: np.ndarray, order: int = 2) -> CharFnSamples:
-    """step-weighted quadrature of (ix)^j e^{itx} f(x) for j <= order."""
+    """step-weighted quadrature of (ix)^j e^{itx} f(x) for j <= order.
+
+    The t grid must be uniform up to a relative spacing jitter of 1e-9
+    (ValueError otherwise), like the density grid.  With x_n = x0 + n h over
+    the support of f, t_k = t0 + k dt, theta = dt h and
+    kn = (k^2 + n^2 - (k - n)^2) / 2, the sum is a chirp-z transform,
+    evaluated for all orders as one FFT convolution (Bluestein):
+
+        X_k = e^{i(theta k^2/2 + t_k x0)} sum_n [w_n e^{i(t0 h n + theta n^2/2)}]
+              e^{-i theta (k - n)^2 / 2}.
+
+    Every chirp is formed as exp(i theta/2 * k*k) with integer-valued k:
+    powers of a unit complex number would let the modulus drift by ~k^2 eps.
+    """
     t = np.asarray(t_grid, dtype=np.float64)
-    x = f.grid.centers()
-    mask = f.values != 0.0
-    xs = x[mask]
-    weights = [((1j * xs) ** j) * f.values[mask] * f.grid.step for j in range(order + 1)]
-    outs = [np.zeros(t.shape, dtype=np.complex128) for _ in range(order + 1)]
-    for start in range(0, len(t), _T_CHUNK):
-        block = t[start : start + _T_CHUNK]
-        phase = np.exp(1j * np.outer(block, xs))
-        for j in range(order + 1):
-            outs[j][start : start + _T_CHUNK] = phase @ weights[j]
+    m = len(t)
+    dt = (t[-1] - t[0]) / (m - 1) if m > 1 else 0.0
+    if m > 2 and np.any(np.abs(np.diff(t) - dt) > 1e-9 * abs(dt)):
+        raise ValueError("charfn needs a uniform t grid")
+    support = np.flatnonzero(f.values)
+    if m == 0 or len(support) == 0:
+        zeros = tuple(np.zeros(m, dtype=np.complex128) for _ in range(order + 1))
+        return CharFnSamples(t, order, zeros)
+    lo, hi = support[0], support[-1] + 1
+    h = f.grid.step
+    x = f.grid.centers()[lo:hi]
+    x0 = x[0]
+    weights = np.stack([(1j * x) ** j * f.values[lo:hi] * h for j in range(order + 1)])
+    count = hi - lo
+    half_theta = 0.5 * dt * h
+    n = np.arange(count, dtype=np.float64)
+    k = np.arange(m, dtype=np.float64)
+    size = next_fast_len(count + m - 1)
+    kernel = np.zeros(size, dtype=np.complex128)
+    kernel[:m] = np.exp(-1j * half_theta * k * k)
+    kernel[size - count + 1 :] = np.exp(-1j * half_theta * (n[:0:-1] * n[:0:-1]))
+    chirped = weights * np.exp(1j * (t[0] * h * n + half_theta * n * n))
+    conv = ifft(fft(chirped, size, axis=-1) * fft(kernel), axis=-1)[:, :m]
+    outs = conv * np.exp(1j * (half_theta * k * k + t * x0))
     return CharFnSamples(t, order, tuple(outs))
 
 
@@ -75,9 +102,6 @@ def negative_tail_transform(
     return CharFnSamples(t, order, tuple(vals))
 
 
-_PHIHAT_CACHE: dict = {}
-
-
 def half_normal_charfn(t_grid: np.ndarray, n: int = 1, order: int = 2) -> CharFnSamples:
     """Fourier transform of the half-normal density, via the n-parameterized
     integral representation e^{-t^2/2} + (it/sqrt(2 pi n)) I(t).
@@ -85,14 +109,18 @@ def half_normal_charfn(t_grid: np.ndarray, n: int = 1, order: int = 2) -> CharFn
     The endpoint singularity of the inner integral is removed by the
     substitution u = n - v^2; adaptive quadrature does the rest.  The result
     is independent of n (a checkable identity), and derivatives follow by
-    differentiating under the integral sign.
+    differentiating under the integral sign.  The last few results are cached
+    by (t grid, n, order).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     t = np.asarray(t_grid, dtype=np.float64)
-    key = (t.tobytes(), int(n), int(order))
-    if key in _PHIHAT_CACHE:
-        return _PHIHAT_CACHE[key]
+    return _half_normal_charfn(t.tobytes(), int(n), int(order))
+
+
+@functools.lru_cache(maxsize=8)
+def _half_normal_charfn(t_bytes: bytes, n: int, order: int) -> CharFnSamples:
+    t = np.frombuffer(t_bytes, dtype=np.float64)
     root_n = math.sqrt(n)
     norm = 1.0 / math.sqrt(2.0 * math.pi * n)
 
@@ -120,9 +148,7 @@ def half_normal_charfn(t_grid: np.ndarray, n: int = 1, order: int = 2) -> CharFn
         v0[i] = gauss[i] + 1j * norm * ti * i0
         v1[i] = -ti * gauss[i] + 1j * norm * (i0 - ti * ti * i1)
         v2[i] = (ti * ti - 1.0) * gauss[i] + 1j * norm * (-3.0 * ti * i1 + ti**3 * i2)
-    result = CharFnSamples(t, order, tuple([v0, v1, v2][: order + 1]))
-    _PHIHAT_CACHE[key] = result
-    return result
+    return CharFnSamples(t, order, tuple([v0, v1, v2][: order + 1]))
 
 
 def nagaev_charfn(walk: WalkLaws, n: int, t_grid: np.ndarray, order: int = 2) -> CharFnSamples:

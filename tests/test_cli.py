@@ -104,3 +104,20 @@ def test_flag_overrides(tmp_path):
     assert code == 0
     assert (out / "mc_uniform_n4.json").exists()
     assert json.loads((out / "mc_uniform_n4.json").read_text())["seed"] == 99
+
+
+def test_verify_report_is_deterministic(tmp_path):
+    """Two identical verify runs agree byte for byte once the wall-clock
+    fields are masked: runtime_seconds and the values of the *.runtime rows."""
+    path = write_config(tmp_path, n_max=16, n_list=[1, 2, 4, 8, 16])
+
+    def masked_report(out):
+        assert main(["verify", "--config", str(path), "--out", str(out)]) == 0
+        report = json.loads((out / "verify_report.json").read_text())
+        report["runtime_seconds"] = None
+        for check in report["checks"]:
+            if check["check_id"].endswith(".runtime"):
+                check["value"] = None
+        return json.dumps(report, sort_keys=True)
+
+    assert masked_report(tmp_path / "out1") == masked_report(tmp_path / "out2")

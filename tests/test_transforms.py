@@ -5,7 +5,7 @@ import pytest
 from scipy.special import dawsn
 
 import maxwalk as mw
-from maxwalk.transforms import charfn_csv, gaussian_envelope_window
+from maxwalk.transforms import _half_normal_charfn, charfn_csv, gaussian_envelope_window
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +19,80 @@ def charfn_grid():
 
 def half_normal_transform_exact(t: np.ndarray) -> np.ndarray:
     return np.exp(-t * t / 2.0) + 2j / math.sqrt(math.pi) * dawsn(t / math.sqrt(2.0))
+
+
+def dense_charfn(f: mw.GridDensity, t: np.ndarray, order: int) -> list[np.ndarray]:
+    """Reference: the e^{itx} matrix product over the nonzero cells, in
+    blocks of 256 t values."""
+    x = f.grid.centers()
+    mask = f.values != 0.0
+    xs = x[mask]
+    weights = [((1j * xs) ** j) * f.values[mask] * f.grid.step for j in range(order + 1)]
+    outs = [np.zeros(t.shape, dtype=np.complex128) for _ in range(order + 1)]
+    for start in range(0, len(t), 256):
+        phase = np.exp(1j * np.outer(t[start : start + 256], xs))
+        for j in range(order + 1):
+            outs[j][start : start + 256] = phase @ weights[j]
+    return outs
+
+
+@pytest.mark.parametrize("name", ["gaussian", "spike"])
+def test_chirp_z_matches_dense_path(acceptance_state, name):
+    walk = acceptance_state.walk(name)
+    laws = {
+        "step": walk.step_density,
+        "max64": walk.max_laws[64],
+        "negative": mw.restrict(walk.max_laws[8], "negative")[0],
+        "rescaled": mw.rescale_sqrt(walk.max_laws[64], 64),
+    }
+    grids = [
+        np.linspace(-5.0, 5.0, 401),
+        np.linspace(0.3, 5.0, 100),
+        np.array([0.0]),
+        np.array([0.0, 1.0]),
+        np.arange(0.0, 3.0, 0.0025),
+    ]
+    for law, f in laws.items():
+        for t in grids:
+            fast = mw.charfn(f, t, 2)
+            ref = dense_charfn(f, t, 2)
+            for j in range(3):
+                gap = np.abs(fast.values[j] - ref[j]).max()
+                assert gap <= 1e-9, (law, len(t), j, gap)
+
+
+def test_charfn_rejects_nonuniform_t(small_grid):
+    f = mw.sample_density(mw.DistributionSpec("gaussian"), small_grid)
+    with pytest.raises(ValueError, match="charfn needs a uniform t grid"):
+        mw.charfn(f, np.array([0.0, 1.0, 3.0]), 0)
+    with pytest.raises(ValueError, match="charfn needs a uniform t grid"):
+        mw.charfn(f, np.array([0.0, 1.0, 0.0]), 0)
+    t = np.linspace(0.0, 1.0, 11)
+    jittered = t + np.array([0.0, 1e-12] + [0.0] * 9)  # 1e-11 of the spacing
+    gap = mw.charfn(f, jittered, 0).values[0] - mw.charfn(f, t, 0).values[0]
+    assert np.abs(gap).max() <= 1e-10
+
+
+def test_charfn_empty_inputs(small_grid):
+    f = mw.sample_density(mw.DistributionSpec("gaussian"), small_grid)
+    empty = mw.charfn(f, np.array([]), 2)
+    assert len(empty.values) == 3 and all(v.shape == (0,) for v in empty.values)
+    zero = f.with_values(np.zeros(small_grid.count))
+    out = mw.charfn(zero, np.linspace(-1.0, 1.0, 5), 1)
+    assert len(out.values) == 2
+    assert all(np.all(v == 0.0) for v in out.values)
+
+
+def test_half_normal_cache_is_bounded():
+    t = np.linspace(-1.0, 1.0, 5)
+    first = mw.half_normal_charfn(t, n=1, order=2)
+    hits = _half_normal_charfn.cache_info().hits
+    assert mw.half_normal_charfn(t.copy(), n=1, order=2) is first
+    assert _half_normal_charfn.cache_info().hits == hits + 1
+    for i in range(20):
+        mw.half_normal_charfn(np.array([0.1 * i, 0.1 * i + 0.05]), n=1, order=0)
+    info = _half_normal_charfn.cache_info()
+    assert info.currsize <= info.maxsize
 
 
 def test_moment_identities_at_zero(charfn_grid):

@@ -15,22 +15,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, rfft
 from scipy.special import gammaln
 
 from .grid import (
-    MASS_TOL,
     GridDensity,
     GridError,
+    _halfline_weights,
     convolve,
+    from_spectrum,
     halfline_l1,
     halfline_sup,
-    l1_distance,
     moment,
     rescale_sqrt,
-    restrict,
+    spectrum,
 )
-from .walk import NagaevKernel, WalkLaws, nagaev_kernel
+from .walk import KernelSum, WalkLaws, nagaev_kernel
 
 _WEIGHT_CUTOFF = 1e-16
 
@@ -135,6 +134,18 @@ class DecompTable:
             raise ValueError(f"k must lie in [1, {self.n_max}], got {k}")
 
 
+def _powers(q: GridDensity, n_max: int):
+    """Yield the convolution powers q^{*j}, j = 1..n_max, each with its
+    padded spectrum (which also gives the next power)."""
+    q_hat = spectrum(q)
+    power, power_hat = q, q_hat
+    yield power, power_hat
+    for _ in range(2, n_max + 1):
+        power = from_spectrum(q.grid, q_hat * power_hat, abs(q.mass * power.mass))
+        power_hat = spectrum(power)
+        yield power, power_hat
+
+
 def decomp_powers(decomp: BinomialDecomposition, n_max: int) -> DecompTable:
     """Propagate the split to all convolution powers up to n_max."""
     if n_max < 1:
@@ -143,56 +154,41 @@ def decomp_powers(decomp: BinomialDecomposition, n_max: int) -> DecompTable:
     grid = decomp.q1.grid
     zero = GridDensity(grid, np.zeros(grid.count))
 
-    pow1: list = [None, decomp.q1]
-    for j in range(2, n_max + 1):
-        pow1.append(convolve(decomp.q1, pow1[j - 1]))
-
     if rho == 0.0:
+        pow1 = [None] + [power for power, _ in _powers(decomp.q1, n_max)]
         qk1 = [None] + pow1[1:]
         qk2 = [None] + [zero] * n_max
         pow2 = [None] + [zero] * max(n_max - 1, 1)
         return DecompTable(decomp, n_max, tuple(qk1), tuple(qk2),
                            tuple(pow1), tuple(pow2))
 
-    pow2: list = [None, decomp.q2]
-    for m in range(2, n_max + 1):
-        pow2.append(convolve(decomp.q2, pow2[m - 1]))
+    # the powers' spectra let each qk1[k] be a single weighted spectral sum
+    pow1, f1 = map(list, zip((None, None), *_powers(decomp.q1, n_max)))
+    pow2, f2 = map(list, zip((None, None), *_powers(decomp.q2, n_max)))
+    mass1 = [None] + [d.mass for d in pow1[1:]]
+    mass2 = [None] + [d.mass for d in pow2[1:]]
 
-    # Fourier caches let each qk1[k] be a single weighted spectral sum.
-    n_fft = 2 * grid.count
-    h = grid.step
-    i_zero = grid.zero_index()
-    f1 = [None] + [rfft(d.values, n_fft) for d in pow1[1:]]
-    f2 = [None] + [rfft(d.values, n_fft) for d in pow2[1:]]
-
-    qk1: list = [None]
-    qk2: list = [None]
-    for k in range(1, n_max + 1):
-        acc = np.zeros(n_fft // 2 + 1, dtype=np.complex128)
-        used_fourier = False
+    # qk1[k] reads the spectra of index < k, so building it from the top
+    # down frees two spectra for every density the table gains
+    qk1: list = [None] * (n_max + 1)
+    for k in range(n_max, 0, -1):
+        f1[k] = f2[k] = None
+        acc = np.zeros(grid.count + 1, dtype=np.complex128)
+        scale = 0.0
         for j in range(1, k):
             w = binomial_log_weight(k, j, rho)
             if w < _WEIGHT_CUTOFF:
                 continue
             acc += w * f1[j] * f2[k - j]
-            used_fourier = True
+            scale += w * mass1[j] * mass2[k - j]
         spatial = np.zeros(grid.count)
-        if used_fourier:
-            full = irfft(acc, n_fft) * h
-            spatial = full[i_zero : i_zero + grid.count]
+        if scale > 0.0:
+            spatial = from_spectrum(grid, acc, scale).values
         spatial = spatial + binomial_log_weight(k, k, rho) * pow1[k].values
-        scale = 1.0 - rho**k
-        qk1.append(GridDensity(grid, spatial / scale))
-        qk2.append(pow2[k])
+        qk1[k] = GridDensity(grid, spatial / (1.0 - rho**k))
+    qk2 = [None] + pow2[1:]
     return DecompTable(decomp, n_max, tuple(qk1), tuple(qk2),
                        tuple(pow1), tuple(pow2))
-
-
-def _apply_kernel(f: GridDensity, kernel: NagaevKernel) -> GridDensity:
-    out = kernel.atom_at_zero * f
-    if kernel.index > 0:
-        out = out - convolve(f, kernel.negative_density)
-    return out
 
 
 @dataclass(frozen=True)
@@ -223,32 +219,45 @@ def bounded_max_approximation(
     walk.check_index(n)
     rho = table.decomp.rho
     grid = walk.grid
-    kernels = [nagaev_kernel(walk, j) for j in range(0, n)]
 
-    bounded = np.zeros(grid.count)
-    rem_pos = np.zeros(grid.count)
-    rem_neg = np.zeros(grid.count)
+    bounded = KernelSum(grid)
+    remainder = KernelSum(grid)
     for k in range(1, n + 1):
-        kern = kernels[n - k]
-        scale = 1.0 - rho**k if rho > 0 else 1.0
-        bounded += scale * _apply_kernel(table.qk1[k], kern).values
-        if rho > 0:
-            w = rho**k
-            if w >= _WEIGHT_CUTOFF:
-                rem_pos += w * kern.atom_at_zero * table.qk2[k].values
-                rem_neg += w * convolve(table.qk2[k], kern.negative_density).values
+        kern = nagaev_kernel(walk, n - k)
+        bounded.add(kern, table.qk1[k], 1.0 - rho**k if rho > 0 else 1.0)
+        if rho > 0 and rho**k >= _WEIGHT_CUTOFF:
+            remainder.add(kern, table.qk2[k], rho**k)
 
     split = MaxLawSplit(
         n=n,
-        bounded=GridDensity(grid, bounded),
-        remainder_pos=GridDensity(grid, rem_pos),
-        remainder_neg=GridDensity(grid, rem_neg),
+        bounded=bounded.total(),
+        remainder_pos=GridDensity(grid, remainder.atoms),
+        remainder_neg=remainder.convolutions(),
     )
-    recon = bounded + rem_pos - rem_neg
-    gap = float(np.abs(recon - walk.max_laws[n].values).max())
+    recon = split.bounded + split.remainder_pos - split.remainder_neg
+    gap = float(np.abs(recon.values - walk.max_laws[n].values).max())
     if gap > n * 1e-8:
         raise GridError(f"split reconstruction gap {gap:.2e} exceeds {n * 1e-8:.1e}")
     return split
+
+
+def _bounded_head(table: DecompTable, k: int) -> GridDensity | None:
+    """The terms of the k-step sum law with one or two bounded factors:
+    sum over j in {1, 2} of C(k, j) (1-rho)^j rho^(k-j) q1^{*j} * q2^{*(k-j)}
+    (q2^{*0} is the unit atom, 0^0 = 1).  Terms below the weight cutoff are
+    dropped; None when none is left."""
+    rho = table.decomp.rho
+    head = None
+    for j in range(1, min(k, 2) + 1):
+        w = math.comb(k, j) * (1.0 - rho) ** j * rho ** (k - j)
+        if j == k:
+            term = table.q1_powers[j].values
+        elif w >= _WEIGHT_CUTOFF:
+            term = convolve(table.q1_powers[j], table.q2_powers[k - j]).values
+        else:
+            continue
+        head = w * term if head is None else head + w * term
+    return None if head is None else GridDensity(table.decomp.q1.grid, head)
 
 
 def local_correction_term(table: DecompTable, walk: WalkLaws, n: int) -> GridDensity:
@@ -257,33 +266,12 @@ def local_correction_term(table: DecompTable, walk: WalkLaws, n: int) -> GridDen
     split, convolved with the max kernels."""
     table.check_index(n)
     walk.check_index(n)
-    rho = table.decomp.rho
-    grid = walk.grid
-    acc = np.zeros(grid.count)
+    terms = KernelSum(walk.grid)
     for k in range(1, n + 1):
-        kern = nagaev_kernel(walk, n - k)
-        # one bounded factor
-        if k == 1:
-            base1 = table.q1_powers[1]
-            w1 = 1.0  # k=1: weight k (1-rho) rho^(k-1) with 0^0 = 1
-            if rho > 0:
-                w1 = 1.0 - rho
-            acc += w1 * _apply_kernel(base1, kern).values
-        elif rho > 0:
-            w1 = k * (1.0 - rho) * rho ** (k - 1)
-            if w1 >= _WEIGHT_CUTOFF:
-                base1 = convolve(table.q1_powers[1], table.q2_powers[k - 1])
-                acc += w1 * _apply_kernel(base1, kern).values
-        # two bounded factors
-        if k == 2:
-            w2 = (1.0 - rho) ** 2 if rho > 0 else 1.0
-            acc += w2 * _apply_kernel(table.q1_powers[2], kern).values
-        elif k > 2 and rho > 0:
-            w2 = math.comb(k, 2) * (1.0 - rho) ** 2 * rho ** (k - 2)
-            if w2 >= _WEIGHT_CUTOFF:
-                base2 = convolve(table.q1_powers[2], table.q2_powers[k - 2])
-                acc += w2 * _apply_kernel(base2, kern).values
-    return rescale_sqrt(GridDensity(grid, acc), n)
+        head = _bounded_head(table, k)
+        if head is not None:
+            terms.add(nagaev_kernel(walk, n - k), head)
+    return rescale_sqrt(terms.total(), n)
 
 
 def smooth_part(table: DecompTable, k: int) -> GridDensity:
@@ -293,16 +281,11 @@ def smooth_part(table: DecompTable, k: int) -> GridDensity:
         raise ValueError(f"k must be >= 3, got {k}")
     table.check_index(k)
     rho = table.decomp.rho
-    total = (1.0 - rho**k) * table.qk1[k].values if rho > 0 else table.qk1[k].values
-    out = total.copy()
-    if rho > 0:
-        w1 = k * (1.0 - rho) * rho ** (k - 1)
-        if w1 >= _WEIGHT_CUTOFF:
-            out = out - w1 * convolve(table.q1_powers[1], table.q2_powers[k - 1]).values
-        w2 = math.comb(k, 2) * (1.0 - rho) ** 2 * rho ** (k - 2)
-        if w2 >= _WEIGHT_CUTOFF:
-            out = out - w2 * convolve(table.q1_powers[2], table.q2_powers[k - 2]).values
-    return GridDensity(table.decomp.q1.grid, out)
+    total = (1.0 - rho**k) * table.qk1[k].values
+    head = _bounded_head(table, k)
+    if head is not None:
+        total = total - head.values
+    return GridDensity(table.decomp.q1.grid, total)
 
 
 def smooth_part_mass(table: DecompTable, k: int) -> float:
@@ -321,13 +304,13 @@ def smooth_split_identity_gap(table: DecompTable, walk: WalkLaws, n: int) -> flo
     walk.check_index(n)
     split = bounded_max_approximation(table, walk, n)
     lhs = rescale_sqrt(split.bounded, n)
-    acc = np.zeros(walk.grid.count)
+    terms = KernelSum(walk.grid)
     for k in range(3, n + 1):
         part = smooth_part(table, k)
         if float(np.abs(part.values).max()) == 0.0:
             continue
-        acc += _apply_kernel(part, nagaev_kernel(walk, n - k)).values
-    rhs = rescale_sqrt(GridDensity(walk.grid, acc), n) + local_correction_term(table, walk, n)
+        terms.add(nagaev_kernel(walk, n - k), part)
+    rhs = rescale_sqrt(terms.total(), n) + local_correction_term(table, walk, n)
     return float(np.abs(lhs.values - rhs.values).max())
 
 
@@ -358,10 +341,7 @@ def split_quality_diagnostics(
         p_star = rescale_sqrt(walk.max_laws[n], n)
         diff = p_star - q_star
         x = walk.grid.centers()
-        w = np.where(x > 0, walk.grid.step, 0.0)
-        i = walk.grid.zero_index()
-        if i >= 0:
-            w[i] = walk.grid.step / 2.0
+        w = _halfline_weights(walk.grid, "positive")
         l1 = float(np.sum(w * np.abs(diff.values)))
         x2 = float(np.sum(w * x * x * np.abs(diff.values)))
         qminus = float(np.sum(w * np.maximum(-q_star.values, 0.0)))

@@ -9,13 +9,14 @@ call concurrently, and deterministic regardless of thread count.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, rfft
 from scipy.special import ndtr, ndtri
 
 MASS_TOL = 1e-6
@@ -248,7 +249,13 @@ def _mixture_cdf_fn(params: dict) -> Callable[[np.ndarray], np.ndarray]:
     return cdf
 
 
-_MIX_INV_CACHE: dict = {}
+@functools.lru_cache(maxsize=8)
+def _mixture_inv_table(w: float, m1: float, m2: float, s2: float) -> tuple:
+    """(cdf values, abscissas) of a dense monotone lookup table in x-space."""
+    s = math.sqrt(s2)
+    x_tab = np.linspace(min(m1, m2) - 10.0 * s, max(m1, m2) + 10.0 * s, 32769)
+    cdf = _mixture_cdf_fn({"weight": w, "loc1": m1, "loc2": m2, "var": s2})
+    return cdf(x_tab), x_tab
 
 
 def _mixture_inv_fn(params: dict) -> Callable[[np.ndarray], np.ndarray]:
@@ -262,14 +269,10 @@ def _mixture_inv_fn(params: dict) -> Callable[[np.ndarray], np.ndarray]:
         c = 1.0 / (s * math.sqrt(2.0 * math.pi))
         return c * (w * np.exp(-z1 * z1 / 2.0) + (1 - w) * np.exp(-z2 * z2 / 2.0))
 
-    key = (w, m1, m2, s2)
-    if key not in _MIX_INV_CACHE:
-        # dense monotone lookup in x-space; the interpolated start lies within
-        # one table cell of the root, so Newton refinement is step-bounded and
-        # two iterations reach well below the 1e-10 inversion tolerance
-        x_tab = np.linspace(min(m1, m2) - 10.0 * s, max(m1, m2) + 10.0 * s, 32769)
-        _MIX_INV_CACHE[key] = (cdf(x_tab), x_tab)
-    u_tab, x_tab = _MIX_INV_CACHE[key]
+    # the interpolated start lies within one table cell of the root, so
+    # Newton refinement is step-bounded and two iterations reach well below
+    # the 1e-10 inversion tolerance
+    u_tab, x_tab = _mixture_inv_table(w, m1, m2, s2)
     spacing = float(x_tab[1] - x_tab[0])
 
     def inv(u: np.ndarray) -> np.ndarray:
@@ -385,23 +388,48 @@ def convolve(a: GridDensity, b: GridDensity, mode: ConvMode = "fast") -> GridDen
     Raises WindowOverflowError if the cropped-away mass is significant.
     """
     _require_same_grid(a, b)
-    grid = a.grid
-    h = grid.step
-    i_zero = grid.zero_index()
-    if i_zero < 0:
-        raise GridMismatchError("convolution requires a grid with a cell centered at 0")
+    scale = abs(a.mass * b.mass)
     if mode == "direct":
-        full = np.convolve(a.values, b.values) * h
-    elif mode == "fast":
-        full = fftconvolve(a.values, b.values) * h
-    else:
-        raise ValueError(f"mode must be 'direct' or 'fast', got {mode!r}")
-    # full conv starts at 2*x_min; our window starts at x_min = -i_zero*step
-    offset = i_zero
+        return _crop(a.grid, np.convolve(a.values, b.values) * a.grid.step, scale)
+    if mode == "fast":
+        return from_spectrum(a.grid, spectrum(a) * spectrum(b), scale)
+    raise ValueError(f"mode must be 'direct' or 'fast', got {mode!r}")
+
+
+def spectrum(f: GridDensity) -> np.ndarray:
+    """Half spectrum of f zero-padded to twice its cell count.
+
+    The product of two such spectra is the transform of their linear
+    convolution (no wraparound), and so is any weighted sum of products:
+    `from_spectrum` turns it back into a cropped density.
+    """
+    return rfft(f.values, 2 * f.grid.count)
+
+
+def from_spectrum(grid: GridSpec, acc: np.ndarray, scale: float) -> GridDensity:
+    """Density whose padded spectrum is `acc`, cropped to the grid window.
+
+    `acc` is a product of two `spectrum` values on `grid`, or a weighted sum
+    of such products.  `scale` bounds the operands' total mass product
+    (sum of |w * mass_a * mass_b| over the terms); WindowOverflowError is
+    raised when the mass cropped away exceeds 10 * MASS_TOL * max(1, scale).
+    For nonnegative operands and weights the cropped mass of a sum is the
+    sum of the per-term losses, so the guard on the sum is the guard on
+    every term at once.
+    """
+    return _crop(grid, irfft(acc, 2 * grid.count) * grid.step, scale)
+
+
+def _crop(grid: GridSpec, full: np.ndarray, scale: float) -> GridDensity:
+    # the full convolution starts at 2*x_min; the window at x_min = -i_zero*step
+    offset = grid.zero_index()
+    if offset < 0:
+        raise GridMismatchError("convolution requires a grid with a cell centered at 0")
     kept = full[offset : offset + grid.count]
-    lost = h * (np.abs(full[:offset]).sum() + np.abs(full[offset + grid.count :]).sum())
-    scale = max(1.0, abs(a.mass * b.mass))
-    if lost > 10.0 * MASS_TOL * scale:
+    lost = grid.step * (
+        np.abs(full[:offset]).sum() + np.abs(full[offset + grid.count :]).sum()
+    )
+    if lost > 10.0 * MASS_TOL * max(1.0, scale):
         raise WindowOverflowError(
             f"convolution loses mass {lost:.3e} outside the window; "
             "enlarge the window or increase the cell count"

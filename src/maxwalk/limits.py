@@ -12,8 +12,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
-from .decomposition import DecompTable, bounded_max_approximation, local_correction_term
+from .decomposition import (
+    DecompTable,
+    binomial_split,
+    bounded_max_approximation,
+    decomp_powers,
+    local_correction_term,
+)
 from .entropy import (
     L,
     conditional_positive_entropy,
@@ -22,7 +29,7 @@ from .entropy import (
     relative_entropy,
 )
 from .grid import GridDensity, moment, rescale_sqrt, restrict, tv_distance
-from .walk import WalkLaws
+from .walk import WalkLaws, compute_walk
 
 _HALF_NORMAL = half_normal()
 
@@ -77,8 +84,6 @@ def tail_mass(walk: WalkLaws, n: int, C: float) -> float:
 def half_normal_tail_x2(C: float) -> float:
     """Closed form of the half-normal x^2 tail mass beyond C (the limit of
     tail_mass): sqrt(2/pi) C e^{-C^2/2} + 2 (1 - Phi(C))."""
-    from scipy.special import ndtr
-
     return float(
         math.sqrt(2.0 / math.pi) * C * math.exp(-C * C / 2.0)
         + 2.0 * (1.0 - ndtr(C))
@@ -187,9 +192,6 @@ def convergence_curves(
     A prebuilt WalkLaws/DecompTable may be passed to share work; otherwise
     they are built at n_max = max(n_list) on the standard working grid.
     """
-    from .decomposition import binomial_split, decomp_powers
-    from .walk import compute_walk
-
     n_list = sorted(set(n_list))
     if not n_list or n_list[0] < 1:
         raise ValueError("n_list must contain positive integers")

@@ -295,7 +295,7 @@ def check_second_moment(state: SuiteState) -> list[CheckResult]:
         summary = state.simulation(name, 64)
         star = gr.rescale_sqrt(walk.max_laws[64], 64)
         x = walk.grid.centers()
-        w = np.where(x > 0, walk.grid.step, 0.0)
+        w = gr._halfline_weights(walk.grid, "positive")
         m4 = float(np.sum(w * x**4 * star.values))
         se = math.sqrt(max(m4 - grid_m2**2, 1e-12) / summary.samples)
         out.append(
@@ -638,7 +638,7 @@ def check_local_limit(state: SuiteState) -> list[CheckResult]:
             rbar1[n] = gr.halfline_l1(r1, "positive")
             rbar2[n] = gr.halfline_l1(r2, "positive")
             x = walk.grid.centers()
-            w = np.where(x > 0, walk.grid.step, 0.0)
+            w = gr._halfline_weights(walk.grid, "positive")
             x2r[n] = float(np.sum(w * x * x * np.abs(r1.values)))
         out.extend(
             _envelope_rows(

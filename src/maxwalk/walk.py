@@ -10,6 +10,7 @@ the published cross-route tolerance of 1e-3 in L1.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -24,11 +25,12 @@ from .grid import (
     GridError,
     GridSpec,
     HalfLineLaw,
-    convolve,
+    from_spectrum,
     make_working_grid,
     moment,
     restrict,
     sample_density,
+    spectrum,
 )
 
 
@@ -86,6 +88,41 @@ class NagaevKernel:
                     f"{self.negative_density.mass} differ by {gap:.2e}"
                 )
 
+    @functools.cached_property
+    def negative_spectrum(self) -> np.ndarray:
+        """Padded spectrum of the negative part (see grid.spectrum)."""
+        return spectrum(self.negative_density)
+
+
+class KernelSum:
+    """Running sum of densities convolved with signed Nagaev kernels:
+    sum over terms (G, f, w) of w * (atom * f - f * neg), G = atom - neg.
+
+    Atom terms add in space and convolution terms as products of padded
+    spectra, so the whole sum costs one inverse transform.  Every f and neg
+    is a nonnegative density and every w positive, so the window guard acts
+    on the sum with scale sum |w * mass(f) * mass(neg)| (grid.from_spectrum).
+    """
+
+    def __init__(self, grid: GridSpec) -> None:
+        self.grid = grid
+        self.atoms = np.zeros(grid.count)
+        self._acc = np.zeros(grid.count + 1, dtype=np.complex128)
+        self._scale = 0.0
+
+    def add(self, kernel: NagaevKernel, f: GridDensity, weight: float = 1.0) -> None:
+        self.atoms += (weight * kernel.atom_at_zero) * f.values
+        if kernel.index > 0:
+            self._acc += weight * spectrum(f) * kernel.negative_spectrum
+            self._scale += abs(weight * f.mass * kernel.negative_density.mass)
+
+    def convolutions(self) -> GridDensity:
+        """The kernels' negative parts alone: sum of w * (f * neg)."""
+        return from_spectrum(self.grid, self._acc, self._scale)
+
+    def total(self) -> GridDensity:
+        return GridDensity(self.grid, self.atoms - self.convolutions().values)
+
 
 def compute_walk(
     spec: DistributionSpec,
@@ -98,6 +135,10 @@ def compute_walk(
     if grid is None:
         grid = make_working_grid(n_max)
     p = sample_density(spec, grid)
+    p_hat = spectrum(p)  # every step convolves with p
+
+    def convolve_p(f: GridDensity) -> GridDensity:
+        return from_spectrum(grid, p_hat * spectrum(f), abs(p.mass * f.mass))
 
     sum_laws: list = [None, p]
     max_laws: list = [None, p]
@@ -113,10 +154,10 @@ def compute_walk(
 
     scalars(1, p)
     for k in range(2, n_max + 1):
-        sum_laws.append(convolve(p, sum_laws[k - 1]))
+        sum_laws.append(convolve_p(sum_laws[k - 1]))
         prev = max_laws[k - 1]
         pos_part, _ = restrict(prev, "positive")
-        nxt = nonpos[k - 1] * p + convolve(p, pos_part)
+        nxt = nonpos[k - 1] * p + convolve_p(pos_part)
         drift = abs(nxt.mass - 1.0)
         if drift > k * MASS_TOL:
             raise GridError(
@@ -149,23 +190,14 @@ def nagaev_kernel(walk: WalkLaws, index: int) -> NagaevKernel:
     return NagaevKernel(index, float(walk.nonpos_prob[index]), neg)
 
 
-def _apply_kernel(f: GridDensity, kernel: NagaevKernel) -> GridDensity:
-    """f convolved with the signed kernel; the atom is exact mass transfer."""
-    out = kernel.atom_at_zero * f
-    if kernel.index > 0:
-        out = out - convolve(f, kernel.negative_density)
-    return out
-
-
 def nagaev_density(walk: WalkLaws, n: int) -> GridDensity:
     """Density of the n-step running maximum as the kernel representation
     sum of k-step sum laws convolved with the (n-k)-step kernels."""
     walk.check_index(n)
-    acc = np.zeros(walk.grid.count)
+    terms = KernelSum(walk.grid)
     for k in range(1, n + 1):
-        term = _apply_kernel(walk.sum_laws[k], nagaev_kernel(walk, n - k))
-        acc += term.values
-    return GridDensity(walk.grid, acc)
+        terms.add(nagaev_kernel(walk, n - k), walk.sum_laws[k])
+    return terms.total()
 
 
 def spitzer_positive_law(walk: WalkLaws, n: int) -> HalfLineLaw:
@@ -178,33 +210,37 @@ def spitzer_positive_law(walk: WalkLaws, n: int) -> HalfLineLaw:
     sum_m c_{n-m} B_m with c_0 = 1 and c_j = P(max_j < 0).
     """
     walk.check_index(n)
-    mu = [None]
-    for k in range(1, n + 1):
-        pos, _ = restrict(walk.sum_laws[k], "positive")
-        mu.append(pos)
-
-    zero = np.zeros(walk.grid.count)
-    b_density: list = [GridDensity(walk.grid, zero)]  # B_0 = atom only
-    for m in range(1, n + 1):
-        acc = mu[m].values.copy()  # j = m term: mu_m * B_0 = mu_m
-        for j in range(1, m):
-            acc = acc + convolve(mu[j], b_density[m - j]).values
-        b_density.append(GridDensity(walk.grid, acc / m))
+    grid = walk.grid
+    mu = [None] + [restrict(walk.sum_laws[k], "positive")[0] for k in range(1, n + 1)]
+    # each mu_j and B_i is transformed once; B_m is one inverse transform of
+    # the summed products (all operands are nonnegative measures)
+    mu_hat = [None] + [spectrum(mu[j]) for j in range(1, n)]
+    b_hat: list = [None]
+    b_mass: list = [None]
 
     atom = float(walk.nonpos_prob[n])  # c_n * B_0
-    dens = np.zeros(walk.grid.count)
+    dens = np.zeros(grid.count)
     for m in range(1, n + 1):
+        b = mu[m].values.copy()  # j = m term: mu_m * B_0 = mu_m
+        if m > 1:
+            acc = sum(mu_hat[j] * b_hat[m - j] for j in range(1, m))
+            scale = sum(mu[j].mass * b_mass[m - j] for j in range(1, m))
+            b += from_spectrum(grid, acc, scale).values
+        b_m = GridDensity(grid, b / m)
+        if m < n:
+            b_hat.append(spectrum(b_m))
+            b_mass.append(b_m.mass)
         c = 1.0 if n == m else float(walk.nonpos_prob[n - m])
-        dens += c * b_density[m].values
-    density = GridDensity(walk.grid, np.maximum(dens, 0.0))
+        dens += c * b_m.values
+    density = GridDensity(grid, np.maximum(dens, 0.0))
     # the boundary cells of the half-line restrictions carry an O(n step^2)
     # quadrature drift into the total mass, plus an O(step^{3/2}) term driven
     # by the boundary magnitude when the step density is unbounded at 0
     boundary = max(
-        float(mu[j].values[walk.grid.zero_index()]) for j in range(1, min(n, 2) + 1)
+        float(mu[j].values[grid.zero_index()]) for j in range(1, min(n, 2) + 1)
     )
-    tol = n * (MASS_TOL + 0.05 * walk.grid.step**2)
-    tol += 0.2 * walk.grid.step**1.5 * boundary**2
+    tol = n * (MASS_TOL + 0.05 * grid.step**2)
+    tol += 0.2 * grid.step**1.5 * boundary**2
     return HalfLineLaw(atom_at_zero=atom, density=density, mass_tol=tol)
 
 

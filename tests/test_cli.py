@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import maxwalk
 from maxwalk.cli import main
 from maxwalk.config import ConfigError, RunConfig
 
@@ -121,3 +126,17 @@ def test_verify_report_is_deterministic(tmp_path):
         return json.dumps(report, sort_keys=True)
 
     assert masked_report(tmp_path / "out1") == masked_report(tmp_path / "out2")
+
+
+def test_cli_import_skips_scipy_signal():
+    # importing scipy.signal costs most of a CLI run's start-up; nothing
+    # in the package needs it
+    src = str(Path(maxwalk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import maxwalk.cli, sys; print('scipy.signal' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"

@@ -10,6 +10,16 @@ from maxwalk.decomposition import (
     smooth_split_identity_gap,
 )
 from maxwalk.grid import GridError
+from maxwalk.walk import nagaev_kernel
+
+
+def apply_kernel_direct(f, kernel):
+    """f convolved with the signed kernel atom - neg, one term on its own,
+    by the dense O(N^2) convolution."""
+    out = kernel.atom_at_zero * f
+    if kernel.index > 0:
+        out = out - mw.convolve(f, kernel.negative_density, "direct")
+    return out
 
 
 def spike_truncation_mass(M: float) -> float:
@@ -111,15 +121,59 @@ def test_correction_term_two_term_collapse(small_grid):
     table = mw.decomp_powers(mw.binomial_split(w.step_density), 6)
     n = 6
     rn = mw.local_correction_term(table, w, n)
-    from maxwalk.walk import nagaev_kernel
-    from maxwalk.decomposition import _apply_kernel
-
     direct = (
-        _apply_kernel(w.step_density, nagaev_kernel(w, n - 1)).values
-        + _apply_kernel(w.sum_laws[2], nagaev_kernel(w, n - 2)).values
+        apply_kernel_direct(w.step_density, nagaev_kernel(w, n - 1)).values
+        + apply_kernel_direct(w.sum_laws[2], nagaev_kernel(w, n - 2)).values
     )
     expected = mw.rescale_sqrt(mw.GridDensity(w.grid, direct), n)
     assert np.abs(rn.values - expected.values).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["gaussian", "spike"])
+def test_kernel_sums_match_per_term_direct(small_grid, name):
+    # oracle: every kernel term convolved on its own by the dense path and
+    # summed in space, against the single summed inverse transform
+    n = 8
+    w = mw.compute_walk(mw.DistributionSpec(name), n, small_grid)
+    table = mw.decomp_powers(mw.binomial_split(w.step_density), n)
+    rho = table.decomp.rho
+    cutoff = 1e-16
+    bounded = np.zeros(small_grid.count)
+    rem_neg = np.zeros(small_grid.count)
+    corr = np.zeros(small_grid.count)
+    q1, q1q1 = table.q1_powers[1], table.q1_powers[2]
+    for k in range(1, n + 1):
+        kern = nagaev_kernel(w, n - k)
+        scale = 1.0 - rho**k if rho > 0 else 1.0
+        bounded += scale * apply_kernel_direct(table.qk1[k], kern).values
+        if rho > 0 and rho**k >= cutoff:
+            neg = mw.convolve(table.qk2[k], kern.negative_density, "direct")
+            rem_neg += rho**k * neg.values
+        w1 = k * (1.0 - rho) * rho ** (k - 1)
+        if k == 1:
+            corr += w1 * apply_kernel_direct(q1, kern).values
+        elif w1 >= cutoff:
+            base1 = mw.convolve(q1, table.q2_powers[k - 1], "direct")
+            corr += w1 * apply_kernel_direct(base1, kern).values
+        if k >= 2:
+            w2 = math.comb(k, 2) * (1.0 - rho) ** 2 * rho ** (k - 2)
+            if k == 2:
+                corr += w2 * apply_kernel_direct(q1q1, kern).values
+            elif w2 >= cutoff:
+                base2 = mw.convolve(q1q1, table.q2_powers[k - 2], "direct")
+                corr += w2 * apply_kernel_direct(base2, kern).values
+    split = mw.bounded_max_approximation(table, w, n)
+    rn = mw.local_correction_term(table, w, n)
+    expected_rn = mw.rescale_sqrt(mw.GridDensity(small_grid, corr), n).values
+    for got, expected in (
+        (split.bounded.values, bounded),
+        (split.remainder_neg.values, rem_neg),
+        (rn.values, expected_rn),
+    ):
+        sup = np.abs(got).max()
+        assert np.abs(got - expected).max() <= 1e-12 * sup
+    assert (rho > 0) == (name == "spike")
+    assert (np.abs(rem_neg).max() > 0) == (name == "spike")
 
 
 def test_smooth_part(small_grid):

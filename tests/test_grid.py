@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import maxwalk as mw
-from maxwalk.grid import GridError, halfline_l1, halfline_sup
+from maxwalk.grid import (
+    GridError,
+    _mixture_inv_table,
+    from_spectrum,
+    halfline_l1,
+    halfline_sup,
+    spectrum,
+)
 
 
 def test_grid_spec_validation():
@@ -104,6 +111,40 @@ def test_convolve_window_overflow():
     edge = mw.GridDensity(g, v)
     with pytest.raises(mw.WindowOverflowError):
         mw.convolve(edge, edge)
+
+
+def test_summed_spectra_guard_and_linearity(small_grid):
+    g = small_grid
+    a = mw.sample_density(mw.DistributionSpec("gaussian"), g)
+    b = mw.sample_density(mw.DistributionSpec("uniform"), g)
+    # a weighted sum of products is the weighted sum of the convolutions
+    acc = 2.0 * spectrum(a) * spectrum(b) + 0.5 * spectrum(b) * spectrum(b)
+    out = from_spectrum(g, acc, 2.5)
+    expected = 2.0 * mw.convolve(a, b).values + 0.5 * mw.convolve(b, b).values
+    assert np.abs(out.values - expected).max() <= 1e-13
+    # one term of the sum lands outside the window: the sum must raise
+    v = np.zeros(g.count)
+    v[-2] = 1.0 / g.step
+    edge = mw.GridDensity(g, v)
+    acc = spectrum(a) * spectrum(b) + spectrum(edge) * spectrum(edge)
+    with pytest.raises(mw.WindowOverflowError):
+        from_spectrum(g, acc, 2.0)
+
+
+def test_mixture_inverse_cache_is_bounded():
+    def spec(t):
+        # weight 0.3 at -0.7 t and 0.7 at 0.3 t: mean 0, variance 1
+        return mw.DistributionSpec("mixture", (0.3, -0.7 * t, 0.3 * t, 1.0 - 0.21 * t * t))
+
+    u = np.array([0.1, 0.5, 0.9])
+    x = spec(1.0).inv_cdf(u)
+    hits = _mixture_inv_table.cache_info().hits
+    assert np.array_equal(spec(1.0).inv_cdf(u), x)
+    assert _mixture_inv_table.cache_info().hits == hits + 1
+    for i in range(20):
+        spec(0.5 + 0.05 * i).inv_cdf(u)
+    info = _mixture_inv_table.cache_info()
+    assert info.currsize <= 8
 
 
 def test_convolve_mass_multiplicative_signed(small_grid):

@@ -6,6 +6,7 @@ import pytest
 
 import maxwalk as mw
 from maxwalk.grid import GridError
+from maxwalk.walk import nagaev_kernel
 
 
 def test_one_step_is_step_density(gaussian_walk8):
@@ -63,6 +64,23 @@ def test_nagaev_matches_recursion(small_grid):
     out = mw.nagaev_density(w, 8)
     assert mw.l1_distance(out, w.max_laws[8]) <= 1e-3
     assert out.mass == pytest.approx(1.0, abs=8e-6)
+
+
+@pytest.mark.parametrize("name", ["gaussian", "spike"])
+def test_nagaev_density_matches_per_term_direct(small_grid, name):
+    # oracle: each S_k * G_{n-k} convolved on its own by the dense path and
+    # summed in space, against the single summed inverse transform
+    n = 8
+    w = mw.compute_walk(mw.DistributionSpec(name), n, small_grid)
+    expected = np.zeros(small_grid.count)
+    for k in range(1, n + 1):
+        kern = nagaev_kernel(w, n - k)
+        expected += kern.atom_at_zero * w.sum_laws[k].values
+        if kern.index > 0:
+            neg = mw.convolve(w.sum_laws[k], kern.negative_density, "direct")
+            expected -= neg.values
+    got = mw.nagaev_density(w, n).values
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(got).max()
 
 
 def test_nagaev_kernel_validation(gaussian_walk8):

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -66,9 +64,6 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         data["mc_samples"] = args.mc_samples
     if args.out is not None:
         data["out_dir"] = args.out
-    env_threads = os.environ.get("MAXWALK_THREADS")
-    if env_threads is not None and "threads" not in data:
-        data["threads"] = int(env_threads)
     return RunConfig.from_dict(data)
 
 
@@ -78,12 +73,8 @@ def _write(path: Path, text: str) -> None:
 
 
 def _per_spec(config: RunConfig, fn) -> None:
-    if config.threads > 1 and len(config.specs) > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            list(pool.map(fn, config.specs))
-    else:
-        for name in config.specs:
-            fn(name)
+    for name in config.specs:
+        fn(name)
 
 
 def _build(config: RunConfig, name: str):

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from .grid import _SPEC_NAMES
+
 _MODES = ("curves", "verify", "charfn", "montecarlo", "density", "decomp")
-_BUILTIN_SPECS = ("gaussian", "uniform", "laplace", "mixture", "spike")
 
 
 class ConfigError(ValueError):
@@ -15,7 +16,7 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class RunConfig:
     mode: str = "verify"
-    specs: tuple = _BUILTIN_SPECS
+    specs: tuple = _SPEC_NAMES
     spec_parameters: tuple = ()
     n_max: int = 64
     n_list: tuple = (1, 2, 4, 8, 16, 32, 64)
@@ -27,7 +28,6 @@ class RunConfig:
     mc_samples: int = 100_000
     seed: int = 20260809
     out_dir: str = "out"
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
@@ -36,8 +36,8 @@ class RunConfig:
             object.__setattr__(self, "specs", (self.specs,))
         object.__setattr__(self, "specs", tuple(self.specs))
         for name in self.specs:
-            if name not in _BUILTIN_SPECS:
-                raise ConfigError(f"unknown spec {name!r}; choose from {_BUILTIN_SPECS}")
+            if name not in _SPEC_NAMES:
+                raise ConfigError(f"unknown spec {name!r}; choose from {_SPEC_NAMES}")
         if not self.specs:
             raise ConfigError("at least one spec is required")
         object.__setattr__(self, "spec_parameters", tuple(self.spec_parameters))
@@ -63,8 +63,6 @@ class RunConfig:
             raise ConfigError(f"mc_samples must be >= 1e4, got {self.mc_samples}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ConfigError("seed must be an integer")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":

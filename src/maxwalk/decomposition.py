@@ -2,10 +2,10 @@
 
 The step density p is written as (1-rho) q1 + rho q2 with q1 bounded by a
 threshold M and rho < 1/2; the split propagates to every n-fold convolution
-through binomial weights (accumulated in log space), and yields a bounded
-approximation to the running-max density together with explicitly controlled
-remainder terms.  For bounded step densities rho = 0 and the machinery
-degenerates gracefully (the 0^0 = 1 weight convention).
+(p^{*k} = (1 - rho^k) qk1 + rho^k q2^{*k}, by bilinearity), and yields a
+bounded approximation to the running-max density together with explicitly
+controlled remainder terms.  Terms weighted by rho^k below a fixed cutoff are
+dropped; for bounded step densities rho = 0, so every such term is.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy.special import gammaln
@@ -119,8 +120,10 @@ def binomial_log_weight(k: int, j: int, rho: float) -> float:
 class DecompTable:
     """Convolution powers of the split: for each k <= n_max,
     p_k = (1 - rho^k) qk1[k] + rho^k qk2[k] with qk1/qk2 probability
-    densities.  q1_powers[j] and q2_powers[m] hold the plain convolution
-    powers (index 0 is None: the unit atom)."""
+    densities.  qk2[k] = q2^{*k} is kept while rho^k >= _WEIGHT_CUTOFF and
+    is zero beyond (every k when rho = 0); q2_powers is the same tuple.
+    q1_powers[j] holds q1^{*j} for j <= min(2, n_max) only.  Index 0 is
+    None (the unit atom)."""
 
     decomp: BinomialDecomposition
     n_max: int
@@ -134,61 +137,37 @@ class DecompTable:
             raise ValueError(f"k must lie in [1, {self.n_max}], got {k}")
 
 
-def _powers(q: GridDensity, n_max: int):
-    """Yield the convolution powers q^{*j}, j = 1..n_max, each with its
-    padded spectrum (which also gives the next power)."""
+def _powers(q: GridDensity):
+    """Yield the convolution powers q, q^{*2}, q^{*3}, ... (without end;
+    take as many as needed with islice)."""
     q_hat = spectrum(q)
-    power, power_hat = q, q_hat
-    yield power, power_hat
-    for _ in range(2, n_max + 1):
-        power = from_spectrum(q.grid, q_hat * power_hat, abs(q.mass * power.mass))
-        power_hat = spectrum(power)
-        yield power, power_hat
+    power = q
+    while True:
+        yield power
+        power = from_spectrum(q.grid, q_hat * spectrum(power), abs(q.mass * power.mass))
 
 
 def decomp_powers(decomp: BinomialDecomposition, n_max: int) -> DecompTable:
-    """Propagate the split to all convolution powers up to n_max."""
+    """Propagate the split to all convolution powers up to n_max.
+
+    Convolution is bilinear, so the binomial expansion of
+    p^{*k} = ((1-rho) q1 + rho q2)^{*k} has every term but the last in qk1:
+    (1 - rho^k) qk1[k] = p^{*k} - rho^k q2^{*k}, one power of p per k.
+    """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     rho = decomp.rho
     grid = decomp.q1.grid
     zero = GridDensity(grid, np.zeros(grid.count))
 
-    if rho == 0.0:
-        pow1 = [None] + [power for power, _ in _powers(decomp.q1, n_max)]
-        qk1 = [None] + pow1[1:]
-        qk2 = [None] + [zero] * n_max
-        pow2 = [None] + [zero] * max(n_max - 1, 1)
-        return DecompTable(decomp, n_max, tuple(qk1), tuple(qk2),
-                           tuple(pow1), tuple(pow2))
-
-    # the powers' spectra let each qk1[k] be a single weighted spectral sum
-    pow1, f1 = map(list, zip((None, None), *_powers(decomp.q1, n_max)))
-    pow2, f2 = map(list, zip((None, None), *_powers(decomp.q2, n_max)))
-    mass1 = [None] + [d.mass for d in pow1[1:]]
-    mass2 = [None] + [d.mass for d in pow2[1:]]
-
-    # qk1[k] reads the spectra of index < k, so building it from the top
-    # down frees two spectra for every density the table gains
-    qk1: list = [None] * (n_max + 1)
-    for k in range(n_max, 0, -1):
-        f1[k] = f2[k] = None
-        acc = np.zeros(grid.count + 1, dtype=np.complex128)
-        scale = 0.0
-        for j in range(1, k):
-            w = binomial_log_weight(k, j, rho)
-            if w < _WEIGHT_CUTOFF:
-                continue
-            acc += w * f1[j] * f2[k - j]
-            scale += w * mass1[j] * mass2[k - j]
-        spatial = np.zeros(grid.count)
-        if scale > 0.0:
-            spatial = from_spectrum(grid, acc, scale).values
-        spatial = spatial + binomial_log_weight(k, k, rho) * pow1[k].values
-        qk1[k] = GridDensity(grid, spatial / (1.0 - rho**k))
-    qk2 = [None] + pow2[1:]
-    return DecompTable(decomp, n_max, tuple(qk1), tuple(qk2),
-                       tuple(pow1), tuple(pow2))
+    kept = sum(1 for k in range(1, n_max + 1) if rho**k >= _WEIGHT_CUTOFF)
+    qk2 = [None, *islice(_powers(decomp.q2), kept)] + [zero] * (n_max - kept)
+    p = (1.0 - rho) * decomp.q1 + rho * decomp.q2
+    qk1 = [None, decomp.q1]
+    for k, pk in enumerate(islice(_powers(p), 1, n_max), start=2):
+        qk1.append(pk.with_values((pk.values - rho**k * qk2[k].values) / (1.0 - rho**k)))
+    q1_powers = (None, *islice(_powers(decomp.q1), min(n_max, 2)))
+    return DecompTable(decomp, n_max, tuple(qk1), tuple(qk2), q1_powers, tuple(qk2))
 
 
 @dataclass(frozen=True)
@@ -224,8 +203,8 @@ def bounded_max_approximation(
     remainder = KernelSum(grid)
     for k in range(1, n + 1):
         kern = nagaev_kernel(walk, n - k)
-        bounded.add(kern, table.qk1[k], 1.0 - rho**k if rho > 0 else 1.0)
-        if rho > 0 and rho**k >= _WEIGHT_CUTOFF:
+        bounded.add(kern, table.qk1[k], 1.0 - rho**k)
+        if rho**k >= _WEIGHT_CUTOFF:
             remainder.add(kern, table.qk2[k], rho**k)
 
     split = MaxLawSplit(
@@ -244,15 +223,16 @@ def bounded_max_approximation(
 def _bounded_head(table: DecompTable, k: int) -> GridDensity | None:
     """The terms of the k-step sum law with one or two bounded factors:
     sum over j in {1, 2} of C(k, j) (1-rho)^j rho^(k-j) q1^{*j} * q2^{*(k-j)}
-    (q2^{*0} is the unit atom, 0^0 = 1).  Terms below the weight cutoff are
-    dropped; None when none is left."""
+    (q2^{*0} is the unit atom, 0^0 = 1).  A term is dropped when rho^(k-j)
+    is below the weight cutoff, as the table drops its q2 power; None when
+    none is left."""
     rho = table.decomp.rho
     head = None
     for j in range(1, min(k, 2) + 1):
         w = math.comb(k, j) * (1.0 - rho) ** j * rho ** (k - j)
         if j == k:
             term = table.q1_powers[j].values
-        elif w >= _WEIGHT_CUTOFF:
+        elif rho ** (k - j) >= _WEIGHT_CUTOFF:
             term = convolve(table.q1_powers[j], table.q2_powers[k - j]).values
         else:
             continue

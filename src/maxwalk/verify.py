@@ -102,7 +102,7 @@ class SuiteState:
         samples = self.config.mc_samples if samples is None else samples
         key = (name, n, samples)
         if key not in self._mc:
-            offset = ("gaussian", "uniform", "laplace", "mixture", "spike").index(name)
+            offset = gr._SPEC_NAMES.index(name)
             self._mc[key] = mc.simulate(
                 self.spec(name), n, samples, self.config.seed + offset
             )
@@ -590,6 +590,11 @@ def check_local_limit(state: SuiteState) -> list[CheckResult]:
         ns = state.diag_ns()
         recon_worst = 0.0
         smooth_worst = 0.0
+        rbar1 = {}
+        rbar2 = {}
+        x2r = {}
+        x = walk.grid.centers()
+        w = gr._halfline_weights(walk.grid, "positive")
         for n in ns:
             split = dc.bounded_max_approximation(table, walk, n)
             recon = (
@@ -602,6 +607,11 @@ def check_local_limit(state: SuiteState) -> list[CheckResult]:
             smooth_worst = max(
                 smooth_worst, dc.smooth_split_identity_gap(table, walk, n) / (n * 1e-8)
             )
+            r1 = gr.rescale_sqrt(split.remainder_pos, n)
+            r2 = gr.rescale_sqrt(split.remainder_neg, n)
+            rbar1[n] = gr.halfline_l1(r1, "positive")
+            rbar2[n] = gr.halfline_l1(r2, "positive")
+            x2r[n] = float(np.sum(w * x * x * np.abs(r1.values)))
         out.append(
             _le(
                 f"acceptance.local_limit.{name}.reconstruction",
@@ -628,18 +638,6 @@ def check_local_limit(state: SuiteState) -> list[CheckResult]:
                 0.5,
             )
         )
-        rbar1 = {}
-        rbar2 = {}
-        x2r = {}
-        for n in ns:
-            split = dc.bounded_max_approximation(table, walk, n)
-            r1 = gr.rescale_sqrt(split.remainder_pos, n)
-            r2 = gr.rescale_sqrt(split.remainder_neg, n)
-            rbar1[n] = gr.halfline_l1(r1, "positive")
-            rbar2[n] = gr.halfline_l1(r2, "positive")
-            x = walk.grid.centers()
-            w = gr._halfline_weights(walk.grid, "positive")
-            x2r[n] = float(np.sum(w * x * x * np.abs(r1.values)))
         out.extend(
             _envelope_rows(
                 f"acceptance.local_limit.{name}.remainder_pos_l1",

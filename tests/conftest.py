@@ -4,7 +4,6 @@ import maxwalk as mw
 from maxwalk.config import RunConfig
 from maxwalk.verify import SuiteState
 
-SPEC_NAMES = ("gaussian", "uniform", "laplace", "mixture", "spike")
 SEED = 20260809
 
 

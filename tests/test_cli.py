@@ -37,6 +37,8 @@ def test_config_validation():
         RunConfig(specs=("gaussian", "exotic"))
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"unexpected": 1})
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict({"threads": 2})
     cfg = RunConfig.from_dict({"specs": ["spike"], "n_list": [4, 2, 2], "n_max": 8})
     assert cfg.n_list == (2, 4)
 

@@ -5,6 +5,7 @@ import pytest
 
 import maxwalk as mw
 from maxwalk.decomposition import (
+    _WEIGHT_CUTOFF,
     binomial_log_weight,
     diagnostics_csv,
     smooth_split_identity_gap,
@@ -94,6 +95,48 @@ def test_power_table_reconstructs_spike(small_grid):
         assert np.abs(recon.values - w.sum_laws[k].values).max() <= k * 1e-9
         assert table.qk1[k].mass == pytest.approx(1.0, abs=k * 1e-6)
         assert table.qk2[k].mass == pytest.approx(1.0, abs=k * 1e-6)
+
+
+def binomial_double_sum(d, n):
+    """qk1[k] for k = 2..n as the weighted (k, j) sum of the split,
+    sum_{j=1}^{k} C(k, j) (1-rho)^j rho^(k-j) q1^{*j} * q2^{*(k-j)} / (1 - rho^k),
+    terms below the weight cutoff dropped."""
+    pow1, pow2 = [None, d.q1], [None, d.q2]
+    for _ in range(2, n + 1):
+        pow1.append(mw.convolve(pow1[-1], d.q1))
+        pow2.append(mw.convolve(pow2[-1], d.q2))
+    out = {}
+    for k in range(2, n + 1):
+        total = binomial_log_weight(k, k, d.rho) * pow1[k].values
+        for j in range(1, k):
+            w = binomial_log_weight(k, j, d.rho)
+            if w >= _WEIGHT_CUTOFF:
+                total = total + w * mw.convolve(pow1[j], pow2[k - j]).values
+        out[k] = total / (1.0 - d.rho**k)
+    return out
+
+
+@pytest.mark.parametrize("name, M", [("spike", None), ("gaussian", 0.3)])
+def test_power_table_matches_binomial_double_sum(name, M):
+    # the grid holds a 16-step walk: on a window sized for fewer steps the
+    # two routes crop different intermediate products and part by ~1e-7
+    n = 16
+    grid = mw.make_working_grid(n, 2**12)
+    w = mw.compute_walk(mw.DistributionSpec(name), n, grid)
+    d = mw.binomial_split(w.step_density, M)
+    assert d.rho > 0
+    table = mw.decomp_powers(d, n)
+    for k, expected in binomial_double_sum(d, n).items():
+        got = table.qk1[k].values
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+    dropped = [k for k in range(1, n + 1) if d.rho**k < _WEIGHT_CUTOFF]
+    assert (name == "gaussian") == bool(dropped)  # rho = 0.097: 16 is dropped
+    for k in range(1, n + 1):
+        if k in dropped:
+            assert np.all(table.qk2[k].values == 0.0)
+        else:
+            assert table.qk2[k].mass == pytest.approx(1.0, abs=k * 1e-6)
+    assert len(table.q1_powers) == 3
 
 
 def test_bounded_approximation_degenerates(small_grid):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .grid import _SPEC_NAMES
@@ -11,6 +12,14 @@ _MODES = ("curves", "verify", "charfn", "montecarlo", "density", "decomp")
 
 class ConfigError(ValueError):
     """Invalid run configuration."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -41,13 +50,22 @@ class RunConfig:
         if not self.specs:
             raise ConfigError("at least one spec is required")
         object.__setattr__(self, "spec_parameters", tuple(self.spec_parameters))
+        params = self.spec_parameters
+        if params and (len(params) != 4 or not all(map(_is_finite_number, params))):
+            raise ConfigError(
+                "spec_parameters must be empty or four finite numbers "
+                f"(weight, loc1, loc2, var); got {list(params)!r}"
+            )
+        for key in ("n_max", "grid_points", "mc_samples"):
+            if not _is_int(getattr(self, key)):
+                raise ConfigError(f"{key} must be an integer, got {getattr(self, key)!r}")
         if self.n_max < 1:
             raise ConfigError(f"n_max must be >= 1, got {self.n_max}")
         n_list = tuple(self.n_list)
         if not n_list:
             raise ConfigError("n_list must not be empty")
         for n in n_list:
-            if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= self.n_max:
+            if not _is_int(n) or not 1 <= n <= self.n_max:
                 raise ConfigError(f"n_list entries must be integers in [1, n_max]; got {n!r}")
         object.__setattr__(self, "n_list", tuple(sorted(set(n_list))))
         p = self.grid_points
@@ -55,14 +73,18 @@ class RunConfig:
             raise ConfigError(
                 f"grid_points must be a power of two in [2^12, 2^20], got {p}"
             )
-        if self.decomposition_M is not None and self.decomposition_M <= 0:
-            raise ConfigError("decomposition_M must be positive when given")
-        if self.t_window <= 0:
-            raise ConfigError("t_window must be positive")
+        for key in ("half_width_factor", "sigma_pad", "t_window", "decomposition_M"):
+            value = getattr(self, key)
+            if key == "decomposition_M" and value is None:
+                continue
+            if not _is_finite_number(value) or value <= 0:
+                raise ConfigError(f"{key} must be a positive finite number, got {value!r}")
         if self.mc_samples < 10**4:
             raise ConfigError(f"mc_samples must be >= 1e4, got {self.mc_samples}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigError("seed must be an integer")
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**63:
+            raise ConfigError(f"seed must be an integer in [0, 2^63), got {self.seed!r}")
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":

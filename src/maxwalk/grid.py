@@ -13,11 +13,11 @@ import functools
 import io
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Literal
 
 import numpy as np
 from scipy.fft import irfft, rfft
-from scipy.special import ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri
 
 MASS_TOL = 1e-6
 
@@ -61,7 +61,8 @@ class GridSpec:
             raise GridError(f"count must be >= 2, got {self.count}")
 
     def centers(self) -> np.ndarray:
-        return self.x_min + self.step * np.arange(self.count)
+        """Cell centers, shared read-only between callers."""
+        return _grid_centers(self)
 
     def edges(self) -> np.ndarray:
         """count+1 cell edges."""
@@ -84,6 +85,13 @@ class GridSpec:
             and math.isclose(self.step, other.step, rel_tol=1e-12, abs_tol=0.0)
             and abs(self.x_min - other.x_min) <= 1e-9 * self.step
         )
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_centers(grid: GridSpec) -> np.ndarray:
+    x = grid.x_min + grid.step * np.arange(grid.count)
+    x.setflags(write=False)
+    return x
 
 
 @dataclass(frozen=True)
@@ -220,14 +228,26 @@ def _spike_inv(u: np.ndarray) -> np.ndarray:
 
 
 # mixture: w*N(m1, s2) + (1-w)*N(m2, s2), standardized to mean 0, variance 1
-_MIX_DEFAULT = {"weight": 0.3, "loc1": -0.7, "loc2": 0.3, "var": 0.79}
+_MIX_DEFAULT = (0.3, -0.7, 0.3, 0.79)  # weight, loc1, loc2, var
 
 
-def _mixture_params(params: dict) -> tuple[float, float, float, float]:
-    w = float(params.get("weight", _MIX_DEFAULT["weight"]))
-    m1 = float(params.get("loc1", _MIX_DEFAULT["loc1"]))
-    m2 = float(params.get("loc2", _MIX_DEFAULT["loc2"]))
-    s2 = float(params.get("var", _MIX_DEFAULT["var"]))
+def _mixture_params(parameters: tuple) -> tuple[float, float, float, float]:
+    """(weight, loc1, loc2, var): the defaults when `parameters` is empty,
+    else exactly four numbers that standardize the mixture to (0, 1)."""
+    if not parameters:
+        parameters = _MIX_DEFAULT
+    if len(parameters) != 4:
+        raise GridError(
+            f"mixture takes 4 parameters (weight, loc1, loc2, var), got {len(parameters)}"
+        )
+    try:
+        w, m1, m2, s2 = (float(p) for p in parameters)
+    except (TypeError, ValueError) as exc:
+        raise GridError(f"mixture parameters must be numbers: {exc}") from exc
+    if not (0.0 < w < 1.0 and s2 > 0.0 and math.isfinite(m1) and math.isfinite(m2)):
+        raise GridError(
+            f"mixture needs 0 < weight < 1, var > 0 and finite locations; got {parameters}"
+        )
     mean = w * m1 + (1 - w) * m2
     var = w * (m1 * m1 + s2) + (1 - w) * (m2 * m2 + s2)
     if abs(mean) > 1e-9 or abs(var - 1.0) > 1e-9:
@@ -238,52 +258,90 @@ def _mixture_params(params: dict) -> tuple[float, float, float, float]:
     return w, m1, m2, s2
 
 
-def _mixture_cdf_fn(params: dict) -> Callable[[np.ndarray], np.ndarray]:
-    w, m1, m2, s2 = _mixture_params(params)
+def _mixture_cdf(x: np.ndarray, w: float, m1: float, m2: float, s2: float) -> np.ndarray:
     s = math.sqrt(s2)
+    x = np.asarray(x, dtype=np.float64)
+    return w * ndtr((x - m1) / s) + (1 - w) * ndtr((x - m2) / s)
 
-    def cdf(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return w * ndtr((x - m1) / s) + (1 - w) * ndtr((x - m2) / s)
 
-    return cdf
+def _mixture_pdf(x: np.ndarray, w: float, m1: float, m2: float, s2: float) -> np.ndarray:
+    s = math.sqrt(s2)
+    z1 = (x - m1) / s
+    z2 = (x - m2) / s
+    c = 1.0 / (s * math.sqrt(2.0 * math.pi))
+    return c * (w * np.exp(-z1 * z1 / 2.0) + (1 - w) * np.exp(-z2 * z2 / 2.0))
+
+
+# The quantile table lives in y = ndtri(u), where the mixture quantile x(y)
+# is smooth and nearly linear: a uniform grid over [-9, 9] (u down to
+# Phi(-9) ~ 1e-19) with cubic Hermite cells meets |F(x) - u| <= 1e-13.
+_Y_EDGE = 9.0
+_Y_CELLS = 4096
+_Y_STEP = 2.0 * _Y_EDGE / _Y_CELLS
+_INV_BLOCK = 1 << 14  # uniforms per pass: the temporaries stay in cache
 
 
 @functools.lru_cache(maxsize=8)
-def _mixture_inv_table(w: float, m1: float, m2: float, s2: float) -> tuple:
-    """(cdf values, abscissas) of a dense monotone lookup table in x-space."""
+def _mixture_inv_table(w: float, m1: float, m2: float, s2: float) -> tuple[np.ndarray, ...]:
+    """Horner coefficients (c0, c1, c2, c3) of the quantile x(y), F(x) = Phi(y).
+
+    On cell i, at y = -_Y_EDGE + (i + t) * _Y_STEP with t in [0, 1],
+    x = ((c3 t + c2) t + c1) t + c0 is the cubic Hermite interpolant of the
+    node values and their exact slopes dx/dy = phi(y) / f(x).  Each node
+    solves log F(x) = log Phi(y) for y <= 0 and log S(x) = log Phi(-y) for
+    y > 0 by bisection, so both tails keep their relative accuracy.  The root
+    lies between the component quantiles min(m1, m2) + s*y and
+    max(m1, m2) + s*y, and 64 halvings shrink that bracket below rounding.
+    """
     s = math.sqrt(s2)
-    x_tab = np.linspace(min(m1, m2) - 10.0 * s, max(m1, m2) + 10.0 * s, 32769)
-    cdf = _mixture_cdf_fn({"weight": w, "loc1": m1, "loc2": m2, "var": s2})
-    return cdf(x_tab), x_tab
+    y = np.linspace(-_Y_EDGE, _Y_EDGE, _Y_CELLS + 1)
+    sign = np.where(y > 0, -1.0, 1.0)  # -1: match the upper tail S(x)
+    target = log_ndtr(sign * y)
+    lo = min(m1, m2) + s * y
+    hi = max(m1, m2) + s * y
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        log_tail = np.logaddexp(
+            math.log(w) + log_ndtr(sign * (mid - m1) / s),
+            math.log1p(-w) + log_ndtr(sign * (mid - m2) / s),
+        )
+        below = sign * (log_tail - target) < 0.0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    x = 0.5 * (lo + hi)
+    phi = np.exp(-y * y / 2.0) / math.sqrt(2.0 * math.pi)
+    d = _Y_STEP * phi / _mixture_pdf(x, w, m1, m2, s2)  # dx/dy per cell
+    rise = np.diff(x)
+    coeffs = (x[:-1], d[:-1], 3.0 * rise - 2.0 * d[:-1] - d[1:], d[:-1] + d[1:] - 2.0 * rise)
+    for c in coeffs:
+        c.setflags(write=False)
+    return coeffs
 
 
-def _mixture_inv_fn(params: dict) -> Callable[[np.ndarray], np.ndarray]:
-    w, m1, m2, s2 = _mixture_params(params)
-    s = math.sqrt(s2)
-    cdf = _mixture_cdf_fn(params)
+def _mixture_inv(u: np.ndarray, w: float, m1: float, m2: float, s2: float) -> np.ndarray:
+    """x with F(x) = u, from the quantile table at y = ndtri(u).
 
-    def pdf(x: np.ndarray) -> np.ndarray:
-        z1 = (x - m1) / s
-        z2 = (x - m2) / s
-        c = 1.0 / (s * math.sqrt(2.0 * math.pi))
-        return c * (w * np.exp(-z1 * z1 / 2.0) + (1 - w) * np.exp(-z2 * z2 / 2.0))
-
-    # the interpolated start lies within one table cell of the root, so
-    # Newton refinement is step-bounded and two iterations reach well below
-    # the 1e-10 inversion tolerance
-    u_tab, x_tab = _mixture_inv_table(w, m1, m2, s2)
-    spacing = float(x_tab[1] - x_tab[0])
-
-    def inv(u: np.ndarray) -> np.ndarray:
-        u = np.clip(np.asarray(u, dtype=np.float64), u_tab[0], u_tab[-1])
-        x = np.interp(u, u_tab, x_tab)
-        for _ in range(2):
-            step = (cdf(x) - u) / np.maximum(pdf(x), 1e-300)
-            x = x - np.clip(step, -spacing, spacing)
-        return x
-
-    return inv
+    y is clipped to the table, so u = 0 and u = 1 map to finite ends.  The
+    cell index is arithmetic; the uniforms go through in cache-sized blocks.
+    """
+    c0, c1, c2, c3 = _mixture_inv_table(w, m1, m2, s2)
+    u = np.asarray(u, dtype=np.float64)
+    out = np.empty(u.shape)  # C order, so its flat view is writable in place
+    flat_u = u.reshape(-1)
+    flat_out = out.reshape(-1)
+    for a in range(0, flat_u.size, _INV_BLOCK):
+        t = ndtri(flat_u[a : a + _INV_BLOCK])
+        np.clip(t, -_Y_EDGE, _Y_EDGE, out=t)
+        t += _Y_EDGE
+        t /= _Y_STEP
+        i = np.clip(t.astype(np.intp), 0, _Y_CELLS - 1)
+        t -= i
+        x = c3[i]
+        for c in (c2, c1, c0):
+            x *= t
+            x += c[i]
+        flat_out[a : a + _INV_BLOCK] = x
+    return out
 
 
 _SPEC_NAMES = ("gaussian", "uniform", "laplace", "mixture", "spike")
@@ -305,10 +363,7 @@ class DistributionSpec:
         if self.parameters and self.name != "mixture":
             raise GridError(f"{self.name!r} takes no parameters")
         if self.name == "mixture":
-            _mixture_params(self._params_dict())  # standardization check
-
-    def _params_dict(self) -> dict:
-        return dict(zip(("weight", "loc1", "loc2", "var"), self.parameters))
+            _mixture_params(self.parameters)  # length, range and standardization check
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
         if self.name == "gaussian":
@@ -319,7 +374,7 @@ class DistributionSpec:
             return _laplace_cdf(x)
         if self.name == "spike":
             return _spike_cdf(x)
-        return _mixture_cdf_fn(self._params_dict())(x)
+        return _mixture_cdf(x, *_mixture_params(self.parameters))
 
     def inv_cdf(self, u: np.ndarray) -> np.ndarray:
         if self.name == "gaussian":
@@ -330,7 +385,7 @@ class DistributionSpec:
             return _laplace_inv(u)
         if self.name == "spike":
             return _spike_inv(u)
-        return _mixture_inv_fn(self._params_dict())(u)
+        return _mixture_inv(u, *_mixture_params(self.parameters))
 
     @property
     def symmetric(self) -> bool:

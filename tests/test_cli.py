@@ -41,11 +41,50 @@ def test_config_validation():
         RunConfig.from_dict({"threads": 2})
     cfg = RunConfig.from_dict({"specs": ["spike"], "n_list": [4, 2, 2], "n_max": 8})
     assert cfg.n_list == (2, 4)
+    for bad in _BAD_VALUES:
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(bad)
+    with pytest.raises(ConfigError):
+        RunConfig(out_dir=5)
+    assert RunConfig(seed=0).seed == 0
+    assert RunConfig(seed=2**63 - 1).seed == 2**63 - 1
+    mix = (0.3, -0.7, 0.3, 0.79)
+    assert RunConfig(spec_parameters=mix).spec_parameters == mix
+
+
+# each is a traceback or a silent misreading unless the config rejects it
+_BAD_VALUES = (
+    {"seed": -1},
+    {"seed": 2**63},
+    {"seed": 7.0},
+    {"mc_samples": 1e4},
+    {"mc_samples": True},
+    {"n_max": 4.5},
+    {"n_max": True},
+    {"grid_points": 4096.0},
+    {"spec_parameters": ["a"]},
+    {"spec_parameters": [0.3, -0.7]},
+    {"spec_parameters": [0.3, -0.7, 0.3, 0.79, 1.0]},
+    {"spec_parameters": [0.3, -0.7, 0.3, float("nan")]},
+    {"spec_parameters": [True, -0.7, 0.3, 0.79]},
+    {"half_width_factor": "a"},
+    {"sigma_pad": float("inf")},
+    {"t_window": float("nan")},
+    {"decomposition_M": -1.0},
+)
 
 
 def test_invalid_config_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, n_list=[0, 1])
     code = main(["curves", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", _BAD_VALUES, ids=lambda bad: json.dumps(bad))
+def test_bad_config_values_exit_2(tmp_path, capsys, bad):
+    path = write_config(tmp_path, specs=["mixture"], **bad)
+    code = main(["montecarlo", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
 

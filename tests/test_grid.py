@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
+from scipy.special import log_ndtr, ndtr
 
 import maxwalk as mw
 from maxwalk.grid import (
+    _SPEC_NAMES,
     GridError,
     _mixture_inv_table,
     from_spectrum,
@@ -145,6 +148,123 @@ def test_mixture_inverse_cache_is_bounded():
         spec(0.5 + 0.05 * i).inv_cdf(u)
     info = _mixture_inv_table.cache_info()
     assert info.currsize <= 8
+
+
+_MIX = (0.3, -0.7, 0.3, 0.79)  # the default mixture: weight, loc1, loc2, var
+
+
+def _oracle_uniforms() -> np.ndarray:
+    """1e5 Philox uniforms, the ends k * 2^-53 and 1 - k * 2^-53 (k <= 200)
+    that `Generator.random` can draw, and the simulator's 1e-17 clip."""
+    k = np.arange(1, 201)
+    u = Generator(Philox(key=20260809)).random(10**5)
+    return np.concatenate((u, k * 2.0**-53, 1.0 - k * 2.0**-53, [1e-17]))
+
+
+def _mixture_log_tail(x: np.ndarray, upper: bool) -> np.ndarray:
+    """log F(x), or log S(x) when `upper`, of the default mixture."""
+    w, m1, m2, s2 = _MIX
+    sign = -1.0 if upper else 1.0
+    s = math.sqrt(s2)
+    return np.logaddexp(
+        math.log(w) + log_ndtr(sign * (x - m1) / s),
+        math.log1p(-w) + log_ndtr(sign * (x - m2) / s),
+    )
+
+
+def _mixture_inv_interp_newton(u: np.ndarray) -> np.ndarray:
+    """The former sampler: interpolation in a 32,769-entry x-space table of
+    the default mixture's cdf, then two step-bounded Newton iterations."""
+    w, m1, m2, s2 = _MIX
+    s = math.sqrt(s2)
+
+    def cdf(x):
+        return w * ndtr((x - m1) / s) + (1 - w) * ndtr((x - m2) / s)
+
+    def pdf(x):
+        z1, z2 = (x - m1) / s, (x - m2) / s
+        return (w * np.exp(-z1 * z1 / 2) + (1 - w) * np.exp(-z2 * z2 / 2)) / (
+            s * math.sqrt(2.0 * math.pi)
+        )
+
+    x_tab = np.linspace(min(m1, m2) - 10.0 * s, max(m1, m2) + 10.0 * s, 32769)
+    u_tab = cdf(x_tab)
+    spacing = float(x_tab[1] - x_tab[0])
+    u = np.clip(u, u_tab[0], u_tab[-1])
+    x = np.interp(u, u_tab, x_tab)
+    for _ in range(2):
+        step = (cdf(x) - u) / np.maximum(pdf(x), 1e-300)
+        x = x - np.clip(step, -spacing, spacing)
+    return x
+
+
+@pytest.mark.parametrize("name", _SPEC_NAMES)
+def test_inverse_cdf_round_trip(name):
+    spec = mw.DistributionSpec(name)
+    u = _oracle_uniforms()
+    x = spec.inv_cdf(u)
+    assert np.all(np.isfinite(x))
+    assert np.abs(spec.cdf(x) - u).max() <= 1e-13
+    block = u[: 10**5].reshape(1000, 100)  # the shape and memory order pass through
+    assert np.array_equal(spec.inv_cdf(block.T), x[: 10**5].reshape(1000, 100).T)
+
+
+def test_mixture_inverse_tail_mass_is_relative():
+    u = _oracle_uniforms()
+    x = mw.DistributionSpec("mixture").inv_cdf(u)
+    lower = u < 0.5
+    # 1 - u is exact for u >= 1/2, so log1p(-u) is the upper tail's own log
+    rel = np.concatenate((
+        np.expm1(_mixture_log_tail(x[lower], upper=False) - np.log(u[lower])),
+        np.expm1(_mixture_log_tail(x[~lower], upper=True) - np.log1p(-u[~lower])),
+    ))
+    assert np.abs(rel).max() <= 1e-12
+
+
+def test_mixture_inverse_monotone_with_finite_ends():
+    u = np.linspace(0.0, 1.0, 2 * 10**5)
+    x = mw.DistributionSpec("mixture").inv_cdf(u)
+    assert np.all(np.isfinite(x))
+    assert np.all(np.diff(x) > 0.0)
+
+
+def test_mixture_inverse_matches_interp_newton():
+    # The former sampler is compared where it is accurate: random u in
+    # [1e-10, 1 - 1e-10] and the lower tail down to 1e-10.  Nearer either end
+    # it is wrong (u = 1 - 2^-53 gives 7.671 against the log-space root 7.559).
+    u = np.clip(Generator(Philox(key=7)).random(10**6), 1e-10, 1.0 - 1e-10)
+    lower_ends = np.geomspace(1e-10, 0.5, 1000)
+    u = np.concatenate((u, lower_ends))
+    spec = mw.DistributionSpec("mixture")
+    assert np.abs(spec.inv_cdf(u) - _mixture_inv_interp_newton(u)).max() <= 1e-10
+    # Near u = 1 it reads the tail mass 1 - F off F and loses it to
+    # cancellation (a 1e-7 gap at 1 - u = 1e-10): there the log-space tail
+    # mass must be no further from 1 - u than the former sampler's.
+    u = 1.0 - lower_ends
+
+    def tail_error(x):
+        return np.abs(_mixture_log_tail(x, upper=True) - np.log1p(-u))
+
+    assert np.all(tail_error(spec.inv_cdf(u)) <= tail_error(_mixture_inv_interp_newton(u)) + 1e-12)
+
+
+def test_mixture_parameters_validated():
+    u = _oracle_uniforms()
+    default = mw.DistributionSpec("mixture").inv_cdf(u)
+    assert np.array_equal(mw.DistributionSpec("mixture", _MIX).inv_cdf(u), default)
+    for bad in ((0.3, -0.7), _MIX + (1.0,), ("a", -0.7, 0.3, 0.79), (1.0, 0.0, 1.0, 1.0),
+                (0.3, -0.7, 0.3, 0.8)):
+        with pytest.raises(GridError):
+            mw.DistributionSpec("mixture", bad)
+
+
+def test_centers_cached_read_only():
+    g = mw.make_working_grid(4, 2**12)
+    x = g.centers()
+    assert g.centers() is x
+    assert mw.GridSpec(g.x_min, g.step, g.count).centers() is x
+    with pytest.raises(ValueError):
+        x[0] = 1.0
 
 
 def test_convolve_mass_multiplicative_signed(small_grid):

@@ -71,22 +71,17 @@ _BAD_VALUES = (
     {"sigma_pad": float("inf")},
     {"t_window": float("nan")},
     {"decomposition_M": -1.0},
+    {"sigma_pad": 10**400},
+    {"spec_parameters": [0.3, -0.7, 0.3, 10**400]},
 )
 
 
 def test_invalid_config_exits_2(tmp_path, capsys):
-    path = write_config(tmp_path, n_list=[0, 1])
-    code = main(["curves", "--config", str(path), "--out", str(tmp_path / "out")])
-    assert code == 2
-    assert "config error" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("bad", _BAD_VALUES, ids=lambda bad: json.dumps(bad))
-def test_bad_config_values_exit_2(tmp_path, capsys, bad):
-    path = write_config(tmp_path, specs=["mixture"], **bad)
-    code = main(["montecarlo", "--config", str(path), "--out", str(tmp_path / "out")])
-    assert code == 2
-    assert "config error" in capsys.readouterr().err
+    for verb, bad in (("curves", {"n_list": [0, 1]}), ("montecarlo", _BAD_VALUES[0])):
+        path = write_config(tmp_path, **bad)
+        code = main([verb, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
 
 
 def test_curves_mode_writes_deterministic_files(tmp_path):

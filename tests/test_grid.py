@@ -151,6 +151,22 @@ def test_mixture_inverse_cache_is_bounded():
 
 
 _MIX = (0.3, -0.7, 0.3, 0.79)  # the default mixture: weight, loc1, loc2, var
+# Well-separated components: x(y) climbs steeply through the density gap, and
+# the table splits its cells there (up to 4,096 sub-cells per cell).  In the
+# last set one cell's error changes sign near its midpoint: checked at the
+# midpoint alone, it is kept and misses the round trip by 1.5e-13.
+_BIMODAL = (
+    (0.5, -0.95, 0.95, 0.0975),
+    (0.5, -0.97, 0.97, 0.0591),
+    (0.1, -2.7, 0.3, 0.19),
+    (0.7164419822245884, -0.5313575760470672, 1.3425360991017066, 0.2866332726256319),
+)
+_LAWS = [(name, ()) for name in _SPEC_NAMES] + [("mixture", p) for p in _BIMODAL]
+_MIXTURES = [_MIX, *_BIMODAL]
+
+
+def _law_id(params: tuple) -> str:
+    return ",".join(map(str, params))
 
 
 def _oracle_uniforms() -> np.ndarray:
@@ -161,9 +177,9 @@ def _oracle_uniforms() -> np.ndarray:
     return np.concatenate((u, k * 2.0**-53, 1.0 - k * 2.0**-53, [1e-17]))
 
 
-def _mixture_log_tail(x: np.ndarray, upper: bool) -> np.ndarray:
-    """log F(x), or log S(x) when `upper`, of the default mixture."""
-    w, m1, m2, s2 = _MIX
+def _mixture_log_tail(x: np.ndarray, upper: bool, params: tuple = _MIX) -> np.ndarray:
+    """log F(x), or log S(x) when `upper`, of a mixture."""
+    w, m1, m2, s2 = params
     sign = -1.0 if upper else 1.0
     s = math.sqrt(s2)
     return np.logaddexp(
@@ -198,9 +214,11 @@ def _mixture_inv_interp_newton(u: np.ndarray) -> np.ndarray:
     return x
 
 
-@pytest.mark.parametrize("name", _SPEC_NAMES)
-def test_inverse_cdf_round_trip(name):
-    spec = mw.DistributionSpec(name)
+@pytest.mark.parametrize(
+    "name, params", _LAWS, ids=[f"{n}-{_law_id(p)}" if p else n for n, p in _LAWS]
+)
+def test_inverse_cdf_round_trip(name, params):
+    spec = mw.DistributionSpec(name, params)
     u = _oracle_uniforms()
     x = spec.inv_cdf(u)
     assert np.all(np.isfinite(x))
@@ -209,23 +227,32 @@ def test_inverse_cdf_round_trip(name):
     assert np.array_equal(spec.inv_cdf(block.T), x[: 10**5].reshape(1000, 100).T)
 
 
-def test_mixture_inverse_tail_mass_is_relative():
+@pytest.mark.parametrize("params", _MIXTURES, ids=_law_id)
+def test_mixture_inverse_tail_mass_is_relative(params):
     u = _oracle_uniforms()
-    x = mw.DistributionSpec("mixture").inv_cdf(u)
+    x = mw.DistributionSpec("mixture", params).inv_cdf(u)
     lower = u < 0.5
     # 1 - u is exact for u >= 1/2, so log1p(-u) is the upper tail's own log
     rel = np.concatenate((
-        np.expm1(_mixture_log_tail(x[lower], upper=False) - np.log(u[lower])),
-        np.expm1(_mixture_log_tail(x[~lower], upper=True) - np.log1p(-u[~lower])),
+        np.expm1(_mixture_log_tail(x[lower], False, params) - np.log(u[lower])),
+        np.expm1(_mixture_log_tail(x[~lower], True, params) - np.log1p(-u[~lower])),
     ))
     assert np.abs(rel).max() <= 1e-12
 
 
-def test_mixture_inverse_monotone_with_finite_ends():
+@pytest.mark.parametrize("params", _MIXTURES, ids=_law_id)
+def test_mixture_inverse_monotone_with_finite_ends(params):
     u = np.linspace(0.0, 1.0, 2 * 10**5)
-    x = mw.DistributionSpec("mixture").inv_cdf(u)
+    x = mw.DistributionSpec("mixture", params).inv_cdf(u)
     assert np.all(np.isfinite(x))
     assert np.all(np.diff(x) > 0.0)
+
+
+def test_mixture_inverse_refuses_a_gap_it_cannot_resolve():
+    # sd 0.14 at +-0.99: the density between the components falls to 3e-11
+    spec = mw.DistributionSpec("mixture", (0.5, -0.99, 0.99, 1.0 - 0.99**2))
+    with pytest.raises(GridError, match="too deep"):
+        spec.inv_cdf(np.array([0.25, 0.5]))
 
 
 def test_mixture_inverse_matches_interp_newton():

@@ -3,7 +3,9 @@
 Sampling is inverse-CDF throughout (one uniform mechanism) on counter-based
 Philox substreams.  Every inverse keeps |F(x) - u| <= 1e-13, and the
 mixture's table inverse keeps each tail mass within 1e-12 relative down to
-the 1e-17 clip (pinned in tests/test_grid.py).  Chunk i uses the base stream
+the 1e-17 clip (pinned in tests/test_grid.py, for the default mixture and
+four with well-separated components; the table refuses a mixture it cannot
+resolve to that accuracy with GridError).  Chunk i uses the base stream
 jumped i times, so results are bit-reproducible for a given
 (spec, n, samples, seed) and the chunk merge is order-independent by
 construction.

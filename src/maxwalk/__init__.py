@@ -25,7 +25,6 @@ from .decomposition import (
     binomial_split,
     bounded_max_approximation,
     decomp_powers,
-    local_correction_term,
     median_level,
     smooth_part,
     smooth_part_mass,

@@ -21,7 +21,7 @@ from . import limits as lm
 from . import montecarlo as mc
 from . import walk as wk
 from .config import ConfigError, RunConfig
-from .verify import run_verification
+from .verify import SuiteState, run_verification
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -72,34 +72,19 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def _per_spec(config: RunConfig, fn) -> None:
-    for name in config.specs:
-        fn(name)
-
-
-def _build(config: RunConfig, name: str):
-    spec = gr.DistributionSpec(name, config.spec_parameters if name == "mixture" else ())
-    grid = gr.make_working_grid(
-        config.n_max, config.grid_points, config.half_width_factor, config.sigma_pad
-    )
-    walk = wk.compute_walk(spec, config.n_max, grid)
-    return spec, walk
+def _states(config: RunConfig):
+    """(name, SuiteState) for each spec in turn, a fresh state each, so only
+    one spec's walk and splits are held at a time (the loops below keep no
+    walk or split in a variable that outlives its iteration)."""
+    return ((name, SuiteState(config)) for name in config.specs)
 
 
 def run_curves(config: RunConfig, out: Path) -> int:
-    def one(name: str) -> None:
-        spec, walk = _build(config, name)
-        table = dc.decomp_powers(
-            dc.binomial_split(walk.step_density, config.decomposition_M), config.n_max
-        )
-        rows = lm.convergence_curves(
-            spec, list(config.n_list), C=4.0, walk=walk, table=table
-        )
+    for name, state in _states(config):
+        rows = state.curves(name)
         _write(out / f"curves_{name}.csv", lm.curves_csv(rows))
         _write(out / f"entropy_{name}.csv", lm.entropy_reports_csv(rows))
-        _write(out / f"walk_{name}.csv", wk.walk_scalars_csv(walk))
-
-    _per_spec(config, one)
+        _write(out / f"walk_{name}.csv", wk.walk_scalars_csv(state.walk(name)))
     return 0
 
 
@@ -117,60 +102,46 @@ def run_verify(config: RunConfig, out: Path) -> int:
 
 def run_charfn(config: RunConfig, out: Path) -> int:
     t = np.linspace(-5.0, 5.0, 1001)
-
-    def one(name: str) -> None:
-        _, walk = _build(config, name)
-        n = config.n_max
-        _write(out / f"charfn_step_{name}.csv",
-               cf.charfn_csv(cf.charfn(walk.step_density, t, 2)))
-        _write(out / f"charfn_max_{name}_n{n}.csv",
-               cf.charfn_csv(cf.charfn(gr.rescale_sqrt(walk.max_laws[n], n), t, 2)))
-        decay = cf.charfn_decay_window(walk.step_density, 0.99)
-        envelope = cf.gaussian_envelope_window(walk.step_density, config.t_window)
-        _write(out / f"charfn_windows_{name}.csv",
-               f"decay_window_99,envelope_window\n{decay:.17g},{envelope:.17g}\n")
-
+    n = config.n_max
     _write(out / "charfn_half_normal.csv",
            cf.charfn_csv(cf.half_normal_charfn(t, n=1, order=2)))
-    _per_spec(config, one)
+    for name, state in _states(config):
+        p = state.walk(name).step_density
+        law = gr.rescale_sqrt(state.walk(name).max_laws[n], n)
+        _write(out / f"charfn_step_{name}.csv", cf.charfn_csv(cf.charfn(p, t, 2)))
+        _write(out / f"charfn_max_{name}_n{n}.csv", cf.charfn_csv(cf.charfn(law, t, 2)))
+        decay = cf.charfn_decay_window(p, 0.99)
+        envelope = cf.gaussian_envelope_window(p, config.t_window)
+        _write(out / f"charfn_windows_{name}.csv",
+               f"decay_window_99,envelope_window\n{decay:.17g},{envelope:.17g}\n")
     return 0
 
 
 def run_montecarlo(config: RunConfig, out: Path) -> int:
-    def one(name: str) -> None:
-        spec = gr.DistributionSpec(name, config.spec_parameters if name == "mixture" else ())
-        summary = mc.simulate(spec, config.n_max, config.mc_samples, config.seed)
-        _write(out / f"mc_{name}_n{config.n_max}.json", mc.summary_json(summary))
-        _write(out / f"mc_{name}_n{config.n_max}_hist.csv", mc.histogram_csv(summary))
-
-    _per_spec(config, one)
+    n = config.n_max
+    for name, state in _states(config):
+        summary = mc.simulate(state.spec(name), n, config.mc_samples, config.seed)
+        _write(out / f"mc_{name}_n{n}.json", mc.summary_json(summary))
+        _write(out / f"mc_{name}_n{n}_hist.csv", mc.histogram_csv(summary))
     return 0
 
 
 def run_density(config: RunConfig, out: Path) -> int:
-    def one(name: str) -> None:
-        _, walk = _build(config, name)
-        n = config.n_max
-        _write(out / f"max_density_{name}_n{n}.csv",
-               gr.density_to_csv(walk.max_laws[n]))
+    n = config.n_max
+    for name, state in _states(config):
+        law = state.walk(name).max_laws[n]
+        _write(out / f"max_density_{name}_n{n}.csv", gr.density_to_csv(law))
         _write(out / f"max_density_{name}_n{n}_rescaled.csv",
-               gr.density_to_csv(gr.rescale_sqrt(walk.max_laws[n], n)))
-
-    _per_spec(config, one)
+               gr.density_to_csv(gr.rescale_sqrt(law, n)))
     return 0
 
 
 def run_decomp(config: RunConfig, out: Path) -> int:
-    def one(name: str) -> None:
-        _, walk = _build(config, name)
-        table = dc.decomp_powers(
-            dc.binomial_split(walk.step_density, config.decomposition_M), config.n_max
+    for name, state in _states(config):
+        rows = dc.split_quality_diagnostics(
+            state.walk(name), [state.split(name, n) for n in state.diag_ns()]
         )
-        ns = [n for n in (8, 16, 32, 64) if n <= config.n_max] or [config.n_max]
-        rows = dc.split_quality_diagnostics(walk, table, ns)
         _write(out / f"decomp_{name}.csv", dc.diagnostics_csv(rows))
-
-    _per_spec(config, one)
     return 0
 
 

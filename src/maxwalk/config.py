@@ -8,6 +8,12 @@ from dataclasses import dataclass, fields
 from .grid import _SPEC_NAMES
 
 _MODES = ("curves", "verify", "charfn", "montecarlo", "density", "decomp")
+# Upper bounds that keep a run's arrays allocatable: the walk holds 2 * n_max
+# densities of grid_points cells each, 1 GiB of float64 at n_max * grid_points
+# = 2^26.
+_N_MAX_LIMIT = 1024
+_WALK_CELLS_LIMIT = 2**26
+_MC_SAMPLES_LIMIT = 10**9
 
 
 class ConfigError(ValueError):
@@ -64,8 +70,8 @@ class RunConfig:
         for key in ("n_max", "grid_points", "mc_samples"):
             if not _is_int(getattr(self, key)):
                 raise ConfigError(f"{key} must be an integer, got {getattr(self, key)!r}")
-        if self.n_max < 1:
-            raise ConfigError(f"n_max must be >= 1, got {self.n_max}")
+        if not 1 <= self.n_max <= _N_MAX_LIMIT:
+            raise ConfigError(f"n_max must lie in [1, {_N_MAX_LIMIT}], got {self.n_max}")
         n_list = tuple(self.n_list)
         if not n_list:
             raise ConfigError("n_list must not be empty")
@@ -78,14 +84,19 @@ class RunConfig:
             raise ConfigError(
                 f"grid_points must be a power of two in [2^12, 2^20], got {p}"
             )
+        if self.n_max * p > _WALK_CELLS_LIMIT:
+            raise ConfigError(
+                f"n_max * grid_points must be <= 2^26 (the walk's size), got "
+                f"{self.n_max} * {p}"
+            )
         for key in ("half_width_factor", "sigma_pad", "t_window", "decomposition_M"):
             value = getattr(self, key)
             if key == "decomposition_M" and value is None:
                 continue
             if not _is_finite_number(value) or value <= 0:
                 raise ConfigError(f"{key} must be a positive finite number, got {value!r}")
-        if self.mc_samples < 10**4:
-            raise ConfigError(f"mc_samples must be >= 1e4, got {self.mc_samples}")
+        if not 10**4 <= self.mc_samples <= _MC_SAMPLES_LIMIT:
+            raise ConfigError(f"mc_samples must lie in [1e4, 1e9], got {self.mc_samples}")
         if not _is_int(self.seed) or not 0 <= self.seed < 2**63:
             raise ConfigError(f"seed must be an integer in [0, 2^63), got {self.seed!r}")
         if not isinstance(self.out_dir, str):

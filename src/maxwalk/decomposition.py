@@ -177,19 +177,25 @@ class MaxLawSplit:
     ``bounded`` is signed; ``remainder_pos``/``remainder_neg`` are the
     nonnegative remainder parts built from the kernel's atom and negative
     density.  The reconstruction max_law = bounded + remainder_pos -
-    remainder_neg holds per cell."""
+    remainder_neg holds per cell, with largest gap ``reconstruction_gap``.
+    ``correction`` is the signed local correction term on the sqrt(n) scale:
+    the one- and two-factor bounded-component terms of the split, convolved
+    with the max kernels."""
 
     n: int
     bounded: GridDensity
     remainder_pos: GridDensity
     remainder_neg: GridDensity
+    correction: GridDensity
+    reconstruction_gap: float
 
 
 def bounded_max_approximation(
     table: DecompTable, walk: WalkLaws, n: int
 ) -> MaxLawSplit:
     """Split the n-step max law into the bounded-component sum and the
-    remainders carried by the unbounded component.
+    remainders carried by the unbounded component, with the local correction
+    term; one kernel per step serves all three sums.
 
     Verifies the per-cell reconstruction against the walk's max law at
     tolerance n * 1e-8 before returning.
@@ -201,23 +207,31 @@ def bounded_max_approximation(
 
     bounded = KernelSum(grid)
     remainder = KernelSum(grid)
+    correction = KernelSum(grid)
     for k in range(1, n + 1):
         kern = nagaev_kernel(walk, n - k)
         bounded.add(kern, table.qk1[k], 1.0 - rho**k)
         if rho**k >= _WEIGHT_CUTOFF:
             remainder.add(kern, table.qk2[k], rho**k)
+        head = _bounded_head(table, k)
+        if head is not None:
+            correction.add(kern, head)
 
-    split = MaxLawSplit(
-        n=n,
-        bounded=bounded.total(),
-        remainder_pos=GridDensity(grid, remainder.atoms),
-        remainder_neg=remainder.convolutions(),
-    )
-    recon = split.bounded + split.remainder_pos - split.remainder_neg
+    bounded_sum = bounded.total()
+    remainder_pos = GridDensity(grid, remainder.atoms)
+    remainder_neg = remainder.convolutions()
+    recon = bounded_sum + remainder_pos - remainder_neg
     gap = float(np.abs(recon.values - walk.max_laws[n].values).max())
     if gap > n * 1e-8:
         raise GridError(f"split reconstruction gap {gap:.2e} exceeds {n * 1e-8:.1e}")
-    return split
+    return MaxLawSplit(
+        n=n,
+        bounded=bounded_sum,
+        remainder_pos=remainder_pos,
+        remainder_neg=remainder_neg,
+        correction=rescale_sqrt(correction.total(), n),
+        reconstruction_gap=gap,
+    )
 
 
 def _bounded_head(table: DecompTable, k: int) -> GridDensity | None:
@@ -238,20 +252,6 @@ def _bounded_head(table: DecompTable, k: int) -> GridDensity | None:
             continue
         head = w * term if head is None else head + w * term
     return None if head is None else GridDensity(table.decomp.q1.grid, head)
-
-
-def local_correction_term(table: DecompTable, walk: WalkLaws, n: int) -> GridDensity:
-    """Signed correction term of the local limit approximation, rescaled to
-    the sqrt(n) scale: the one- and two-factor bounded-component terms of the
-    split, convolved with the max kernels."""
-    table.check_index(n)
-    walk.check_index(n)
-    terms = KernelSum(walk.grid)
-    for k in range(1, n + 1):
-        head = _bounded_head(table, k)
-        if head is not None:
-            terms.add(nagaev_kernel(walk, n - k), head)
-    return rescale_sqrt(terms.total(), n)
 
 
 def smooth_part(table: DecompTable, k: int) -> GridDensity:
@@ -277,12 +277,14 @@ def smooth_part_mass(table: DecompTable, k: int) -> float:
     return 1.0 - head
 
 
-def smooth_split_identity_gap(table: DecompTable, walk: WalkLaws, n: int) -> float:
+def smooth_split_identity_gap(
+    table: DecompTable, walk: WalkLaws, split: MaxLawSplit
+) -> float:
     """Max per-cell gap in: rescaled bounded part == sqrt(n)-rescaled sum of
     smooth parts convolved with kernels, plus the local correction term."""
+    n = split.n
     table.check_index(n)
     walk.check_index(n)
-    split = bounded_max_approximation(table, walk, n)
     lhs = rescale_sqrt(split.bounded, n)
     terms = KernelSum(walk.grid)
     for k in range(3, n + 1):
@@ -290,7 +292,7 @@ def smooth_split_identity_gap(table: DecompTable, walk: WalkLaws, n: int) -> flo
         if float(np.abs(part.values).max()) == 0.0:
             continue
         terms.add(nagaev_kernel(walk, n - k), part)
-    rhs = rescale_sqrt(terms.total(), n) + local_correction_term(table, walk, n)
+    rhs = rescale_sqrt(terms.total(), n) + split.correction
     return float(np.abs(lhs.values - rhs.values).max())
 
 
@@ -308,34 +310,27 @@ class DiagnosticsRow:
     rn_sup: float
 
 
-def split_quality_diagnostics(
-    walk: WalkLaws, table: DecompTable, n_list: list[int]
-) -> list[DiagnosticsRow]:
-    """Per-n diagnostics: L1 and x^2-weighted gaps between the max density
-    and its bounded approximation, the negative-part mass of the
-    approximation, its sup norm, and the correction-term norms."""
+def split_quality_diagnostics(walk: WalkLaws, splits) -> list[DiagnosticsRow]:
+    """Per-split diagnostics, in order of n: L1 and x^2-weighted gaps between
+    the max density and its bounded approximation, the negative-part mass of
+    the approximation, its sup norm, and the correction-term norms."""
     rows = []
-    for n in sorted(n_list):
-        split = bounded_max_approximation(table, walk, n)
+    x = walk.grid.centers()
+    w = _halfline_weights(walk.grid, "positive")
+    for split in sorted(splits, key=lambda s: s.n):
+        n = split.n
         q_star = rescale_sqrt(split.bounded, n)
         p_star = rescale_sqrt(walk.max_laws[n], n)
         diff = p_star - q_star
-        x = walk.grid.centers()
-        w = _halfline_weights(walk.grid, "positive")
-        l1 = float(np.sum(w * np.abs(diff.values)))
-        x2 = float(np.sum(w * x * x * np.abs(diff.values)))
-        qminus = float(np.sum(w * np.maximum(-q_star.values, 0.0)))
-        qsup = halfline_sup(split.bounded, "positive") / math.sqrt(n)
-        rn = local_correction_term(table, walk, n)
         rows.append(
             DiagnosticsRow(
                 n=n,
-                l1_pq=l1,
-                x2_pq=x2,
-                qminus_l1=qminus,
-                qbar_sup_over_sqrtn=qsup,
-                rn_l1=halfline_l1(rn, "positive"),
-                rn_sup=halfline_sup(rn, "positive"),
+                l1_pq=float(np.sum(w * np.abs(diff.values))),
+                x2_pq=float(np.sum(w * x * x * np.abs(diff.values))),
+                qminus_l1=float(np.sum(w * np.maximum(-q_star.values, 0.0))),
+                qbar_sup_over_sqrtn=halfline_sup(split.bounded, "positive") / math.sqrt(n),
+                rn_l1=halfline_l1(split.correction, "positive"),
+                rn_sup=halfline_sup(split.correction, "positive"),
             )
         )
     return rows

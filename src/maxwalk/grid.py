@@ -13,7 +13,7 @@ import functools
 import io
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Callable, Literal
 
 import numpy as np
 from scipy.fft import irfft, rfft
@@ -184,14 +184,6 @@ _SQRT5 = math.sqrt(5.0)
 _SPIKE_C = 2.0 * 5.0**0.25  # cdf(x) = 1/2 + sqrt(x)/_SPIKE_C on [0, sqrt(5)]
 
 
-def _gaussian_cdf(x: np.ndarray) -> np.ndarray:
-    return ndtr(x)
-
-
-def _gaussian_inv(u: np.ndarray) -> np.ndarray:
-    return ndtri(u)
-
-
 def _uniform_cdf(x: np.ndarray) -> np.ndarray:
     return np.clip((x + _SQRT3) / (2.0 * _SQRT3), 0.0, 1.0)
 
@@ -210,7 +202,7 @@ def _laplace_cdf(x: np.ndarray) -> np.ndarray:
 
 def _laplace_inv(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
-    return np.where(u < 0.5, _LAPLACE_B * np.log(2.0 * u), -_LAPLACE_B * np.log(2.0 * (1.0 - u)))
+    return np.where(u < 0.5, _LAPLACE_B, -_LAPLACE_B) * np.log(2.0 * np.minimum(u, 1.0 - u))
 
 
 def _spike_cdf(x: np.ndarray) -> np.ndarray:
@@ -223,8 +215,8 @@ def _spike_cdf(x: np.ndarray) -> np.ndarray:
 
 
 def _spike_inv(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=np.float64)
-    return np.where(u >= 0.5, (_SPIKE_C * (u - 0.5)) ** 2, -((_SPIKE_C * (0.5 - u)) ** 2))
+    v = np.asarray(u, dtype=np.float64) - 0.5
+    return np.copysign((_SPIKE_C * v) ** 2, v)
 
 
 # mixture: w*N(m1, s2) + (1-w)*N(m2, s2), standardized to mean 0, variance 1
@@ -438,7 +430,28 @@ def _mixture_inv(u: np.ndarray, w: float, m1: float, m2: float, s2: float) -> np
     return out
 
 
-_SPEC_NAMES = ("gaussian", "uniform", "laplace", "mixture", "spike")
+@dataclass(frozen=True)
+class _Law:
+    """One step law of the registry.  ``cdf(x, *args)`` and ``inv(u, *args)``
+    take the arguments ``parameters`` makes of a spec's parameters (checked
+    and unpacked); a law whose ``parameters`` is None takes none."""
+
+    cdf: Callable
+    inv: Callable
+    symmetric: bool
+    bounded_density: bool
+    parameters: Callable | None = None
+
+
+_LAWS = {
+    "gaussian": _Law(ndtr, ndtri, symmetric=True, bounded_density=True),
+    "uniform": _Law(_uniform_cdf, _uniform_inv, symmetric=True, bounded_density=True),
+    "laplace": _Law(_laplace_cdf, _laplace_inv, symmetric=True, bounded_density=True),
+    "mixture": _Law(_mixture_cdf, _mixture_inv, symmetric=False, bounded_density=True,
+                    parameters=_mixture_params),
+    "spike": _Law(_spike_cdf, _spike_inv, symmetric=True, bounded_density=False),
+}
+_SPEC_NAMES = tuple(_LAWS)
 
 
 @dataclass(frozen=True)
@@ -449,45 +462,32 @@ class DistributionSpec:
     parameters: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.name not in _SPEC_NAMES:
+        if self.name not in _LAWS:
             raise UnknownDistributionError(
                 f"unknown distribution {self.name!r}; choose from {_SPEC_NAMES}"
             )
         object.__setattr__(self, "parameters", tuple(self.parameters))
-        if self.parameters and self.name != "mixture":
+        if self.parameters and _LAWS[self.name].parameters is None:
             raise GridError(f"{self.name!r} takes no parameters")
-        if self.name == "mixture":
-            _mixture_params(self.parameters)  # length, range and standardization check
+        self._args()  # length, range and standardization check
+
+    def _args(self) -> tuple:
+        check = _LAWS[self.name].parameters
+        return () if check is None else check(self.parameters)
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
-        if self.name == "gaussian":
-            return _gaussian_cdf(x)
-        if self.name == "uniform":
-            return _uniform_cdf(x)
-        if self.name == "laplace":
-            return _laplace_cdf(x)
-        if self.name == "spike":
-            return _spike_cdf(x)
-        return _mixture_cdf(x, *_mixture_params(self.parameters))
+        return _LAWS[self.name].cdf(x, *self._args())
 
     def inv_cdf(self, u: np.ndarray) -> np.ndarray:
-        if self.name == "gaussian":
-            return _gaussian_inv(u)
-        if self.name == "uniform":
-            return _uniform_inv(u)
-        if self.name == "laplace":
-            return _laplace_inv(u)
-        if self.name == "spike":
-            return _spike_inv(u)
-        return _mixture_inv(u, *_mixture_params(self.parameters))
+        return _LAWS[self.name].inv(u, *self._args())
 
     @property
     def symmetric(self) -> bool:
-        return self.name in ("gaussian", "uniform", "laplace", "spike")
+        return _LAWS[self.name].symmetric
 
     @property
     def bounded_density(self) -> bool:
-        return self.name != "spike"
+        return _LAWS[self.name].bounded_density
 
 
 def sample_density(spec: DistributionSpec, grid: GridSpec) -> GridDensity:

@@ -9,17 +9,17 @@ from __future__ import annotations
 
 import io
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
 from .decomposition import (
-    DecompTable,
+    MaxLawSplit,
     binomial_split,
     bounded_max_approximation,
     decomp_powers,
-    local_correction_term,
 )
 from .entropy import (
     L,
@@ -147,15 +147,14 @@ class SplitResidual:
     abs_error: np.ndarray
 
 
-def split_local_residual(table: DecompTable, walk: WalkLaws, n: int) -> SplitResidual:
+def split_local_residual(split: MaxLawSplit) -> SplitResidual:
     """Residual of the bounded approximation after removing the half-normal
     and the signed correction term (applies to any spec, unbounded included)."""
-    split = bounded_max_approximation(table, walk, n)
+    n = split.n
     q_star = rescale_sqrt(split.bounded, n)
-    corr = local_correction_term(table, walk, n)
-    part_a = weighted_sup_residual(q_star, corr)
-    x = walk.grid.centers()
-    resid = np.abs(q_star.values - _half_normal_values(walk.grid) - corr.values)
+    part_a = weighted_sup_residual(q_star, split.correction)
+    x = q_star.grid.centers()
+    resid = np.abs(q_star.values - _half_normal_values(q_star.grid) - split.correction.values)
     sel = (x > 0) & (x < math.exp(-1.0))
     return SplitResidual(n=n, part_a=part_a, x=x[sel], abs_error=resid[sel])
 
@@ -184,12 +183,13 @@ def convergence_curves(
     n_list: list[int],
     C: float = 4.0,
     walk: WalkLaws | None = None,
-    table: DecompTable | None = None,
+    splits: Mapping[int, MaxLawSplit] | None = None,
     grid=None,
 ) -> list[ConvergenceRow]:
     """One ConvergenceRow per n, with the row-level identities asserted.
 
-    A prebuilt WalkLaws/DecompTable may be passed to share work; otherwise
+    A prebuilt WalkLaws and a mapping n -> MaxLawSplit of that walk (one
+    split for every n in n_list) may be passed to share work; otherwise
     they are built at n_max = max(n_list) on the standard working grid.
     """
     n_list = sorted(set(n_list))
@@ -197,8 +197,9 @@ def convergence_curves(
         raise ValueError("n_list must contain positive integers")
     if walk is None:
         walk = compute_walk(spec, n_list[-1], grid)
-    if table is None:
+    if splits is None:
         table = decomp_powers(binomial_split(walk.step_density), n_list[-1])
+        splits = {n: bounded_max_approximation(table, walk, n) for n in n_list}
 
     rows = []
     for n in n_list:
@@ -216,7 +217,7 @@ def convergence_curves(
         alesh = (
             local_limit_residual(walk, n) if walk.spec.bounded_density else math.nan
         )
-        local = split_local_residual(table, walk, n)
+        local = split_local_residual(splits[n])
         row = ConvergenceRow(
             n=n,
             D=d,

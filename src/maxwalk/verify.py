@@ -51,13 +51,15 @@ def _ge(check_id: str, desc: str, value: float, threshold: float, note: str = ""
 
 
 class SuiteState:
-    """Lazily built shared state: walks, decompositions, curves, simulations."""
+    """Lazily built shared state: walks, decompositions, max-law splits,
+    curves, simulations."""
 
     def __init__(self, config: RunConfig):
         self.config = config
         self._specs: dict = {}
         self._walks: dict = {}
         self._tables: dict = {}
+        self._splits: dict = {}
         self._curves: dict = {}
         self._mc: dict = {}
 
@@ -87,14 +89,19 @@ class SuiteState:
             self._tables[name] = dc.decomp_powers(split, self.config.n_max)
         return self._tables[name]
 
+    def split(self, name: str, n: int) -> dc.MaxLawSplit:
+        if (name, n) not in self._splits:
+            self._splits[name, n] = dc.bounded_max_approximation(
+                self.table(name), self.walk(name), n
+            )
+        return self._splits[name, n]
+
     def curves(self, name: str) -> list[lm.ConvergenceRow]:
         if name not in self._curves:
+            ns = list(self.config.n_list)
             self._curves[name] = lm.convergence_curves(
-                self.spec(name),
-                list(self.config.n_list),
-                C=4.0,
-                walk=self.walk(name),
-                table=self.table(name),
+                self.spec(name), ns, C=4.0, walk=self.walk(name),
+                splits={n: self.split(name, n) for n in ns},
             )
         return self._curves[name]
 
@@ -109,7 +116,8 @@ class SuiteState:
         return self._mc[key]
 
     def diag_ns(self) -> list[int]:
-        return [n for n in (8, 16, 32, 64) if n <= self.config.n_max]
+        n_max = self.config.n_max
+        return [n for n in (8, 16, 32, 64) if n <= n_max] or [n_max]
 
 
 def _envelope_rows(
@@ -588,25 +596,18 @@ def check_local_limit(state: SuiteState) -> list[CheckResult]:
                 )
             )
         ns = state.diag_ns()
-        recon_worst = 0.0
-        smooth_worst = 0.0
+        splits = [state.split(name, n) for n in ns]
+        recon_worst = max(s.reconstruction_gap / (s.n * 1e-8) for s in splits)
+        smooth_worst = max(
+            dc.smooth_split_identity_gap(table, walk, s) / (s.n * 1e-8) for s in splits
+        )
         rbar1 = {}
         rbar2 = {}
         x2r = {}
         x = walk.grid.centers()
         w = gr._halfline_weights(walk.grid, "positive")
-        for n in ns:
-            split = dc.bounded_max_approximation(table, walk, n)
-            recon = (
-                split.bounded.values
-                + split.remainder_pos.values
-                - split.remainder_neg.values
-            )
-            gap = float(np.abs(recon - walk.max_laws[n].values).max()) / (n * 1e-8)
-            recon_worst = max(recon_worst, gap)
-            smooth_worst = max(
-                smooth_worst, dc.smooth_split_identity_gap(table, walk, n) / (n * 1e-8)
-            )
+        for split in splits:
+            n = split.n
             r1 = gr.rescale_sqrt(split.remainder_pos, n)
             r2 = gr.rescale_sqrt(split.remainder_neg, n)
             rbar1[n] = gr.halfline_l1(r1, "positive")
@@ -628,7 +629,7 @@ def check_local_limit(state: SuiteState) -> list[CheckResult]:
                 1.0,
             )
         )
-        diag = dc.split_quality_diagnostics(walk, table, ns)
+        diag = dc.split_quality_diagnostics(walk, splits)
         rn = {r.n: r.rn_l1 for r in diag}
         out.extend(
             _envelope_rows(
@@ -663,7 +664,7 @@ def check_local_limit(state: SuiteState) -> list[CheckResult]:
             )
         )
         if len(ns) >= 2:
-            profiles = {n: lm.split_local_residual(table, walk, n) for n in ns}
+            profiles = {s.n: lm.split_local_residual(s) for s in splits}
             constant = lm.fit_log_error_constant(profiles[ns[0]])
             if constant < _ZERO_FLOOR:
                 worst_ratio = 0.0
@@ -875,7 +876,7 @@ def check_misc_invariants(state: SuiteState) -> list[CheckResult]:
             psi = en.half_normal()
             gaps = {}
             for n in (8, 64):
-                split = dc.bounded_max_approximation(table, walk, n)
+                split = state.split(name, n)
                 q_plus = gr.GridDensity(
                     walk.grid, np.maximum(gr.rescale_sqrt(split.bounded, n).values, 0.0)
                 )
@@ -957,9 +958,7 @@ def check_determinism(state: SuiteState) -> list[CheckResult]:
 
     def one_pass() -> str:
         walk = wk.compute_walk(spec, n_max, g)
-        table = dc.decomp_powers(dc.binomial_split(walk.step_density), n_max)
-        rows = lm.convergence_curves(spec, ns, walk=walk, table=table)
-        return lm.curves_csv(rows)
+        return lm.curves_csv(lm.convergence_curves(spec, ns, walk=walk))
 
     identical = one_pass() == one_pass()
     return [

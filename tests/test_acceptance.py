@@ -352,3 +352,29 @@ def test_c14_determinism_and_runtime():
     # the red set must be exactly the catalogued unattainable criteria
     failing = {c.check_id for c in rep.checks if not c.passed}
     assert failing == KNOWN_UNATTAINABLE
+
+
+def test_verify_builds_each_split_once(monkeypatch):
+    """Every (walk, n) max-law split of a verify run is built once and shared
+    by the curves, the local-limit section and the invariants."""
+    built = []
+    original = mw.bounded_max_approximation
+
+    def counting(table, walk, n):
+        built.append((walk, n))  # holds the walk, so its id stays unique
+        return original(table, walk, n)
+
+    for module in (vf.dc, vf.lm):
+        monkeypatch.setattr(module, "bounded_max_approximation", counting)
+    cfg = RunConfig(specs=("gaussian",), n_max=64, grid_points=2**13, mc_samples=10**4)
+    vf.run_verification(cfg)
+    keys = [(id(walk), n) for walk, n in built]
+    assert len(keys) == len(set(keys))
+    # the suite's walk: the curves' n_list, which holds the local-limit and
+    # invariant n; the determinism section builds two walks of its own
+    by_walk = {}
+    for walk, n in built:
+        by_walk.setdefault(id(walk), []).append(n)
+    assert sorted(map(sorted, by_walk.values()), key=len) == [
+        [1, 2, 4, 8, 16], [1, 2, 4, 8, 16], list(cfg.n_list)
+    ]

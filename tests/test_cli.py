@@ -48,6 +48,10 @@ def test_config_validation():
         RunConfig(out_dir=5)
     assert RunConfig(seed=0).seed == 0
     assert RunConfig(seed=2**63 - 1).seed == 2**63 - 1
+    # the largest sizes still accepted
+    assert RunConfig(n_max=64, grid_points=2**20).grid_points == 2**20
+    assert RunConfig(n_max=1024, n_list=(1,), grid_points=2**16).n_max == 1024
+    assert RunConfig(mc_samples=10**9).mc_samples == 10**9
     mix = (0.3, -0.7, 0.3, 0.79)
     assert RunConfig(spec_parameters=mix).spec_parameters == mix
 
@@ -73,11 +77,23 @@ _BAD_VALUES = (
     {"decomposition_M": -1.0},
     {"sigma_pad": 10**400},
     {"spec_parameters": [0.3, -0.7, 0.3, 10**400]},
+    {"n_max": 1025, "n_list": [1]},
+    {"n_max": 10**400, "n_list": [1]},
+    {"n_max": 128, "n_list": [1], "grid_points": 2**20},
+    {"mc_samples": 10**9 + 1},
 )
 
 
 def test_invalid_config_exits_2(tmp_path, capsys):
-    for verb, bad in (("curves", {"n_list": [0, 1]}), ("montecarlo", _BAD_VALUES[0])):
+    cases = (
+        ("curves", {"n_list": [0, 1]}),
+        ("montecarlo", _BAD_VALUES[0]),
+        ("curves", {"n_max": 10**400, "n_list": [1]}),
+        ("density", {"n_max": 10**400, "n_list": [1]}),
+        ("curves", {"n_max": 128, "n_list": [1], "grid_points": 2**20}),
+        ("montecarlo", {"mc_samples": 10**9 + 1}),
+    )
+    for verb, bad in cases:
         path = write_config(tmp_path, **bad)
         code = main([verb, "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 2

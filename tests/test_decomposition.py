@@ -163,7 +163,7 @@ def test_correction_term_two_term_collapse(small_grid):
     w = mw.compute_walk(mw.DistributionSpec("laplace"), 6, small_grid)
     table = mw.decomp_powers(mw.binomial_split(w.step_density), 6)
     n = 6
-    rn = mw.local_correction_term(table, w, n)
+    rn = mw.bounded_max_approximation(table, w, n).correction
     direct = (
         apply_kernel_direct(w.step_density, nagaev_kernel(w, n - 1)).values
         + apply_kernel_direct(w.sum_laws[2], nagaev_kernel(w, n - 2)).values
@@ -206,7 +206,7 @@ def test_kernel_sums_match_per_term_direct(small_grid, name):
                 base2 = mw.convolve(q1q1, table.q2_powers[k - 2], "direct")
                 corr += w2 * apply_kernel_direct(base2, kern).values
     split = mw.bounded_max_approximation(table, w, n)
-    rn = mw.local_correction_term(table, w, n)
+    rn = split.correction
     expected_rn = mw.rescale_sqrt(mw.GridDensity(small_grid, corr), n).values
     for got, expected in (
         (split.bounded.values, bounded),
@@ -238,13 +238,15 @@ def test_smooth_split_identity(small_grid):
     for name in ("laplace", "spike"):
         w = mw.compute_walk(mw.DistributionSpec(name), 8, small_grid)
         table = mw.decomp_powers(mw.binomial_split(w.step_density), 8)
-        assert smooth_split_identity_gap(table, w, 8) <= 8e-8
+        split = mw.bounded_max_approximation(table, w, 8)
+        assert smooth_split_identity_gap(table, w, split) <= 8e-8
 
 
 def test_diagnostics_rows_and_csv(small_grid):
     w = mw.compute_walk(mw.DistributionSpec("spike"), 8, small_grid)
     table = mw.decomp_powers(mw.binomial_split(w.step_density), 8)
-    rows = mw.split_quality_diagnostics(w, table, [4, 8])
+    splits = [mw.bounded_max_approximation(table, w, n) for n in (8, 4)]
+    rows = mw.split_quality_diagnostics(w, splits)
     assert [r.n for r in rows] == [4, 8]
     for r in rows:
         assert r.l1_pq >= 0 and r.rn_l1 > 0 and r.rn_sup > 0

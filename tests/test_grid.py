@@ -285,6 +285,30 @@ def test_mixture_parameters_validated():
             mw.DistributionSpec("mixture", bad)
 
 
+def _laplace_inv_two_branch(u: np.ndarray) -> np.ndarray:
+    """The former laplace inverse: both np.where branches over every u."""
+    b = 1.0 / math.sqrt(2.0)
+    return np.where(u < 0.5, b * np.log(2.0 * u), -b * np.log(2.0 * (1.0 - u)))
+
+
+def _spike_inv_two_branch(u: np.ndarray) -> np.ndarray:
+    """The former spike inverse: both np.where branches over every u."""
+    c = 2.0 * 5.0**0.25
+    return np.where(u >= 0.5, (c * (u - 0.5)) ** 2, -((c * (0.5 - u)) ** 2))
+
+
+@pytest.mark.parametrize(
+    "name, former",
+    [("laplace", _laplace_inv_two_branch), ("spike", _spike_inv_two_branch)],
+    ids=["laplace", "spike"],
+)
+def test_single_branch_inverse_is_bit_identical(name, former):
+    half = np.nextafter(0.5, [0.0, 1.0])
+    u = np.concatenate((_oracle_uniforms(), [0.0, 0.5, 1.0, np.nextafter(1.0, 0.0)], half))
+    with np.errstate(divide="ignore"):  # log(0) at u = 0 and u = 1
+        assert np.array_equal(mw.DistributionSpec(name).inv_cdf(u), former(u))
+
+
 def test_centers_cached_read_only():
     g = mw.make_working_grid(4, 2**12)
     x = g.centers()

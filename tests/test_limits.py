@@ -16,13 +16,14 @@ from maxwalk.limits import (
 def laplace_setup(small_grid):
     walk = mw.compute_walk(mw.DistributionSpec("laplace"), 8, small_grid)
     table = mw.decomp_powers(mw.binomial_split(walk.step_density), 8)
-    return walk, table
+    splits = {n: mw.bounded_max_approximation(table, walk, n) for n in (1, 2, 4, 8)}
+    return walk, splits
 
 
 def test_rows_internally_consistent(laplace_setup):
-    walk, table = laplace_setup
+    walk, splits = laplace_setup
     rows = mw.convergence_curves(
-        mw.DistributionSpec("laplace"), [1, 2, 4, 8], walk=walk, table=table
+        mw.DistributionSpec("laplace"), [1, 2, 4, 8], walk=walk, splits=splits
     )
     assert [r.n for r in rows] == [1, 2, 4, 8]
     for r in rows:
@@ -62,8 +63,8 @@ def test_local_limit_residual_matches_helper(laplace_setup):
 
 
 def test_split_residual_profile(laplace_setup):
-    walk, table = laplace_setup
-    res = mw.split_local_residual(table, walk, 8)
+    _, splits = laplace_setup
+    res = mw.split_local_residual(splits[8])
     assert res.part_a > 0.0
     assert np.all(res.x > 0.0) and np.all(res.x < math.exp(-1.0))
     assert np.all(res.abs_error >= 0.0)
@@ -73,9 +74,9 @@ def test_split_residual_profile(laplace_setup):
 
 
 def test_curves_csv_format(laplace_setup):
-    walk, table = laplace_setup
+    walk, splits = laplace_setup
     rows = mw.convergence_curves(
-        mw.DistributionSpec("laplace"), [2, 8], walk=walk, table=table
+        mw.DistributionSpec("laplace"), [2, 8], walk=walk, splits=splits
     )
     text = curves_csv(rows)
     lines = text.splitlines()
@@ -83,3 +84,6 @@ def test_curves_csv_format(laplace_setup):
     assert len(lines) == 3
     ent = entropy_reports_csv(rows)
     assert ent.splitlines()[0] == "n,D,D_plus,tv,pinsker_slack,mass"
+    # the splits passed in and the ones built from the walk give the same rows
+    own = mw.convergence_curves(mw.DistributionSpec("laplace"), [2, 8], walk=walk)
+    assert curves_csv(own) == text

@@ -310,25 +310,31 @@ class DiagnosticsRow:
     rn_sup: float
 
 
-def split_quality_diagnostics(walk: WalkLaws, splits) -> list[DiagnosticsRow]:
+def split_quality_diagnostics(
+    walk: WalkLaws, splits: list[MaxLawSplit]
+) -> list[DiagnosticsRow]:
     """Per-split diagnostics, in order of n: L1 and x^2-weighted gaps between
     the max density and its bounded approximation, the negative-part mass of
     the approximation, its sup norm, and the correction-term norms."""
     rows = []
-    x = walk.grid.centers()
-    w = _halfline_weights(walk.grid, "positive")
     for split in sorted(splits, key=lambda s: s.n):
         n = split.n
         q_star = rescale_sqrt(split.bounded, n)
         p_star = rescale_sqrt(walk.max_laws[n], n)
         diff = p_star - q_star
+        x = walk.grid.centers()
+        w = _halfline_weights(walk.grid, "positive")
+        l1 = float(np.sum(w * np.abs(diff.values)))
+        x2 = float(np.sum(w * x * x * np.abs(diff.values)))
+        qminus = float(np.sum(w * np.maximum(-q_star.values, 0.0)))
+        qsup = halfline_sup(split.bounded, "positive") / math.sqrt(n)
         rows.append(
             DiagnosticsRow(
                 n=n,
-                l1_pq=float(np.sum(w * np.abs(diff.values))),
-                x2_pq=float(np.sum(w * x * x * np.abs(diff.values))),
-                qminus_l1=float(np.sum(w * np.maximum(-q_star.values, 0.0))),
-                qbar_sup_over_sqrtn=halfline_sup(split.bounded, "positive") / math.sqrt(n),
+                l1_pq=l1,
+                x2_pq=x2,
+                qminus_l1=qminus,
+                qbar_sup_over_sqrtn=qsup,
                 rn_l1=halfline_l1(split.correction, "positive"),
                 rn_sup=halfline_sup(split.correction, "positive"),
             )

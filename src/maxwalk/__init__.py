@@ -25,6 +25,7 @@ from .decomposition import (
     binomial_split,
     bounded_max_approximation,
     decomp_powers,
+    max_law_splits,
     median_level,
     smooth_part,
     smooth_part_mass,

@@ -138,9 +138,8 @@ def run_density(config: RunConfig, out: Path) -> int:
 
 def run_decomp(config: RunConfig, out: Path) -> int:
     for name, state in _states(config):
-        rows = dc.split_quality_diagnostics(
-            state.walk(name), [state.split(name, n) for n in state.diag_ns()]
-        )
+        splits = state.splits(name, state.diag_ns())
+        rows = dc.split_quality_diagnostics(state.walk(name), list(splits.values()))
         _write(out / f"decomp_{name}.csv", dc.diagnostics_csv(rows))
     return 0
 

@@ -29,8 +29,9 @@ from .grid import (
     moment,
     rescale_sqrt,
     spectrum,
+    zero_density,
 )
-from .walk import KernelSum, WalkLaws, nagaev_kernel
+from .walk import KernelSum, WalkLaws, kernel_pass
 
 _WEIGHT_CUTOFF = 1e-16
 
@@ -93,7 +94,7 @@ def binomial_split(p: GridDensity, M: float | None = None) -> BinomialDecomposit
         )
     if rho == 0.0:
         q1 = GridDensity(p.grid, clipped)
-        q2 = GridDensity(p.grid, np.zeros_like(clipped))
+        q2 = zero_density(p.grid)
     else:
         q1 = GridDensity(p.grid, clipped / (1.0 - rho))
         q2 = GridDensity(p.grid, (p.values - clipped) / rho)
@@ -147,25 +148,37 @@ def _powers(q: GridDensity):
         power = from_spectrum(q.grid, q_hat * spectrum(power), abs(q.mass * power.mass))
 
 
-def decomp_powers(decomp: BinomialDecomposition, n_max: int) -> DecompTable:
-    """Propagate the split to all convolution powers up to n_max.
+def decomp_powers(decomp: BinomialDecomposition, walk: WalkLaws) -> DecompTable:
+    """Propagate the split of the walk's step law to all convolution powers
+    up to walk.n_max.
 
     Convolution is bilinear, so the binomial expansion of
     p^{*k} = ((1-rho) q1 + rho q2)^{*k} has every term but the last in qk1:
-    (1 - rho^k) qk1[k] = p^{*k} - rho^k q2^{*k}, one power of p per k.
+    (1 - rho^k) qk1[k] = p^{*k} - rho^k q2^{*k}, with p^{*k} the walk's sum
+    law.  Where q2^{*k} is dropped, qk1[k] is that sum law itself (the same
+    object).  Raises GridError when the split does not reproduce the walk's
+    step density to 1e-12 (relative to its sup norm, when that exceeds 1).
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    p = walk.step_density
     rho = decomp.rho
-    grid = decomp.q1.grid
-    zero = GridDensity(grid, np.zeros(grid.count))
-
+    if not decomp.q1.grid.close_to(p.grid):
+        raise GridError("the split and the walk live on different grids")
+    recon = (1.0 - rho) * decomp.q1.values + rho * decomp.q2.values
+    gap = float(np.abs(recon - p.values).max())
+    if gap > 1e-12 * max(1.0, float(np.abs(p.values).max())):
+        raise GridError(f"the split misses the walk's step density by {gap:.2e}")
+    n_max = walk.n_max
     kept = sum(1 for k in range(1, n_max + 1) if rho**k >= _WEIGHT_CUTOFF)
-    qk2 = [None, *islice(_powers(decomp.q2), kept)] + [zero] * (n_max - kept)
-    p = (1.0 - rho) * decomp.q1 + rho * decomp.q2
-    qk1 = [None, decomp.q1]
-    for k, pk in enumerate(islice(_powers(p), 1, n_max), start=2):
-        qk1.append(pk.with_values((pk.values - rho**k * qk2[k].values) / (1.0 - rho**k)))
+    qk2 = [None, *islice(_powers(decomp.q2), kept)] + [zero_density(p.grid)] * (n_max - kept)
+    qk1 = [None]
+    for k in range(1, n_max + 1):
+        pk = walk.sum_laws[k]
+        if k > kept:
+            qk1.append(pk)
+        elif k == 1:
+            qk1.append(decomp.q1)
+        else:
+            qk1.append(pk.with_values((pk.values - rho**k * qk2[k].values) / (1.0 - rho**k)))
     q1_powers = (None, *islice(_powers(decomp.q1), min(n_max, 2)))
     return DecompTable(decomp, n_max, tuple(qk1), tuple(qk2), q1_powers, tuple(qk2))
 
@@ -176,11 +189,12 @@ class MaxLawSplit:
 
     ``bounded`` is signed; ``remainder_pos``/``remainder_neg`` are the
     nonnegative remainder parts built from the kernel's atom and negative
-    density.  The reconstruction max_law = bounded + remainder_pos -
-    remainder_neg holds per cell, with largest gap ``reconstruction_gap``.
-    ``correction`` is the signed local correction term on the sqrt(n) scale:
-    the one- and two-factor bounded-component terms of the split, convolved
-    with the max kernels."""
+    density (the grid's shared zero density when rho = 0).  The
+    reconstruction max_law = bounded + remainder_pos - remainder_neg holds
+    per cell, with largest gap ``reconstruction_gap``.  ``correction`` is the
+    signed local correction term on the sqrt(n) scale: the one- and
+    two-factor bounded-component terms of the split, convolved with the max
+    kernels."""
 
     n: int
     bounded: GridDensity
@@ -190,35 +204,54 @@ class MaxLawSplit:
     reconstruction_gap: float
 
 
-def bounded_max_approximation(
-    table: DecompTable, walk: WalkLaws, n: int
-) -> MaxLawSplit:
-    """Split the n-step max law into the bounded-component sum and the
-    remainders carried by the unbounded component, with the local correction
-    term; one kernel per step serves all three sums.
+def max_law_splits(table: DecompTable, walk: WalkLaws, ns) -> dict[int, MaxLawSplit]:
+    """Split the n-step max law, for every n in ns, into the bounded-component
+    sum and the remainders carried by the unbounded component, with the local
+    correction term.
 
-    Verifies the per-cell reconstruction against the walk's max law at
-    tolerance n * 1e-8 before returning.
+    One pass over k = 1..max(ns) serves every n: qk1[k], the kept qk2[k] and
+    the one- and two-factor head are each transformed once and added, with
+    the spectrum of kernel n - k, into the three kernel sums of each n >= k
+    (walk.kernel_pass).  Split n is finished, and its kernel sums freed,
+    after step n.  Verifies each split's per-cell reconstruction against the
+    walk's max law at tolerance n * 1e-8 before returning.
     """
-    table.check_index(n)
-    walk.check_index(n)
+    ns = sorted(set(ns))
+    if not ns:
+        raise ValueError("ns must name at least one n")
+    for n in ns:
+        table.check_index(n)
+        walk.check_index(n)
     rho = table.decomp.rho
-    grid = walk.grid
-
-    bounded = KernelSum(grid)
-    remainder = KernelSum(grid)
-    correction = KernelSum(grid)
-    for k in range(1, n + 1):
-        kern = nagaev_kernel(walk, n - k)
-        bounded.add(kern, table.qk1[k], 1.0 - rho**k)
-        if rho**k >= _WEIGHT_CUTOFF:
-            remainder.add(kern, table.qk2[k], rho**k)
+    sums = {n: (KernelSum(walk.grid), KernelSum(walk.grid), KernelSum(walk.grid)) for n in ns}
+    splits = {}
+    for k, pairs in kernel_pass(walk, ns):
+        q1 = table.qk1[k]
+        q1_hat = spectrum(q1)
+        kept = rho**k >= _WEIGHT_CUTOFF
+        if kept:
+            q2 = table.qk2[k]
+            q2_hat = spectrum(q2)
         head = _bounded_head(table, k)
         if head is not None:
-            correction.add(kern, head)
+            head_hat = spectrum(head)
+        for n, kern in pairs:
+            bounded, remainder, correction = sums[n]
+            bounded.add(kern, q1, 1.0 - rho**k, q1_hat)
+            if kept:
+                remainder.add(kern, q2, rho**k, q2_hat)
+            if head is not None:
+                correction.add(kern, head, 1.0, head_hat)
+        if k in sums:  # step k is the last to add to split k
+            splits[k] = _finish_split(walk, k, *sums.pop(k))
+    return splits
 
+
+def _finish_split(
+    walk: WalkLaws, n: int, bounded: KernelSum, remainder: KernelSum, correction: KernelSum
+) -> MaxLawSplit:
     bounded_sum = bounded.total()
-    remainder_pos = GridDensity(grid, remainder.atoms)
+    remainder_pos = remainder.atom_part()
     remainder_neg = remainder.convolutions()
     recon = bounded_sum + remainder_pos - remainder_neg
     gap = float(np.abs(recon.values - walk.max_laws[n].values).max())
@@ -232,6 +265,13 @@ def bounded_max_approximation(
         correction=rescale_sqrt(correction.total(), n),
         reconstruction_gap=gap,
     )
+
+
+def bounded_max_approximation(
+    table: DecompTable, walk: WalkLaws, n: int
+) -> MaxLawSplit:
+    """The split of the n-step max law alone: max_law_splits at [n]."""
+    return max_law_splits(table, walk, [n])[n]
 
 
 def _bounded_head(table: DecompTable, k: int) -> GridDensity | None:
@@ -277,23 +317,30 @@ def smooth_part_mass(table: DecompTable, k: int) -> float:
     return 1.0 - head
 
 
-def smooth_split_identity_gap(
-    table: DecompTable, walk: WalkLaws, split: MaxLawSplit
-) -> float:
-    """Max per-cell gap in: rescaled bounded part == sqrt(n)-rescaled sum of
-    smooth parts convolved with kernels, plus the local correction term."""
-    n = split.n
-    table.check_index(n)
-    walk.check_index(n)
-    lhs = rescale_sqrt(split.bounded, n)
-    terms = KernelSum(walk.grid)
-    for k in range(3, n + 1):
+def smooth_split_identity_gaps(
+    table: DecompTable, walk: WalkLaws, splits
+) -> dict[int, float]:
+    """Per split n, the max per-cell gap in: rescaled bounded part ==
+    sqrt(n)-rescaled sum of smooth parts convolved with kernels, plus the
+    local correction term.  One kernel pass serves all splits: each smooth
+    part and each kernel is transformed once."""
+    by_n = {s.n: s for s in splits}
+    ns = sorted(by_n)
+    for n in ns:
+        table.check_index(n)
+        walk.check_index(n)
+    terms = {n: KernelSum(walk.grid) for n in ns}
+    for k, pairs in kernel_pass(walk, ns, start=3):
         part = smooth_part(table, k)
-        if float(np.abs(part.values).max()) == 0.0:
-            continue
-        terms.add(nagaev_kernel(walk, n - k), part)
-    rhs = rescale_sqrt(terms.total(), n) + split.correction
-    return float(np.abs(lhs.values - rhs.values).max())
+        part_hat = spectrum(part)
+        for n, kern in pairs:
+            terms[n].add(kern, part, 1.0, part_hat)
+    gaps = {}
+    for n in ns:
+        lhs = rescale_sqrt(by_n[n].bounded, n)
+        rhs = rescale_sqrt(terms.pop(n).total(), n) + by_n[n].correction
+        gaps[n] = float(np.abs(lhs.values - rhs.values).max())
+    return gaps
 
 
 @dataclass(frozen=True)

@@ -135,6 +135,12 @@ class GridDensity:
     __rmul__ = __mul__
 
 
+@functools.lru_cache(maxsize=8)
+def zero_density(grid: GridSpec) -> GridDensity:
+    """The all-zero density on `grid`, one shared read-only instance per grid."""
+    return GridDensity(grid, np.zeros(grid.count))
+
+
 @dataclass(frozen=True)
 class HalfLineLaw:
     """Law on [0, inf): an atom at 0 plus a density on (0, inf)."""

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .decomposition import (
-    MaxLawSplit,
-    binomial_split,
-    bounded_max_approximation,
-    decomp_powers,
-)
+from .decomposition import MaxLawSplit, binomial_split, decomp_powers, max_law_splits
 from .entropy import (
     L,
     conditional_positive_entropy,
@@ -198,8 +193,8 @@ def convergence_curves(
     if walk is None:
         walk = compute_walk(spec, n_list[-1], grid)
     if splits is None:
-        table = decomp_powers(binomial_split(walk.step_density), n_list[-1])
-        splits = {n: bounded_max_approximation(table, walk, n) for n in n_list}
+        table = decomp_powers(binomial_split(walk.step_density), walk)
+        splits = max_law_splits(table, walk, n_list)
 
     rows = []
     for n in n_list:

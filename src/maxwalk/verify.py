@@ -86,22 +86,25 @@ class SuiteState:
         if name not in self._tables:
             walk = self.walk(name)
             split = dc.binomial_split(walk.step_density, self.config.decomposition_M)
-            self._tables[name] = dc.decomp_powers(split, self.config.n_max)
+            self._tables[name] = dc.decomp_powers(split, walk)
         return self._tables[name]
 
-    def split(self, name: str, n: int) -> dc.MaxLawSplit:
-        if (name, n) not in self._splits:
-            self._splits[name, n] = dc.bounded_max_approximation(
-                self.table(name), self.walk(name), n
-            )
-        return self._splits[name, n]
+    def splits(self, name: str, ns) -> dict[int, dc.MaxLawSplit]:
+        """The max-law splits of spec `name` at every n of ns; the ones not
+        built yet are built together, in one kernel pass."""
+        missing = [n for n in ns if (name, n) not in self._splits]
+        if missing:
+            built = dc.max_law_splits(self.table(name), self.walk(name), missing)
+            for n, split in built.items():
+                self._splits[name, n] = split
+        return {n: self._splits[name, n] for n in ns}
 
     def curves(self, name: str) -> list[lm.ConvergenceRow]:
         if name not in self._curves:
             ns = list(self.config.n_list)
             self._curves[name] = lm.convergence_curves(
                 self.spec(name), ns, C=4.0, walk=self.walk(name),
-                splits={n: self.split(name, n) for n in ns},
+                splits=self.splits(name, ns),
             )
         return self._curves[name]
 
@@ -596,11 +599,10 @@ def check_local_limit(state: SuiteState) -> list[CheckResult]:
                 )
             )
         ns = state.diag_ns()
-        splits = [state.split(name, n) for n in ns]
+        splits = list(state.splits(name, ns).values())
         recon_worst = max(s.reconstruction_gap / (s.n * 1e-8) for s in splits)
-        smooth_worst = max(
-            dc.smooth_split_identity_gap(table, walk, s) / (s.n * 1e-8) for s in splits
-        )
+        smooth_gaps = dc.smooth_split_identity_gaps(table, walk, splits)
+        smooth_worst = max(gap / (n * 1e-8) for n, gap in smooth_gaps.items())
         rbar1 = {}
         rbar2 = {}
         x2r = {}
@@ -875,8 +877,7 @@ def check_misc_invariants(state: SuiteState) -> list[CheckResult]:
         if c.n_max >= 64:
             psi = en.half_normal()
             gaps = {}
-            for n in (8, 64):
-                split = state.split(name, n)
+            for n, split in state.splits(name, (8, 64)).items():
                 q_plus = gr.GridDensity(
                     walk.grid, np.maximum(gr.rescale_sqrt(split.bounded, n).values, 0.0)
                 )

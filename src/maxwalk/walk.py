@@ -10,11 +10,12 @@ the published cross-route tolerance of 1e-3 in L1.
 
 from __future__ import annotations
 
-import functools
 import io
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .grid import (
     restrict,
     sample_density,
     spectrum,
+    zero_density,
 )
 
 
@@ -88,10 +90,16 @@ class NagaevKernel:
                     f"{self.negative_density.mass} differ by {gap:.2e}"
                 )
 
-    @functools.cached_property
-    def negative_spectrum(self) -> np.ndarray:
-        """Padded spectrum of the negative part (see grid.spectrum)."""
-        return spectrum(self.negative_density)
+
+class KernelSpectrum(NamedTuple):
+    """What a kernel sum needs of a NagaevKernel: its atom, the mass of its
+    negative part and that part's padded spectrum (see grid.spectrum; None
+    for the unit atom, index 0).  The negative density itself is not held."""
+
+    index: int
+    atom_at_zero: float
+    negative_mass: float
+    negative_spectrum: np.ndarray | None
 
 
 class KernelSum:
@@ -102,26 +110,53 @@ class KernelSum:
     spectra, so the whole sum costs one inverse transform.  Every f and neg
     is a nonnegative density and every w positive, so the window guard acts
     on the sum with scale sum |w * mass(f) * mass(neg)| (grid.from_spectrum).
+    Each accumulator is allocated on its first term; a part without terms is
+    the grid's shared zero density.
     """
 
     def __init__(self, grid: GridSpec) -> None:
         self.grid = grid
-        self.atoms = np.zeros(grid.count)
-        self._acc = np.zeros(grid.count + 1, dtype=np.complex128)
+        self._atoms: np.ndarray | None = None
+        self._acc: np.ndarray | None = None
         self._scale = 0.0
 
-    def add(self, kernel: NagaevKernel, f: GridDensity, weight: float = 1.0) -> None:
-        self.atoms += (weight * kernel.atom_at_zero) * f.values
+    def add(
+        self,
+        kernel: KernelSpectrum,
+        f: GridDensity,
+        weight: float = 1.0,
+        f_hat: np.ndarray | None = None,
+    ) -> None:
+        """Add w * (G * f); f_hat, the spectrum of f, may be passed when f
+        serves several sums."""
+        atoms = (weight * kernel.atom_at_zero) * f.values
+        if self._atoms is None:
+            self._atoms = atoms
+        else:
+            self._atoms += atoms
         if kernel.index > 0:
-            self._acc += weight * spectrum(f) * kernel.negative_spectrum
-            self._scale += abs(weight * f.mass * kernel.negative_density.mass)
+            f_hat = spectrum(f) if f_hat is None else f_hat
+            term = weight * f_hat * kernel.negative_spectrum
+            if self._acc is None:
+                self._acc = term
+            else:
+                self._acc += term
+            self._scale += abs(weight * f.mass * kernel.negative_mass)
+
+    def atom_part(self) -> GridDensity:
+        """The kernels' atoms alone: sum of w * atom * f."""
+        if self._atoms is None:
+            return zero_density(self.grid)
+        return GridDensity(self.grid, self._atoms)
 
     def convolutions(self) -> GridDensity:
         """The kernels' negative parts alone: sum of w * (f * neg)."""
+        if self._acc is None:
+            return zero_density(self.grid)
         return from_spectrum(self.grid, self._acc, self._scale)
 
     def total(self) -> GridDensity:
-        return GridDensity(self.grid, self.atoms - self.convolutions().values)
+        return self.atom_part() - self.convolutions()
 
 
 def compute_walk(
@@ -183,11 +218,37 @@ def nagaev_kernel(walk: WalkLaws, index: int) -> NagaevKernel:
     """Kernel G_j: the unit atom for j = 0; else atom P(max<=0) minus the
     negative part of the j-step max law."""
     if index == 0:
-        zero = GridDensity(walk.grid, np.zeros(walk.grid.count))
-        return NagaevKernel(0, 1.0, zero)
+        return NagaevKernel(0, 1.0, zero_density(walk.grid))
     walk.check_index(index)
     neg, neg_mass = restrict(walk.max_laws[index], "negative")
     return NagaevKernel(index, float(walk.nonpos_prob[index]), neg)
+
+
+def kernel_spectrum(walk: WalkLaws, index: int) -> KernelSpectrum:
+    """The spectral form of nagaev_kernel(walk, index)."""
+    if index == 0:
+        return KernelSpectrum(0, 1.0, 0.0, None)
+    kern = nagaev_kernel(walk, index)
+    neg = kern.negative_density
+    return KernelSpectrum(index, kern.atom_at_zero, neg.mass, spectrum(neg))
+
+
+def kernel_pass(walk: WalkLaws, ns, start: int = 1):
+    """Drive kernel sums for a batch of n in one pass: for k = start..max(ns),
+    yield k and the pairs (n, kernel_spectrum(walk, n - k)) for the n >= k
+    of ns.  Each kernel is made on first use and dropped after its last:
+    kernel j serves no step after k = max(ns) - j."""
+    ns = sorted(set(ns))
+    top = ns[-1]
+    held: dict = {}
+    for k in range(start, top + 1):
+        pairs = []
+        for n in ns[bisect_left(ns, k):]:
+            if n - k not in held:
+                held[n - k] = kernel_spectrum(walk, n - k)
+            pairs.append((n, held[n - k]))
+        yield k, pairs
+        held.pop(top - k, None)
 
 
 def nagaev_density(walk: WalkLaws, n: int) -> GridDensity:
@@ -196,7 +257,7 @@ def nagaev_density(walk: WalkLaws, n: int) -> GridDensity:
     walk.check_index(n)
     terms = KernelSum(walk.grid)
     for k in range(1, n + 1):
-        terms.add(nagaev_kernel(walk, n - k), walk.sum_laws[k])
+        terms.add(kernel_spectrum(walk, n - k), walk.sum_laws[k])
     return terms.total()
 
 

@@ -355,17 +355,21 @@ def test_c14_determinism_and_runtime():
 
 
 def test_verify_builds_each_split_once(monkeypatch):
-    """Every (walk, n) max-law split of a verify run is built once and shared
-    by the curves, the local-limit section and the invariants."""
+    """Every (walk, n) max-law split of a verify run is built once, in one
+    batch per walk, and shared by the curves, the local-limit section and the
+    invariants."""
     built = []
-    original = mw.bounded_max_approximation
+    batches = []
+    original = mw.max_law_splits
 
-    def counting(table, walk, n):
-        built.append((walk, n))  # holds the walk, so its id stays unique
-        return original(table, walk, n)
+    def counting(table, walk, ns):
+        ns = list(ns)
+        built.extend((walk, n) for n in ns)  # holds the walk, so its id stays unique
+        batches.append(walk)
+        return original(table, walk, ns)
 
     for module in (vf.dc, vf.lm):
-        monkeypatch.setattr(module, "bounded_max_approximation", counting)
+        monkeypatch.setattr(module, "max_law_splits", counting)
     cfg = RunConfig(specs=("gaussian",), n_max=64, grid_points=2**13, mc_samples=10**4)
     vf.run_verification(cfg)
     keys = [(id(walk), n) for walk, n in built]
@@ -378,3 +382,4 @@ def test_verify_builds_each_split_once(monkeypatch):
     assert sorted(map(sorted, by_walk.values()), key=len) == [
         [1, 2, 4, 8, 16], [1, 2, 4, 8, 16], list(cfg.n_list)
     ]
+    assert len(batches) == len(by_walk)

@@ -8,9 +8,9 @@ from maxwalk.decomposition import (
     _WEIGHT_CUTOFF,
     binomial_log_weight,
     diagnostics_csv,
-    smooth_split_identity_gap,
+    smooth_split_identity_gaps,
 )
-from maxwalk.grid import GridError
+from maxwalk.grid import GridError, zero_density
 from maxwalk.walk import nagaev_kernel
 
 
@@ -75,17 +75,18 @@ def test_binomial_weights_sum_to_one():
 def test_power_table_trivial_when_bounded(small_grid):
     w = mw.compute_walk(mw.DistributionSpec("laplace"), 8, small_grid)
     d = mw.binomial_split(w.step_density)
-    table = mw.decomp_powers(d, 8)
-    assert table.qk1[1] is d.q1
+    table = mw.decomp_powers(d, w)
+    assert np.array_equal(d.q1.values, w.step_density.values)
     for k in (1, 4, 8):
-        assert np.array_equal(table.qk1[k].values, w.sum_laws[k].values)
+        # every q2 power is dropped: qk1[k] is the walk's sum law itself
+        assert table.qk1[k] is w.sum_laws[k]
         assert np.all(table.qk2[k].values == 0.0)
 
 
 def test_power_table_reconstructs_spike(small_grid):
     w = mw.compute_walk(mw.DistributionSpec("spike"), 8, small_grid)
     d = mw.binomial_split(w.step_density)
-    table = mw.decomp_powers(d, 8)
+    table = mw.decomp_powers(d, w)
     assert np.array_equal(table.qk1[1].values, d.q1.values)
     assert np.array_equal(table.qk2[1].values, d.q2.values)
     for k in (2, 5, 8):
@@ -125,7 +126,7 @@ def test_power_table_matches_binomial_double_sum(name, M):
     w = mw.compute_walk(mw.DistributionSpec(name), n, grid)
     d = mw.binomial_split(w.step_density, M)
     assert d.rho > 0
-    table = mw.decomp_powers(d, n)
+    table = mw.decomp_powers(d, w)
     for k, expected in binomial_double_sum(d, n).items():
         got = table.qk1[k].values
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -134,23 +135,36 @@ def test_power_table_matches_binomial_double_sum(name, M):
     for k in range(1, n + 1):
         if k in dropped:
             assert np.all(table.qk2[k].values == 0.0)
+            assert table.qk1[k] is w.sum_laws[k]
         else:
             assert table.qk2[k].mass == pytest.approx(1.0, abs=k * 1e-6)
     assert len(table.q1_powers) == 3
 
 
+def test_power_table_rejects_a_split_of_another_law(small_grid):
+    w = mw.compute_walk(mw.DistributionSpec("spike"), 4, small_grid)
+    other = mw.sample_density(mw.DistributionSpec("laplace"), small_grid)
+    with pytest.raises(GridError, match="step density"):
+        mw.decomp_powers(mw.binomial_split(other), w)
+    coarse = mw.make_working_grid(4, 2**11)
+    with pytest.raises(GridError, match="different grids"):
+        mw.decomp_powers(mw.binomial_split(mw.sample_density(w.spec, coarse)), w)
+
+
 def test_bounded_approximation_degenerates(small_grid):
     w = mw.compute_walk(mw.DistributionSpec("gaussian"), 8, small_grid)
-    table = mw.decomp_powers(mw.binomial_split(w.step_density), 8)
+    table = mw.decomp_powers(mw.binomial_split(w.step_density), w)
     split = mw.bounded_max_approximation(table, w, 8)
     assert mw.l1_distance(split.bounded, w.max_laws[8]) <= 1e-12
     assert split.remainder_pos.mass == 0.0
     assert split.remainder_neg.mass == 0.0
+    # rho = 0: both remainders are the grid's one shared zero density
+    assert split.remainder_pos is split.remainder_neg is zero_density(w.grid)
 
 
 def test_bounded_approximation_reconstruction_spike(small_grid):
     w = mw.compute_walk(mw.DistributionSpec("spike"), 8, small_grid)
-    table = mw.decomp_powers(mw.binomial_split(w.step_density), 8)
+    table = mw.decomp_powers(mw.binomial_split(w.step_density), w)
     split = mw.bounded_max_approximation(table, w, 8)  # validates internally
     recon = split.bounded + split.remainder_pos - split.remainder_neg
     assert np.abs(recon.values - w.max_laws[8].values).max() <= 8e-8
@@ -161,7 +175,7 @@ def test_bounded_approximation_reconstruction_spike(small_grid):
 def test_correction_term_two_term_collapse(small_grid):
     # bounded step law: only the one- and two-factor terms survive
     w = mw.compute_walk(mw.DistributionSpec("laplace"), 6, small_grid)
-    table = mw.decomp_powers(mw.binomial_split(w.step_density), 6)
+    table = mw.decomp_powers(mw.binomial_split(w.step_density), w)
     n = 6
     rn = mw.bounded_max_approximation(table, w, n).correction
     direct = (
@@ -172,18 +186,15 @@ def test_correction_term_two_term_collapse(small_grid):
     assert np.abs(rn.values - expected.values).max() <= 1e-12
 
 
-@pytest.mark.parametrize("name", ["gaussian", "spike"])
-def test_kernel_sums_match_per_term_direct(small_grid, name):
-    # oracle: every kernel term convolved on its own by the dense path and
-    # summed in space, against the single summed inverse transform
-    n = 8
-    w = mw.compute_walk(mw.DistributionSpec(name), n, small_grid)
-    table = mw.decomp_powers(mw.binomial_split(w.step_density), n)
+def per_term_direct_split(w, table, n):
+    """The bounded part, the convolution remainder and the correction term
+    (before rescaling) of the n-step split, every kernel term convolved on
+    its own by the dense path and summed in space."""
     rho = table.decomp.rho
     cutoff = 1e-16
-    bounded = np.zeros(small_grid.count)
-    rem_neg = np.zeros(small_grid.count)
-    corr = np.zeros(small_grid.count)
+    bounded = np.zeros(w.grid.count)
+    rem_neg = np.zeros(w.grid.count)
+    corr = np.zeros(w.grid.count)
     q1, q1q1 = table.q1_powers[1], table.q1_powers[2]
     for k in range(1, n + 1):
         kern = nagaev_kernel(w, n - k)
@@ -205,23 +216,58 @@ def test_kernel_sums_match_per_term_direct(small_grid, name):
             elif w2 >= cutoff:
                 base2 = mw.convolve(q1q1, table.q2_powers[k - 2], "direct")
                 corr += w2 * apply_kernel_direct(base2, kern).values
-    split = mw.bounded_max_approximation(table, w, n)
-    rn = split.correction
-    expected_rn = mw.rescale_sqrt(mw.GridDensity(small_grid, corr), n).values
-    for got, expected in (
-        (split.bounded.values, bounded),
-        (split.remainder_neg.values, rem_neg),
-        (rn.values, expected_rn),
-    ):
-        sup = np.abs(got).max()
-        assert np.abs(got - expected).max() <= 1e-12 * sup
+    return bounded, rem_neg, corr
+
+
+@pytest.mark.parametrize("name", ["gaussian", "spike"])
+def test_kernel_sums_match_per_term_direct(small_grid, name):
+    # oracle: every kernel term convolved on its own by the dense path and
+    # summed in space, against the single summed inverse transform; one
+    # batch of four n shares and drops kernels between the splits
+    ns = (1, 3, 5, 8)
+    w = mw.compute_walk(mw.DistributionSpec(name), ns[-1], small_grid)
+    table = mw.decomp_powers(mw.binomial_split(w.step_density), w)
+    rho = table.decomp.rho
+    splits = mw.max_law_splits(table, w, ns)
+    assert sorted(splits) == list(ns)
+    for n in ns:
+        bounded, rem_neg, corr = per_term_direct_split(w, table, n)
+        split = splits[n]
+        assert split.n == n
+        expected_rn = mw.rescale_sqrt(mw.GridDensity(small_grid, corr), n).values
+        for got, expected in (
+            (split.bounded.values, bounded),
+            (split.remainder_neg.values, rem_neg),
+            (split.correction.values, expected_rn),
+        ):
+            sup = np.abs(got).max()
+            assert np.abs(got - expected).max() <= 1e-12 * sup
+        # one step has no kernel to convolve with: no convolution remainder
+        assert (np.abs(rem_neg).max() > 0) == (name == "spike" and n > 1)
     assert (rho > 0) == (name == "spike")
-    assert (np.abs(rem_neg).max() > 0) == (name == "spike")
+
+
+@pytest.mark.parametrize("name", ["laplace", "spike"])
+def test_batched_splits_are_the_single_splits(small_grid, name):
+    # the same arithmetic on the same spectra: bit-identical
+    w = mw.compute_walk(mw.DistributionSpec(name), 8, small_grid)
+    table = mw.decomp_powers(mw.binomial_split(w.step_density), w)
+    batch = mw.max_law_splits(table, w, (8, 2, 5, 2))
+    assert sorted(batch) == [2, 5, 8]
+    for n, split in batch.items():
+        single = mw.bounded_max_approximation(table, w, n)
+        for part in ("bounded", "remainder_pos", "remainder_neg", "correction"):
+            assert np.array_equal(getattr(split, part).values, getattr(single, part).values)
+        assert split.reconstruction_gap == single.reconstruction_gap
+    with pytest.raises(ValueError):
+        mw.max_law_splits(table, w, ())
+    with pytest.raises(ValueError):
+        mw.max_law_splits(table, w, (4, 9))
 
 
 def test_smooth_part(small_grid):
     w = mw.compute_walk(mw.DistributionSpec("spike"), 8, small_grid)
-    table = mw.decomp_powers(mw.binomial_split(w.step_density), 8)
+    table = mw.decomp_powers(mw.binomial_split(w.step_density), w)
     with pytest.raises(ValueError):
         mw.smooth_part(table, 2)
     for k in (3, 6, 8):
@@ -230,21 +276,26 @@ def test_smooth_part(small_grid):
         assert part.mass == pytest.approx(mw.smooth_part_mass(table, k), abs=1e-6)
     # bounded laws: the smooth part is the whole sum law
     wl = mw.compute_walk(mw.DistributionSpec("uniform"), 4, small_grid)
-    tl = mw.decomp_powers(mw.binomial_split(wl.step_density), 4)
+    tl = mw.decomp_powers(mw.binomial_split(wl.step_density), wl)
     assert np.array_equal(mw.smooth_part(tl, 4).values, wl.sum_laws[4].values)
 
 
 def test_smooth_split_identity(small_grid):
     for name in ("laplace", "spike"):
         w = mw.compute_walk(mw.DistributionSpec(name), 8, small_grid)
-        table = mw.decomp_powers(mw.binomial_split(w.step_density), 8)
-        split = mw.bounded_max_approximation(table, w, 8)
-        assert smooth_split_identity_gap(table, w, split) <= 8e-8
+        table = mw.decomp_powers(mw.binomial_split(w.step_density), w)
+        splits = mw.max_law_splits(table, w, (3, 5, 8))
+        gaps = smooth_split_identity_gaps(table, w, splits.values())
+        assert sorted(gaps) == [3, 5, 8]
+        for n, gap in gaps.items():
+            assert gap <= n * 1e-8
+            alone = smooth_split_identity_gaps(table, w, [splits[n]])
+            assert alone == {n: gap}
 
 
 def test_diagnostics_rows_and_csv(small_grid):
     w = mw.compute_walk(mw.DistributionSpec("spike"), 8, small_grid)
-    table = mw.decomp_powers(mw.binomial_split(w.step_density), 8)
+    table = mw.decomp_powers(mw.binomial_split(w.step_density), w)
     splits = [mw.bounded_max_approximation(table, w, n) for n in (8, 4)]
     rows = mw.split_quality_diagnostics(w, splits)
     assert [r.n for r in rows] == [4, 8]

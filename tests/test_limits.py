@@ -15,8 +15,8 @@ from maxwalk.limits import (
 @pytest.fixture(scope="module")
 def laplace_setup(small_grid):
     walk = mw.compute_walk(mw.DistributionSpec("laplace"), 8, small_grid)
-    table = mw.decomp_powers(mw.binomial_split(walk.step_density), 8)
-    splits = {n: mw.bounded_max_approximation(table, walk, n) for n in (1, 2, 4, 8)}
+    table = mw.decomp_powers(mw.binomial_split(walk.step_density), walk)
+    splits = mw.max_law_splits(table, walk, (1, 2, 4, 8))
     return walk, splits
 
 

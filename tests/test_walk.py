@@ -1,11 +1,13 @@
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import maxwalk as mw
-from maxwalk.grid import GridError
+import maxwalk.walk as wk
+from maxwalk.grid import GridError, zero_density
 from maxwalk.walk import nagaev_kernel
 
 
@@ -81,6 +83,43 @@ def test_nagaev_density_matches_per_term_direct(small_grid, name):
             expected -= neg.values
     got = mw.nagaev_density(w, n).values
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(got).max()
+
+
+def test_kernel_pass_shares_and_drops_kernels(gaussian_walk8, monkeypatch):
+    made = []
+    original = wk.kernel_spectrum
+
+    def counting(walk, index):
+        made.append(index)
+        return original(walk, index)
+
+    monkeypatch.setattr(wk, "kernel_spectrum", counting)
+    ns = (1, 3, 5, 8)
+    spectra = {}
+    for k, pairs in wk.kernel_pass(gaussian_walk8, ns, start=2):
+        assert [n for n, _ in pairs] == [n for n in ns if n >= k]
+        for n, kern in pairs:
+            assert kern.index == n - k
+            if kern.index > 0:
+                spectra.setdefault(kern.index, weakref.ref(kern.negative_spectrum))
+        del pairs, kern
+        # kernel j serves no step after k = 8 - j; the pass holds no other
+        live = {j for j, ref in spectra.items() if ref() is not None}
+        assert live == {j for j in spectra if j <= 8 - k}
+    assert sorted(made) == sorted(set(made))  # each kernel made once
+    assert set(made) == {n - k for k in range(2, 9) for n in ns if n >= k}
+    assert all(ref() is None for ref in spectra.values())
+
+
+def test_kernel_sum_parts_without_terms_are_shared_zero(gaussian_walk8):
+    terms = wk.KernelSum(gaussian_walk8.grid)
+    zero = zero_density(gaussian_walk8.grid)
+    assert terms.atom_part() is zero
+    assert terms.convolutions() is zero
+    assert np.all(terms.total().values == 0.0)
+    terms.add(wk.kernel_spectrum(gaussian_walk8, 0), gaussian_walk8.step_density)
+    assert terms.convolutions() is zero
+    assert np.array_equal(terms.total().values, gaussian_walk8.step_density.values)
 
 
 def test_nagaev_kernel_validation(gaussian_walk8):

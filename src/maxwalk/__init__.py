@@ -23,7 +23,6 @@ from .decomposition import (
     DecompTable,
     MaxLawSplit,
     binomial_split,
-    bounded_max_approximation,
     decomp_powers,
     max_law_splits,
     median_level,
@@ -81,7 +80,6 @@ from .limits import (
 from .montecarlo import EmpiricalSummary, binning_allowance, empirical_compare, simulate
 from .verify import CheckResult, VerifyReport, run_verification
 from .walk import (
-    NagaevKernel,
     WalkLaws,
     compute_walk,
     nagaev_density,

@@ -31,7 +31,7 @@ from .grid import (
     spectrum,
     zero_density,
 )
-from .walk import KernelSum, WalkLaws, kernel_pass
+from .walk import KernelSum, WalkLaws, kernel_sums
 
 _WEIGHT_CUTOFF = 1e-16
 
@@ -122,16 +122,15 @@ class DecompTable:
     """Convolution powers of the split: for each k <= n_max,
     p_k = (1 - rho^k) qk1[k] + rho^k qk2[k] with qk1/qk2 probability
     densities.  qk2[k] = q2^{*k} is kept while rho^k >= _WEIGHT_CUTOFF and
-    is zero beyond (every k when rho = 0); q2_powers is the same tuple.
-    q1_powers[j] holds q1^{*j} for j <= min(2, n_max) only.  Index 0 is
-    None (the unit atom)."""
+    is zero beyond (every k when rho = 0).  heads[k] is the part of p_k with
+    one or two bounded factors (see _bounded_head; None when every such
+    term is dropped).  Index 0 is None (the unit atom)."""
 
     decomp: BinomialDecomposition
     n_max: int
     qk1: tuple
     qk2: tuple
-    q1_powers: tuple
-    q2_powers: tuple
+    heads: tuple
 
     def check_index(self, k: int) -> None:
         if not 1 <= k <= self.n_max:
@@ -180,7 +179,8 @@ def decomp_powers(decomp: BinomialDecomposition, walk: WalkLaws) -> DecompTable:
         else:
             qk1.append(pk.with_values((pk.values - rho**k * qk2[k].values) / (1.0 - rho**k)))
     q1_powers = (None, *islice(_powers(decomp.q1), min(n_max, 2)))
-    return DecompTable(decomp, n_max, tuple(qk1), tuple(qk2), q1_powers, tuple(qk2))
+    heads = [None] + [_bounded_head(rho, q1_powers, qk2, k) for k in range(1, n_max + 1)]
+    return DecompTable(decomp, n_max, tuple(qk1), tuple(qk2), tuple(heads))
 
 
 @dataclass(frozen=True)
@@ -209,42 +209,25 @@ def max_law_splits(table: DecompTable, walk: WalkLaws, ns) -> dict[int, MaxLawSp
     sum and the remainders carried by the unbounded component, with the local
     correction term.
 
-    One pass over k = 1..max(ns) serves every n: qk1[k], the kept qk2[k] and
-    the one- and two-factor head are each transformed once and added, with
-    the spectrum of kernel n - k, into the three kernel sums of each n >= k
-    (walk.kernel_pass).  Split n is finished, and its kernel sums freed,
-    after step n.  Verifies each split's per-cell reconstruction against the
-    walk's max law at tolerance n * 1e-8 before returning.
+    One kernel pass (walk.kernel_sums) serves every n, with three sums per n:
+    qk1[k], the kept qk2[k] and the table's head, each weighted as in p_k.
+    Verifies each split's per-cell reconstruction against the walk's max law
+    at tolerance n * 1e-8 before returning.
     """
-    ns = sorted(set(ns))
-    if not ns:
-        raise ValueError("ns must name at least one n")
     for n in ns:
         table.check_index(n)
-        walk.check_index(n)
     rho = table.decomp.rho
-    sums = {n: (KernelSum(walk.grid), KernelSum(walk.grid), KernelSum(walk.grid)) for n in ns}
-    splits = {}
-    for k, pairs in kernel_pass(walk, ns):
-        q1 = table.qk1[k]
-        q1_hat = spectrum(q1)
-        kept = rho**k >= _WEIGHT_CUTOFF
-        if kept:
-            q2 = table.qk2[k]
-            q2_hat = spectrum(q2)
-        head = _bounded_head(table, k)
-        if head is not None:
-            head_hat = spectrum(head)
-        for n, kern in pairs:
-            bounded, remainder, correction = sums[n]
-            bounded.add(kern, q1, 1.0 - rho**k, q1_hat)
-            if kept:
-                remainder.add(kern, q2, rho**k, q2_hat)
-            if head is not None:
-                correction.add(kern, head, 1.0, head_hat)
-        if k in sums:  # step k is the last to add to split k
-            splits[k] = _finish_split(walk, k, *sums.pop(k))
-    return splits
+
+    def parts(k: int):
+        w = rho**k
+        head = table.heads[k]
+        return (
+            (table.qk1[k], 1.0 - w),
+            (table.qk2[k], w) if w >= _WEIGHT_CUTOFF else None,
+            None if head is None else (head, 1.0),
+        )
+
+    return {n: _finish_split(walk, n, *sums) for n, sums in kernel_sums(walk, ns, parts)}
 
 
 def _finish_split(
@@ -267,31 +250,23 @@ def _finish_split(
     )
 
 
-def bounded_max_approximation(
-    table: DecompTable, walk: WalkLaws, n: int
-) -> MaxLawSplit:
-    """The split of the n-step max law alone: max_law_splits at [n]."""
-    return max_law_splits(table, walk, [n])[n]
-
-
-def _bounded_head(table: DecompTable, k: int) -> GridDensity | None:
+def _bounded_head(rho: float, q1_powers: tuple, qk2: list, k: int) -> GridDensity | None:
     """The terms of the k-step sum law with one or two bounded factors:
     sum over j in {1, 2} of C(k, j) (1-rho)^j rho^(k-j) q1^{*j} * q2^{*(k-j)}
     (q2^{*0} is the unit atom, 0^0 = 1).  A term is dropped when rho^(k-j)
     is below the weight cutoff, as the table drops its q2 power; None when
     none is left."""
-    rho = table.decomp.rho
     head = None
     for j in range(1, min(k, 2) + 1):
         w = math.comb(k, j) * (1.0 - rho) ** j * rho ** (k - j)
         if j == k:
-            term = table.q1_powers[j].values
+            term = q1_powers[j].values
         elif rho ** (k - j) >= _WEIGHT_CUTOFF:
-            term = convolve(table.q1_powers[j], table.q2_powers[k - j]).values
+            term = convolve(q1_powers[j], qk2[k - j]).values
         else:
             continue
         head = w * term if head is None else head + w * term
-    return None if head is None else GridDensity(table.decomp.q1.grid, head)
+    return None if head is None else GridDensity(q1_powers[1].grid, head)
 
 
 def smooth_part(table: DecompTable, k: int) -> GridDensity:
@@ -302,7 +277,7 @@ def smooth_part(table: DecompTable, k: int) -> GridDensity:
     table.check_index(k)
     rho = table.decomp.rho
     total = (1.0 - rho**k) * table.qk1[k].values
-    head = _bounded_head(table, k)
+    head = table.heads[k]
     if head is not None:
         total = total - head.values
     return GridDensity(table.decomp.q1.grid, total)
@@ -321,24 +296,19 @@ def smooth_split_identity_gaps(
     table: DecompTable, walk: WalkLaws, splits
 ) -> dict[int, float]:
     """Per split n, the max per-cell gap in: rescaled bounded part ==
-    sqrt(n)-rescaled sum of smooth parts convolved with kernels, plus the
-    local correction term.  One kernel pass serves all splits: each smooth
-    part and each kernel is transformed once."""
+    sqrt(n)-rescaled sum of smooth parts (k >= 3) convolved with kernels,
+    plus the local correction term.  One kernel pass serves all splits."""
     by_n = {s.n: s for s in splits}
-    ns = sorted(by_n)
-    for n in ns:
+    for n in by_n:
         table.check_index(n)
-        walk.check_index(n)
-    terms = {n: KernelSum(walk.grid) for n in ns}
-    for k, pairs in kernel_pass(walk, ns, start=3):
-        part = smooth_part(table, k)
-        part_hat = spectrum(part)
-        for n, kern in pairs:
-            terms[n].add(kern, part, 1.0, part_hat)
+
+    def parts(k: int):
+        return ((smooth_part(table, k), 1.0) if k >= 3 else None,)
+
     gaps = {}
-    for n in ns:
+    for n, (terms,) in kernel_sums(walk, by_n, parts):
         lhs = rescale_sqrt(by_n[n].bounded, n)
-        rhs = rescale_sqrt(terms.pop(n).total(), n) + by_n[n].correction
+        rhs = rescale_sqrt(terms.total(), n) + by_n[n].correction
         gaps[n] = float(np.abs(lhs.values - rhs.values).max())
     return gaps
 

@@ -179,7 +179,6 @@ def convergence_curves(
     C: float = 4.0,
     walk: WalkLaws | None = None,
     splits: Mapping[int, MaxLawSplit] | None = None,
-    grid=None,
 ) -> list[ConvergenceRow]:
     """One ConvergenceRow per n, with the row-level identities asserted.
 
@@ -191,7 +190,7 @@ def convergence_curves(
     if not n_list or n_list[0] < 1:
         raise ValueError("n_list must contain positive integers")
     if walk is None:
-        walk = compute_walk(spec, n_list[-1], grid)
+        walk = compute_walk(spec, n_list[-1])
     if splits is None:
         table = decomp_powers(binomial_split(walk.step_density), walk)
         splits = max_law_splits(table, walk, n_list)

@@ -64,41 +64,14 @@ class WalkLaws:
             raise ValueError(f"n must lie in [1, {self.n_max}], got {n}")
 
 
-@dataclass(frozen=True)
-class NagaevKernel:
-    """Signed kernel: an atom at 0 minus the max law's negative part.
-
-    The negative part is stored as a nonnegative density supported on
-    (-inf, 0); its sign is applied where the kernel is used.
-    """
-
-    index: int
-    atom_at_zero: float
-    negative_density: GridDensity
-
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError("kernel index must be >= 0")
-        if self.index == 0:
-            if self.atom_at_zero != 1.0 or np.any(self.negative_density.values != 0.0):
-                raise ValueError("index-0 kernel must be the unit atom at 0")
-        else:
-            gap = abs(self.negative_density.mass - self.atom_at_zero)
-            if gap > MASS_TOL:
-                raise ValueError(
-                    f"kernel {self.index}: atom {self.atom_at_zero} and negative mass "
-                    f"{self.negative_density.mass} differ by {gap:.2e}"
-                )
-
-
 class KernelSpectrum(NamedTuple):
-    """What a kernel sum needs of a NagaevKernel: its atom, the mass of its
-    negative part and that part's padded spectrum (see grid.spectrum; None
-    for the unit atom, index 0).  The negative density itself is not held."""
+    """What a kernel sum needs of the signed Nagaev kernel G_j: its atom at
+    0, P(max_j <= 0), which is also the mass of its negative part, and that
+    part's padded spectrum (see grid.spectrum; None for the unit atom,
+    j = 0).  The negative density itself is not held."""
 
     index: int
     atom_at_zero: float
-    negative_mass: float
     negative_spectrum: np.ndarray | None
 
 
@@ -121,27 +94,22 @@ class KernelSum:
         self._scale = 0.0
 
     def add(
-        self,
-        kernel: KernelSpectrum,
-        f: GridDensity,
-        weight: float = 1.0,
-        f_hat: np.ndarray | None = None,
+        self, kernel: KernelSpectrum, f: GridDensity, weight: float, f_hat: np.ndarray | None
     ) -> None:
-        """Add w * (G * f); f_hat, the spectrum of f, may be passed when f
-        serves several sums."""
+        """Add w * (G * f), with f_hat the spectrum of f (unused, and may be
+        None, for the unit atom)."""
         atoms = (weight * kernel.atom_at_zero) * f.values
         if self._atoms is None:
             self._atoms = atoms
         else:
             self._atoms += atoms
         if kernel.index > 0:
-            f_hat = spectrum(f) if f_hat is None else f_hat
             term = weight * f_hat * kernel.negative_spectrum
             if self._acc is None:
                 self._acc = term
             else:
                 self._acc += term
-            self._scale += abs(weight * f.mass * kernel.negative_mass)
+            self._scale += abs(weight * f.mass * kernel.atom_at_zero)
 
     def atom_part(self) -> GridDensity:
         """The kernels' atoms alone: sum of w * atom * f."""
@@ -214,51 +182,58 @@ def compute_walk(
     )
 
 
-def nagaev_kernel(walk: WalkLaws, index: int) -> NagaevKernel:
-    """Kernel G_j: the unit atom for j = 0; else atom P(max<=0) minus the
-    negative part of the j-step max law."""
-    if index == 0:
-        return NagaevKernel(0, 1.0, zero_density(walk.grid))
-    walk.check_index(index)
-    neg, neg_mass = restrict(walk.max_laws[index], "negative")
-    return NagaevKernel(index, float(walk.nonpos_prob[index]), neg)
-
-
 def kernel_spectrum(walk: WalkLaws, index: int) -> KernelSpectrum:
-    """The spectral form of nagaev_kernel(walk, index)."""
+    """Kernel G_j in spectral form: the unit atom for j = 0; else the atom
+    P(max_j <= 0) minus the negative part of the j-step max law."""
     if index == 0:
-        return KernelSpectrum(0, 1.0, 0.0, None)
-    kern = nagaev_kernel(walk, index)
-    neg = kern.negative_density
-    return KernelSpectrum(index, kern.atom_at_zero, neg.mass, spectrum(neg))
+        return KernelSpectrum(0, 1.0, None)
+    walk.check_index(index)
+    neg, _ = restrict(walk.max_laws[index], "negative")
+    return KernelSpectrum(index, float(walk.nonpos_prob[index]), spectrum(neg))
 
 
-def kernel_pass(walk: WalkLaws, ns, start: int = 1):
-    """Drive kernel sums for a batch of n in one pass: for k = start..max(ns),
-    yield k and the pairs (n, kernel_spectrum(walk, n - k)) for the n >= k
-    of ns.  Each kernel is made on first use and dropped after its last:
-    kernel j serves no step after k = max(ns) - j."""
+def kernel_sums(walk: WalkLaws, ns, parts):
+    """Nagaev kernel sums sum_k w_k (f_k * G_{n-k}) for every n in ns, in one
+    pass over k = 1..max(ns).
+
+    parts(k) gives one (density, weight) term, or None, per sum.  Each term
+    is transformed once and added, with kernel n - k, into its sum for every
+    n >= k of ns.  Yields (n, sums) right after step n.  Each kernel is made
+    on first use and dropped after its last: kernel j serves no step after
+    k = max(ns) - j.
+    """
     ns = sorted(set(ns))
+    if not ns:
+        raise ValueError("ns must name at least one n")
+    for n in ns:
+        walk.check_index(n)
     top = ns[-1]
     held: dict = {}
-    for k in range(start, top + 1):
-        pairs = []
-        for n in ns[bisect_left(ns, k):]:
-            if n - k not in held:
-                held[n - k] = kernel_spectrum(walk, n - k)
-            pairs.append((n, held[n - k]))
-        yield k, pairs
+    sums: dict = {}
+    for k in range(1, top + 1):
+        terms = parts(k)
+        if k == 1:
+            sums = {n: tuple(KernelSum(walk.grid) for _ in terms) for n in ns}
+        for i, term in enumerate(terms):
+            if term is None:
+                continue
+            f, weight = term
+            f_hat = spectrum(f) if k < top else None  # step top needs kernel 0 only
+            for n in ns[bisect_left(ns, k):]:
+                if n - k not in held:
+                    held[n - k] = kernel_spectrum(walk, n - k)
+                sums[n][i].add(held[n - k], f, weight, f_hat)
         held.pop(top - k, None)
+        if k in sums:
+            yield k, sums.pop(k)
 
 
-def nagaev_density(walk: WalkLaws, n: int) -> GridDensity:
-    """Density of the n-step running maximum as the kernel representation
-    sum of k-step sum laws convolved with the (n-k)-step kernels."""
-    walk.check_index(n)
-    terms = KernelSum(walk.grid)
-    for k in range(1, n + 1):
-        terms.add(kernel_spectrum(walk, n - k), walk.sum_laws[k])
-    return terms.total()
+def nagaev_density(walk: WalkLaws, ns) -> dict[int, GridDensity]:
+    """Density of the n-step running maximum, for every n in ns, as the
+    kernel representation: the sum over k of the k-step sum law convolved
+    with the (n-k)-step kernel."""
+    sums = kernel_sums(walk, ns, lambda k: ((walk.sum_laws[k], 1.0),))
+    return {n: terms.total() for n, (terms,) in sums}
 
 
 def spitzer_positive_law(walk: WalkLaws, n: int) -> HalfLineLaw:

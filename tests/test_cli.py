@@ -151,6 +151,17 @@ def test_verify_mode_small_scale(tmp_path, capsys):
     assert "[pass]" in captured
 
 
+@pytest.mark.parametrize("n_max", [1, 4])
+def test_verify_below_eight_steps(tmp_path, n_max):
+    # the transform-side kernel check runs at min(8, n_max) and
+    # min(16, n_max); at n_max 1 the route section has no kernel n at all
+    out = tmp_path / "out"
+    code = main(["verify", "--spec", "gaussian", "--nmax", str(n_max),
+                 "--grid-points", "4096", "--out", str(out)])
+    assert code == 0
+    assert json.loads((out / "verify_report.json").read_text())["checks"]
+
+
 def test_flag_overrides(tmp_path):
     path = write_config(tmp_path)
     out = tmp_path / "out"

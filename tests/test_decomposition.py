@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import maxwalk as mw
+import maxwalk.decomposition as dc
 from maxwalk.decomposition import (
     _WEIGHT_CUTOFF,
     binomial_log_weight,
@@ -11,16 +12,16 @@ from maxwalk.decomposition import (
     smooth_split_identity_gaps,
 )
 from maxwalk.grid import GridError, zero_density
-from maxwalk.walk import nagaev_kernel
 
 
-def apply_kernel_direct(f, kernel):
-    """f convolved with the signed kernel atom - neg, one term on its own,
-    by the dense O(N^2) convolution."""
-    out = kernel.atom_at_zero * f
-    if kernel.index > 0:
-        out = out - mw.convolve(f, kernel.negative_density, "direct")
-    return out
+def apply_kernel_direct(f, w, j):
+    """f convolved with the signed kernel G_j, one term on its own, by the
+    dense O(N^2) convolution: G_0 is the unit atom, and G_j for j >= 1 the
+    atom P(max_j <= 0) minus the negative part of the j-step max law."""
+    if j == 0:
+        return f
+    neg, _ = mw.restrict(w.max_laws[j], "negative")
+    return w.nonpos_prob[j] * f - mw.convolve(f, neg, "direct")
 
 
 def spike_truncation_mass(M: float) -> float:
@@ -99,22 +100,25 @@ def test_power_table_reconstructs_spike(small_grid):
 
 
 def binomial_double_sum(d, n):
-    """qk1[k] for k = 2..n as the weighted (k, j) sum of the split,
-    sum_{j=1}^{k} C(k, j) (1-rho)^j rho^(k-j) q1^{*j} * q2^{*(k-j)} / (1 - rho^k),
-    terms below the weight cutoff dropped."""
+    """qk1[k] and the one-/two-factor head for k = 2..n as the weighted
+    (k, j) sum of the split, with terms
+    C(k, j) (1-rho)^j rho^(k-j) q1^{*j} * q2^{*(k-j)} for j = 1..k below the
+    weight cutoff dropped: qk1[k] is their sum / (1 - rho^k), the head the
+    terms j <= 2."""
     pow1, pow2 = [None, d.q1], [None, d.q2]
     for _ in range(2, n + 1):
         pow1.append(mw.convolve(pow1[-1], d.q1))
         pow2.append(mw.convolve(pow2[-1], d.q2))
-    out = {}
+    qk1, heads = {}, {}
     for k in range(2, n + 1):
-        total = binomial_log_weight(k, k, d.rho) * pow1[k].values
+        terms = {k: binomial_log_weight(k, k, d.rho) * pow1[k].values}
         for j in range(1, k):
             w = binomial_log_weight(k, j, d.rho)
             if w >= _WEIGHT_CUTOFF:
-                total = total + w * mw.convolve(pow1[j], pow2[k - j]).values
-        out[k] = total / (1.0 - d.rho**k)
-    return out
+                terms[j] = w * mw.convolve(pow1[j], pow2[k - j]).values
+        qk1[k] = sum(terms.values()) / (1.0 - d.rho**k)
+        heads[k] = terms.get(1, 0.0) + terms.get(2, 0.0)
+    return qk1, heads
 
 
 @pytest.mark.parametrize("name, M", [("spike", None), ("gaussian", 0.3)])
@@ -127,9 +131,11 @@ def test_power_table_matches_binomial_double_sum(name, M):
     d = mw.binomial_split(w.step_density, M)
     assert d.rho > 0
     table = mw.decomp_powers(d, w)
-    for k, expected in binomial_double_sum(d, n).items():
-        got = table.qk1[k].values
-        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+    qk1, heads = binomial_double_sum(d, n)
+    for k in qk1:
+        for got, expected in ((table.qk1[k], qk1[k]), (table.heads[k], heads[k])):
+            assert np.abs(got.values - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert np.array_equal(table.heads[1].values, (1.0 - d.rho) * d.q1.values)
     dropped = [k for k in range(1, n + 1) if d.rho**k < _WEIGHT_CUTOFF]
     assert (name == "gaussian") == bool(dropped)  # rho = 0.097: 16 is dropped
     for k in range(1, n + 1):
@@ -138,7 +144,6 @@ def test_power_table_matches_binomial_double_sum(name, M):
             assert table.qk1[k] is w.sum_laws[k]
         else:
             assert table.qk2[k].mass == pytest.approx(1.0, abs=k * 1e-6)
-    assert len(table.q1_powers) == 3
 
 
 def test_power_table_rejects_a_split_of_another_law(small_grid):
@@ -154,7 +159,7 @@ def test_power_table_rejects_a_split_of_another_law(small_grid):
 def test_bounded_approximation_degenerates(small_grid):
     w = mw.compute_walk(mw.DistributionSpec("gaussian"), 8, small_grid)
     table = mw.decomp_powers(mw.binomial_split(w.step_density), w)
-    split = mw.bounded_max_approximation(table, w, 8)
+    split = mw.max_law_splits(table, w, [8])[8]
     assert mw.l1_distance(split.bounded, w.max_laws[8]) <= 1e-12
     assert split.remainder_pos.mass == 0.0
     assert split.remainder_neg.mass == 0.0
@@ -165,7 +170,7 @@ def test_bounded_approximation_degenerates(small_grid):
 def test_bounded_approximation_reconstruction_spike(small_grid):
     w = mw.compute_walk(mw.DistributionSpec("spike"), 8, small_grid)
     table = mw.decomp_powers(mw.binomial_split(w.step_density), w)
-    split = mw.bounded_max_approximation(table, w, 8)  # validates internally
+    split = mw.max_law_splits(table, w, [8])[8]  # validates internally
     recon = split.bounded + split.remainder_pos - split.remainder_neg
     assert np.abs(recon.values - w.max_laws[8].values).max() <= 8e-8
     assert split.remainder_pos.values.min() >= -1e-12
@@ -177,10 +182,10 @@ def test_correction_term_two_term_collapse(small_grid):
     w = mw.compute_walk(mw.DistributionSpec("laplace"), 6, small_grid)
     table = mw.decomp_powers(mw.binomial_split(w.step_density), w)
     n = 6
-    rn = mw.bounded_max_approximation(table, w, n).correction
+    rn = mw.max_law_splits(table, w, [n])[n].correction
     direct = (
-        apply_kernel_direct(w.step_density, nagaev_kernel(w, n - 1)).values
-        + apply_kernel_direct(w.sum_laws[2], nagaev_kernel(w, n - 2)).values
+        apply_kernel_direct(w.step_density, w, n - 1).values
+        + apply_kernel_direct(w.sum_laws[2], w, n - 2).values
     )
     expected = mw.rescale_sqrt(mw.GridDensity(w.grid, direct), n)
     assert np.abs(rn.values - expected.values).max() <= 1e-12
@@ -195,27 +200,28 @@ def per_term_direct_split(w, table, n):
     bounded = np.zeros(w.grid.count)
     rem_neg = np.zeros(w.grid.count)
     corr = np.zeros(w.grid.count)
-    q1, q1q1 = table.q1_powers[1], table.q1_powers[2]
+    q1 = table.decomp.q1
+    q1q1 = mw.convolve(q1, q1)
     for k in range(1, n + 1):
-        kern = nagaev_kernel(w, n - k)
+        j = n - k
         scale = 1.0 - rho**k if rho > 0 else 1.0
-        bounded += scale * apply_kernel_direct(table.qk1[k], kern).values
-        if rho > 0 and rho**k >= cutoff:
-            neg = mw.convolve(table.qk2[k], kern.negative_density, "direct")
-            rem_neg += rho**k * neg.values
+        bounded += scale * apply_kernel_direct(table.qk1[k], w, j).values
+        if rho > 0 and rho**k >= cutoff and j > 0:
+            neg, _ = mw.restrict(w.max_laws[j], "negative")
+            rem_neg += rho**k * mw.convolve(table.qk2[k], neg, "direct").values
         w1 = k * (1.0 - rho) * rho ** (k - 1)
         if k == 1:
-            corr += w1 * apply_kernel_direct(q1, kern).values
+            corr += w1 * apply_kernel_direct(q1, w, j).values
         elif w1 >= cutoff:
-            base1 = mw.convolve(q1, table.q2_powers[k - 1], "direct")
-            corr += w1 * apply_kernel_direct(base1, kern).values
+            base1 = mw.convolve(q1, table.qk2[k - 1], "direct")
+            corr += w1 * apply_kernel_direct(base1, w, j).values
         if k >= 2:
             w2 = math.comb(k, 2) * (1.0 - rho) ** 2 * rho ** (k - 2)
             if k == 2:
-                corr += w2 * apply_kernel_direct(q1q1, kern).values
+                corr += w2 * apply_kernel_direct(q1q1, w, j).values
             elif w2 >= cutoff:
-                base2 = mw.convolve(q1q1, table.q2_powers[k - 2], "direct")
-                corr += w2 * apply_kernel_direct(base2, kern).values
+                base2 = mw.convolve(q1q1, table.qk2[k - 2], "direct")
+                corr += w2 * apply_kernel_direct(base2, w, j).values
     return bounded, rem_neg, corr
 
 
@@ -255,7 +261,7 @@ def test_batched_splits_are_the_single_splits(small_grid, name):
     batch = mw.max_law_splits(table, w, (8, 2, 5, 2))
     assert sorted(batch) == [2, 5, 8]
     for n, split in batch.items():
-        single = mw.bounded_max_approximation(table, w, n)
+        single = mw.max_law_splits(table, w, [n])[n]
         for part in ("bounded", "remainder_pos", "remainder_neg", "correction"):
             assert np.array_equal(getattr(split, part).values, getattr(single, part).values)
         assert split.reconstruction_gap == single.reconstruction_gap
@@ -280,23 +286,28 @@ def test_smooth_part(small_grid):
     assert np.array_equal(mw.smooth_part(tl, 4).values, wl.sum_laws[4].values)
 
 
-def test_smooth_split_identity(small_grid):
+def test_smooth_split_identity(small_grid, monkeypatch):
+    def no_convolve(*args):
+        raise AssertionError("the smooth parts read the table's heads")
+
     for name in ("laplace", "spike"):
         w = mw.compute_walk(mw.DistributionSpec(name), 8, small_grid)
         table = mw.decomp_powers(mw.binomial_split(w.step_density), w)
         splits = mw.max_law_splits(table, w, (3, 5, 8))
+        monkeypatch.setattr(dc, "convolve", no_convolve)
         gaps = smooth_split_identity_gaps(table, w, splits.values())
         assert sorted(gaps) == [3, 5, 8]
         for n, gap in gaps.items():
             assert gap <= n * 1e-8
             alone = smooth_split_identity_gaps(table, w, [splits[n]])
             assert alone == {n: gap}
+        monkeypatch.undo()
 
 
 def test_diagnostics_rows_and_csv(small_grid):
     w = mw.compute_walk(mw.DistributionSpec("spike"), 8, small_grid)
     table = mw.decomp_powers(mw.binomial_split(w.step_density), w)
-    splits = [mw.bounded_max_approximation(table, w, n) for n in (8, 4)]
+    splits = list(mw.max_law_splits(table, w, (8, 4)).values())
     rows = mw.split_quality_diagnostics(w, splits)
     assert [r.n for r in rows] == [4, 8]
     for r in rows:

@@ -32,9 +32,8 @@ def test_rows_internally_consistent(laplace_setup):
         assert r.tv <= math.sqrt(2.0 * max(r.D_plus, 0.0)) + r.Fbar0 + 1e-6
         assert r.pinsker_slack >= -1e-6
     # one-step conditioned law of the gaussian walk is exactly half-normal
-    g = mw.convergence_curves(
-        mw.DistributionSpec("gaussian"), [1], grid=walk.grid
-    )
+    gaussian = mw.DistributionSpec("gaussian")
+    g = mw.convergence_curves(gaussian, [1], walk=mw.compute_walk(gaussian, 1, walk.grid))
     assert g[0].D_plus == pytest.approx(0.0, abs=1e-6)
 
 

@@ -8,7 +8,6 @@ import pytest
 import maxwalk as mw
 import maxwalk.walk as wk
 from maxwalk.grid import GridError, zero_density
-from maxwalk.walk import nagaev_kernel
 
 
 def test_one_step_is_step_density(gaussian_walk8):
@@ -57,13 +56,13 @@ def test_mass_drift_abort():
 
 
 def test_nagaev_collapses_at_one(gaussian_walk8):
-    out = mw.nagaev_density(gaussian_walk8, 1)
+    out = mw.nagaev_density(gaussian_walk8, [1])[1]
     assert mw.l1_distance(out, gaussian_walk8.step_density) <= 1e-12
 
 
 def test_nagaev_matches_recursion(small_grid):
     w = mw.compute_walk(mw.DistributionSpec("laplace"), 8, small_grid)
-    out = mw.nagaev_density(w, 8)
+    out = mw.nagaev_density(w, [8])[8]
     assert mw.l1_distance(out, w.max_laws[8]) <= 1e-3
     assert out.mass == pytest.approx(1.0, abs=8e-6)
 
@@ -71,44 +70,66 @@ def test_nagaev_matches_recursion(small_grid):
 @pytest.mark.parametrize("name", ["gaussian", "spike"])
 def test_nagaev_density_matches_per_term_direct(small_grid, name):
     # oracle: each S_k * G_{n-k} convolved on its own by the dense path and
-    # summed in space, against the single summed inverse transform
-    n = 8
-    w = mw.compute_walk(mw.DistributionSpec(name), n, small_grid)
-    expected = np.zeros(small_grid.count)
-    for k in range(1, n + 1):
-        kern = nagaev_kernel(w, n - k)
-        expected += kern.atom_at_zero * w.sum_laws[k].values
-        if kern.index > 0:
-            neg = mw.convolve(w.sum_laws[k], kern.negative_density, "direct")
-            expected -= neg.values
-    got = mw.nagaev_density(w, n).values
-    assert np.abs(got - expected).max() <= 1e-12 * np.abs(got).max()
-
-
-def test_kernel_pass_shares_and_drops_kernels(gaussian_walk8, monkeypatch):
-    made = []
-    original = wk.kernel_spectrum
-
-    def counting(walk, index):
-        made.append(index)
-        return original(walk, index)
-
-    monkeypatch.setattr(wk, "kernel_spectrum", counting)
+    # summed in space, with G_j = P(max_j <= 0) minus the negative part of
+    # the j-step max law, against one batch of summed inverse transforms
     ns = (1, 3, 5, 8)
-    spectra = {}
-    for k, pairs in wk.kernel_pass(gaussian_walk8, ns, start=2):
-        assert [n for n, _ in pairs] == [n for n in ns if n >= k]
-        for n, kern in pairs:
-            assert kern.index == n - k
-            if kern.index > 0:
-                spectra.setdefault(kern.index, weakref.ref(kern.negative_spectrum))
-        del pairs, kern
-        # kernel j serves no step after k = 8 - j; the pass holds no other
+    w = mw.compute_walk(mw.DistributionSpec(name), ns[-1], small_grid)
+    batch = mw.nagaev_density(w, ns)
+    assert sorted(batch) == list(ns)
+    for n in ns:
+        expected = w.sum_laws[n].values.copy()  # k = n: the unit atom
+        for k in range(1, n):
+            neg, _ = mw.restrict(w.max_laws[n - k], "negative")
+            expected += w.nonpos_prob[n - k] * w.sum_laws[k].values
+            expected -= mw.convolve(w.sum_laws[k], neg, "direct").values
+        got = batch[n].values
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(got).max()
+
+
+def test_kernel_sums_shares_and_drops_kernels(gaussian_walk8, monkeypatch):
+    w = gaussian_walk8
+    ns, top = (1, 3, 5, 8), 8
+    expected = mw.nagaev_density(w, ns)
+    made, spectra, transformed, given = [], {}, [], {}
+    make_kernel, transform = wk.kernel_spectrum, wk.spectrum
+
+    def counting_kernel(walk, index):
+        made.append(index)
+        kern = make_kernel(walk, index)
+        if index > 0:
+            spectra[index] = weakref.ref(kern.negative_spectrum)
+        return kern
+
+    def counting_transform(f):
+        transformed.append(f)
+        return transform(f)
+
+    monkeypatch.setattr(wk, "kernel_spectrum", counting_kernel)
+    monkeypatch.setattr(wk, "spectrum", counting_transform)
+
+    def parts(k):
+        # kernel j serves no step after k = top - j; the pass holds no other
         live = {j for j, ref in spectra.items() if ref() is not None}
-        assert live == {j for j in spectra if j <= 8 - k}
+        assert live == {j for j in spectra if j <= top - k}
+        given[k] = (w.sum_laws[k], w.max_laws[k] if k % 2 == 0 else None)
+        return ((w.sum_laws[k], 1.0), (w.max_laws[k], 0.5) if k % 2 == 0 else None)
+
+    yielded = []
+    for n, sums in wk.kernel_sums(w, ns, parts):
+        assert max(given) == n  # yielded right after step n
+        yielded.append(n)
+        assert len(sums) == 2
+        assert np.array_equal(sums[0].total().values, expected[n].values)
+        del sums
+    assert yielded == list(ns)
     assert sorted(made) == sorted(set(made))  # each kernel made once
-    assert set(made) == {n - k for k in range(2, 9) for n in ns if n >= k}
+    assert set(made) == {n - k for k in range(1, top + 1) for n in ns if n >= k}
     assert all(ref() is None for ref in spectra.values())
+    # each part transformed once per step, none at the last step (kernel 0 only)
+    for k, densities in given.items():
+        for f in densities:
+            if f is not None:
+                assert sum(g is f for g in transformed) == (k < top)
 
 
 def test_kernel_sum_parts_without_terms_are_shared_zero(gaussian_walk8):
@@ -117,17 +138,9 @@ def test_kernel_sum_parts_without_terms_are_shared_zero(gaussian_walk8):
     assert terms.atom_part() is zero
     assert terms.convolutions() is zero
     assert np.all(terms.total().values == 0.0)
-    terms.add(wk.kernel_spectrum(gaussian_walk8, 0), gaussian_walk8.step_density)
+    terms.add(wk.kernel_spectrum(gaussian_walk8, 0), gaussian_walk8.step_density, 1.0, None)
     assert terms.convolutions() is zero
     assert np.array_equal(terms.total().values, gaussian_walk8.step_density.values)
-
-
-def test_nagaev_kernel_validation(gaussian_walk8):
-    k0 = mw.NagaevKernel(0, 1.0, mw.GridDensity(gaussian_walk8.grid,
-                                                np.zeros(gaussian_walk8.grid.count)))
-    assert k0.atom_at_zero == 1.0
-    with pytest.raises(ValueError):
-        mw.NagaevKernel(0, 0.5, k0.negative_density)
 
 
 def test_spitzer_law_one_step(gaussian_walk8):

@@ -104,13 +104,13 @@ def run_charfn(config: RunConfig, out: Path) -> int:
     t = np.linspace(-5.0, 5.0, 1001)
     n = config.n_max
     _write(out / "charfn_half_normal.csv",
-           cf.charfn_csv(cf.half_normal_charfn(t, n=1, order=2)))
+           cf.charfn_csv(cf.half_normal_charfn(t)))
     for name, state in _states(config):
         p = state.walk(name).step_density
         law = gr.rescale_sqrt(state.walk(name).max_laws[n], n)
         _write(out / f"charfn_step_{name}.csv", cf.charfn_csv(cf.charfn(p, t, 2)))
         _write(out / f"charfn_max_{name}_n{n}.csv", cf.charfn_csv(cf.charfn(law, t, 2)))
-        decay = cf.charfn_decay_window(p, 0.99)
+        decay = cf.charfn_decay_window(p)
         envelope = cf.gaussian_envelope_window(p, config.t_window)
         _write(out / f"charfn_windows_{name}.csv",
                f"decay_window_99,envelope_window\n{decay:.17g},{envelope:.17g}\n")

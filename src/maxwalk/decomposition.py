@@ -141,31 +141,27 @@ def _powers(q: GridDensity):
     """Yield the convolution powers q, q^{*2}, q^{*3}, ... (without end;
     take as many as needed with islice)."""
     q_hat = spectrum(q)
-    power = q
+    yield q
+    power = from_spectrum(q.grid, q_hat * q_hat, abs(q.mass * q.mass))
     while True:
         yield power
         power = from_spectrum(q.grid, q_hat * spectrum(power), abs(q.mass * power.mass))
 
 
-def decomp_powers(decomp: BinomialDecomposition, walk: WalkLaws) -> DecompTable:
-    """Propagate the split of the walk's step law to all convolution powers
-    up to walk.n_max.
+def decomp_powers(walk: WalkLaws, M: float | None = None) -> DecompTable:
+    """Split the walk's step law at level M (binomial_split; default M as
+    there) and propagate the split to all convolution powers up to
+    walk.n_max.
 
     Convolution is bilinear, so the binomial expansion of
     p^{*k} = ((1-rho) q1 + rho q2)^{*k} has every term but the last in qk1:
     (1 - rho^k) qk1[k] = p^{*k} - rho^k q2^{*k}, with p^{*k} the walk's sum
     law.  Where q2^{*k} is dropped, qk1[k] is that sum law itself (the same
-    object).  Raises GridError when the split does not reproduce the walk's
-    step density to 1e-12 (relative to its sup norm, when that exceeds 1).
+    object).
     """
     p = walk.step_density
+    decomp = binomial_split(p, M)
     rho = decomp.rho
-    if not decomp.q1.grid.close_to(p.grid):
-        raise GridError("the split and the walk live on different grids")
-    recon = (1.0 - rho) * decomp.q1.values + rho * decomp.q2.values
-    gap = float(np.abs(recon - p.values).max())
-    if gap > 1e-12 * max(1.0, float(np.abs(p.values).max())):
-        raise GridError(f"the split misses the walk's step density by {gap:.2e}")
     n_max = walk.n_max
     kept = sum(1 for k in range(1, n_max + 1) if rho**k >= _WEIGHT_CUTOFF)
     qk2 = [None, *islice(_powers(decomp.q2), kept)] + [zero_density(p.grid)] * (n_max - kept)

@@ -15,13 +15,11 @@ from typing import Literal
 import numpy as np
 from scipy.special import ndtr
 
-from .grid import GridDensity, GridSpec, MASS_TOL, moment, tv_distance
+from .grid import GridDensity, GridSpec, moment, tv_distance
 
 _INV_E = math.exp(-1.0)
 _VALUE_FLOOR = 1e-300
 _NEG_FLOOR = -1e-12
-
-OutsideMass = Literal["ignore", "infinite"]
 
 
 def L(x):
@@ -91,19 +89,6 @@ class ReferenceLaw:
         top = ndtr((np.maximum(x, 0.0) - self.mu) / s) - ndtr(-self.mu / s)
         return np.where(x <= 0, 0.0, top / pos_mass)
 
-    def second_moment(self) -> float:
-        if self.kind == "half_normal":
-            return 1.0
-        if self.kind == "half_normal_scaled":
-            return float(self.n)
-        if self.kind == "gaussian":
-            return self.sigma2 + self.mu**2
-        s = math.sqrt(self.sigma2)
-        a = ndtr(self.mu / s)
-        phi0 = math.exp(-self.mu**2 / (2 * self.sigma2)) / math.sqrt(2 * math.pi * self.sigma2)
-        # E[X^2; X>0] = (mu^2+s2) P(X>0) + mu s2 phi(0-point) adjustments
-        return (self.mu**2 + self.sigma2) + self.mu * self.sigma2 * phi0 / a if a > 0 else math.inf
-
     def sample_on(self, grid: GridSpec) -> GridDensity:
         """Cell-averaged sampling (zero off the support)."""
         values = np.diff(self.cdf(grid.edges())) / grid.step
@@ -126,8 +111,10 @@ def gaussian_positive(mu: float = 0.0, sigma2: float = 1.0) -> ReferenceLaw:
     return ReferenceLaw("gaussian_positive", mu=mu, sigma2=sigma2)
 
 
-def _entropy_sum(f: GridDensity, ref: ReferenceLaw) -> float:
-    """Quadrature of f * (log f - log psi) over ref's support.
+def relative_entropy(f: GridDensity, ref: ReferenceLaw) -> float:
+    """Relative entropy of a nonnegative grid function against a reference
+    law: the quadrature of f * (log f - log psi) over ref's support.  Mass of
+    `f` outside that support is ignored (the half-line entropy calculus).
 
     For half-line references the cell centered at 0 straddles the support
     boundary.  Two cases:
@@ -167,28 +154,6 @@ def _entropy_sum(f: GridDensity, ref: ReferenceLaw) -> float:
         else:
             total += 0.5 * h * v[i] * (math.log(v[i]) - log_psi0)
     return total
-
-
-def relative_entropy(
-    f: GridDensity,
-    ref: ReferenceLaw,
-    outside_mass: OutsideMass = "ignore",
-) -> float:
-    """Relative entropy of a nonnegative grid function against a reference law.
-
-    The integral runs over the reference's support only.  Mass of `f` outside
-    that support is ignored by default (the half-line entropy calculus); with
-    ``outside_mass="infinite"`` such mass beyond the mass tolerance signals a
-    failure of absolute continuity and the distinguished value +inf is
-    returned.
-    """
-    if outside_mass not in ("ignore", "infinite"):
-        raise ValueError(f"outside_mass must be 'ignore' or 'infinite', got {outside_mass!r}")
-    if outside_mass == "infinite" and ref.support_lo == 0.0:
-        stray = moment(f, 0, "negative")
-        if abs(stray) > MASS_TOL:
-            return math.inf
-    return _entropy_sum(f, ref)
 
 
 def conditional_positive_entropy(f: GridDensity, ref: ReferenceLaw) -> float:

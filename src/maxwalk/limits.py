@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .decomposition import MaxLawSplit, binomial_split, decomp_powers, max_law_splits
+from .decomposition import MaxLawSplit, decomp_powers, max_law_splits
 from .entropy import (
     L,
     conditional_positive_entropy,
@@ -27,6 +27,7 @@ from .grid import GridDensity, moment, rescale_sqrt, restrict, tv_distance
 from .walk import WalkLaws, compute_walk
 
 _HALF_NORMAL = half_normal()
+_TAIL_CUTOFF = 4.0  # C of the x^2 tail mass
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,7 @@ class ConvergenceRow:
     D is the relative entropy of the rescaled max density against the
     half-normal law, D_plus its conditioned-to-positive version, tv the total
     variation to the half-normal, m2_plus the second moment of the
-    nonnegative part, tail_mass_C the x^2 mass beyond the cutoff C.
+    nonnegative part, tail_mass_C the x^2 mass beyond the cutoff C = 4.
     alesh/local_a are the weighted-sup local-limit residuals (alesh is NaN
     for steps without a bounded density).
     """
@@ -64,15 +65,12 @@ def _check_row_invariants(row: ConvergenceRow) -> None:
         raise ValueError(f"n={row.n}: tv {row.tv:.4g} exceeds entropy route bound {bound:.4g}")
 
 
-def tail_mass(walk: WalkLaws, n: int, C: float) -> float:
-    """x^2 mass of the rescaled n-step max density beyond the cutoff C."""
+def tail_mass(walk: WalkLaws, n: int) -> float:
+    """x^2 mass of the rescaled n-step max density beyond the cutoff C = 4."""
     walk.check_index(n)
     scaled = rescale_sqrt(walk.max_laws[n], n)
     x = walk.grid.centers()
-    w = np.where(x > C, walk.grid.step, 0.0)
-    i = walk.grid.zero_index()
-    if C == 0.0 and i >= 0:
-        w[i] = walk.grid.step / 2.0
+    w = np.where(x > _TAIL_CUTOFF, walk.grid.step, 0.0)
     return float(np.sum(w * x * x * scaled.values))
 
 
@@ -85,18 +83,11 @@ def half_normal_tail_x2(C: float) -> float:
     )
 
 
-def weighted_sup_residual(
-    density_star: GridDensity,
-    correction: GridDensity | None = None,
-    lo: float = 0.0,
-    hi: float = 8.0,
-) -> float:
-    """sup over grid x in (lo, hi) of x * |density - half_normal - correction|."""
+def weighted_sup_residual(density_star: GridDensity, correction: GridDensity) -> float:
+    """sup over grid x in (0, 8) of x * |density - half_normal - correction|."""
     x = density_star.grid.centers()
-    resid = density_star.values - _half_normal_values(density_star.grid)
-    if correction is not None:
-        resid = resid - correction.values
-    sel = (x > lo) & (x < hi)
+    resid = density_star.values - _half_normal_values(density_star.grid) - correction.values
+    sel = (x > 0.0) & (x < 8.0)
     if not np.any(sel):
         return 0.0
     return float(np.max(x[sel] * np.abs(resid[sel])))
@@ -176,7 +167,6 @@ def _log_error_basis(n: int, x: np.ndarray) -> np.ndarray:
 def convergence_curves(
     spec,
     n_list: list[int],
-    C: float = 4.0,
     walk: WalkLaws | None = None,
     splits: Mapping[int, MaxLawSplit] | None = None,
 ) -> list[ConvergenceRow]:
@@ -192,8 +182,7 @@ def convergence_curves(
     if walk is None:
         walk = compute_walk(spec, n_list[-1])
     if splits is None:
-        table = decomp_powers(binomial_split(walk.step_density), walk)
-        splits = max_law_splits(table, walk, n_list)
+        splits = max_law_splits(decomp_powers(walk), walk, n_list)
 
     rows = []
     for n in n_list:
@@ -219,7 +208,7 @@ def convergence_curves(
             tv=tv,
             m2_plus=m2,
             Fbar0=fbar,
-            tail_mass_C=tail_mass(walk, n, C),
+            tail_mass_C=tail_mass(walk, n),
             pinsker_slack=report.pinsker_slack,
             alesh=alesh,
             local_a=local.part_a,

@@ -81,45 +81,41 @@ def charfn(f: GridDensity, t_grid: np.ndarray, order: int = 2) -> CharFnSamples:
     return CharFnSamples(t, order, tuple(outs))
 
 
-def negative_tail_transform(
-    walk: WalkLaws, k: int, t_grid: np.ndarray, order: int = 2
-) -> CharFnSamples:
-    """Transform of the max law's negative tail: the deficit
-    integral of (1 - e^{itx}) over the k-step max law on (-inf, 0).
+def negative_tail_transform(walk: WalkLaws, k: int, t_grid: np.ndarray) -> CharFnSamples:
+    """Transform of the max law's negative tail, with its first two
+    derivatives: the deficit integral of (1 - e^{itx}) over the k-step max
+    law on (-inf, 0).
 
     k = 0 is the constant 1 (derivatives 0).
     """
     t = np.asarray(t_grid, dtype=np.float64)
     if k == 0:
-        vals = [np.ones(t.shape, dtype=np.complex128)]
-        vals += [np.zeros(t.shape, dtype=np.complex128) for _ in range(order)]
-        return CharFnSamples(t, order, tuple(vals))
+        ones = np.ones(t.shape, dtype=np.complex128)
+        return CharFnSamples(t, 2, (ones, np.zeros_like(ones), np.zeros_like(ones)))
     walk.check_index(k)
     neg, neg_mass = restrict(walk.max_laws[k], "negative")
-    base = charfn(neg, t, order)
-    vals = [neg_mass - base.values[0]]
-    vals += [-base.values[j] for j in range(1, order + 1)]
-    return CharFnSamples(t, order, tuple(vals))
+    v0, v1, v2 = charfn(neg, t, 2).values
+    return CharFnSamples(t, 2, (neg_mass - v0, -v1, -v2))
 
 
-def half_normal_charfn(t_grid: np.ndarray, n: int = 1, order: int = 2) -> CharFnSamples:
+def half_normal_charfn(t_grid: np.ndarray, n: int = 1) -> CharFnSamples:
     """Fourier transform of the half-normal density, via the n-parameterized
     integral representation e^{-t^2/2} + (it/sqrt(2 pi n)) I(t).
 
     The endpoint singularity of the inner integral is removed by the
     substitution u = n - v^2; adaptive quadrature does the rest.  The result
-    is independent of n (a checkable identity), and derivatives follow by
-    differentiating under the integral sign.  The last few results are cached
-    by (t grid, n, order).
+    is independent of n (a checkable identity), and the first two
+    derivatives follow by differentiating under the integral sign.  The last
+    few results are cached by (t grid, n).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     t = np.asarray(t_grid, dtype=np.float64)
-    return _half_normal_charfn(t.tobytes(), int(n), int(order))
+    return _half_normal_charfn(t.tobytes(), int(n))
 
 
 @functools.lru_cache(maxsize=8)
-def _half_normal_charfn(t_bytes: bytes, n: int, order: int) -> CharFnSamples:
+def _half_normal_charfn(t_bytes: bytes, n: int) -> CharFnSamples:
     t = np.frombuffer(t_bytes, dtype=np.float64)
     root_n = math.sqrt(n)
     norm = 1.0 / math.sqrt(2.0 * math.pi * n)
@@ -148,70 +144,63 @@ def _half_normal_charfn(t_bytes: bytes, n: int, order: int) -> CharFnSamples:
         v0[i] = gauss[i] + 1j * norm * ti * i0
         v1[i] = -ti * gauss[i] + 1j * norm * (i0 - ti * ti * i1)
         v2[i] = (ti * ti - 1.0) * gauss[i] + 1j * norm * (-3.0 * ti * i1 + ti**3 * i2)
-    return CharFnSamples(t, order, tuple([v0, v1, v2][: order + 1]))
+    return CharFnSamples(t, 2, (v0, v1, v2))
 
 
-def nagaev_charfn(walk: WalkLaws, n: int, t_grid: np.ndarray, order: int = 2) -> CharFnSamples:
-    """Transform of the n-step max law as the kernel-representation sum
-    of step-transform powers times negative-tail transforms."""
+def nagaev_charfn(walk: WalkLaws, n: int, t_grid: np.ndarray) -> CharFnSamples:
+    """Transform of the n-step max law, with its first two derivatives, as
+    the kernel-representation sum of step-transform powers times
+    negative-tail transforms."""
     walk.check_index(n)
     t = np.asarray(t_grid, dtype=np.float64)
-    f = charfn(walk.step_density, t, order)
-    f0 = f.values[0]
-    f1 = f.values[1] if order >= 1 else None
-    f2 = f.values[2] if order >= 2 else None
+    f0, f1, f2 = charfn(walk.step_density, t, 2).values
     out0 = np.zeros(t.shape, dtype=np.complex128)
-    out1 = np.zeros(t.shape, dtype=np.complex128) if order >= 1 else None
-    out2 = np.zeros(t.shape, dtype=np.complex128) if order >= 2 else None
+    out1 = np.zeros(t.shape, dtype=np.complex128)
+    out2 = np.zeros(t.shape, dtype=np.complex128)
     for k in range(1, n + 1):
-        tail = negative_tail_transform(walk, n - k, t, order)
-        g0 = tail.values[0]
+        g0, g1, g2 = negative_tail_transform(walk, n - k, t).values
         fk = f0**k
+        fk1 = k * f0 ** (k - 1) * f1
+        fk2 = k * (k - 1) * f0 ** (k - 2) * f1 * f1 + k * f0 ** (k - 1) * f2
         out0 += fk * g0
-        if order >= 1:
-            fk1 = k * f0 ** (k - 1) * f1
-            out1 += fk1 * g0 + fk * tail.values[1]
-        if order >= 2:
-            fk2 = k * (k - 1) * f0 ** (k - 2) * f1 * f1 + k * f0 ** (k - 1) * f2
-            out2 += fk2 * g0 + 2.0 * fk1 * tail.values[1] + fk * tail.values[2]
-    vals = [out0] + ([out1] if order >= 1 else []) + ([out2] if order >= 2 else [])
-    return CharFnSamples(t, order, tuple(vals))
+        out1 += fk1 * g0 + fk * g1
+        out2 += fk2 * g0 + 2.0 * fk1 * g1 + fk * g2
+    return CharFnSamples(t, 2, (out0, out1, out2))
 
 
 def charfn_convergence_report(
-    walk: WalkLaws, n: int, t_window: float = 3.0, spacing: float = 0.01
+    walk: WalkLaws, n: int, t_window: float = 3.0
 ) -> tuple[float, float, float]:
     """Sup deviations (value, first, second derivative) between the transform
     of the rescaled n-step max law and the half-normal transform, over
-    |t| <= t_window on a grid of the given spacing."""
+    |t| <= t_window on a grid of spacing 0.01."""
     walk.check_index(n)
-    count = int(round(2 * t_window / spacing)) + 1
+    count = int(round(2 * t_window / 0.01)) + 1
     t = np.linspace(-t_window, t_window, count)
     scaled = rescale_sqrt(walk.max_laws[n], n)
     ours = charfn(scaled, t, 2)
-    ref = half_normal_charfn(t, n=1, order=2)
+    ref = half_normal_charfn(t)
     return tuple(
         float(np.abs(ours.values[j] - ref.values[j]).max()) for j in range(3)
     )
 
 
-def gaussian_envelope_window(
-    f: GridDensity, t_cap: float = 3.0, margin: float = 0.9, spacing: float = 0.005
-) -> float:
+def gaussian_envelope_window(f: GridDensity, t_cap: float = 3.0) -> float:
     """Admissible window for the envelope-weighted transform comparison.
 
     Once |charfn(f)(s)| e^{s^2/4} reaches 1, n-th powers of the transform
     stop contracting under the gaussian envelope weight and the weighted
-    comparison carries no information.  The window is `margin` times the
-    first such s (capped at t_cap), keeping the edge term strictly
-    contracting in n.
+    comparison carries no information.  The window is 0.9 times the first
+    such s on a grid of spacing 0.005 (capped at t_cap), keeping the edge
+    term strictly contracting in n.
     """
+    spacing = 0.005
     s = np.arange(spacing, t_cap + spacing / 2, spacing)
     vals = np.abs(charfn(f, s, 0).values[0]) * np.exp(s * s / 4.0)
     bad = np.nonzero(vals >= 1.0)[0]
     if len(bad) == 0:
         return t_cap
-    return float(min(t_cap, max(margin * s[bad[0]], spacing)))
+    return float(min(t_cap, max(0.9 * s[bad[0]], spacing)))
 
 
 def clt_envelope(walk: WalkLaws, n: int, t_window: float = 3.0) -> float:
@@ -232,13 +221,14 @@ def clt_envelope(walk: WalkLaws, n: int, t_window: float = 3.0) -> float:
     return float(diff.max())
 
 
-def charfn_decay_window(f: GridDensity, threshold: float = 0.99, t_cap: float = 50.0) -> float:
-    """Smallest t >= 0 beyond which |charfn(f)| has dropped to the threshold
-    (a proxy for the high-frequency decay onset of the step law)."""
-    s = np.linspace(0.0, t_cap, 5001)
+def charfn_decay_window(f: GridDensity) -> float:
+    """Smallest t in [0, 50] beyond which |charfn(f)| has dropped to 0.99
+    (a proxy for the high-frequency decay onset of the step law); 50 when it
+    never does."""
+    s = np.linspace(0.0, 50.0, 5001)
     vals = np.abs(charfn(f, s, 0).values[0])
-    below = np.nonzero(vals <= threshold)[0]
-    return float(s[below[0]]) if len(below) else t_cap
+    below = np.nonzero(vals <= 0.99)[0]
+    return float(s[below[0]]) if len(below) else 50.0
 
 
 def transform_bound_slacks(walk: WalkLaws, k: int, t_grid: np.ndarray) -> dict[str, float]:
@@ -247,8 +237,7 @@ def transform_bound_slacks(walk: WalkLaws, k: int, t_grid: np.ndarray) -> dict[s
     the bound holds on the whole t grid."""
     walk.check_index(k)
     t = np.asarray(t_grid, dtype=np.float64)
-    tail = negative_tail_transform(walk, k, t, 2)
-    v0, v1, v2 = tail.values
+    v0, v1, v2 = negative_tail_transform(walk, k, t).values
     f0 = float(walk.nonpos_prob[k])
     a = float(walk.neg_moment1[k])  # <= 0
     b = float(walk.neg_moment2[k])  # >= 0

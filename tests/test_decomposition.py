@@ -75,8 +75,8 @@ def test_binomial_weights_sum_to_one():
 
 def test_power_table_trivial_when_bounded(small_grid):
     w = mw.compute_walk(mw.DistributionSpec("laplace"), 8, small_grid)
-    d = mw.binomial_split(w.step_density)
-    table = mw.decomp_powers(d, w)
+    table = mw.decomp_powers(w)
+    d = table.decomp
     assert np.array_equal(d.q1.values, w.step_density.values)
     for k in (1, 4, 8):
         # every q2 power is dropped: qk1[k] is the walk's sum law itself
@@ -86,8 +86,8 @@ def test_power_table_trivial_when_bounded(small_grid):
 
 def test_power_table_reconstructs_spike(small_grid):
     w = mw.compute_walk(mw.DistributionSpec("spike"), 8, small_grid)
-    d = mw.binomial_split(w.step_density)
-    table = mw.decomp_powers(d, w)
+    table = mw.decomp_powers(w)
+    d = table.decomp
     assert np.array_equal(table.qk1[1].values, d.q1.values)
     assert np.array_equal(table.qk2[1].values, d.q2.values)
     for k in (2, 5, 8):
@@ -128,9 +128,9 @@ def test_power_table_matches_binomial_double_sum(name, M):
     n = 16
     grid = mw.make_working_grid(n, 2**12)
     w = mw.compute_walk(mw.DistributionSpec(name), n, grid)
-    d = mw.binomial_split(w.step_density, M)
+    table = mw.decomp_powers(w, M)
+    d = table.decomp
     assert d.rho > 0
-    table = mw.decomp_powers(d, w)
     qk1, heads = binomial_double_sum(d, n)
     for k in qk1:
         for got, expected in ((table.qk1[k], qk1[k]), (table.heads[k], heads[k])):
@@ -146,19 +146,9 @@ def test_power_table_matches_binomial_double_sum(name, M):
             assert table.qk2[k].mass == pytest.approx(1.0, abs=k * 1e-6)
 
 
-def test_power_table_rejects_a_split_of_another_law(small_grid):
-    w = mw.compute_walk(mw.DistributionSpec("spike"), 4, small_grid)
-    other = mw.sample_density(mw.DistributionSpec("laplace"), small_grid)
-    with pytest.raises(GridError, match="step density"):
-        mw.decomp_powers(mw.binomial_split(other), w)
-    coarse = mw.make_working_grid(4, 2**11)
-    with pytest.raises(GridError, match="different grids"):
-        mw.decomp_powers(mw.binomial_split(mw.sample_density(w.spec, coarse)), w)
-
-
 def test_bounded_approximation_degenerates(small_grid):
     w = mw.compute_walk(mw.DistributionSpec("gaussian"), 8, small_grid)
-    table = mw.decomp_powers(mw.binomial_split(w.step_density), w)
+    table = mw.decomp_powers(w)
     split = mw.max_law_splits(table, w, [8])[8]
     assert mw.l1_distance(split.bounded, w.max_laws[8]) <= 1e-12
     assert split.remainder_pos.mass == 0.0
@@ -169,7 +159,7 @@ def test_bounded_approximation_degenerates(small_grid):
 
 def test_bounded_approximation_reconstruction_spike(small_grid):
     w = mw.compute_walk(mw.DistributionSpec("spike"), 8, small_grid)
-    table = mw.decomp_powers(mw.binomial_split(w.step_density), w)
+    table = mw.decomp_powers(w)
     split = mw.max_law_splits(table, w, [8])[8]  # validates internally
     recon = split.bounded + split.remainder_pos - split.remainder_neg
     assert np.abs(recon.values - w.max_laws[8].values).max() <= 8e-8
@@ -180,7 +170,7 @@ def test_bounded_approximation_reconstruction_spike(small_grid):
 def test_correction_term_two_term_collapse(small_grid):
     # bounded step law: only the one- and two-factor terms survive
     w = mw.compute_walk(mw.DistributionSpec("laplace"), 6, small_grid)
-    table = mw.decomp_powers(mw.binomial_split(w.step_density), w)
+    table = mw.decomp_powers(w)
     n = 6
     rn = mw.max_law_splits(table, w, [n])[n].correction
     direct = (
@@ -232,7 +222,7 @@ def test_kernel_sums_match_per_term_direct(small_grid, name):
     # batch of four n shares and drops kernels between the splits
     ns = (1, 3, 5, 8)
     w = mw.compute_walk(mw.DistributionSpec(name), ns[-1], small_grid)
-    table = mw.decomp_powers(mw.binomial_split(w.step_density), w)
+    table = mw.decomp_powers(w)
     rho = table.decomp.rho
     splits = mw.max_law_splits(table, w, ns)
     assert sorted(splits) == list(ns)
@@ -257,7 +247,7 @@ def test_kernel_sums_match_per_term_direct(small_grid, name):
 def test_batched_splits_are_the_single_splits(small_grid, name):
     # the same arithmetic on the same spectra: bit-identical
     w = mw.compute_walk(mw.DistributionSpec(name), 8, small_grid)
-    table = mw.decomp_powers(mw.binomial_split(w.step_density), w)
+    table = mw.decomp_powers(w)
     batch = mw.max_law_splits(table, w, (8, 2, 5, 2))
     assert sorted(batch) == [2, 5, 8]
     for n, split in batch.items():
@@ -273,7 +263,7 @@ def test_batched_splits_are_the_single_splits(small_grid, name):
 
 def test_smooth_part(small_grid):
     w = mw.compute_walk(mw.DistributionSpec("spike"), 8, small_grid)
-    table = mw.decomp_powers(mw.binomial_split(w.step_density), w)
+    table = mw.decomp_powers(w)
     with pytest.raises(ValueError):
         mw.smooth_part(table, 2)
     for k in (3, 6, 8):
@@ -282,7 +272,7 @@ def test_smooth_part(small_grid):
         assert part.mass == pytest.approx(mw.smooth_part_mass(table, k), abs=1e-6)
     # bounded laws: the smooth part is the whole sum law
     wl = mw.compute_walk(mw.DistributionSpec("uniform"), 4, small_grid)
-    tl = mw.decomp_powers(mw.binomial_split(wl.step_density), wl)
+    tl = mw.decomp_powers(wl)
     assert np.array_equal(mw.smooth_part(tl, 4).values, wl.sum_laws[4].values)
 
 
@@ -292,7 +282,7 @@ def test_smooth_split_identity(small_grid, monkeypatch):
 
     for name in ("laplace", "spike"):
         w = mw.compute_walk(mw.DistributionSpec(name), 8, small_grid)
-        table = mw.decomp_powers(mw.binomial_split(w.step_density), w)
+        table = mw.decomp_powers(w)
         splits = mw.max_law_splits(table, w, (3, 5, 8))
         monkeypatch.setattr(dc, "convolve", no_convolve)
         gaps = smooth_split_identity_gaps(table, w, splits.values())
@@ -306,7 +296,7 @@ def test_smooth_split_identity(small_grid, monkeypatch):
 
 def test_diagnostics_rows_and_csv(small_grid):
     w = mw.compute_walk(mw.DistributionSpec("spike"), 8, small_grid)
-    table = mw.decomp_powers(mw.binomial_split(w.step_density), w)
+    table = mw.decomp_powers(w)
     splits = list(mw.max_law_splits(table, w, (8, 4)).values())
     rows = mw.split_quality_diagnostics(w, splits)
     assert [r.n for r in rows] == [4, 8]

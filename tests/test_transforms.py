@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import dawsn
+from scipy.special import dawsn, fresnel
 
 import maxwalk as mw
+from maxwalk.grid import _MIX_DEFAULT
 from maxwalk.transforms import _half_normal_charfn, charfn_csv, gaussian_envelope_window
 
 
@@ -85,12 +86,12 @@ def test_charfn_empty_inputs(small_grid):
 
 def test_half_normal_cache_is_bounded():
     t = np.linspace(-1.0, 1.0, 5)
-    first = mw.half_normal_charfn(t, n=1, order=2)
+    first = mw.half_normal_charfn(t)
     hits = _half_normal_charfn.cache_info().hits
-    assert mw.half_normal_charfn(t.copy(), n=1, order=2) is first
+    assert mw.half_normal_charfn(t.copy()) is first
     assert _half_normal_charfn.cache_info().hits == hits + 1
     for i in range(20):
-        mw.half_normal_charfn(np.array([0.1 * i, 0.1 * i + 0.05]), n=1, order=0)
+        mw.half_normal_charfn(np.array([0.1 * i, 0.1 * i + 0.05]))
     info = _half_normal_charfn.cache_info()
     assert info.currsize <= info.maxsize
 
@@ -118,6 +119,44 @@ def test_uniform_transform_closed_form(charfn_grid):
     assert np.abs(out.values[0] - exact).max() <= 1e-6
 
 
+def _spike_transform(t: np.ndarray) -> np.ndarray:
+    # density 1 / (4 * 5^(1/4) * sqrt|x|) on |x| <= sqrt(5): a Fresnel cosine
+    # integral, with value 1 at t = 0
+    out = np.ones(t.shape, dtype=np.complex128)
+    pos = t > 0
+    tp = t[pos]
+    _, c = fresnel(5.0**0.25 * np.sqrt(2.0 * tp / math.pi))
+    out[pos] = 5.0**-0.25 * np.sqrt(math.pi / (2.0 * tp)) * c
+    return out
+
+
+def _mixture_transform(t: np.ndarray) -> np.ndarray:
+    w, m1, m2, s2 = _MIX_DEFAULT
+    return np.exp(-s2 * t * t / 2.0) * (w * np.exp(1j * m1 * t) + (1 - w) * np.exp(1j * m2 * t))
+
+
+# Closed-form characteristic functions of the standardized step laws.
+STEP_TRANSFORMS = {
+    "gaussian": lambda t: np.exp(-t * t / 2.0),
+    "uniform": lambda t: np.sinc(math.sqrt(3.0) * t / math.pi),
+    "laplace": lambda t: 1.0 / (1.0 + t * t / 2.0),
+    "mixture": _mixture_transform,
+    "spike": _spike_transform,
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_TRANSFORMS))
+def test_step_transform_within_cell_averaging_bound(charfn_grid, name):
+    # the grid law moves each cell's mass to its center (a shift of at most
+    # h/2, so |e^{itx} - e^{itc}| <= |t| h/2) and drops the mass outside the
+    # window; the 1e-12 absorbs rounding where both terms vanish (t = 0)
+    f = mw.sample_density(mw.DistributionSpec(name), charfn_grid)
+    t = np.linspace(0.0, 5.0, 501)
+    gap = np.abs(mw.charfn(f, t, 0).values[0] - STEP_TRANSFORMS[name](t))
+    bound = t * charfn_grid.step / 2.0 + abs(1.0 - f.mass) + 1e-12
+    assert np.all(gap <= bound), float(np.max(gap / bound))
+
+
 def test_negative_tail_transform_basics(gaussian_walk8):
     t = np.linspace(-5.0, 5.0, 101)
     base = mw.negative_tail_transform(gaussian_walk8, 0, t)
@@ -139,20 +178,20 @@ def test_transform_bounds_hold(gaussian_walk8):
 
 def test_half_normal_transform_properties():
     t = np.linspace(-5.0, 5.0, 101)
-    base = mw.half_normal_charfn(t, n=1, order=2)
+    base = mw.half_normal_charfn(t)
     i0 = np.argmin(np.abs(t))
     assert base.values[0][i0] == pytest.approx(1.0, abs=1e-10)
     # independent closed form through the Dawson function
     assert np.abs(base.values[0] - half_normal_transform_exact(t)).max() <= 1e-9
     for n in (2, 4, 16):
-        other = mw.half_normal_charfn(t, n=n, order=2)
+        other = mw.half_normal_charfn(t, n=n)
         for j in range(3):
             assert np.abs(base.values[j] - other.values[j]).max() <= 1e-8
 
 
 def test_half_normal_transform_matches_quadrature(charfn_grid):
     t = np.linspace(-5.0, 5.0, 101)
-    base = mw.half_normal_charfn(t, n=1, order=0)
+    base = mw.half_normal_charfn(t)
     sampled = mw.half_normal().sample_on(charfn_grid)
     direct = mw.charfn(sampled, t, 0)
     assert np.abs(base.values[0] - direct.values[0]).max() <= 1e-6
@@ -161,13 +200,13 @@ def test_half_normal_transform_matches_quadrature(charfn_grid):
 def test_kernel_route_transform(small_grid):
     w = mw.compute_walk(mw.DistributionSpec("laplace"), 8, small_grid)
     t = np.linspace(-5.0, 5.0, 101)
-    route = mw.nagaev_charfn(w, 8, t, 2)
+    route = mw.nagaev_charfn(w, 8, t)
     direct = mw.charfn(w.max_laws[8], t, 2)
     for j in range(3):
         assert np.abs(route.values[j] - direct.values[j]).max() <= 1e-4
     i0 = np.argmin(np.abs(t))
     assert route.values[0][i0].real == pytest.approx(1.0, abs=8e-6)
-    one = mw.nagaev_charfn(w, 1, t, 1)
+    one = mw.nagaev_charfn(w, 1, t)
     step = mw.charfn(w.step_density, t, 1)
     assert np.abs(one.values[0] - step.values[0]).max() <= 1e-14
 
@@ -202,7 +241,7 @@ def test_envelope_window_per_law(small_grid):
 
 def test_decay_window(small_grid):
     f = mw.sample_density(mw.DistributionSpec("gaussian"), small_grid)
-    t99 = mw.charfn_decay_window(f, 0.99)
+    t99 = mw.charfn_decay_window(f)
     assert t99 == pytest.approx(math.sqrt(-2.0 * math.log(0.99)), abs=0.02)
 
 

@@ -14,6 +14,10 @@ _MODES = ("curves", "verify", "charfn", "montecarlo", "density", "decomp")
 _N_MAX_LIMIT = 1024
 _WALK_CELLS_LIMIT = 2**26
 _MC_SAMPLES_LIMIT = 10**9
+# The transform comparisons build t grids of spacing 0.01 (0.01/sqrt(n) for
+# the CLT envelope) over |t| <= t_window; 50 is the range that
+# charfn_decay_window scans.
+_T_WINDOW_LIMIT = 50.0
 
 
 class ConfigError(ValueError):
@@ -95,6 +99,10 @@ class RunConfig:
                 continue
             if not _is_finite_number(value) or value <= 0:
                 raise ConfigError(f"{key} must be a positive finite number, got {value!r}")
+        if self.t_window > _T_WINDOW_LIMIT:
+            raise ConfigError(
+                f"t_window must be <= {_T_WINDOW_LIMIT:g}, got {self.t_window!r}"
+            )
         if not 10**4 <= self.mc_samples <= _MC_SAMPLES_LIMIT:
             raise ConfigError(f"mc_samples must lie in [1e4, 1e9], got {self.mc_samples}")
         if not _is_int(self.seed) or not 0 <= self.seed < 2**63:

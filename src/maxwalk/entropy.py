@@ -133,22 +133,27 @@ def relative_entropy(f: GridDensity, ref: ReferenceLaw) -> float:
     x = f.grid.centers()
     v = f.values
     h = f.grid.step
-    if np.any(v < _NEG_FLOOR):
-        raise ValueError(f"argument density below the -1e-12 floor (min {v.min():.3e})")
-    v = np.maximum(v, 0.0)
+    low = v.min()
+    if low < _NEG_FLOOR:
+        raise ValueError(f"argument density below the -1e-12 floor (min {low:.3e})")
 
+    # cells at or below the value floor (negative round-off included)
+    # contribute 0, so the raw values are used where they exceed it
     if ref.support_lo == -math.inf:
         mask = v > _VALUE_FLOOR
         return float(np.sum(v[mask] * (np.log(v[mask]) - ref.log_density(x[mask]))) * h)
 
+    above = int(np.searchsorted(x, 0.0, side="right"))  # cells from here on have x > 0
+    vp, xp = v[above:], x[above:]
+    pos = vp > _VALUE_FLOOR
     total = 0.0
-    pos = (x > 0) & (v > _VALUE_FLOOR)
     if np.any(pos):
-        total += float(np.sum(v[pos] * (np.log(v[pos]) - ref.log_density(x[pos]))) * h)
+        total += float(np.sum(vp[pos] * (np.log(vp[pos]) - ref.log_density(xp[pos]))) * h)
     i = f.grid.zero_index()
     if i >= 0 and v[i] > _VALUE_FLOOR:
         log_psi0 = float(ref.log_density(np.array([0.0]))[0])
-        neg_mass = float(np.abs(f.values[x < 0]).sum() * h)
+        below = int(np.searchsorted(x, 0.0, side="left"))  # cells before here have x < 0
+        neg_mass = float(np.abs(v[:below]).sum() * h)
         if neg_mass <= 1e-12:
             total += h * v[i] * (math.log(2.0 * v[i]) - log_psi0)
         else:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
-from scipy.fft import irfft, rfft
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import log_ndtr, ndtr, ndtri
 
 MASS_TOL = 1e-6
@@ -541,14 +541,29 @@ def convolve(a: GridDensity, b: GridDensity, mode: ConvMode = "fast") -> GridDen
     The full (zero-padded) linear convolution is computed, so there is no
     circular wraparound; the result is then restricted to the input window.
     Raises WindowOverflowError if the cropped-away mass is significant.
+
+    The fast mode transforms only each operand's nonzero index range
+    [a0, a1) and [b0, b1), padded to a fast length of at least
+    (a1 - a0) + (b1 - b0) - 1, and places the product at offset a0 + b0 of
+    the full convolution.
     """
     _require_same_grid(a, b)
     scale = abs(a.mass * b.mass)
     if mode == "direct":
         return _crop(a.grid, np.convolve(a.values, b.values) * a.grid.step, scale)
-    if mode == "fast":
-        return from_spectrum(a.grid, spectrum(a) * spectrum(b), scale)
-    raise ValueError(f"mode must be 'direct' or 'fast', got {mode!r}")
+    if mode != "fast":
+        raise ValueError(f"mode must be 'direct' or 'fast', got {mode!r}")
+    full = np.zeros(2 * a.grid.count)
+    nz_a = np.flatnonzero(a.values)
+    nz_b = np.flatnonzero(b.values)
+    if nz_a.size and nz_b.size:
+        a0, a1 = nz_a[0], nz_a[-1] + 1
+        b0, b1 = nz_b[0], nz_b[-1] + 1
+        length = (a1 - a0) + (b1 - b0) - 1
+        size = next_fast_len(length, real=True)
+        prod = rfft(a.values[a0:a1], size) * rfft(b.values[b0:b1], size)
+        full[a0 + b0 : a0 + b0 + length] = irfft(prod, size)[:length] * a.grid.step
+    return _crop(a.grid, full, scale)
 
 
 def spectrum(f: GridDensity) -> np.ndarray:

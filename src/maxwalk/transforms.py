@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
-from scipy.integrate import quad
+from scipy.integrate import quad_vec
 
 from .grid import GridDensity, rescale_sqrt, restrict
 from .walk import WalkLaws
@@ -103,10 +103,12 @@ def half_normal_charfn(t_grid: np.ndarray, n: int = 1) -> CharFnSamples:
     integral representation e^{-t^2/2} + (it/sqrt(2 pi n)) I(t).
 
     The endpoint singularity of the inner integral is removed by the
-    substitution u = n - v^2; adaptive quadrature does the rest.  The result
-    is independent of n (a checkable identity), and the first two
-    derivatives follow by differentiating under the integral sign.  The last
-    few results are cached by (t grid, n).
+    substitution u = n - v^2.  The inner integral and the two moment-weighted
+    ones that give the first two derivatives (differentiating under the
+    integral sign) are integrated for all t at once, by one vector adaptive
+    quadrature (`quad_vec`) over v in [0, sqrt(n)] with its error taken in
+    the max norm over all components.  The result is independent of n (a
+    checkable identity).  The last few results are cached by (t grid, n).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -117,55 +119,52 @@ def half_normal_charfn(t_grid: np.ndarray, n: int = 1) -> CharFnSamples:
 @functools.lru_cache(maxsize=8)
 def _half_normal_charfn(t_bytes: bytes, n: int) -> CharFnSamples:
     t = np.frombuffer(t_bytes, dtype=np.float64)
-    root_n = math.sqrt(n)
+    if t.size == 0:  # quad_vec's max norm needs a nonempty vector
+        return CharFnSamples(t, 2, tuple(np.zeros(0, dtype=np.complex128) for _ in range(3)))
     norm = 1.0 / math.sqrt(2.0 * math.pi * n)
+    half_t2 = t * t / (2.0 * n)
 
-    def moments(ti: float) -> tuple[float, float, float]:
-        out = []
-        for m in range(3):
-            val, _ = quad(
-                lambda v: 2.0 * ((n - v * v) / n) ** m
-                * math.exp(-(n - v * v) * ti * ti / (2.0 * n)),
-                0.0,
-                root_n,
-                epsabs=1e-13,
-                epsrel=1e-12,
-                limit=200,
-            )
-            out.append(val)
-        return out[0], out[1], out[2]
+    def moments(v: float) -> np.ndarray:
+        u = n - v * v
+        e = 2.0 * np.exp(-u * half_t2)
+        w = u / n
+        return np.concatenate((e, w * e, w * w * e))
 
+    stacked, _ = quad_vec(moments, 0.0, math.sqrt(n), epsabs=1e-13, epsrel=1e-12, norm="max")
+    i0, i1, i2 = np.reshape(stacked, (3, t.size))
     gauss = np.exp(-t * t / 2.0)
-    v0 = np.zeros(t.shape, dtype=np.complex128)
-    v1 = np.zeros(t.shape, dtype=np.complex128)
-    v2 = np.zeros(t.shape, dtype=np.complex128)
-    for i, ti in enumerate(t):
-        i0, i1, i2 = moments(float(ti))
-        v0[i] = gauss[i] + 1j * norm * ti * i0
-        v1[i] = -ti * gauss[i] + 1j * norm * (i0 - ti * ti * i1)
-        v2[i] = (ti * ti - 1.0) * gauss[i] + 1j * norm * (-3.0 * ti * i1 + ti**3 * i2)
+    v0 = gauss + 1j * norm * t * i0
+    v1 = -t * gauss + 1j * norm * (i0 - t * t * i1)
+    v2 = (t * t - 1.0) * gauss + 1j * norm * (-3.0 * t * i1 + t**3 * i2)
     return CharFnSamples(t, 2, (v0, v1, v2))
 
 
-def nagaev_charfn(walk: WalkLaws, n: int, t_grid: np.ndarray) -> CharFnSamples:
-    """Transform of the n-step max law, with its first two derivatives, as
-    the kernel-representation sum of step-transform powers times
-    negative-tail transforms."""
-    walk.check_index(n)
+def nagaev_charfn(walk: WalkLaws, ns, t_grid: np.ndarray) -> dict[int, CharFnSamples]:
+    """Transform of the n-step max law, with its first two derivatives, for
+    every n in ns, as the kernel-representation sum of step-transform
+    powers times negative-tail transforms.  Each negative tail is
+    transformed once for the whole batch."""
+    ns = sorted(set(ns))
+    for n in ns:
+        walk.check_index(n)
     t = np.asarray(t_grid, dtype=np.float64)
     f0, f1, f2 = charfn(walk.step_density, t, 2).values
-    out0 = np.zeros(t.shape, dtype=np.complex128)
-    out1 = np.zeros(t.shape, dtype=np.complex128)
-    out2 = np.zeros(t.shape, dtype=np.complex128)
-    for k in range(1, n + 1):
-        g0, g1, g2 = negative_tail_transform(walk, n - k, t).values
-        fk = f0**k
-        fk1 = k * f0 ** (k - 1) * f1
-        fk2 = k * (k - 1) * f0 ** (k - 2) * f1 * f1 + k * f0 ** (k - 1) * f2
-        out0 += fk * g0
-        out1 += fk1 * g0 + fk * g1
-        out2 += fk2 * g0 + 2.0 * fk1 * g1 + fk * g2
-    return CharFnSamples(t, 2, (out0, out1, out2))
+    tails = [negative_tail_transform(walk, j, t).values for j in range(max(ns, default=0))]
+    out = {}
+    for n in ns:
+        out0 = np.zeros(t.shape, dtype=np.complex128)
+        out1 = np.zeros(t.shape, dtype=np.complex128)
+        out2 = np.zeros(t.shape, dtype=np.complex128)
+        for k in range(1, n + 1):
+            g0, g1, g2 = tails[n - k]
+            fk = f0**k
+            fk1 = k * f0 ** (k - 1) * f1
+            fk2 = k * (k - 1) * f0 ** (k - 2) * f1 * f1 + k * f0 ** (k - 1) * f2
+            out0 += fk * g0
+            out1 += fk1 * g0 + fk * g1
+            out2 += fk2 * g0 + 2.0 * fk1 * g1 + fk * g2
+        out[n] = CharFnSamples(t, 2, (out0, out1, out2))
+    return out
 
 
 def charfn_convergence_report(

@@ -895,8 +895,8 @@ def check_misc_invariants(state: SuiteState) -> list[CheckResult]:
         )
         t = np.linspace(-5.0, 5.0, 201)
         worst_cf = 0.0
-        for n in sorted({min(8, c.n_max), min(16, c.n_max)}):
-            route = cf.nagaev_charfn(walk, n, t)
+        routes = cf.nagaev_charfn(walk, {min(8, c.n_max), min(16, c.n_max)}, t)
+        for n, route in routes.items():
             direct = cf.charfn(walk.max_laws[n], t, 2)
             for j in range(3):
                 worst_cf = max(

@@ -52,6 +52,7 @@ def test_config_validation():
     assert RunConfig(n_max=64, grid_points=2**20).grid_points == 2**20
     assert RunConfig(n_max=1024, n_list=(1,), grid_points=2**16).n_max == 1024
     assert RunConfig(mc_samples=10**9).mc_samples == 10**9
+    assert RunConfig(t_window=50.0).t_window == 50.0
     mix = (0.3, -0.7, 0.3, 0.79)
     assert RunConfig(spec_parameters=mix).spec_parameters == mix
 
@@ -74,6 +75,8 @@ _BAD_VALUES = (
     {"half_width_factor": "a"},
     {"sigma_pad": float("inf")},
     {"t_window": float("nan")},
+    {"t_window": 50.5},
+    {"t_window": 1e300},
     {"decomposition_M": -1.0},
     {"sigma_pad": 10**400},
     {"spec_parameters": [0.3, -0.7, 0.3, 10**400]},
@@ -92,6 +95,7 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         ("density", {"n_max": 10**400, "n_list": [1]}),
         ("curves", {"n_max": 128, "n_list": [1], "grid_points": 2**20}),
         ("montecarlo", {"mc_samples": 10**9 + 1}),
+        ("charfn", {"t_window": 1e300}),  # rejected before any t grid is built
     )
     for verb, bad in cases:
         path = write_config(tmp_path, **bad)

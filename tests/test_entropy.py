@@ -98,6 +98,58 @@ def test_negative_argument_rejected(fine_grid):
         mw.relative_entropy(bad, mw.half_normal())
 
 
+def masked_relative_entropy(f: mw.GridDensity, ref: mw.ReferenceLaw) -> float:
+    """Reference: relative_entropy as full-length masks over the whole grid
+    (x > 0, v > floor, x < 0 for the negative mass) on the clipped values."""
+    x = f.grid.centers()
+    v = f.values
+    h = f.grid.step
+    if np.any(v < -1e-12):
+        raise ValueError("below the floor")
+    v = np.maximum(v, 0.0)
+    if ref.support_lo == -math.inf:
+        mask = v > 1e-300
+        return float(np.sum(v[mask] * (np.log(v[mask]) - ref.log_density(x[mask]))) * h)
+    total = 0.0
+    pos = (x > 0) & (v > 1e-300)
+    if np.any(pos):
+        total += float(np.sum(v[pos] * (np.log(v[pos]) - ref.log_density(x[pos]))) * h)
+    i = f.grid.zero_index()
+    if i >= 0 and v[i] > 1e-300:
+        log_psi0 = float(ref.log_density(np.array([0.0]))[0])
+        neg_mass = float(np.abs(f.values[x < 0]).sum() * h)
+        if neg_mass <= 1e-12:
+            total += h * v[i] * (math.log(2.0 * v[i]) - log_psi0)
+        else:
+            total += 0.5 * h * v[i] * (math.log(v[i]) - log_psi0)
+    return total
+
+
+def _sliced_entropy_inputs(grid: mw.GridSpec) -> dict:
+    full = build_bumps(grid, [(-0.4, 0.9, 1.0), (1.3, 0.8, 0.5)])
+    half, _ = mw.restrict(full, "positive")  # the 0-cell holds half of full's
+    shifted = mw.GridSpec(grid.x_min + grid.step / 2.0, grid.step, grid.count)
+    no_zero_cell = build_bumps(shifted, [(0.2, 1.0, 1.0)])
+    x = grid.centers()
+    v = half.values.copy()
+    tails = (x < -11.0) | (x > 5.0)
+    v[tails] = -1e-12 * np.abs(np.sin(x[tails]))
+    round_off = mw.GridDensity(grid, v)  # tail values in [-1e-12, 0)
+    return {"full_line": full, "half_line": half, "no_zero_cell": no_zero_cell,
+            "round_off": round_off}
+
+
+@pytest.mark.parametrize("case", ["full_line", "half_line", "no_zero_cell", "round_off"])
+def test_sliced_relative_entropy_is_bit_identical(fine_grid, case):
+    f = _sliced_entropy_inputs(fine_grid)[case]
+    assert f.grid.zero_index() == (-1 if case == "no_zero_cell" else fine_grid.zero_index())
+    assert (f.values.min() < 0.0) == (case == "round_off")
+    for ref in (mw.half_normal(), mw.half_normal_scaled(4), mw.gaussian_positive(0.5, 2.0),
+                mw.gaussian(0.3, 2.0)):
+        for scaled in (f, 0.5 * f):
+            assert mw.relative_entropy(scaled, ref) == masked_relative_entropy(scaled, ref)
+
+
 def test_conditioned_gaussian_is_half_normal(fine_grid):
     f = mw.sample_density(mw.DistributionSpec("gaussian"), fine_grid)
     assert mw.conditional_positive_entropy(f, mw.half_normal()) == pytest.approx(

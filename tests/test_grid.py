@@ -97,6 +97,50 @@ def test_convolve_direct_matches_fast(small_grid):
     assert np.abs(direct.values - fast.values).max() <= tol
 
 
+def _trimmed_convolve_cases(grid: mw.GridSpec) -> dict:
+    x = grid.centers()
+
+    def bump(c, s, side=None):
+        v = np.exp(-((x - c) ** 2) / (2.0 * s * s))
+        if side == "positive":
+            v[x <= 0] = 0.0
+        elif side == "negative":
+            v[x >= 0] = 0.0
+        return mw.GridDensity(grid, v / (v.sum() * grid.step))
+
+    one = np.zeros(grid.count)
+    one[grid.zero_index() + 37] = 1.0 / grid.step
+    edges = np.exp(-x * x / 8.0)
+    edges[0] = edges[-1] = 1e-4  # nonzero cells at both window edges
+    return {
+        "opposite_half_lines": (bump(2.0, 0.5, "positive"), bump(-1.5, 0.3, "negative")),
+        "single_cell": (bump(0.5, 1.0), mw.GridDensity(grid, one)),
+        "both_window_edges": (mw.GridDensity(grid, edges), bump(0.0, 0.05)),
+    }
+
+
+@pytest.mark.parametrize(
+    "case", ["opposite_half_lines", "single_cell", "both_window_edges"]
+)
+def test_trimmed_convolve_matches_direct(small_grid, case):
+    # the fast mode transforms only the operands' nonzero index ranges;
+    # the dense direct sum is the oracle, in both operand orders
+    a, b = _trimmed_convolve_cases(small_grid)[case]
+    tol = 1e-12 * np.abs(a.values).max() * np.abs(b.values).max()
+    for first, second in ((a, b), (b, a)):
+        fast = mw.convolve(first, second, "fast")
+        direct = mw.convolve(first, second, "direct")
+        assert np.abs(fast.values - direct.values).max() <= tol
+
+
+def test_convolve_all_zero_operand(small_grid):
+    f = mw.sample_density(mw.DistributionSpec("gaussian"), small_grid)
+    zero = mw.GridDensity(small_grid, np.zeros(small_grid.count))
+    for a, b in ((zero, f), (f, zero), (zero, zero)):
+        out = mw.convolve(a, b)
+        assert out.grid == small_grid and np.all(out.values == 0.0)
+
+
 def test_convolve_step_mismatch(small_grid):
     other = mw.GridSpec(small_grid.x_min, small_grid.step * 2, small_grid.count // 2)
     a = mw.sample_density(mw.DistributionSpec("gaussian"), small_grid)

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import dawsn, fresnel
 
 import maxwalk as mw
 from maxwalk.grid import _MIX_DEFAULT
+from maxwalk import transforms
 from maxwalk.transforms import _half_normal_charfn, charfn_csv, gaussian_envelope_window
 
 
@@ -189,6 +191,38 @@ def test_half_normal_transform_properties():
             assert np.abs(base.values[j] - other.values[j]).max() <= 1e-8
 
 
+def scalar_half_normal_charfn(t: np.ndarray, n: int) -> list[np.ndarray]:
+    """Reference: the half-normal transform with one scalar adaptive `quad`
+    call per t and per moment of the inner integral."""
+    root_n = math.sqrt(n)
+    norm = 1.0 / math.sqrt(2.0 * math.pi * n)
+
+    def moment(ti: float, m: int) -> float:
+        val, _ = quad(
+            lambda v: 2.0 * ((n - v * v) / n) ** m * math.exp(-(n - v * v) * ti * ti / (2.0 * n)),
+            0.0, root_n, epsabs=1e-13, epsrel=1e-12, limit=200,
+        )
+        return val
+
+    gauss = np.exp(-t * t / 2.0)
+    out = [np.zeros(t.shape, dtype=np.complex128) for _ in range(3)]
+    for i, ti in enumerate(t):
+        i0, i1, i2 = (moment(float(ti), m) for m in range(3))
+        out[0][i] = gauss[i] + 1j * norm * ti * i0
+        out[1][i] = -ti * gauss[i] + 1j * norm * (i0 - ti * ti * i1)
+        out[2][i] = (ti * ti - 1.0) * gauss[i] + 1j * norm * (-3.0 * ti * i1 + ti**3 * i2)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 16])
+def test_half_normal_transform_matches_scalar_quad(n):
+    t = np.linspace(-30.0, 30.0, 301)
+    ours = mw.half_normal_charfn(t, n=n)
+    ref = scalar_half_normal_charfn(t, n)
+    for j in range(3):
+        assert np.abs(ours.values[j] - ref[j]).max() <= 1e-13, j
+
+
 def test_half_normal_transform_matches_quadrature(charfn_grid):
     t = np.linspace(-5.0, 5.0, 101)
     base = mw.half_normal_charfn(t)
@@ -200,15 +234,37 @@ def test_half_normal_transform_matches_quadrature(charfn_grid):
 def test_kernel_route_transform(small_grid):
     w = mw.compute_walk(mw.DistributionSpec("laplace"), 8, small_grid)
     t = np.linspace(-5.0, 5.0, 101)
-    route = mw.nagaev_charfn(w, 8, t)
+    routes = mw.nagaev_charfn(w, (8, 1), t)
+    assert sorted(routes) == [1, 8]
+    route = routes[8]
     direct = mw.charfn(w.max_laws[8], t, 2)
     for j in range(3):
         assert np.abs(route.values[j] - direct.values[j]).max() <= 1e-4
     i0 = np.argmin(np.abs(t))
     assert route.values[0][i0].real == pytest.approx(1.0, abs=8e-6)
-    one = mw.nagaev_charfn(w, 1, t)
+    one = routes[1]
     step = mw.charfn(w.step_density, t, 1)
     assert np.abs(one.values[0] - step.values[0]).max() <= 1e-14
+
+
+def test_kernel_route_batch_transforms_each_tail_once(small_grid, monkeypatch):
+    w = mw.compute_walk(mw.DistributionSpec("laplace"), 8, small_grid)
+    t = np.linspace(-5.0, 5.0, 101)
+    alone = {n: mw.nagaev_charfn(w, [n], t)[n] for n in (4, 8)}
+    calls = []
+    tail = transforms.negative_tail_transform
+
+    def counted(walk, k, t_grid):
+        calls.append(k)
+        return tail(walk, k, t_grid)
+
+    monkeypatch.setattr(transforms, "negative_tail_transform", counted)
+    batch = mw.nagaev_charfn(w, [8, 4, 8], t)
+    assert sorted(calls) == list(range(8))
+    assert sorted(batch) == [4, 8]
+    for n in (4, 8):
+        for j in range(3):
+            assert np.array_equal(batch[n].values[j], alone[n].values[j])
 
 
 def test_convergence_report_decreases(acceptance_state):

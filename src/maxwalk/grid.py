@@ -17,7 +17,7 @@ from typing import Callable, Literal
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.special import log_ndtr, ndtr, ndtri
+from scipy.special import ndtr, ndtri
 
 MASS_TOL = 1e-6
 
@@ -262,188 +262,30 @@ def _mixture_cdf(x: np.ndarray, w: float, m1: float, m2: float, s2: float) -> np
     return w * ndtr((x - m1) / s) + (1 - w) * ndtr((x - m2) / s)
 
 
-def _mixture_pdf(x: np.ndarray, w: float, m1: float, m2: float, s2: float) -> np.ndarray:
+def _mixture_draw(u: np.ndarray, w: float, m1: float, m2: float, s2: float) -> np.ndarray:
+    """One mixture draw per uniform, by composition: u < w picks component 1
+    and inverts it at u / w, the rest pick component 2 and invert it,
+    mirrored, at (1 - u) / (1 - w).  Exact in law but not monotone in u.  The
+    lowest uniforms feed component 1's lower tail and the highest component
+    2's upper tail, through 1 - u, which is exact for u >= 1/2; u = w, whose
+    second argument is 1, draws component 2 at 1 - 2^-53 instead."""
     s = math.sqrt(s2)
-    z1 = (x - m1) / s
-    z2 = (x - m2) / s
-    c = 1.0 / (s * math.sqrt(2.0 * math.pi))
-    return c * (w * np.exp(-z1 * z1 / 2.0) + (1 - w) * np.exp(-z2 * z2 / 2.0))
-
-
-def _mixture_log_tail(x: np.ndarray, sign: np.ndarray, w: float, m1: float, m2: float,
-                      s: float) -> np.ndarray:
-    """log F(x) where sign = 1 and log S(x) = log(1 - F(x)) where sign = -1."""
-    return np.logaddexp(
-        math.log(w) + log_ndtr(sign * (x - m1) / s),
-        math.log1p(-w) + log_ndtr(sign * (x - m2) / s),
-    )
-
-
-# The quantile table lives in y = ndtri(u), where the mixture quantile x(y)
-# is smooth: a uniform grid over [-9, 9] (u down to Phi(-9) ~ 1e-19) with one
-# cubic Hermite cell per step.  Where the components are well separated,
-# x(y) climbs steeply through the density gap between them; each grid cell
-# that misses the pin there is split into 2^k equal sub-cells until it meets
-# it.  The pin is half the bounds tests/test_grid.py asserts.
-_Y_EDGE = 9.0
-_Y_CELLS = 4096
-_Y_STEP = 2.0 * _Y_EDGE / _Y_CELLS
-_PIN_REL = 5e-13  # relative error of the tail mass min(F(x), 1 - F(x))
-_PIN_ABS = 5e-14  # absolute error |F(x) - u|
-_MAX_SUBCELLS = 1 << 18  # sub-cells of one refinement pass: bounds time and memory
-_INV_BLOCK = 1 << 14  # uniforms per pass: the temporaries stay in cache
-
-
-def _mixture_quantile(y: np.ndarray, w: float, m1: float, m2: float, s: float) -> np.ndarray:
-    """x with F(x) = Phi(y), solved in log space so both tails keep their
-    relative accuracy: log F(x) = log Phi(y) for y <= 0 and
-    log S(x) = log Phi(-y) for y > 0, by bisection.  The root lies between
-    the component quantiles min(m1, m2) + s*y and max(m1, m2) + s*y, and 64
-    halvings shrink that bracket below rounding."""
-    sign = np.where(y > 0, -1.0, 1.0)  # -1: match the upper tail S(x)
-    target = log_ndtr(sign * y)
-    lo = min(m1, m2) + s * y
-    hi = max(m1, m2) + s * y
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        below = sign * (_mixture_log_tail(mid, sign, w, m1, m2, s) - target) < 0.0
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def _hermite_cells(y_left: np.ndarray, sub: int, w: float, m1: float, m2: float,
-                   s2: float) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Cubic Hermite cells of the quantile x(y) and each row's miss of the pin.
-
-    Row r covers the grid cell [y_left[r], y_left[r] + _Y_STEP] with `sub`
-    equal sub-cells of width h.  On sub-cell j, at y = y_left[r] + (j + t) h
-    with t in [0, 1], x = ((c3 t + c2) t + c1) t + c0 interpolates the node
-    values and their exact slopes dx/dy = phi(y) / f(x); the coefficients
-    have shape (rows, sub).  The miss is the largest error at t = 1/4, 1/2,
-    3/4 in units of the pin: a row meets the pin when its miss is <= 1, and
-    a nan (a density that underflows in the gap) never does.
-    """
-    s = math.sqrt(s2)
-    h = _Y_STEP / sub
-    y = y_left[:, None] + h * np.arange(sub + 1)
-    x = _mixture_quantile(y, w, m1, m2, s)
-    phi = np.exp(-y * y / 2.0) / math.sqrt(2.0 * math.pi)
-    miss = np.zeros(y_left.size)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        d = h * phi / _mixture_pdf(x, w, m1, m2, s2)  # dx/dy per sub-cell
-        d0, d1 = d[:, :-1], d[:, 1:]
-        rise = np.diff(x, axis=1)
-        coeffs = (x[:, :-1], d0, 3.0 * rise - 2.0 * d0 - d1, d0 + d1 - 2.0 * rise)
-        for t in (0.25, 0.5, 0.75):
-            xt = ((coeffs[3] * t + coeffs[2]) * t + coeffs[1]) * t + coeffs[0]
-            yt = y[:, :-1] + t * h
-            sign = np.where(yt > 0, -1.0, 1.0)
-            log_u = log_ndtr(sign * yt)  # log of the tail mass min(u, 1 - u)
-            rel = np.abs(np.expm1(_mixture_log_tail(xt, sign, w, m1, m2, s) - log_u))
-            err = np.maximum(rel / _PIN_REL, rel * np.exp(log_u) / _PIN_ABS)
-            miss = np.maximum(miss, err.max(axis=1))
-    return coeffs, miss
-
-
-@dataclass(frozen=True)
-class _QuantileTable:
-    """Hermite cells of the mixture quantile in y = ndtri(u).
-
-    Grid cell i of y (width _Y_STEP from -_Y_EDGE) is `cells[i]` equal
-    sub-cells, stored from flat index `first[i]` of `coeffs`; `split` marks
-    the grid cells with more than one.
-    """
-
-    coeffs: tuple[np.ndarray, ...]
-    first: np.ndarray
-    cells: np.ndarray
-    split: np.ndarray
-
-
-@functools.lru_cache(maxsize=8)
-def _mixture_inv_table(w: float, m1: float, m2: float, s2: float) -> _QuantileTable:
-    """The quantile table of one mixture, refined until every cell meets the pin.
-
-    Grid cells that miss the pin are split into twice as many sub-cells per
-    pass (the Hermite error falls about 16-fold), and only those are solved
-    again.  GridError when a pass would need more than _MAX_SUBCELLS
-    sub-cells: the components are then too well separated for the table.
-    """
-    y_left = -_Y_EDGE + _Y_STEP * np.arange(_Y_CELLS)
-    coeffs, miss = _hermite_cells(y_left, 1, w, m1, m2, s2)
-    parts = [coeffs]
-    first = np.arange(_Y_CELLS)
-    cells = np.ones(_Y_CELLS, dtype=np.intp)
-    size = _Y_CELLS
-    todo = np.flatnonzero(~(miss <= 1.0))
-    sub = 1
-    while todo.size:
-        sub *= 2
-        if todo.size * sub > _MAX_SUBCELLS:
-            raise GridError(
-                f"mixture {(w, m1, m2, s2)}: the density gap between the components "
-                f"is too deep for the quantile table ({todo.size} cells of y = ndtri(u) "
-                f"miss |F(x) - u| <= {_PIN_ABS:g} at {sub // 2} sub-cells each)"
-            )
-        coeffs, miss = _hermite_cells(y_left[todo], sub, w, m1, m2, s2)
-        met = miss <= 1.0
-        done = todo[met]
-        parts.append(tuple(c[met] for c in coeffs))
-        first[done] = size + sub * np.arange(done.size)
-        cells[done] = sub
-        size += sub * done.size
-        todo = todo[~met]
-    flat = tuple(np.concatenate([p[k].ravel() for p in parts]) for k in range(4))
-    table = _QuantileTable(flat, first, cells, cells > 1)
-    for a in (*flat, first, cells, table.split):
-        a.setflags(write=False)
-    return table
-
-
-def _mixture_inv(u: np.ndarray, w: float, m1: float, m2: float, s2: float) -> np.ndarray:
-    """x with F(x) = u, from the quantile table at y = ndtri(u).
-
-    y is clipped to the table, so u = 0 and u = 1 map to finite ends.  The
-    cell index is arithmetic, in the grid cell and then, for a split grid
-    cell, in its sub-cells; the uniforms go through in cache-sized blocks.
-    """
-    table = _mixture_inv_table(w, m1, m2, s2)
-    c0, c1, c2, c3 = table.coeffs
-    u = np.asarray(u, dtype=np.float64)
-    out = np.empty(u.shape)  # C order, so its flat view is writable in place
-    flat_u = u.reshape(-1)
-    flat_out = out.reshape(-1)
-    for a in range(0, flat_u.size, _INV_BLOCK):
-        t = ndtri(flat_u[a : a + _INV_BLOCK])
-        np.clip(t, -_Y_EDGE, _Y_EDGE, out=t)
-        t += _Y_EDGE
-        t /= _Y_STEP
-        i = np.clip(t.astype(np.intp), 0, _Y_CELLS - 1)
-        t -= i
-        split = table.split[i]
-        if split.any():
-            g = i[split]
-            ts = t[split] * table.cells[g]
-            j = np.minimum(ts.astype(np.intp), table.cells[g] - 1)
-            i[split] = table.first[g] + j
-            t[split] = ts - j
-        x = c3[i]
-        for c in (c2, c1, c0):
-            x *= t
-            x += c[i]
-        flat_out[a : a + _INV_BLOCK] = x
-    return out
+    first = u < w
+    v = np.where(first, u / w, (1.0 - u) / (1.0 - w))
+    z = ndtri(np.minimum(v, 1.0 - 2.0**-53, out=v))
+    return np.where(first, m1 + s * z, m2 - s * z)
 
 
 @dataclass(frozen=True)
 class _Law:
-    """One step law of the registry.  ``cdf(x, *args)`` and ``inv(u, *args)``
+    """One step law of the registry.  ``cdf(x, *args)`` and ``draw(u, *args)``
     take the arguments ``parameters`` makes of a spec's parameters (checked
-    and unpacked); a law whose ``parameters`` is None takes none."""
+    and unpacked); a law whose ``parameters`` is None takes none.  ``draw``
+    maps uniforms to steps elementwise, so any block of uniforms can go
+    through it alone."""
 
     cdf: Callable
-    inv: Callable
+    draw: Callable
     symmetric: bool
     bounded_density: bool
     parameters: Callable | None = None
@@ -453,7 +295,7 @@ _LAWS = {
     "gaussian": _Law(ndtr, ndtri, symmetric=True, bounded_density=True),
     "uniform": _Law(_uniform_cdf, _uniform_inv, symmetric=True, bounded_density=True),
     "laplace": _Law(_laplace_cdf, _laplace_inv, symmetric=True, bounded_density=True),
-    "mixture": _Law(_mixture_cdf, _mixture_inv, symmetric=False, bounded_density=True,
+    "mixture": _Law(_mixture_cdf, _mixture_draw, symmetric=False, bounded_density=True,
                     parameters=_mixture_params),
     "spike": _Law(_spike_cdf, _spike_inv, symmetric=True, bounded_density=False),
 }
@@ -485,7 +327,10 @@ class DistributionSpec:
         return _LAWS[self.name].cdf(x, *self._args())
 
     def inv_cdf(self, u: np.ndarray) -> np.ndarray:
-        return _LAWS[self.name].inv(u, *self._args())
+        """A step drawn from each uniform, elementwise: the inverse CDF for
+        the four single laws, the draw by component for the mixture (exact
+        in law, not monotone in u)."""
+        return _LAWS[self.name].draw(u, *self._args())
 
     @property
     def symmetric(self) -> bool:

@@ -1,14 +1,12 @@
 """Stochastic oracle: direct simulation of the walk maximum.
 
-Sampling is inverse-CDF throughout (one uniform mechanism) on counter-based
-Philox substreams.  Every inverse keeps |F(x) - u| <= 1e-13, and the
-mixture's table inverse keeps each tail mass within 1e-12 relative down to
-the 1e-17 clip (pinned in tests/test_grid.py, for the default mixture and
-four with well-separated components; the table refuses a mixture it cannot
-resolve to that accuracy with GridError).  Chunk i uses the base stream
-jumped i times, so results are bit-reproducible for a given
-(spec, n, samples, seed) and the chunk merge is order-independent by
-construction.
+Each step is drawn from one uniform by its law's elementwise map
+(`DistributionSpec.inv_cdf`): the inverse CDF for the single laws, the draw
+by component for the mixture, both exact in law.  The uniforms of a chunk go
+through that map in cache-sized blocks, and the steps overwrite them in
+place.  Chunk i uses the base Philox stream jumped i times, so results are
+bit-reproducible for a given (spec, n, samples, seed) and the chunk merge is
+order-independent by construction.
 """
 
 from __future__ import annotations
@@ -25,7 +23,8 @@ from .grid import DistributionSpec, GridDensity, rescale_sqrt
 from .walk import WalkLaws
 
 _CHUNK = 1 << 16
-_U_CLIP = 1e-17
+_DRAW_BLOCK = 1 << 14  # uniforms per draw call: the law's temporaries stay in cache
+_U_CLIP = 1e-17  # lowest uniform: keeps the lower tails finite (random() is < 1)
 
 
 def default_bins(lo: float = -4.0, hi: float = 8.0, width: float = 0.05) -> np.ndarray:
@@ -91,9 +90,12 @@ def simulate(
         m = min(_CHUNK, samples - done)
         done += m
         rng = Generator(base.jumped(i))
-        u = np.clip(rng.random((m, n)), _U_CLIP, 1.0 - _U_CLIP)
-        steps = spec.inv_cdf(u)
-        walk_max = np.cumsum(steps, axis=1).max(axis=1)
+        steps = rng.random((m, n))
+        np.maximum(steps, _U_CLIP, out=steps)
+        flat = steps.reshape(-1)
+        for a in range(0, flat.size, _DRAW_BLOCK):
+            flat[a : a + _DRAW_BLOCK] = spec.inv_cdf(flat[a : a + _DRAW_BLOCK])
+        walk_max = np.cumsum(steps, axis=1, out=steps).max(axis=1)
         z = walk_max / root_n
         nonpos += int(np.count_nonzero(walk_max <= 0.0))
         mean_sum += float(z.sum())

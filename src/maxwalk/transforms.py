@@ -98,6 +98,9 @@ def negative_tail_transform(walk: WalkLaws, k: int, t_grid: np.ndarray) -> CharF
     return CharFnSamples(t, 2, (neg_mass - v0, -v1, -v2))
 
 
+_HALF_NORMAL_T_MAX = 100.0
+
+
 def half_normal_charfn(t_grid: np.ndarray, n: int = 1) -> CharFnSamples:
     """Fourier transform of the half-normal density, via the n-parameterized
     integral representation e^{-t^2/2} + (it/sqrt(2 pi n)) I(t).
@@ -109,10 +112,17 @@ def half_normal_charfn(t_grid: np.ndarray, n: int = 1) -> CharFnSamples:
     quadrature (`quad_vec`) over v in [0, sqrt(n)] with its error taken in
     the max norm over all components.  The result is independent of n (a
     checkable identity).  The last few results are cached by (t grid, n).
+
+    ValueError for |t| > _HALF_NORMAL_T_MAX: the integrand concentrates at
+    v = sqrt(n) as |t| grows, and past |t| ~ 150 the quadrature misses it
+    (the imaginary part is 4e-3 off at t = 200, 3e-16 up to |t| = 100).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     t = np.asarray(t_grid, dtype=np.float64)
+    if t.size and np.abs(t).max() > _HALF_NORMAL_T_MAX:
+        raise ValueError(f"half_normal_charfn is accurate for |t| <= "
+                         f"{_HALF_NORMAL_T_MAX:g}, got max |t| = {np.abs(t).max():g}")
     return _half_normal_charfn(t.tobytes(), int(n))
 
 

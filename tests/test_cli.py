@@ -141,6 +141,17 @@ def test_montecarlo_and_charfn_modes(tmp_path):
     assert windows[0] == "decay_window_99,envelope_window"
 
 
+def test_montecarlo_draws_a_mixture_with_a_deep_gap(tmp_path):
+    # sd 0.14 at +-0.99: the density between the components falls to 3e-11
+    path = write_config(tmp_path, spec_parameters=[0.5, -0.99, 0.99, 0.0199])
+    out = tmp_path / "out"
+    args = ["montecarlo", "--config", str(path), "--spec", "mixture", "--nmax", "4",
+            "--mc-samples", "10000", "--out", str(out)]
+    assert main(args) == 0
+    summary = json.loads((out / "mc_mixture_n4.json").read_text())
+    assert summary["spec"] == "mixture" and summary["samples"] == 10**4
+
+
 def test_verify_mode_small_scale(tmp_path, capsys):
     path = write_config(tmp_path, n_max=8, n_list=[1, 2, 4, 8], grid_points=2**13)
     out = tmp_path / "out"

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
-from scipy.special import log_ndtr, ndtr
+from scipy.stats import kstest, kstwobign
 
 import maxwalk as mw
 from maxwalk.grid import (
     _SPEC_NAMES,
     GridError,
-    _mixture_inv_table,
+    _mixture_cdf,
     from_spectrum,
     halfline_l1,
     halfline_sup,
@@ -178,35 +178,17 @@ def test_summed_spectra_guard_and_linearity(small_grid):
         from_spectrum(g, acc, 2.0)
 
 
-def test_mixture_inverse_cache_is_bounded():
-    def spec(t):
-        # weight 0.3 at -0.7 t and 0.7 at 0.3 t: mean 0, variance 1
-        return mw.DistributionSpec("mixture", (0.3, -0.7 * t, 0.3 * t, 1.0 - 0.21 * t * t))
-
-    u = np.array([0.1, 0.5, 0.9])
-    x = spec(1.0).inv_cdf(u)
-    hits = _mixture_inv_table.cache_info().hits
-    assert np.array_equal(spec(1.0).inv_cdf(u), x)
-    assert _mixture_inv_table.cache_info().hits == hits + 1
-    for i in range(20):
-        spec(0.5 + 0.05 * i).inv_cdf(u)
-    info = _mixture_inv_table.cache_info()
-    assert info.currsize <= 8
-
-
 _MIX = (0.3, -0.7, 0.3, 0.79)  # the default mixture: weight, loc1, loc2, var
-# Well-separated components: x(y) climbs steeply through the density gap, and
-# the table splits its cells there (up to 4,096 sub-cells per cell).  In the
-# last set one cell's error changes sign near its midpoint: checked at the
-# midpoint alone, it is kept and misses the round trip by 1.5e-13.
+# Well-separated components, with a deep density gap between them; the last
+# one's gap (sd 0.14 at +-0.99) falls to 3e-11.
 _BIMODAL = (
     (0.5, -0.95, 0.95, 0.0975),
     (0.5, -0.97, 0.97, 0.0591),
     (0.1, -2.7, 0.3, 0.19),
     (0.7164419822245884, -0.5313575760470672, 1.3425360991017066, 0.2866332726256319),
 )
-_LAWS = [(name, ()) for name in _SPEC_NAMES] + [("mixture", p) for p in _BIMODAL]
-_MIXTURES = [_MIX, *_BIMODAL]
+_MIXTURES = [_MIX, *_BIMODAL, (0.5, -0.99, 0.99, 0.0199)]
+_SINGLE_LAWS = [name for name in _SPEC_NAMES if name != "mixture"]
 
 
 def _law_id(params: tuple) -> str:
@@ -221,48 +203,9 @@ def _oracle_uniforms() -> np.ndarray:
     return np.concatenate((u, k * 2.0**-53, 1.0 - k * 2.0**-53, [1e-17]))
 
 
-def _mixture_log_tail(x: np.ndarray, upper: bool, params: tuple = _MIX) -> np.ndarray:
-    """log F(x), or log S(x) when `upper`, of a mixture."""
-    w, m1, m2, s2 = params
-    sign = -1.0 if upper else 1.0
-    s = math.sqrt(s2)
-    return np.logaddexp(
-        math.log(w) + log_ndtr(sign * (x - m1) / s),
-        math.log1p(-w) + log_ndtr(sign * (x - m2) / s),
-    )
-
-
-def _mixture_inv_interp_newton(u: np.ndarray) -> np.ndarray:
-    """The former sampler: interpolation in a 32,769-entry x-space table of
-    the default mixture's cdf, then two step-bounded Newton iterations."""
-    w, m1, m2, s2 = _MIX
-    s = math.sqrt(s2)
-
-    def cdf(x):
-        return w * ndtr((x - m1) / s) + (1 - w) * ndtr((x - m2) / s)
-
-    def pdf(x):
-        z1, z2 = (x - m1) / s, (x - m2) / s
-        return (w * np.exp(-z1 * z1 / 2) + (1 - w) * np.exp(-z2 * z2 / 2)) / (
-            s * math.sqrt(2.0 * math.pi)
-        )
-
-    x_tab = np.linspace(min(m1, m2) - 10.0 * s, max(m1, m2) + 10.0 * s, 32769)
-    u_tab = cdf(x_tab)
-    spacing = float(x_tab[1] - x_tab[0])
-    u = np.clip(u, u_tab[0], u_tab[-1])
-    x = np.interp(u, u_tab, x_tab)
-    for _ in range(2):
-        step = (cdf(x) - u) / np.maximum(pdf(x), 1e-300)
-        x = x - np.clip(step, -spacing, spacing)
-    return x
-
-
-@pytest.mark.parametrize(
-    "name, params", _LAWS, ids=[f"{n}-{_law_id(p)}" if p else n for n, p in _LAWS]
-)
-def test_inverse_cdf_round_trip(name, params):
-    spec = mw.DistributionSpec(name, params)
+@pytest.mark.parametrize("name", _SINGLE_LAWS)
+def test_inverse_cdf_round_trip(name):
+    spec = mw.DistributionSpec(name)
     u = _oracle_uniforms()
     x = spec.inv_cdf(u)
     assert np.all(np.isfinite(x))
@@ -272,51 +215,34 @@ def test_inverse_cdf_round_trip(name, params):
 
 
 @pytest.mark.parametrize("params", _MIXTURES, ids=_law_id)
-def test_mixture_inverse_tail_mass_is_relative(params):
-    u = _oracle_uniforms()
-    x = mw.DistributionSpec("mixture", params).inv_cdf(u)
-    lower = u < 0.5
-    # 1 - u is exact for u >= 1/2, so log1p(-u) is the upper tail's own log
-    rel = np.concatenate((
-        np.expm1(_mixture_log_tail(x[lower], False, params) - np.log(u[lower])),
-        np.expm1(_mixture_log_tail(x[~lower], True, params) - np.log1p(-u[~lower])),
-    ))
-    assert np.abs(rel).max() <= 1e-12
+def test_mixture_draw_pushforward_is_exact(params):
+    # Midpoint uniforms (k + 1/2) / 2^20 are the uniform law up to 1/2^20 in
+    # every interval; the share of draws <= q is then F(q) up to rounding.
+    size = 1 << 20
+    u = (np.arange(size) + 0.5) / size
+    x = np.sort(mw.DistributionSpec("mixture", params).inv_cdf(u))
+    q = np.linspace(-4.0, 4.0, 801)
+    share = np.searchsorted(x, q, side="right") / size
+    assert np.abs(share - _mixture_cdf(q, *params)).max() <= 2.0 / size
+
+
+def test_mixture_draw_passes_ks():
+    spec = mw.DistributionSpec("mixture")
+    samples = 2 * 10**6
+    x = spec.inv_cdf(Generator(Philox(key=4242)).random(samples))
+    critical = kstwobign.ppf(0.99) / math.sqrt(samples)
+    assert kstest(x, spec.cdf).statistic < critical
 
 
 @pytest.mark.parametrize("params", _MIXTURES, ids=_law_id)
-def test_mixture_inverse_monotone_with_finite_ends(params):
-    u = np.linspace(0.0, 1.0, 2 * 10**5)
-    x = mw.DistributionSpec("mixture", params).inv_cdf(u)
-    assert np.all(np.isfinite(x))
-    assert np.all(np.diff(x) > 0.0)
-
-
-def test_mixture_inverse_refuses_a_gap_it_cannot_resolve():
-    # sd 0.14 at +-0.99: the density between the components falls to 3e-11
-    spec = mw.DistributionSpec("mixture", (0.5, -0.99, 0.99, 1.0 - 0.99**2))
-    with pytest.raises(GridError, match="too deep"):
-        spec.inv_cdf(np.array([0.25, 0.5]))
-
-
-def test_mixture_inverse_matches_interp_newton():
-    # The former sampler is compared where it is accurate: random u in
-    # [1e-10, 1 - 1e-10] and the lower tail down to 1e-10.  Nearer either end
-    # it is wrong (u = 1 - 2^-53 gives 7.671 against the log-space root 7.559).
-    u = np.clip(Generator(Philox(key=7)).random(10**6), 1e-10, 1.0 - 1e-10)
-    lower_ends = np.geomspace(1e-10, 0.5, 1000)
-    u = np.concatenate((u, lower_ends))
-    spec = mw.DistributionSpec("mixture")
-    assert np.abs(spec.inv_cdf(u) - _mixture_inv_interp_newton(u)).max() <= 1e-10
-    # Near u = 1 it reads the tail mass 1 - F off F and loses it to
-    # cancellation (a 1e-7 gap at 1 - u = 1e-10): there the log-space tail
-    # mass must be no further from 1 - u than the former sampler's.
-    u = 1.0 - lower_ends
-
-    def tail_error(x):
-        return np.abs(_mixture_log_tail(x, upper=True) - np.log1p(-u))
-
-    assert np.all(tail_error(spec.inv_cdf(u)) <= tail_error(_mixture_inv_interp_newton(u)) + 1e-12)
+def test_mixture_draw_edges(params):
+    w = params[0]
+    spec = mw.DistributionSpec("mixture", params)
+    ends = np.array([1e-17, np.nextafter(w, 0.0), w, 1.0 - 2.0**-53])
+    assert np.all(np.isfinite(spec.inv_cdf(ends)))
+    # the upper tail is drawn from 1 - u, exact here: every step of u moves x
+    top = 1.0 - np.arange(200, 0, -1) * 2.0**-53
+    assert np.all(np.diff(spec.inv_cdf(top)) > 0.0)
 
 
 def test_mixture_parameters_validated():

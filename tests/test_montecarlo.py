@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 import maxwalk as mw
-from maxwalk.montecarlo import default_bins, histogram_csv, summary_json
+from maxwalk.grid import _SPEC_NAMES
+from maxwalk.montecarlo import _CHUNK, default_bins, histogram_csv, summary_json
 
 
 def test_reproducible_summaries():
@@ -83,3 +85,35 @@ def test_mismatched_compare_rejected(small_grid):
     summary = mw.simulate(mw.DistributionSpec("laplace"), 4, 10**4, 3)
     with pytest.raises(ValueError):
         mw.empirical_compare(summary, walk)
+
+
+def _one_pass_sums(spec, n, samples, seed):
+    """The former simulation body: each chunk's uniforms through one
+    `inv_cdf` call over the whole (samples, n) array, then one cumsum."""
+    base = Philox(key=seed)
+    edges = default_bins()
+    counts = np.zeros(len(edges) - 1, dtype=np.int64)
+    nonpos, mean_sum, m2_sum = 0, 0.0, 0.0
+    for i, a in enumerate(range(0, samples, _CHUNK)):
+        u = np.clip(Generator(base.jumped(i)).random((min(_CHUNK, samples - a), n)),
+                    1e-17, 1.0 - 1e-17)
+        walk_max = np.cumsum(spec.inv_cdf(u), axis=1).max(axis=1)
+        z = walk_max / math.sqrt(n)
+        nonpos += int(np.count_nonzero(walk_max <= 0.0))
+        mean_sum += float(z.sum())
+        m2_sum += float(np.square(np.maximum(z, 0.0)).sum())
+        counts += np.histogram(z, bins=edges)[0]
+    return counts, nonpos / samples, mean_sum / samples, m2_sum / samples
+
+
+@pytest.mark.parametrize("name", _SPEC_NAMES)
+def test_blocked_draws_match_one_pass(name):
+    # two chunks, the second ending in a partial draw block
+    spec = mw.DistributionSpec(name)
+    samples = _CHUNK + 4464
+    summary = mw.simulate(spec, 5, samples, 99)
+    counts, nonpos, mean, m2 = _one_pass_sums(spec, 5, samples, 99)
+    assert np.array_equal(summary.bin_counts, counts)
+    assert (summary.nonpos_hat, summary.mean_max_scaled, summary.m2_plus_hat) == (
+        nonpos, mean, m2
+    )

@@ -191,6 +191,19 @@ def test_half_normal_transform_properties():
             assert np.abs(base.values[j] - other.values[j]).max() <= 1e-8
 
 
+@pytest.mark.parametrize("n", [1, 16])
+def test_half_normal_transform_closed_form_to_t_100(n):
+    t = np.linspace(-100.0, 100.0, 2001)
+    values = mw.half_normal_charfn(t, n=n).values[0]
+    assert np.abs(values - half_normal_transform_exact(t)).max() <= 1e-14
+
+
+def test_half_normal_transform_refuses_large_t():
+    # at t = 200 the quadrature misses the imaginary part by 4e-3
+    with pytest.raises(ValueError, match="accurate for"):
+        mw.half_normal_charfn(np.array([0.0, 200.0]))
+
+
 def scalar_half_normal_charfn(t: np.ndarray, n: int) -> list[np.ndarray]:
     """Reference: the half-normal transform with one scalar adaptive `quad`
     call per t and per moment of the inner integral."""

@@ -55,7 +55,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         data["specs"] = (args.spec,)
     if args.nmax is not None:
         data["n_max"] = args.nmax
-        data["n_list"] = tuple(n for n in (1, 2, 4, 8, 16, 32, 64) if n <= args.nmax)
+        data.pop("n_list", None)  # RunConfig derives the default from n_max
     if args.grid_points is not None:
         data["grid_points"] = args.grid_points
     if args.seed is not None:
@@ -76,15 +76,15 @@ def _states(config: RunConfig):
     """(name, SuiteState) for each spec in turn, a fresh state each, so only
     one spec's walk and splits are held at a time (the loops below keep no
     walk or split in a variable that outlives its iteration)."""
-    return ((name, SuiteState(config)) for name in config.specs)
+    return ((name, SuiteState(config, name)) for name in config.specs)
 
 
 def run_curves(config: RunConfig, out: Path) -> int:
     for name, state in _states(config):
-        rows = state.curves(name)
+        rows = state.curves
         _write(out / f"curves_{name}.csv", lm.curves_csv(rows))
         _write(out / f"entropy_{name}.csv", lm.entropy_reports_csv(rows))
-        _write(out / f"walk_{name}.csv", wk.walk_scalars_csv(state.walk(name)))
+        _write(out / f"walk_{name}.csv", wk.walk_scalars_csv(state.walk))
     return 0
 
 
@@ -106,8 +106,8 @@ def run_charfn(config: RunConfig, out: Path) -> int:
     _write(out / "charfn_half_normal.csv",
            cf.charfn_csv(cf.half_normal_charfn(t)))
     for name, state in _states(config):
-        p = state.walk(name).step_density
-        law = gr.rescale_sqrt(state.walk(name).max_laws[n], n)
+        p = state.walk.step_density
+        law = gr.rescale_sqrt(state.walk.max_laws[n], n)
         _write(out / f"charfn_step_{name}.csv", cf.charfn_csv(cf.charfn(p, t, 2)))
         _write(out / f"charfn_max_{name}_n{n}.csv", cf.charfn_csv(cf.charfn(law, t, 2)))
         decay = cf.charfn_decay_window(p)
@@ -120,7 +120,7 @@ def run_charfn(config: RunConfig, out: Path) -> int:
 def run_montecarlo(config: RunConfig, out: Path) -> int:
     n = config.n_max
     for name, state in _states(config):
-        summary = mc.simulate(state.spec(name), n, config.mc_samples, config.seed)
+        summary = mc.simulate(state.spec, n, config.mc_samples, config.seed)
         _write(out / f"mc_{name}_n{n}.json", mc.summary_json(summary))
         _write(out / f"mc_{name}_n{n}_hist.csv", mc.histogram_csv(summary))
     return 0
@@ -129,7 +129,7 @@ def run_montecarlo(config: RunConfig, out: Path) -> int:
 def run_density(config: RunConfig, out: Path) -> int:
     n = config.n_max
     for name, state in _states(config):
-        law = state.walk(name).max_laws[n]
+        law = state.walk.max_laws[n]
         _write(out / f"max_density_{name}_n{n}.csv", gr.density_to_csv(law))
         _write(out / f"max_density_{name}_n{n}_rescaled.csv",
                gr.density_to_csv(gr.rescale_sqrt(law, n)))
@@ -138,8 +138,8 @@ def run_density(config: RunConfig, out: Path) -> int:
 
 def run_decomp(config: RunConfig, out: Path) -> int:
     for name, state in _states(config):
-        splits = state.splits(name, state.diag_ns())
-        rows = dc.split_quality_diagnostics(state.walk(name), list(splits.values()))
+        splits = state.splits(state.diag_ns())
+        rows = dc.split_quality_diagnostics(state.walk, list(splits.values()))
         _write(out / f"decomp_{name}.csv", dc.diagnostics_csv(rows))
     return 0
 

@@ -8,6 +8,8 @@ from dataclasses import dataclass, fields
 from .grid import _SPEC_NAMES
 
 _MODES = ("curves", "verify", "charfn", "montecarlo", "density", "decomp")
+# The n at which the curves are reported unless n_list is given: those up to n_max.
+_DEFAULT_N_LIST = (1, 2, 4, 8, 16, 32, 64)
 # Upper bounds that keep a run's arrays allocatable: the walk holds 2 * n_max
 # densities of grid_points cells each, 1 GiB of float64 at n_max * grid_points
 # = 2^26.
@@ -43,7 +45,7 @@ class RunConfig:
     specs: tuple = _SPEC_NAMES
     spec_parameters: tuple = ()
     n_max: int = 64
-    n_list: tuple = (1, 2, 4, 8, 16, 32, 64)
+    n_list: tuple | None = None  # None: the _DEFAULT_N_LIST entries <= n_max
     grid_points: int = 2**14
     half_width_factor: float = 8.0
     sigma_pad: float = 1.25
@@ -64,6 +66,8 @@ class RunConfig:
                 raise ConfigError(f"unknown spec {name!r}; choose from {_SPEC_NAMES}")
         if not self.specs:
             raise ConfigError("at least one spec is required")
+        if len(set(self.specs)) != len(self.specs):
+            raise ConfigError(f"specs must not repeat a name; got {list(self.specs)!r}")
         object.__setattr__(self, "spec_parameters", tuple(self.spec_parameters))
         params = self.spec_parameters
         if params and (len(params) != 4 or not all(map(_is_finite_number, params))):
@@ -76,7 +80,10 @@ class RunConfig:
                 raise ConfigError(f"{key} must be an integer, got {getattr(self, key)!r}")
         if not 1 <= self.n_max <= _N_MAX_LIMIT:
             raise ConfigError(f"n_max must lie in [1, {_N_MAX_LIMIT}], got {self.n_max}")
-        n_list = tuple(self.n_list)
+        if self.n_list is None:
+            n_list = tuple(n for n in _DEFAULT_N_LIST if n <= self.n_max)
+        else:
+            n_list = tuple(self.n_list)
         if not n_list:
             raise ConfigError("n_list must not be empty")
         for n in n_list:

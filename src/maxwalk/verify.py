@@ -12,6 +12,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -51,72 +52,52 @@ def _ge(check_id: str, desc: str, value: float, threshold: float, note: str = ""
 
 
 class SuiteState:
-    """Lazily built shared state: walks, decompositions, max-law splits,
-    curves, simulations."""
+    """The lazily built state of one step law: its walk, decomposition table,
+    max-law splits, convergence curves and simulations.  Each object is
+    computed at most once and shared by every check of that spec; a run
+    builds one state per spec and drops it before the next, so only one
+    spec's arrays are alive at a time."""
 
-    def __init__(self, config: RunConfig):
+    def __init__(self, config: RunConfig, name: str):
         self.config = config
-        self._specs: dict = {}
-        self._walks: dict = {}
-        self._tables: dict = {}
-        self._splits: dict = {}
-        self._curves: dict = {}
-        self._mc: dict = {}
+        self.name = name
+        self._splits: dict[int, dc.MaxLawSplit] = {}
+        self._mc: dict[tuple[int, int], mc.EmpiricalSummary] = {}
 
-    def grid_spec(self) -> gr.GridSpec:
+    @cached_property
+    def spec(self) -> gr.DistributionSpec:
+        params = self.config.spec_parameters if self.name == "mixture" else ()
+        return gr.DistributionSpec(self.name, params)
+
+    @cached_property
+    def walk(self) -> wk.WalkLaws:
         c = self.config
-        return gr.make_working_grid(
-            c.n_max, c.grid_points, c.half_width_factor, c.sigma_pad
-        )
+        grid = gr.make_working_grid(c.n_max, c.grid_points, c.half_width_factor, c.sigma_pad)
+        return wk.compute_walk(self.spec, c.n_max, grid)
 
-    def spec(self, name: str) -> gr.DistributionSpec:
-        if name not in self._specs:
-            params = self.config.spec_parameters if name == "mixture" else ()
-            self._specs[name] = gr.DistributionSpec(name, params)
-        return self._specs[name]
+    @cached_property
+    def table(self) -> dc.DecompTable:
+        return dc.decomp_powers(self.walk, self.config.decomposition_M)
 
-    def walk(self, name: str) -> wk.WalkLaws:
-        if name not in self._walks:
-            self._walks[name] = wk.compute_walk(
-                self.spec(name), self.config.n_max, self.grid_spec()
-            )
-        return self._walks[name]
-
-    def table(self, name: str) -> dc.DecompTable:
-        if name not in self._tables:
-            self._tables[name] = dc.decomp_powers(
-                self.walk(name), self.config.decomposition_M
-            )
-        return self._tables[name]
-
-    def splits(self, name: str, ns) -> dict[int, dc.MaxLawSplit]:
-        """The max-law splits of spec `name` at every n of ns; the ones not
-        built yet are built together, in one kernel pass."""
-        missing = [n for n in ns if (name, n) not in self._splits]
+    def splits(self, ns) -> dict[int, dc.MaxLawSplit]:
+        """The max-law splits at every n of ns; the ones not built yet are
+        built together, in one kernel pass."""
+        missing = [n for n in ns if n not in self._splits]
         if missing:
-            built = dc.max_law_splits(self.table(name), self.walk(name), missing)
-            for n, split in built.items():
-                self._splits[name, n] = split
-        return {n: self._splits[name, n] for n in ns}
+            self._splits.update(dc.max_law_splits(self.table, self.walk, missing))
+        return {n: self._splits[n] for n in ns}
 
-    def curves(self, name: str) -> list[lm.ConvergenceRow]:
-        if name not in self._curves:
-            ns = list(self.config.n_list)
-            self._curves[name] = lm.convergence_curves(
-                self.spec(name), ns, walk=self.walk(name),
-                splits=self.splits(name, ns),
-            )
-        return self._curves[name]
+    @cached_property
+    def curves(self) -> list[lm.ConvergenceRow]:
+        ns = list(self.config.n_list)
+        return lm.convergence_curves(self.spec, ns, walk=self.walk, splits=self.splits(ns))
 
-    def simulation(self, name: str, n: int, samples: int | None = None) -> mc.EmpiricalSummary:
+    def simulation(self, n: int, samples: int | None = None) -> mc.EmpiricalSummary:
         samples = self.config.mc_samples if samples is None else samples
-        key = (name, n, samples)
-        if key not in self._mc:
-            offset = gr._SPEC_NAMES.index(name)
-            self._mc[key] = mc.simulate(
-                self.spec(name), n, samples, self.config.seed + offset
-            )
-        return self._mc[key]
+        if (n, samples) not in self._mc:
+            seed = self.config.seed + gr._SPEC_NAMES.index(self.name)
+            self._mc[n, samples] = mc.simulate(self.spec, n, samples, seed)
+        return self._mc[n, samples]
 
     def diag_ns(self) -> list[int]:
         n_max = self.config.n_max
@@ -153,177 +134,152 @@ def _envelope_rows(
 
 def check_route_equivalence(state: SuiteState) -> list[CheckResult]:
     out = []
+    name, walk = state.name, state.walk
     ns = [n for n in (2, 4, 8, 16) if n <= state.config.n_max]
-    for name in state.config.specs:
-        walk = state.walk(name)
-        start = time.perf_counter()
-        kernel_route = wk.nagaev_density(walk, ns) if ns else {}
-        for n in ns:
-            direct = walk.max_laws[n]
-            out.append(
-                _le(
-                    f"acceptance.route_equivalence.{name}.kernel.n{n}",
-                    "L1 gap, one-step recursion vs kernel representation",
-                    gr.l1_distance(direct, kernel_route[n]),
-                    1e-3,
-                )
-            )
-            series = wk.spitzer_positive_law(walk, n)
-            pos, alpha = gr.restrict(direct, "positive")
-            gap = gr.l1_distance(pos, series.density) + abs(
-                series.atom_at_zero - float(walk.nonpos_prob[n])
-            )
-            out.append(
-                _le(
-                    f"acceptance.route_equivalence.{name}.series.n{n}",
-                    "L1 gap, one-step recursion vs generating-series law",
-                    gap,
-                    1e-3,
-                )
-            )
-        elapsed = time.perf_counter() - start
+    start = time.perf_counter()
+    kernel_route = wk.nagaev_density(walk, ns) if ns else {}
+    for n in ns:
+        direct = walk.max_laws[n]
         out.append(
             _le(
-                f"acceptance.route_equivalence.{name}.runtime",
-                "three-route verification runtime per spec (s)",
-                elapsed,
-                120.0,
+                f"acceptance.route_equivalence.{name}.kernel.n{n}",
+                "L1 gap, one-step recursion vs kernel representation",
+                gr.l1_distance(direct, kernel_route[n]),
+                1e-3,
             )
         )
+        series = wk.spitzer_positive_law(walk, n)
+        pos, alpha = gr.restrict(direct, "positive")
+        gap = gr.l1_distance(pos, series.density) + abs(
+            series.atom_at_zero - float(walk.nonpos_prob[n])
+        )
+        out.append(
+            _le(
+                f"acceptance.route_equivalence.{name}.series.n{n}",
+                "L1 gap, one-step recursion vs generating-series law",
+                gap,
+                1e-3,
+            )
+        )
+    elapsed = time.perf_counter() - start
+    out.append(
+        _le(
+            f"acceptance.route_equivalence.{name}.runtime",
+            "three-route verification runtime per spec (s)",
+            elapsed,
+            120.0,
+        )
+    )
     return out
 
 
 def check_sparre_andersen(state: SuiteState) -> list[CheckResult]:
-    out = []
+    if not state.spec.symmetric:
+        return []
     ns = range(1, min(16, state.config.n_max) + 1)
-    for name in state.config.specs:
-        if not state.spec(name).symmetric:
-            continue
-        walk = state.walk(name)
-        worst = max(abs(float(walk.nonpos_prob[n]) - wk.sparre_andersen(n)) for n in ns)
-        out.append(
-            _le(
-                f"acceptance.sparre_andersen.{name}",
-                "max |P(max<=0) - binom(2n,n)/4^n| over n <= 16",
-                worst,
-                1e-3,
-            )
+    p = state.walk.nonpos_prob
+    worst = max(abs(float(p[n]) - wk.sparre_andersen(n)) for n in ns)
+    return [
+        _le(
+            f"acceptance.sparre_andersen.{state.name}",
+            "max |P(max<=0) - binom(2n,n)/4^n| over n <= 16",
+            worst,
+            1e-3,
         )
-    return out
+    ]
 
 
 def check_entropic_endpoint(state: SuiteState) -> list[CheckResult]:
-    out = []
-    for name in state.config.specs:
-        rows = {r.n: r for r in state.curves(name)}
-        if 64 not in rows or 8 not in rows:
-            continue
-        out.append(
-            _le(
-                f"acceptance.entropic_endpoint.{name}.absolute",
-                "conditioned relative entropy at n=64",
-                rows[64].D_plus,
-                0.01,
-            )
-        )
-        out.append(
-            _le(
-                f"acceptance.entropic_endpoint.{name}.ratio",
-                "D_plus(64) / D_plus(8)",
-                rows[64].D_plus / rows[8].D_plus,
-                1.0 / 3.0,
-                note="a Theta(n^-1/2) quantity gives ratio ~0.35 > 1/3; "
-                "measured decay is genuine but slower than the pinned ratio",
-            )
-        )
-    return out
+    rows = {r.n: r for r in state.curves}
+    if 64 not in rows or 8 not in rows:
+        return []
+    return [
+        _le(
+            f"acceptance.entropic_endpoint.{state.name}.absolute",
+            "conditioned relative entropy at n=64",
+            rows[64].D_plus,
+            0.01,
+        ),
+        _le(
+            f"acceptance.entropic_endpoint.{state.name}.ratio",
+            "D_plus(64) / D_plus(8)",
+            rows[64].D_plus / rows[8].D_plus,
+            1.0 / 3.0,
+            note="a Theta(n^-1/2) quantity gives ratio ~0.35 > 1/3; "
+            "measured decay is genuine but slower than the pinned ratio",
+        ),
+    ]
 
 
 def check_tv_endpoint(state: SuiteState) -> list[CheckResult]:
-    out = []
-    for name in state.config.specs:
-        rows = {r.n: r for r in state.curves(name)}
-        if 64 not in rows:
-            continue
-        out.append(
-            _le(
-                f"acceptance.tv_endpoint.{name}.absolute",
-                "total variation to the half-normal at n=64",
-                rows[64].tv,
-                0.05,
-                note="tv(64) ~ 0.56/sqrt(64) = 0.07 for centered unit-variance "
-                "steps; the pinned 0.05 sits below the n=64 asymptote",
-            )
-        )
-        summary = state.simulation(name, 64)
-        walk = state.walk(name)
-        _, tv_hist = mc.empirical_compare(summary, walk)
-        allowance = mc.binning_allowance(walk, 64, summary.bin_edges, summary.samples)
-        out.append(
-            _le(
-                f"acceptance.tv_endpoint.{name}.simulation",
-                "histogram-vs-grid-law total variation",
-                tv_hist,
-                0.01 + allowance,
-            )
-        )
-    return out
+    rows = {r.n: r for r in state.curves}
+    if 64 not in rows:
+        return []
+    summary = state.simulation(64)
+    walk = state.walk
+    _, tv_hist = mc.empirical_compare(summary, walk)
+    allowance = mc.binning_allowance(walk, 64, summary.bin_edges, summary.samples)
+    return [
+        _le(
+            f"acceptance.tv_endpoint.{state.name}.absolute",
+            "total variation to the half-normal at n=64",
+            rows[64].tv,
+            0.05,
+            note="tv(64) ~ 0.56/sqrt(64) = 0.07 for centered unit-variance "
+            "steps; the pinned 0.05 sits below the n=64 asymptote",
+        ),
+        _le(
+            f"acceptance.tv_endpoint.{state.name}.simulation",
+            "histogram-vs-grid-law total variation",
+            tv_hist,
+            0.01 + allowance,
+        ),
+    ]
 
 
 def check_second_moment(state: SuiteState) -> list[CheckResult]:
-    out = []
-    for name in state.config.specs:
-        walk = state.walk(name)
-        star = gr.rescale_sqrt(walk.max_laws[64], 64)
-        grid_m2 = gr.moment(star, 2, "positive")
-        out.append(
-            _le(
-                f"acceptance.second_moment.{name}.absolute",
-                "|E(max^+/sqrt(n))^2 - 1| at n=64",
-                abs(grid_m2 - 1.0),
-                0.1,
-                note="the true value is 1 - c/sqrt(n) with c ~ 0.93; at n=64 "
-                "the deviation is ~0.107, confirmed by series and simulation",
-            )
-        )
-        series_m2 = wk.spitzer_second_moment(walk, 64) / 64.0
-        out.append(
-            _le(
-                f"acceptance.second_moment.{name}.series_gap",
-                "|grid moment - generating-series moment|",
-                abs(grid_m2 - series_m2),
-                1e-3,
-            )
-        )
-        summary = state.simulation(name, 64)
-        x = walk.grid.centers()
-        w = gr._halfline_weights(walk.grid, "positive")
-        m4 = float(np.sum(w * x**4 * star.values))
-        se = math.sqrt(max(m4 - grid_m2**2, 1e-12) / summary.samples)
-        out.append(
-            _le(
-                f"acceptance.second_moment.{name}.simulation_gap",
-                "|grid moment - simulated moment| in standard errors",
-                abs(grid_m2 - summary.m2_plus_hat) / se,
-                4.0,
-            )
-        )
-    return out
+    name, walk = state.name, state.walk
+    star = gr.rescale_sqrt(walk.max_laws[64], 64)
+    grid_m2 = gr.moment(star, 2, "positive")
+    series_m2 = wk.spitzer_second_moment(walk, 64) / 64.0
+    summary = state.simulation(64)
+    x = walk.grid.centers()
+    w = gr._halfline_weights(walk.grid, "positive")
+    m4 = float(np.sum(w * x**4 * star.values))
+    se = math.sqrt(max(m4 - grid_m2**2, 1e-12) / summary.samples)
+    return [
+        _le(
+            f"acceptance.second_moment.{name}.absolute",
+            "|E(max^+/sqrt(n))^2 - 1| at n=64",
+            abs(grid_m2 - 1.0),
+            0.1,
+            note="the true value is 1 - c/sqrt(n) with c ~ 0.93; at n=64 "
+            "the deviation is ~0.107, confirmed by series and simulation",
+        ),
+        _le(
+            f"acceptance.second_moment.{name}.series_gap",
+            "|grid moment - generating-series moment|",
+            abs(grid_m2 - series_m2),
+            1e-3,
+        ),
+        _le(
+            f"acceptance.second_moment.{name}.simulation_gap",
+            "|grid moment - simulated moment| in standard errors",
+            abs(grid_m2 - summary.m2_plus_hat) / se,
+            4.0,
+        ),
+    ]
 
 
 def check_pinsker(state: SuiteState) -> list[CheckResult]:
-    out = []
-    for name in state.config.specs:
-        worst = min(r.pinsker_slack for r in state.curves(name))
-        out.append(
-            _ge(
-                f"acceptance.pinsker.{name}",
-                "min over n of D - tv^2/2 for the conditioned law",
-                worst,
-                -1e-6,
-            )
+    return [
+        _ge(
+            f"acceptance.pinsker.{state.name}",
+            "min over n of D - tv^2/2 for the conditioned law",
+            min(r.pinsker_slack for r in state.curves),
+            -1e-6,
         )
-    return out
+    ]
 
 
 def _random_bump_density(rng: Generator, grid: gr.GridSpec) -> gr.GridDensity:
@@ -359,10 +315,10 @@ def _halfline_probability_density(
     return (1.0 / f.mass) * f
 
 
-def check_entropy_calculus(state: SuiteState) -> list[CheckResult]:
+def check_entropy_calculus(config: RunConfig) -> list[CheckResult]:
     """Randomized functional identities and inequalities of the half-line
     relative entropy calculus, over 25 random pairs of functions."""
-    rng = Generator(Philox(key=state.config.seed + 0x1E77A))
+    rng = Generator(Philox(key=config.seed + 0x1E77A))
     grid = gr.GridSpec(x_min=-(2**16) * 8.0 / 2**16, step=2.0 * 8.0 / 2**17, count=2**17)
     psi = en.half_normal()
     scaling_gap = 0.0
@@ -426,111 +382,102 @@ def check_entropy_calculus(state: SuiteState) -> list[CheckResult]:
 
 
 def check_conditioning_identity(state: SuiteState) -> list[CheckResult]:
-    out = []
-    for name in state.config.specs:
-        worst = 0.0
-        for r in state.curves(name):
-            ident = (1.0 - r.Fbar0) * r.D_plus + en.L(1.0 - r.Fbar0)
-            worst = max(worst, abs(r.D - ident))
-        out.append(
-            _le(
-                f"acceptance.conditioning_identity.{name}",
-                "max row gap of D = (1-F) D_plus + L(1-F)",
-                worst,
-                1e-6,
-            )
+    worst = max(
+        abs(r.D - ((1.0 - r.Fbar0) * r.D_plus + en.L(1.0 - r.Fbar0))) for r in state.curves
+    )
+    return [
+        _le(
+            f"acceptance.conditioning_identity.{state.name}",
+            "max row gap of D = (1-F) D_plus + L(1-F)",
+            worst,
+            1e-6,
         )
-    return out
+    ]
 
 
 def check_neg_tail_asymptotics(state: SuiteState) -> list[CheckResult]:
     out = []
-    c = state.config
-    for name in c.specs:
-        walk = state.walk(name)
-        if c.n_max >= 64:
-            a64 = float(walk.neg_moment1[64])
-            out.append(
-                _le(
-                    f"acceptance.neg_tail.{name}.mean",
-                    "|neg-tail mean * sqrt(2 pi 64) + 1|",
-                    abs(a64 * math.sqrt(2.0 * math.pi * 64.0) + 1.0),
-                    0.05,
-                )
+    n_max, name, walk = state.config.n_max, state.name, state.walk
+    if n_max >= 64:
+        a64 = float(walk.neg_moment1[64])
+        out.append(
+            _le(
+                f"acceptance.neg_tail.{name}.mean",
+                "|neg-tail mean * sqrt(2 pi 64) + 1|",
+                abs(a64 * math.sqrt(2.0 * math.pi * 64.0) + 1.0),
+                0.05,
             )
-            out.append(
-                _le(
-                    f"acceptance.neg_tail.{name}.second",
-                    "neg-tail second moment halves from n=4 to n=64",
-                    float(walk.neg_moment2[64]),
-                    0.5 * float(walk.neg_moment2[4]),
-                )
+        )
+        out.append(
+            _le(
+                f"acceptance.neg_tail.{name}.second",
+                "neg-tail second moment halves from n=4 to n=64",
+                float(walk.neg_moment2[64]),
+                0.5 * float(walk.neg_moment2[4]),
             )
-        ns = range(4, c.n_max + 1)
-        if c.n_max >= 4:
-            scaled = [float(walk.nonpos_prob[n]) * math.sqrt(n) for n in ns]
-            out.append(
-                _ge(
-                    f"acceptance.neg_tail.{name}.nonpos_low",
-                    "min of sqrt(n) P(max<=0) over 4<=n<=n_max",
-                    min(scaled),
-                    0.2,
-                )
-            )
-            out.append(
-                _le(
-                    f"acceptance.neg_tail.{name}.nonpos_high",
-                    "max of sqrt(n) P(max<=0) over 4<=n<=n_max",
-                    max(scaled),
-                    1.0,
-                )
-            )
-        t = np.linspace(-5.0, 5.0, 401)
-        worst = math.inf
-        for k in range(1, min(64, c.n_max) + 1):
-            slacks = cf.transform_bound_slacks(walk, k, t)
-            worst = min(worst, min(slacks.values()))
+        )
+    if n_max >= 4:
+        scaled = [float(walk.nonpos_prob[n]) * math.sqrt(n) for n in range(4, n_max + 1)]
         out.append(
             _ge(
-                f"acceptance.neg_tail.{name}.transform_bounds",
-                "min slack of the six negative-tail transform bounds, k <= 64",
-                worst,
-                -1e-8,
+                f"acceptance.neg_tail.{name}.nonpos_low",
+                "min of sqrt(n) P(max<=0) over 4<=n<=n_max",
+                min(scaled),
+                0.2,
+            )
+        )
+        out.append(
+            _le(
+                f"acceptance.neg_tail.{name}.nonpos_high",
+                "max of sqrt(n) P(max<=0) over 4<=n<=n_max",
+                max(scaled),
+                1.0,
+            )
+        )
+    t = np.linspace(-5.0, 5.0, 401)
+    worst = math.inf
+    for k in range(1, min(64, n_max) + 1):
+        slacks = cf.transform_bound_slacks(walk, k, t)
+        worst = min(worst, min(slacks.values()))
+    out.append(
+        _ge(
+            f"acceptance.neg_tail.{name}.transform_bounds",
+            "min slack of the six negative-tail transform bounds, k <= 64",
+            worst,
+            -1e-8,
+        )
+    )
+    return out
+
+
+def check_charfn_convergence(state: SuiteState) -> list[CheckResult]:
+    name, t_window = state.name, state.config.t_window
+    d8 = cf.charfn_convergence_report(state.walk, 8, t_window)
+    d64 = cf.charfn_convergence_report(state.walk, 64, t_window)
+    out = [
+        _le(
+            f"acceptance.charfn_convergence.{name}.d{j}",
+            f"order-{j} transform deviation halves from n=8 to n=64",
+            d64[j],
+            0.5 * d8[j],
+        )
+        for j in range(3)
+    ]
+    if name == "gaussian":
+        out.append(
+            _le(
+                "acceptance.charfn_convergence.gaussian.absolute",
+                "transform deviation d0 at n=64",
+                d64[0],
+                0.05,
+                note="the measured deviation ~0.08 is the honest size of the "
+                "1/sqrt(n) term at n=64 (simulation-confirmed law)",
             )
         )
     return out
 
 
-def check_charfn_convergence(state: SuiteState) -> list[CheckResult]:
-    out = []
-    for name in state.config.specs:
-        walk = state.walk(name)
-        d8 = cf.charfn_convergence_report(walk, 8, state.config.t_window)
-        d64 = cf.charfn_convergence_report(walk, 64, state.config.t_window)
-        for j in range(3):
-            out.append(
-                _le(
-                    f"acceptance.charfn_convergence.{name}.d{j}",
-                    f"order-{j} transform deviation halves from n=8 to n=64",
-                    d64[j],
-                    0.5 * d8[j],
-                )
-            )
-        if name == "gaussian":
-            out.append(
-                _le(
-                    "acceptance.charfn_convergence.gaussian.absolute",
-                    "transform deviation d0 at n=64",
-                    d64[0],
-                    0.05,
-                    note="the measured deviation ~0.08 is the honest size of the "
-                    "1/sqrt(n) term at n=64 (simulation-confirmed law)",
-                )
-            )
-    return out
-
-
-def check_half_normal_transform(state: SuiteState) -> list[CheckResult]:
+def check_half_normal_transform(config: RunConfig) -> list[CheckResult]:
     t = np.linspace(-5.0, 5.0, 501)
     base = cf.half_normal_charfn(t)
     worst = 0.0
@@ -562,196 +509,120 @@ def check_half_normal_transform(state: SuiteState) -> list[CheckResult]:
 
 def check_local_limit(state: SuiteState) -> list[CheckResult]:
     out = []
-    for name in state.config.specs:
-        walk = state.walk(name)
-        table = state.table(name)
-        rows = {r.n: r for r in state.curves(name)}
-        if state.spec(name).bounded_density and 8 in rows and 64 in rows:
-            out.append(
-                _le(
-                    f"acceptance.local_limit.{name}.bounded_residual",
-                    "weighted sup residual halves from n=8 to n=64",
-                    rows[64].alesh,
-                    0.5 * rows[8].alesh,
-                )
-            )
-        if 8 in rows and 64 in rows:
-            out.append(
-                _le(
-                    f"acceptance.local_limit.{name}.split_residual",
-                    "split-route weighted sup residual halves from n=8 to n=64",
-                    rows[64].local_a,
-                    0.5 * rows[8].local_a,
-                )
-            )
-        ns = state.diag_ns()
-        splits = list(state.splits(name, ns).values())
-        recon_worst = max(s.reconstruction_gap / (s.n * 1e-8) for s in splits)
-        smooth_gaps = dc.smooth_split_identity_gaps(table, walk, splits)
-        smooth_worst = max(gap / (n * 1e-8) for n, gap in smooth_gaps.items())
-        rbar1 = {}
-        rbar2 = {}
-        x2r = {}
-        x = walk.grid.centers()
-        w = gr._halfline_weights(walk.grid, "positive")
-        for split in splits:
-            n = split.n
-            r1 = gr.rescale_sqrt(split.remainder_pos, n)
-            r2 = gr.rescale_sqrt(split.remainder_neg, n)
-            rbar1[n] = gr.halfline_l1(r1, "positive")
-            rbar2[n] = gr.halfline_l1(r2, "positive")
-            x2r[n] = float(np.sum(w * x * x * np.abs(r1.values)))
+    name, walk = state.name, state.walk
+    rows = {r.n: r for r in state.curves}
+    if state.spec.bounded_density and 8 in rows and 64 in rows:
         out.append(
             _le(
-                f"acceptance.local_limit.{name}.reconstruction",
-                "split reconstruction gap in units of n*1e-8",
-                recon_worst,
-                1.0,
+                f"acceptance.local_limit.{name}.bounded_residual",
+                "weighted sup residual halves from n=8 to n=64",
+                rows[64].alesh,
+                0.5 * rows[8].alesh,
             )
         )
+    if 8 in rows and 64 in rows:
         out.append(
             _le(
-                f"acceptance.local_limit.{name}.smooth_identity",
-                "smooth-part identity gap in units of n*1e-8",
-                smooth_worst,
-                1.0,
+                f"acceptance.local_limit.{name}.split_residual",
+                "split-route weighted sup residual halves from n=8 to n=64",
+                rows[64].local_a,
+                0.5 * rows[8].local_a,
             )
         )
-        rn = {s.n: gr.halfline_l1(s.correction, "positive") for s in splits}
-        out.extend(
-            _envelope_rows(
-                f"acceptance.local_limit.{name}.rn_l1",
-                "correction-term L1 norm obeys C/sqrt(n)",
-                rn,
-                0.5,
+    ns = state.diag_ns()
+    splits = list(state.splits(ns).values())
+    recon_worst = max(s.reconstruction_gap / (s.n * 1e-8) for s in splits)
+    smooth_gaps = dc.smooth_split_identity_gaps(state.table, walk, splits)
+    smooth_worst = max(gap / (n * 1e-8) for n, gap in smooth_gaps.items())
+    rbar1 = {}
+    rbar2 = {}
+    x2r = {}
+    x = walk.grid.centers()
+    w = gr._halfline_weights(walk.grid, "positive")
+    for split in splits:
+        n = split.n
+        r1 = gr.rescale_sqrt(split.remainder_pos, n)
+        r2 = gr.rescale_sqrt(split.remainder_neg, n)
+        rbar1[n] = gr.halfline_l1(r1, "positive")
+        rbar2[n] = gr.halfline_l1(r2, "positive")
+        x2r[n] = float(np.sum(w * x * x * np.abs(r1.values)))
+    out.append(
+        _le(
+            f"acceptance.local_limit.{name}.reconstruction",
+            "split reconstruction gap in units of n*1e-8",
+            recon_worst,
+            1.0,
+        )
+    )
+    out.append(
+        _le(
+            f"acceptance.local_limit.{name}.smooth_identity",
+            "smooth-part identity gap in units of n*1e-8",
+            smooth_worst,
+            1.0,
+        )
+    )
+    rn = {s.n: gr.halfline_l1(s.correction, "positive") for s in splits}
+    prefix = f"acceptance.local_limit.{name}"
+    out += _envelope_rows(f"{prefix}.rn_l1", "correction-term L1 norm obeys C/sqrt(n)", rn, 0.5)
+    out += _envelope_rows(
+        f"{prefix}.remainder_pos_l1", "atom-part remainder L1 obeys C/sqrt(n)", rbar1, 0.5
+    )
+    out += _envelope_rows(
+        f"{prefix}.remainder_neg_l1", "tail-part remainder L1 obeys C/sqrt(n)", rbar2, 0.5
+    )
+    out += _envelope_rows(
+        f"{prefix}.remainder_x2", "x^2-weighted remainder obeys C/n^(3/2)", x2r, 1.5
+    )
+    if len(ns) >= 2:
+        profiles = {s.n: lm.split_local_residual(s) for s in splits}
+        constant = lm.fit_log_error_constant(profiles[ns[0]])
+        if constant < _ZERO_FLOOR:
+            worst_ratio = 0.0
+        else:
+            worst_ratio = max(lm.log_error_ratio(profiles[n], constant) for n in ns[1:])
+        out.append(
+            _le(
+                f"{prefix}.log_error_envelope",
+                "near-origin residual under the fitted logarithmic model",
+                worst_ratio,
+                1.2,
             )
         )
-        out.extend(
-            _envelope_rows(
-                f"acceptance.local_limit.{name}.remainder_pos_l1",
-                "atom-part remainder L1 obeys C/sqrt(n)",
-                rbar1,
-                0.5,
-            )
-        )
-        out.extend(
-            _envelope_rows(
-                f"acceptance.local_limit.{name}.remainder_neg_l1",
-                "tail-part remainder L1 obeys C/sqrt(n)",
-                rbar2,
-                0.5,
-            )
-        )
-        out.extend(
-            _envelope_rows(
-                f"acceptance.local_limit.{name}.remainder_x2",
-                "x^2-weighted remainder obeys C/n^(3/2)",
-                x2r,
-                1.5,
-            )
-        )
-        if len(ns) >= 2:
-            profiles = {s.n: lm.split_local_residual(s) for s in splits}
-            constant = lm.fit_log_error_constant(profiles[ns[0]])
-            if constant < _ZERO_FLOOR:
-                worst_ratio = 0.0
-            else:
-                worst_ratio = max(
-                    lm.log_error_ratio(profiles[n], constant) for n in ns[1:]
-                )
-            out.append(
-                _le(
-                    f"acceptance.local_limit.{name}.log_error_envelope",
-                    "near-origin residual under the fitted logarithmic model",
-                    worst_ratio,
-                    1.2,
-                )
-            )
     return out
 
 
 def check_first_term_split(state: SuiteState) -> list[CheckResult]:
-    out = []
-    for name in state.config.specs:
-        walk = state.walk(name)
-        worst_min = 0.0
-        worst_mass = 0.0
-        for n in range(2, state.config.n_max + 1):
-            rem = wk.spitzer_first_term_split(walk, n)
-            worst_min = min(worst_min, float(rem.values.min()))
-            pos_step, step_mass = gr.restrict(walk.step_density, "positive")
-            expected = (
-                (1.0 - float(walk.nonpos_prob[n]))
-                - float(walk.nonpos_prob[n - 1]) * step_mass
-            )
-            worst_mass = max(worst_mass, abs(rem.mass - expected))
-        out.append(
-            _ge(
-                f"acceptance.first_term_split.{name}.nonnegative",
-                "min cell of the leading-term remainder over n <= n_max",
-                worst_min,
-                -1e-6,
-            )
+    walk = state.walk
+    worst_min = 0.0
+    worst_mass = 0.0
+    for n in range(2, state.config.n_max + 1):
+        rem = wk.spitzer_first_term_split(walk, n)
+        worst_min = min(worst_min, float(rem.values.min()))
+        pos_step, step_mass = gr.restrict(walk.step_density, "positive")
+        expected = (
+            (1.0 - float(walk.nonpos_prob[n]))
+            - float(walk.nonpos_prob[n - 1]) * step_mass
         )
-        out.append(
-            _le(
-                f"acceptance.first_term_split.{name}.mass",
-                "max remainder-mass bookkeeping gap",
-                worst_mass,
-                1e-4,
-            )
-        )
-    return out
-
-
-def check_simulation_agreement(state: SuiteState) -> list[CheckResult]:
-    out = []
-    n = min(64, state.config.n_max)
-    for name in state.config.specs:
-        walk = state.walk(name)
-        summary = state.simulation(name, n)
-        z, tv_hist = mc.empirical_compare(summary, walk)
-        out.append(
-            _le(
-                f"invariant.simulation.{name}.nonpos_z",
-                "z-score of P(max<=0), simulation vs grid law",
-                z,
-                4.0,
-            )
-        )
-        star = gr.rescale_sqrt(walk.max_laws[n], n)
-        mean_grid = gr.moment(star, 1, "all")
-        var = gr.moment(star, 2, "all") - mean_grid**2
-        se = math.sqrt(max(var, 1e-12) / summary.samples)
-        out.append(
-            _le(
-                f"invariant.simulation.{name}.mean_z",
-                "z-score of E(max/sqrt(n)), simulation vs grid law",
-                abs(summary.mean_max_scaled - mean_grid) / se,
-                4.0,
-            )
-        )
-    # bit-reproducibility of the sampler
-    spec = state.spec("gaussian")
-    a = mc.simulate(spec, min(8, state.config.n_max), 10**4, state.config.seed)
-    b = mc.simulate(spec, min(8, state.config.n_max), 10**4, state.config.seed)
-    identical = (
-        mc.summary_json(a) == mc.summary_json(b)
-        and np.array_equal(a.bin_counts, b.bin_counts)
-    )
-    out.append(
+        worst_mass = max(worst_mass, abs(rem.mass - expected))
+    return [
         _ge(
-            "invariant.simulation.reproducible",
-            "identical seed gives a bit-identical summary (1 = yes)",
-            1.0 if identical else 0.0,
-            1.0,
-        )
-    )
-    return out
+            f"acceptance.first_term_split.{state.name}.nonnegative",
+            "min cell of the leading-term remainder over n <= n_max",
+            worst_min,
+            -1e-6,
+        ),
+        _le(
+            f"acceptance.first_term_split.{state.name}.mass",
+            "max remainder-mass bookkeeping gap",
+            worst_mass,
+            1e-4,
+        ),
+    ]
 
 
-def check_density_core(state: SuiteState) -> list[CheckResult]:
-    rng = Generator(Philox(key=state.config.seed + 0xD0))
+def check_density_core(config: RunConfig) -> list[CheckResult]:
+    rng = Generator(Philox(key=config.seed + 0xD0))
     grid = gr.make_working_grid(4, 2**12)
     a = _random_bump_density(rng, grid)
     b = _random_bump_density(rng, grid)
@@ -791,8 +662,8 @@ def check_density_core(state: SuiteState) -> list[CheckResult]:
         )
     )
     small = gr.make_working_grid(1, 2**12)
-    sa = gr.sample_density(state.spec("gaussian"), small)
-    sb = gr.sample_density(state.spec("laplace"), small)
+    sa = gr.sample_density(gr.DistributionSpec("gaussian"), small)
+    sb = gr.sample_density(gr.DistributionSpec("laplace"), small)
     direct = gr.convolve(sa, sb, "direct")
     fast = gr.convolve(sa, sb, "fast")
     tol = 1e-10 * float(sa.values.max()) * float(sb.values.max())
@@ -808,7 +679,7 @@ def check_density_core(state: SuiteState) -> list[CheckResult]:
     # step^2/12-level second moment; the 1e-6 relative contract therefore
     # needs a step below ~3e-3, independent of the walk window
     fine = gr.GridSpec(x_min=-(2**14) * 12.0 / 2**14, step=2.0 * 12.0 / 2**15, count=2**15)
-    law = gr.sample_density(state.spec("gaussian"), fine)
+    law = gr.sample_density(gr.DistributionSpec("gaussian"), fine)
     scaled = gr.rescale_sqrt(law, 9)
     target = gr.moment(law, 2, "all") / 9.0
     out.append(
@@ -822,122 +693,157 @@ def check_density_core(state: SuiteState) -> list[CheckResult]:
     return out
 
 
+def check_simulation_agreement(state: SuiteState) -> list[CheckResult]:
+    n = min(64, state.config.n_max)
+    walk = state.walk
+    summary = state.simulation(n)
+    z, tv_hist = mc.empirical_compare(summary, walk)
+    star = gr.rescale_sqrt(walk.max_laws[n], n)
+    mean_grid = gr.moment(star, 1, "all")
+    var = gr.moment(star, 2, "all") - mean_grid**2
+    se = math.sqrt(max(var, 1e-12) / summary.samples)
+    return [
+        _le(
+            f"invariant.simulation.{state.name}.nonpos_z",
+            "z-score of P(max<=0), simulation vs grid law",
+            z,
+            4.0,
+        ),
+        _le(
+            f"invariant.simulation.{state.name}.mean_z",
+            "z-score of E(max/sqrt(n)), simulation vs grid law",
+            abs(summary.mean_max_scaled - mean_grid) / se,
+            4.0,
+        ),
+    ]
+
+
+def check_simulation_reproducible(config: RunConfig) -> list[CheckResult]:
+    spec = gr.DistributionSpec("gaussian")
+    a = mc.simulate(spec, min(8, config.n_max), 10**4, config.seed)
+    b = mc.simulate(spec, min(8, config.n_max), 10**4, config.seed)
+    identical = (
+        mc.summary_json(a) == mc.summary_json(b)
+        and np.array_equal(a.bin_counts, b.bin_counts)
+    )
+    return [
+        _ge(
+            "invariant.simulation.reproducible",
+            "identical seed gives a bit-identical summary (1 = yes)",
+            1.0 if identical else 0.0,
+            1.0,
+        )
+    ]
+
+
 def check_misc_invariants(state: SuiteState) -> list[CheckResult]:
     out = []
-    c = state.config
-    for name in c.specs:
-        rows = {r.n: r for r in state.curves(name)}
-        if 8 in rows and 64 in rows:
-            for field_name in ("D", "D_plus", "tv"):
-                v8 = abs(getattr(rows[8], field_name))
-                v64 = abs(getattr(rows[64], field_name))
-                out.append(
-                    _le(
-                        f"invariant.limits.{name}.{field_name}_endpoint",
-                        f"|{field_name}| at n=64 below its n=8 value",
-                        v64,
-                        v8,
-                    )
-                )
+    c, name, walk = state.config, state.name, state.walk
+    rows = {r.n: r for r in state.curves}
+    if 8 in rows and 64 in rows:
+        for field_name in ("D", "D_plus", "tv"):
             out.append(
                 _le(
-                    f"invariant.limits.{name}.m2_endpoint",
-                    "|1 - m2_plus| shrinks from n=8 to n=64",
-                    abs(1.0 - rows[64].m2_plus),
-                    abs(1.0 - rows[8].m2_plus),
+                    f"invariant.limits.{name}.{field_name}_endpoint",
+                    f"|{field_name}| at n=64 below its n=8 value",
+                    abs(getattr(rows[64], field_name)),
+                    abs(getattr(rows[8], field_name)),
                 )
             )
-        if 32 in rows:
-            tail_worst = max(r.tail_mass_C for r in state.curves(name) if r.n >= 32)
-            out.append(
-                _le(
-                    f"invariant.limits.{name}.tail_mass",
-                    "x^2 tail mass beyond 4 for n >= 32",
-                    tail_worst,
-                    0.02,
-                )
-            )
-        walk = state.walk(name)
-        table = state.table(name)
-        if c.n_max >= 64:
-            psi = en.half_normal()
-            gaps = {}
-            for n, split in state.splits(name, (8, 64)).items():
-                q_plus = gr.GridDensity(
-                    walk.grid, np.maximum(gr.rescale_sqrt(split.bounded, n).values, 0.0)
-                )
-                star = gr.rescale_sqrt(walk.max_laws[n], n)
-                gaps[n] = abs(
-                    en.relative_entropy(q_plus, psi) - en.relative_entropy(star, psi)
-                )
-            out.append(
-                _le(
-                    f"invariant.decomposition.{name}.entropy_stability",
-                    "entropy gap of the bounded approximation, n=64 vs n=8/3",
-                    gaps[64],
-                    max(gaps[8] / 3.0, _ZERO_FLOOR),
-                )
-            )
-        rho = table.decomp.rho
-        worst_w = max(
-            abs(
-                sum(dc.binomial_log_weight(k, j, rho) for j in range(k + 1)) - 1.0
-            )
-            for k in range(1, min(64, c.n_max) + 1)
-        )
         out.append(
             _le(
-                f"invariant.decomposition.{name}.weight_sums",
-                "max |sum of binomial split weights - 1| over k <= 64",
-                worst_w,
-                1e-12,
+                f"invariant.limits.{name}.m2_endpoint",
+                "|1 - m2_plus| shrinks from n=8 to n=64",
+                abs(1.0 - rows[64].m2_plus),
+                abs(1.0 - rows[8].m2_plus),
             )
         )
-        t = np.linspace(-5.0, 5.0, 201)
-        worst_cf = 0.0
-        routes = cf.nagaev_charfn(walk, {min(8, c.n_max), min(16, c.n_max)}, t)
-        for n, route in routes.items():
-            direct = cf.charfn(walk.max_laws[n], t, 2)
-            for j in range(3):
-                worst_cf = max(
-                    worst_cf, float(np.abs(route.values[j] - direct.values[j]).max())
-                )
+    if 32 in rows:
         out.append(
             _le(
-                f"invariant.charfn.{name}.kernel_route",
-                "transform-side kernel representation matches, n <= 16",
-                worst_cf,
-                1e-4,
+                f"invariant.limits.{name}.tail_mass",
+                "x^2 tail mass beyond 4 for n >= 32",
+                max(r.tail_mass_C for r in state.curves if r.n >= 32),
+                0.02,
             )
         )
-        if c.n_max >= 8:
-            e8 = cf.clt_envelope(walk, 8, c.t_window)
-            e64 = cf.clt_envelope(walk, min(64, c.n_max), c.t_window)
-            if name == "gaussian":
-                out.append(
-                    _le(
-                        "invariant.charfn.gaussian.clt_envelope",
-                        "envelope-weighted transform gap (exact-law case)",
-                        max(e8, e64),
-                        1e-4,
-                    )
+    if c.n_max >= 64:
+        psi = en.half_normal()
+        gaps = {}
+        for n, split in state.splits((8, 64)).items():
+            q_plus = gr.GridDensity(
+                walk.grid, np.maximum(gr.rescale_sqrt(split.bounded, n).values, 0.0)
+            )
+            star = gr.rescale_sqrt(walk.max_laws[n], n)
+            gaps[n] = abs(
+                en.relative_entropy(q_plus, psi) - en.relative_entropy(star, psi)
+            )
+        out.append(
+            _le(
+                f"invariant.decomposition.{name}.entropy_stability",
+                "entropy gap of the bounded approximation, n=64 vs n=8/3",
+                gaps[64],
+                max(gaps[8] / 3.0, _ZERO_FLOOR),
+            )
+        )
+    rho = state.table.decomp.rho
+    worst_w = max(
+        abs(sum(dc.binomial_log_weight(k, j, rho) for j in range(k + 1)) - 1.0)
+        for k in range(1, min(64, c.n_max) + 1)
+    )
+    out.append(
+        _le(
+            f"invariant.decomposition.{name}.weight_sums",
+            "max |sum of binomial split weights - 1| over k <= 64",
+            worst_w,
+            1e-12,
+        )
+    )
+    t = np.linspace(-5.0, 5.0, 201)
+    worst_cf = 0.0
+    routes = cf.nagaev_charfn(walk, {min(8, c.n_max), min(16, c.n_max)}, t)
+    for n, route in routes.items():
+        direct = cf.charfn(walk.max_laws[n], t, 2)
+        for j in range(3):
+            worst_cf = max(
+                worst_cf, float(np.abs(route.values[j] - direct.values[j]).max())
+            )
+    out.append(
+        _le(
+            f"invariant.charfn.{name}.kernel_route",
+            "transform-side kernel representation matches, n <= 16",
+            worst_cf,
+            1e-4,
+        )
+    )
+    if c.n_max >= 8:
+        e8 = cf.clt_envelope(walk, 8, c.t_window)
+        e64 = cf.clt_envelope(walk, min(64, c.n_max), c.t_window)
+        if name == "gaussian":
+            out.append(
+                _le(
+                    "invariant.charfn.gaussian.clt_envelope",
+                    "envelope-weighted transform gap (exact-law case)",
+                    max(e8, e64),
+                    1e-4,
                 )
-            elif c.n_max >= 64:
-                out.append(
-                    _le(
-                        f"invariant.charfn.{name}.clt_envelope_trend",
-                        "envelope-weighted transform gap halves 8 -> 64",
-                        e64,
-                        0.5 * e8,
-                    )
+            )
+        elif c.n_max >= 64:
+            out.append(
+                _le(
+                    f"invariant.charfn.{name}.clt_envelope_trend",
+                    "envelope-weighted transform gap halves 8 -> 64",
+                    e64,
+                    0.5 * e8,
                 )
+            )
     return out
 
 
-def check_determinism(state: SuiteState) -> list[CheckResult]:
-    spec = state.spec("gaussian")
-    n_max = min(16, state.config.n_max)
-    ns = [n for n in state.config.n_list if n <= n_max] or [n_max]
+def check_determinism(config: RunConfig) -> list[CheckResult]:
+    spec = gr.DistributionSpec("gaussian")
+    n_max = min(16, config.n_max)
+    ns = [n for n in config.n_list if n <= n_max] or [n_max]
     g = gr.make_working_grid(n_max, 2**12)
 
     def one_pass() -> str:
@@ -984,39 +890,57 @@ class VerifyReport:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+# (section, check, smallest n_max it needs, per_spec).  A per-spec check takes
+# the SuiteState of one spec and runs once per spec; a spec-free check takes
+# the RunConfig and runs once.  Rows keep this order, specs in config order
+# within a section.
 _SECTIONS = (
-    ("route_equivalence", check_route_equivalence, 1),
-    ("sparre_andersen", check_sparre_andersen, 1),
-    ("entropic_endpoint", check_entropic_endpoint, 64),
-    ("tv_endpoint", check_tv_endpoint, 64),
-    ("second_moment", check_second_moment, 64),
-    ("pinsker", check_pinsker, 1),
-    ("entropy_calculus", check_entropy_calculus, 1),
-    ("conditioning_identity", check_conditioning_identity, 1),
-    ("neg_tail_asymptotics", check_neg_tail_asymptotics, 4),
-    ("charfn_convergence", check_charfn_convergence, 64),
-    ("half_normal_transform", check_half_normal_transform, 1),
-    ("local_limit", check_local_limit, 64),
-    ("first_term_split", check_first_term_split, 2),
-    ("density_core", check_density_core, 1),
-    ("simulation_agreement", check_simulation_agreement, 1),
-    ("misc_invariants", check_misc_invariants, 1),
-    ("determinism", check_determinism, 1),
+    ("route_equivalence", check_route_equivalence, 1, True),
+    ("sparre_andersen", check_sparre_andersen, 1, True),
+    ("entropic_endpoint", check_entropic_endpoint, 64, True),
+    ("tv_endpoint", check_tv_endpoint, 64, True),
+    ("second_moment", check_second_moment, 64, True),
+    ("pinsker", check_pinsker, 1, True),
+    ("entropy_calculus", check_entropy_calculus, 1, False),
+    ("conditioning_identity", check_conditioning_identity, 1, True),
+    ("neg_tail_asymptotics", check_neg_tail_asymptotics, 4, True),
+    ("charfn_convergence", check_charfn_convergence, 64, True),
+    ("half_normal_transform", check_half_normal_transform, 1, False),
+    ("local_limit", check_local_limit, 64, True),
+    ("first_term_split", check_first_term_split, 2, True),
+    ("density_core", check_density_core, 1, False),
+    ("simulation_agreement", check_simulation_agreement, 1, True),
+    ("simulation_reproducible", check_simulation_reproducible, 1, False),
+    ("misc_invariants", check_misc_invariants, 1, True),
+    ("determinism", check_determinism, 1, False),
 )
 
 
 def run_verification(config: RunConfig) -> VerifyReport:
-    """Run every check the configuration can support and time the suite."""
+    """Run every check the configuration can support and time the suite:
+    the per-spec sections on a fresh state for each spec in turn, then the
+    spec-free ones once."""
     start = time.perf_counter()
-    state = SuiteState(config)
     report = VerifyReport(config=config)
-    for name, fn, min_n in _SECTIONS:
+    runnable = []
+    for section in _SECTIONS:
+        name, _, min_n, _ = section
         if config.n_max < min_n:
-            report.skipped.append(
-                {"section": name, "reason": f"needs n_max >= {min_n}"}
-            )
-            continue
-        report.checks.extend(fn(state))
+            report.skipped.append({"section": name, "reason": f"needs n_max >= {min_n}"})
+        else:
+            runnable.append(section)
+    rows = {name: [] for name, *_ in runnable}
+    for spec_name in config.specs:
+        state = SuiteState(config, spec_name)
+        for name, check, _, per_spec in runnable:
+            if per_spec:
+                rows[name] += check(state)
+    del state  # the spec-free sections build grids and walks of their own
+    for name, check, _, per_spec in runnable:
+        if not per_spec:
+            rows[name] = check(config)
+    for section_rows in rows.values():
+        report.checks.extend(section_rows)
     report.runtime_seconds = time.perf_counter() - start
     report.checks.append(
         _le(

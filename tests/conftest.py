@@ -2,15 +2,15 @@ import pytest
 
 import maxwalk as mw
 from maxwalk.config import RunConfig
+from maxwalk.grid import _SPEC_NAMES
 from maxwalk.verify import SuiteState
 
 SEED = 20260809
 
 
 @pytest.fixture(scope="session")
-def acceptance_state() -> SuiteState:
-    """Shared lazily-built walks/tables/curves at the acceptance scale."""
-    cfg = RunConfig(
+def acceptance_config() -> RunConfig:
+    return RunConfig(
         mode="verify",
         n_max=64,
         n_list=(1, 2, 4, 8, 16, 32, 64),
@@ -18,15 +18,21 @@ def acceptance_state() -> SuiteState:
         mc_samples=10**5,
         seed=SEED,
     )
-    return SuiteState(cfg)
 
 
 @pytest.fixture(scope="session")
-def deep_state() -> SuiteState:
-    """Walks to n = 256 on 2^15 cells: the window of make_working_grid(256)
-    is twice as wide, so the cell width equals the acceptance grid's and the
-    n <= 64 laws are the same discretization.  Use only `.walk(name)`;
-    `.curves` would also build the decomposition tables."""
+def acceptance_state(acceptance_config) -> dict[str, SuiteState]:
+    """Shared lazily-built walks/tables/curves at the acceptance scale, one
+    state per spec."""
+    return {name: SuiteState(acceptance_config, name) for name in _SPEC_NAMES}
+
+
+@pytest.fixture(scope="session")
+def deep_state() -> dict[str, SuiteState]:
+    """Walks to n = 256 on 2^15 cells, one state per spec: the window of
+    make_working_grid(256) is twice as wide, so the cell width equals the
+    acceptance grid's and the n <= 64 laws are the same discretization.  Use
+    only `.walk`; `.curves` would also build the decomposition tables."""
     cfg = RunConfig(
         mode="verify",
         n_max=256,
@@ -35,7 +41,7 @@ def deep_state() -> SuiteState:
         mc_samples=10**5,
         seed=SEED,
     )
-    return SuiteState(cfg)
+    return {name: SuiteState(cfg, name) for name in _SPEC_NAMES}
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,9 @@ its red n = 64 rows are exactly the catalogued ones.  test_c14 keeps the red
 set of the full report from growing.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -74,9 +76,9 @@ def endpoint_values(walk, n: int) -> dict[str, float]:
 def same_discretization(acceptance_state, deep_state, name: str) -> list:
     """The deep walk's n = 64 values equal the acceptance curve row, so the
     n = 256 endpoint sits on the discretization the n = 64 rows use."""
-    row = {r.n: r for r in acceptance_state.curves(name)}[64]
+    row = {r.n: r for r in acceptance_state[name].curves}[64]
     pinned = {"D_plus": row.D_plus, "tv": row.tv, "m2": row.m2_plus}
-    deep = endpoint_values(deep_state.walk(name), 64)
+    deep = endpoint_values(deep_state[name].walk, 64)
     return [
         vf._le(
             f"acceptance.deep_grid.{name}.n64_{key}",
@@ -99,6 +101,11 @@ def gaussian_m2_closed_form(n: int) -> float:
     return (n / 2.0 + cross / (2.0 * math.pi)) / n
 
 
+def each(check, states) -> list:
+    """The rows of a per-spec check, spec by spec."""
+    return [row for state in states.values() for row in check(state)]
+
+
 def assert_all(rows) -> None:
     bad = [r for r in rows if not r.passed]
     assert not bad, "; ".join(
@@ -108,17 +115,21 @@ def assert_all(rows) -> None:
 
 
 def test_c01_route_equivalence(acceptance_state):
-    assert_all(report("1 (route equivalence)", vf.check_route_equivalence(acceptance_state)))
+    assert_all(
+        report("1 (route equivalence)", each(vf.check_route_equivalence, acceptance_state))
+    )
 
 
 def test_c02_sparre_andersen(acceptance_state):
-    assert_all(report("2 (combinatorial oracle)", vf.check_sparre_andersen(acceptance_state)))
+    assert_all(
+        report("2 (combinatorial oracle)", each(vf.check_sparre_andersen, acceptance_state))
+    )
 
 
 def test_c03_entropic_endpoint_absolute(acceptance_state):
     rows = [
         r
-        for r in vf.check_entropic_endpoint(acceptance_state)
+        for r in each(vf.check_entropic_endpoint, acceptance_state)
         if r.check_id.endswith("absolute")
     ]
     assert_all(report("3a (entropy endpoint, absolute)", rows))
@@ -127,16 +138,16 @@ def test_c03_entropic_endpoint_absolute(acceptance_state):
 def test_c03_entropic_endpoint_ratio(acceptance_state, deep_state):
     rows = [
         r
-        for r in vf.check_entropic_endpoint(acceptance_state)
+        for r in each(vf.check_entropic_endpoint, acceptance_state)
         if r.check_id.endswith("ratio")
     ]
     # unattainable at n = 64: a Theta(n^-1/2) quantity has ratio -> 8^-1/2 =
     # 0.354 > 1/3 over any 8x range; over 16x (16 -> 256) the limit is 1/4
     expect_catalogued("3b (entropy endpoint, one-third ratio, n = 64 over n = 8)", rows)
     deep = []
-    n = deep_state.config.n_max
-    for name in deep_state.config.specs:
-        walk = deep_state.walk(name)
+    n = deep_state["gaussian"].config.n_max
+    for name, state in deep_state.items():
+        walk = state.walk
         deep += same_discretization(acceptance_state, deep_state, name)
         deep.append(
             vf._le(
@@ -152,21 +163,21 @@ def test_c03_entropic_endpoint_ratio(acceptance_state, deep_state):
 def test_c04_tv_endpoint_absolute(acceptance_state, deep_state):
     rows = [
         r
-        for r in vf.check_tv_endpoint(acceptance_state)
+        for r in each(vf.check_tv_endpoint, acceptance_state)
         if r.check_id.endswith("absolute")
     ]
     # unattainable at n = 64: tv ~ 0.52-0.61/sqrt(n) gives 0.068-0.075 for
     # every step law; 0.05 is crossed only past n ~ 128
     expect_catalogued("4a (total variation endpoint, n = 64)", rows)
     deep = []
-    n = deep_state.config.n_max
-    for name in deep_state.config.specs:
+    n = deep_state["gaussian"].config.n_max
+    for name, state in deep_state.items():
         deep += same_discretization(acceptance_state, deep_state, name)
         deep.append(
             vf._le(
                 f"acceptance.tv_endpoint.{name}.absolute_n{n}",
                 f"total variation to the half-normal at n={n}",
-                endpoint_values(deep_state.walk(name), n)["tv"],
+                endpoint_values(state.walk, n)["tv"],
                 0.05,
             )
         )
@@ -175,9 +186,9 @@ def test_c04_tv_endpoint_absolute(acceptance_state, deep_state):
 
 def test_c04_tv_simulation_agreement(acceptance_state):
     rows = []
-    for name in acceptance_state.config.specs:
-        summary = acceptance_state.simulation(name, 64, samples=10**6)
-        walk = acceptance_state.walk(name)
+    for name, state in acceptance_state.items():
+        summary = state.simulation(64, samples=10**6)
+        walk = state.walk
         _, tv_hist = empirical_compare(summary, walk)
         allowance = binning_allowance(walk, 64, summary.bin_edges, summary.samples)
         rows.append(
@@ -194,21 +205,21 @@ def test_c04_tv_simulation_agreement(acceptance_state):
 def test_c05_second_moment_absolute(acceptance_state, deep_state):
     rows = [
         r
-        for r in vf.check_second_moment(acceptance_state)
+        for r in each(vf.check_second_moment, acceptance_state)
         if r.check_id.endswith("absolute")
     ]
     # unattainable at n = 64: E(max^+/sqrt(n))^2 = 1 - c/sqrt(n), with
     # c = -2 zeta(1/2)/pi ~ 0.93 for the gaussian (the closed form below)
     expect_catalogued("5a (second moment within 0.1 of 1, n = 64)", rows)
     deep = []
-    n = deep_state.config.n_max
-    for name in deep_state.config.specs:
+    n = deep_state["gaussian"].config.n_max
+    for name, state in deep_state.items():
         deep += same_discretization(acceptance_state, deep_state, name)
         deep.append(
             vf._le(
                 f"acceptance.second_moment.{name}.absolute_n{n}",
                 f"|E(max^+/sqrt(n))^2 - 1| at n={n}",
-                abs(endpoint_values(deep_state.walk(name), n)["m2"] - 1.0),
+                abs(endpoint_values(state.walk, n)["m2"] - 1.0),
                 0.1,
             )
         )
@@ -217,7 +228,7 @@ def test_c05_second_moment_absolute(acceptance_state, deep_state):
             vf._le(
                 f"acceptance.second_moment.gaussian.closed_form_n{k}",
                 f"|grid moment - grid-free Spitzer closed form| at n={k}",
-                abs(endpoint_values(deep_state.walk("gaussian"), k)["m2"]
+                abs(endpoint_values(deep_state["gaussian"].walk, k)["m2"]
                     - gaussian_m2_closed_form(k)),
                 1e-3,
             )
@@ -228,12 +239,12 @@ def test_c05_second_moment_absolute(acceptance_state, deep_state):
 def test_c05_second_moment_three_routes(acceptance_state):
     rows = [
         r
-        for r in vf.check_second_moment(acceptance_state)
+        for r in each(vf.check_second_moment, acceptance_state)
         if not r.check_id.endswith("absolute")
     ]
-    for name in acceptance_state.config.specs:
-        walk = acceptance_state.walk(name)
-        summary = acceptance_state.simulation(name, 64, samples=10**6)
+    for name, state in acceptance_state.items():
+        walk = state.walk
+        summary = state.simulation(64, samples=10**6)
         grid_m2 = mw.moment(mw.rescale_sqrt(walk.max_laws[64], 64), 2, "positive")
         x = walk.grid.centers()
         w = np.where(x > 0, walk.grid.step, 0.0)
@@ -252,29 +263,32 @@ def test_c05_second_moment_three_routes(acceptance_state):
 
 
 def test_c06_pinsker(acceptance_state):
-    assert_all(report("6 (entropy-tv inequality)", vf.check_pinsker(acceptance_state)))
+    assert_all(report("6 (entropy-tv inequality)", each(vf.check_pinsker, acceptance_state)))
 
 
-def test_c07_entropy_calculus(acceptance_state):
-    assert_all(report("7 (entropy calculus, randomized)", vf.check_entropy_calculus(acceptance_state)))
+def test_c07_entropy_calculus(acceptance_config):
+    assert_all(
+        report("7 (entropy calculus, randomized)", vf.check_entropy_calculus(acceptance_config))
+    )
 
 
 def test_c08_conditioning_identity(acceptance_state):
     assert_all(
-        report("8 (conditioning identity)", vf.check_conditioning_identity(acceptance_state))
+        report("8 (conditioning identity)", each(vf.check_conditioning_identity, acceptance_state))
     )
 
 
 def test_c09_negative_tail_asymptotics(acceptance_state):
     assert_all(
-        report("9 (negative-tail asymptotics)", vf.check_neg_tail_asymptotics(acceptance_state))
+        report("9 (negative-tail asymptotics)",
+               each(vf.check_neg_tail_asymptotics, acceptance_state))
     )
 
 
 def test_c10_charfn_halving(acceptance_state):
     rows = [
         r
-        for r in vf.check_charfn_convergence(acceptance_state)
+        for r in each(vf.check_charfn_convergence, acceptance_state)
         if not r.check_id.endswith("absolute")
     ]
     assert_all(report("10a (transform deviations halve)", rows))
@@ -283,16 +297,17 @@ def test_c10_charfn_halving(acceptance_state):
 def test_c10_charfn_absolute(acceptance_state, deep_state):
     rows = [
         r
-        for r in vf.check_charfn_convergence(acceptance_state)
+        for r in each(vf.check_charfn_convergence, acceptance_state)
         if r.check_id.endswith("absolute")
     ]
     # unattainable at n = 64: d0(64) ~ 0.079 for the gaussian walk, the same
     # 1/sqrt(n) term on the transform side; d0 halves by n = 256
     expect_catalogued("10b (transform deviation at n=64, absolute)", rows)
     (pinned,) = rows
-    n = deep_state.config.n_max
-    walk = deep_state.walk("gaussian")
-    d64 = mw.charfn_convergence_report(walk, 64, deep_state.config.t_window)
+    n = deep_state["gaussian"].config.n_max
+    walk = deep_state["gaussian"].walk
+    t_window = deep_state["gaussian"].config.t_window
+    d64 = mw.charfn_convergence_report(walk, 64, t_window)
     deep = same_discretization(acceptance_state, deep_state, "gaussian")
     deep.append(
         vf._le(
@@ -306,28 +321,28 @@ def test_c10_charfn_absolute(acceptance_state, deep_state):
         vf._le(
             f"acceptance.charfn_convergence.gaussian.absolute_n{n}",
             f"transform deviation d0 at n={n}",
-            mw.charfn_convergence_report(walk, n, deep_state.config.t_window)[0],
+            mw.charfn_convergence_report(walk, n, t_window)[0],
             0.05,
         )
     )
     assert_all(report(f"10b (transform deviation at n={n}, absolute)", deep))
 
 
-def test_c11_half_normal_transform(acceptance_state):
+def test_c11_half_normal_transform(acceptance_config):
     assert_all(
         report("11 (half-normal transform consistency)",
-               vf.check_half_normal_transform(acceptance_state))
+               vf.check_half_normal_transform(acceptance_config))
     )
 
 
 def test_c12_local_limit(acceptance_state):
-    assert_all(report("12 (local limit machinery)", vf.check_local_limit(acceptance_state)))
+    assert_all(report("12 (local limit machinery)", each(vf.check_local_limit, acceptance_state)))
 
 
 def test_c13_first_term_split(acceptance_state):
     assert_all(
         report("13 (leading-term split nonnegativity)",
-               vf.check_first_term_split(acceptance_state))
+               each(vf.check_first_term_split, acceptance_state))
     )
 
 
@@ -383,3 +398,25 @@ def test_verify_builds_each_split_once(monkeypatch):
         [1, 2, 4, 8, 16], [1, 2, 4, 8, 16], list(cfg.n_list)
     ]
     assert len(batches) == len(by_walk)
+
+
+def test_verify_holds_one_spec_at_a_time(monkeypatch):
+    """verify drops each spec's state before it builds the next spec's walk:
+    whenever a walk is built, no walk built earlier in the run is alive."""
+    built = []
+    original = vf.wk.compute_walk
+
+    def tracking(*args, **kwargs):
+        gc.collect()
+        alive = [ref for ref in built if ref() is not None]
+        assert not alive, f"{len(alive)} earlier walks still alive"
+        walk = original(*args, **kwargs)
+        built.append(weakref.ref(walk))
+        return walk
+
+    monkeypatch.setattr(vf.wk, "compute_walk", tracking)
+    cfg = RunConfig(specs=("gaussian", "laplace", "spike"), n_max=16,
+                    n_list=(1, 2, 4, 8, 16), grid_points=2**12, mc_samples=10**4)
+    vf.run_verification(cfg)
+    # one walk per spec, and the determinism section's two
+    assert len(built) == 5

@@ -84,6 +84,7 @@ _BAD_VALUES = (
     {"n_max": 10**400, "n_list": [1]},
     {"n_max": 128, "n_list": [1], "grid_points": 2**20},
     {"mc_samples": 10**9 + 1},
+    {"specs": ["gaussian", "gaussian"]},
 )
 
 
@@ -96,12 +97,40 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         ("curves", {"n_max": 128, "n_list": [1], "grid_points": 2**20}),
         ("montecarlo", {"mc_samples": 10**9 + 1}),
         ("charfn", {"t_window": 1e300}),  # rejected before any t grid is built
+        ("verify", {"specs": ["gaussian", "gaussian"]}),
     )
     for verb, bad in cases:
         path = write_config(tmp_path, **bad)
         code = main([verb, "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+
+def test_n_list_defaults_to_the_listed_n_up_to_n_max(tmp_path):
+    """A config without n_list reports the curves at 1, 2, 4, ... up to
+    n_max; --nmax replaces a file's n_list the same way."""
+    path = write_config(tmp_path)
+    data = json.loads(path.read_text())
+    del data["n_list"]
+    path.write_text(json.dumps(data))
+    for verb in ("verify", "curves"):
+        assert main([verb, "--config", str(path), "--out", str(tmp_path / verb)]) == 0
+    report = json.loads((tmp_path / "verify" / "verify_report.json").read_text())
+    assert report["config"]["n_list"] == [1, 2, 4]
+
+    def curve_ns(out):
+        rows = (out / "curves_gaussian.csv").read_text().splitlines()[1:]
+        return [int(row.split(",")[0]) for row in rows]
+
+    assert curve_ns(tmp_path / "curves") == [1, 2, 4]
+    path = write_config(tmp_path, n_max=16, n_list=[1, 2, 4, 8, 16])
+    out = tmp_path / "flag"
+    assert main(["curves", "--config", str(path), "--nmax", "2", "--out", str(out)]) == 0
+    assert curve_ns(out) == [1, 2]
+    assert RunConfig(n_max=256, n_list=None).n_list == (1, 2, 4, 8, 16, 32, 64)
+    for bad in ((), (8,)):
+        with pytest.raises(ConfigError):
+            RunConfig(n_max=4, n_list=bad)
 
 
 def test_curves_mode_writes_deterministic_files(tmp_path):

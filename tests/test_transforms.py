@@ -41,7 +41,7 @@ def dense_charfn(f: mw.GridDensity, t: np.ndarray, order: int) -> list[np.ndarra
 
 @pytest.mark.parametrize("name", ["gaussian", "spike"])
 def test_chirp_z_matches_dense_path(acceptance_state, name):
-    walk = acceptance_state.walk(name)
+    walk = acceptance_state[name].walk
     laws = {
         "step": walk.step_density,
         "max64": walk.max_laws[64],
@@ -281,7 +281,7 @@ def test_kernel_route_batch_transforms_each_tail_once(small_grid, monkeypatch):
 
 
 def test_convergence_report_decreases(acceptance_state):
-    w = acceptance_state.walk("gaussian")
+    w = acceptance_state["gaussian"].walk
     d8 = mw.charfn_convergence_report(w, 8)
     d64 = mw.charfn_convergence_report(w, 64)
     for j in range(3):

@@ -172,7 +172,7 @@ def test_one_step_positive_second_moment(gaussian_walk8):
 
 def test_positive_mean_limit(acceptance_state):
     # E(S_k^+)/sqrt(k) approaches 1/sqrt(2 pi); exact for the gaussian walk
-    w = acceptance_state.walk("gaussian")
+    w = acceptance_state["gaussian"].walk
     val = mw.moment(w.sum_laws[64], 1, "positive") / 8.0
     assert val == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), abs=0.02)
 
@@ -180,7 +180,7 @@ def test_positive_mean_limit(acceptance_state):
 def test_second_moment_frozen_value(acceptance_state):
     # frozen from the exact generating-series evaluation, confirmed by
     # simulation: E(max^+/8)^2 = 0.8927 for the gaussian walk at n = 64
-    w = acceptance_state.walk("gaussian")
+    w = acceptance_state["gaussian"].walk
     m2 = mw.moment(mw.rescale_sqrt(w.max_laws[64], 64), 2, "positive")
     assert m2 == pytest.approx(0.89269, abs=2e-3)
     assert mw.spitzer_second_moment(w, 64) / 64.0 == pytest.approx(m2, abs=1e-3)

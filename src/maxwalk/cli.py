@@ -111,7 +111,7 @@ def run_charfn(config: RunConfig, out: Path) -> int:
         _write(out / f"charfn_step_{name}.csv", cf.charfn_csv(cf.charfn(p, t, 2)))
         _write(out / f"charfn_max_{name}_n{n}.csv", cf.charfn_csv(cf.charfn(law, t, 2)))
         decay = cf.charfn_decay_window(p)
-        envelope = cf.gaussian_envelope_window(p, config.t_window)
+        envelope = cf.gaussian_envelope_window(p)
         _write(out / f"charfn_windows_{name}.csv",
                f"decay_window_99,envelope_window\n{decay:.17g},{envelope:.17g}\n")
     return 0

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
-from .grid import _SPEC_NAMES
+from .grid import _SPEC_NAMES, DistributionSpec, GridError
 
 _MODES = ("curves", "verify", "charfn", "montecarlo", "density", "decomp")
 # The n at which the curves are reported unless n_list is given: those up to n_max.
@@ -16,10 +15,6 @@ _DEFAULT_N_LIST = (1, 2, 4, 8, 16, 32, 64)
 _N_MAX_LIMIT = 1024
 _WALK_CELLS_LIMIT = 2**26
 _MC_SAMPLES_LIMIT = 10**9
-# The transform comparisons build t grids of spacing 0.01 (0.01/sqrt(n) for
-# the CLT envelope) over |t| <= t_window; 50 is the range that
-# charfn_decay_window scans.
-_T_WINDOW_LIMIT = 50.0
 
 
 class ConfigError(ValueError):
@@ -30,15 +25,6 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_finite_number(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
 @dataclass(frozen=True)
 class RunConfig:
     mode: str = "verify"
@@ -47,10 +33,6 @@ class RunConfig:
     n_max: int = 64
     n_list: tuple | None = None  # None: the _DEFAULT_N_LIST entries <= n_max
     grid_points: int = 2**14
-    half_width_factor: float = 8.0
-    sigma_pad: float = 1.25
-    decomposition_M: float | None = None
-    t_window: float = 3.0
     mc_samples: int = 100_000
     seed: int = 20260809
     out_dir: str = "out"
@@ -69,12 +51,11 @@ class RunConfig:
         if len(set(self.specs)) != len(self.specs):
             raise ConfigError(f"specs must not repeat a name; got {list(self.specs)!r}")
         object.__setattr__(self, "spec_parameters", tuple(self.spec_parameters))
-        params = self.spec_parameters
-        if params and (len(params) != 4 or not all(map(_is_finite_number, params))):
-            raise ConfigError(
-                "spec_parameters must be empty or four finite numbers "
-                f"(weight, loc1, loc2, var); got {list(params)!r}"
-            )
+        if self.spec_parameters:  # the mixture's; grid checks their format
+            try:
+                DistributionSpec("mixture", self.spec_parameters)
+            except GridError as exc:
+                raise ConfigError(f"spec_parameters: {exc}") from exc
         for key in ("n_max", "grid_points", "mc_samples"):
             if not _is_int(getattr(self, key)):
                 raise ConfigError(f"{key} must be an integer, got {getattr(self, key)!r}")
@@ -99,16 +80,6 @@ class RunConfig:
             raise ConfigError(
                 f"n_max * grid_points must be <= 2^26 (the walk's size), got "
                 f"{self.n_max} * {p}"
-            )
-        for key in ("half_width_factor", "sigma_pad", "t_window", "decomposition_M"):
-            value = getattr(self, key)
-            if key == "decomposition_M" and value is None:
-                continue
-            if not _is_finite_number(value) or value <= 0:
-                raise ConfigError(f"{key} must be a positive finite number, got {value!r}")
-        if self.t_window > _T_WINDOW_LIMIT:
-            raise ConfigError(
-                f"t_window must be <= {_T_WINDOW_LIMIT:g}, got {self.t_window!r}"
             )
         if not 10**4 <= self.mc_samples <= _MC_SAMPLES_LIMIT:
             raise ConfigError(f"mc_samples must lie in [1e4, 1e9], got {self.mc_samples}")

@@ -340,7 +340,7 @@ def split_quality_diagnostics(
         l1 = float(np.sum(w * np.abs(diff.values)))
         x2 = float(np.sum(w * x * x * np.abs(diff.values)))
         qminus = float(np.sum(w * np.maximum(-q_star.values, 0.0)))
-        qsup = halfline_sup(split.bounded, "positive") / math.sqrt(n)
+        qsup = halfline_sup(split.bounded) / math.sqrt(n)
         rows.append(
             DiagnosticsRow(
                 n=n,
@@ -349,7 +349,7 @@ def split_quality_diagnostics(
                 qminus_l1=qminus,
                 qbar_sup_over_sqrtn=qsup,
                 rn_l1=halfline_l1(split.correction, "positive"),
-                rn_sup=halfline_sup(split.correction, "positive"),
+                rn_sup=halfline_sup(split.correction),
             )
         )
     return rows

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 from scipy.special import ndtr
@@ -195,21 +194,15 @@ def differential_entropy(f: GridDensity) -> float:
     return float(-h * np.sum(L(side)) - 0.5 * h * L(2.0 * v[i]))
 
 
-def gaussian_relative_entropy(
-    h_x: float, sigma2: float, tau: float, side: Literal["full", "positive"] = "full"
-) -> float:
-    """Closed form for D(X | tau*Z) (full) or D_+(X | tau*|Z|) (positive).
+def gaussian_relative_entropy(h_x: float, sigma2: float, tau: float) -> float:
+    """Closed form for D(X | tau*Z).
 
     h_x is the differential entropy of X and sigma2 its second moment; the
     expression is minimized over tau at tau = sqrt(sigma2).
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    if side == "full":
-        return -h_x + 0.5 * math.log(2.0 * math.pi * tau * tau) + 0.5 * sigma2 / (tau * tau)
-    if side == "positive":
-        return -h_x + 0.5 * math.log(0.5 * math.pi * tau * tau) + 0.5 * sigma2 / (tau * tau)
-    raise ValueError(f"side must be 'full' or 'positive', got {side!r}")
+    return -h_x + 0.5 * math.log(2.0 * math.pi * tau * tau) + 0.5 * sigma2 / (tau * tau)
 
 
 @dataclass(frozen=True)

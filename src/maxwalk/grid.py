@@ -163,20 +163,15 @@ class HalfLineLaw:
             raise GridError(f"atom + density mass = {total}, expected 1 +- {self.mass_tol}")
 
 
-def make_working_grid(
-    n_max: int,
-    points: int = 2**14,
-    half_width_factor: float = 8.0,
-    sigma_pad: float = 1.25,
-) -> GridSpec:
+def make_working_grid(n_max: int, points: int = 2**14) -> GridSpec:
     """Grid wide enough to hold an n_max-step unit-variance walk.
 
-    Window is +-half_width_factor*sqrt(n_max)*sigma_pad; the grid has a cell
-    centered at 0 and `points` cells (power of two, for fast convolution).
+    Window is +-10*sqrt(n_max); the grid has a cell centered at 0 and
+    `points` cells (power of two, for fast convolution).
     """
     if points < 16 or points & (points - 1):
         raise GridError(f"points must be a power of two >= 16, got {points}")
-    half_width = half_width_factor * math.sqrt(n_max) * sigma_pad
+    half_width = 10.0 * math.sqrt(n_max)
     step = 2.0 * half_width / points
     return GridSpec(x_min=-(points // 2) * step, step=step, count=points)
 
@@ -238,10 +233,12 @@ def _mixture_params(parameters: tuple) -> tuple[float, float, float, float]:
         raise GridError(
             f"mixture takes 4 parameters (weight, loc1, loc2, var), got {len(parameters)}"
         )
+    if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parameters):
+        raise GridError(f"mixture parameters must be numbers, got {parameters}")
     try:
         w, m1, m2, s2 = (float(p) for p in parameters)
-    except (TypeError, ValueError) as exc:
-        raise GridError(f"mixture parameters must be numbers: {exc}") from exc
+    except OverflowError as exc:  # an int beyond the float range
+        raise GridError(f"mixture parameters must be finite: {exc}") from exc
     if not (0.0 < w < 1.0 and s2 > 0.0 and math.isfinite(m1) and math.isfinite(m2)):
         raise GridError(
             f"mixture needs 0 < weight < 1, var > 0 and finite locations; got {parameters}"
@@ -536,14 +533,11 @@ def tv_distance(f: GridDensity, g) -> float:
     return float(0.5 * f.grid.step * np.abs(f.values - g.values).sum())
 
 
-def l1_distance(f: GridDensity, g: GridDensity, side: Side | None = None) -> float:
-    """L1 distance, optionally over one half-line (0-cell split)."""
+def l1_distance(f: GridDensity, g: GridDensity) -> float:
+    """L1 distance between two densities on a common grid."""
     if not f.grid.close_to(g.grid):
         raise GridMismatchError("L1 distance requires a common grid")
-    diff = np.abs(f.values - g.values)
-    if side is None:
-        return float(f.grid.step * diff.sum())
-    return float(np.sum(_halfline_weights(f.grid, side) * diff))
+    return float(f.grid.step * np.abs(f.values - g.values).sum())
 
 
 def halfline_l1(f: GridDensity, side: Side = "positive") -> float:
@@ -551,10 +545,9 @@ def halfline_l1(f: GridDensity, side: Side = "positive") -> float:
     return float(np.sum(_halfline_weights(f.grid, side) * np.abs(f.values)))
 
 
-def halfline_sup(f: GridDensity, side: Side = "positive") -> float:
-    """sup of |f| over one open half-line."""
-    x = f.grid.centers()
-    sel = x > 0 if side == "positive" else x < 0
+def halfline_sup(f: GridDensity) -> float:
+    """sup of |f| over the open positive half-line."""
+    sel = f.grid.centers() > 0
     if not np.any(sel):
         return 0.0
     return float(np.abs(f.values[sel]).max())

@@ -27,9 +27,10 @@ _DRAW_BLOCK = 1 << 14  # uniforms per draw call: the law's temporaries stay in c
 _U_CLIP = 1e-17  # lowest uniform: keeps the lower tails finite (random() is < 1)
 
 
-def default_bins(lo: float = -4.0, hi: float = 8.0, width: float = 0.05) -> np.ndarray:
-    count = int(round((hi - lo) / width))
-    return lo + width * np.arange(count + 1)
+def default_bins(width: float = 0.05) -> np.ndarray:
+    """Histogram edges of the rescaled maximum over [-4, 8]."""
+    count = int(round(12.0 / width))
+    return -4.0 + width * np.arange(count + 1)
 
 
 @dataclass(frozen=True)

@@ -177,15 +177,19 @@ def nagaev_charfn(walk: WalkLaws, ns, t_grid: np.ndarray) -> dict[int, CharFnSam
     return out
 
 
-def charfn_convergence_report(
-    walk: WalkLaws, n: int, t_window: float = 3.0
-) -> tuple[float, float, float]:
+# The |t| range of the transform comparisons with the half-normal and the
+# gaussian limits: a fixed choice of the implementation, not a quantity of
+# the theorems.
+_T_WINDOW = 3.0
+
+
+def charfn_convergence_report(walk: WalkLaws, n: int) -> tuple[float, float, float]:
     """Sup deviations (value, first, second derivative) between the transform
     of the rescaled n-step max law and the half-normal transform, over
-    |t| <= t_window on a grid of spacing 0.01."""
+    |t| <= _T_WINDOW on a grid of spacing 0.01."""
     walk.check_index(n)
-    count = int(round(2 * t_window / 0.01)) + 1
-    t = np.linspace(-t_window, t_window, count)
+    count = int(round(2 * _T_WINDOW / 0.01)) + 1
+    t = np.linspace(-_T_WINDOW, _T_WINDOW, count)
     scaled = rescale_sqrt(walk.max_laws[n], n)
     ours = charfn(scaled, t, 2)
     ref = half_normal_charfn(t)
@@ -194,34 +198,34 @@ def charfn_convergence_report(
     )
 
 
-def gaussian_envelope_window(f: GridDensity, t_cap: float = 3.0) -> float:
+def gaussian_envelope_window(f: GridDensity) -> float:
     """Admissible window for the envelope-weighted transform comparison.
 
     Once |charfn(f)(s)| e^{s^2/4} reaches 1, n-th powers of the transform
     stop contracting under the gaussian envelope weight and the weighted
     comparison carries no information.  The window is 0.9 times the first
-    such s on a grid of spacing 0.005 (capped at t_cap), keeping the edge
-    term strictly contracting in n.
+    such s on a grid of spacing 0.005 (capped at _T_WINDOW), keeping the
+    edge term strictly contracting in n.
     """
     spacing = 0.005
-    s = np.arange(spacing, t_cap + spacing / 2, spacing)
+    s = np.arange(spacing, _T_WINDOW + spacing / 2, spacing)
     vals = np.abs(charfn(f, s, 0).values[0]) * np.exp(s * s / 4.0)
     bad = np.nonzero(vals >= 1.0)[0]
     if len(bad) == 0:
-        return t_cap
-    return float(min(t_cap, max(0.9 * s[bad[0]], spacing)))
+        return _T_WINDOW
+    return float(min(_T_WINDOW, max(0.9 * s[bad[0]], spacing)))
 
 
-def clt_envelope(walk: WalkLaws, n: int, t_window: float = 3.0) -> float:
+def clt_envelope(walk: WalkLaws, n: int) -> float:
     """Gaussian-envelope-weighted sup distance between the n-th transform
     power of the rescaled step law and the standard gaussian transform:
     sup |f^n(t/sqrt(n)) - e^{-t^2/2}| e^{t^2/4} over the admissible window.
 
-    The window is |t| <= min(t_window, W) sqrt(n) with W the
-    gaussian-envelope window of the step transform.
+    The window is |t| <= W sqrt(n) with W the gaussian-envelope window of
+    the step transform (at most _T_WINDOW).
     """
     walk.check_index(n)
-    window = min(t_window, gaussian_envelope_window(walk.step_density, t_cap=t_window))
+    window = gaussian_envelope_window(walk.step_density)
     spacing = 0.01 / math.sqrt(n)
     s = np.arange(0.0, window + spacing / 2, spacing)
     f = charfn(walk.step_density, s, 0).values[0]

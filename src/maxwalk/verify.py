@@ -46,9 +46,9 @@ def _le(check_id: str, desc: str, value: float, threshold: float, note: str = ""
     return CheckResult(check_id, desc, float(value), float(threshold), "<=", ok, note)
 
 
-def _ge(check_id: str, desc: str, value: float, threshold: float, note: str = "") -> CheckResult:
+def _ge(check_id: str, desc: str, value: float, threshold: float) -> CheckResult:
     ok = bool(value >= threshold) and math.isfinite(value)
-    return CheckResult(check_id, desc, float(value), float(threshold), ">=", ok, note)
+    return CheckResult(check_id, desc, float(value), float(threshold), ">=", ok)
 
 
 class SuiteState:
@@ -72,12 +72,12 @@ class SuiteState:
     @cached_property
     def walk(self) -> wk.WalkLaws:
         c = self.config
-        grid = gr.make_working_grid(c.n_max, c.grid_points, c.half_width_factor, c.sigma_pad)
+        grid = gr.make_working_grid(c.n_max, c.grid_points)
         return wk.compute_walk(self.spec, c.n_max, grid)
 
     @cached_property
     def table(self) -> dc.DecompTable:
-        return dc.decomp_powers(self.walk, self.config.decomposition_M)
+        return dc.decomp_powers(self.walk)
 
     def splits(self, ns) -> dict[int, dc.MaxLawSplit]:
         """The max-law splits at every n of ns; the ones not built yet are
@@ -451,9 +451,9 @@ def check_neg_tail_asymptotics(state: SuiteState) -> list[CheckResult]:
 
 
 def check_charfn_convergence(state: SuiteState) -> list[CheckResult]:
-    name, t_window = state.name, state.config.t_window
-    d8 = cf.charfn_convergence_report(state.walk, 8, t_window)
-    d64 = cf.charfn_convergence_report(state.walk, 64, t_window)
+    name = state.name
+    d8 = cf.charfn_convergence_report(state.walk, 8)
+    d64 = cf.charfn_convergence_report(state.walk, 64)
     out = [
         _le(
             f"acceptance.charfn_convergence.{name}.d{j}",
@@ -817,8 +817,8 @@ def check_misc_invariants(state: SuiteState) -> list[CheckResult]:
         )
     )
     if c.n_max >= 8:
-        e8 = cf.clt_envelope(walk, 8, c.t_window)
-        e64 = cf.clt_envelope(walk, min(64, c.n_max), c.t_window)
+        e8 = cf.clt_envelope(walk, 8)
+        e64 = cf.clt_envelope(walk, min(64, c.n_max))
         if name == "gaussian":
             out.append(
                 _le(

@@ -28,23 +28,6 @@ def acceptance_state(acceptance_config) -> dict[str, SuiteState]:
 
 
 @pytest.fixture(scope="session")
-def deep_state() -> dict[str, SuiteState]:
-    """Walks to n = 256 on 2^15 cells, one state per spec: the window of
-    make_working_grid(256) is twice as wide, so the cell width equals the
-    acceptance grid's and the n <= 64 laws are the same discretization.  Use
-    only `.walk`; `.curves` would also build the decomposition tables."""
-    cfg = RunConfig(
-        mode="verify",
-        n_max=256,
-        n_list=(16, 64, 256),
-        grid_points=2**15,
-        mc_samples=10**5,
-        seed=SEED,
-    )
-    return {name: SuiteState(cfg, name) for name in _SPEC_NAMES}
-
-
-@pytest.fixture(scope="session")
 def small_grid() -> mw.GridSpec:
     return mw.make_working_grid(4, 2**12)
 

@@ -25,6 +25,7 @@ import pytest
 import maxwalk as mw
 from maxwalk import verify as vf
 from maxwalk.config import RunConfig
+from maxwalk.grid import _SPEC_NAMES
 from maxwalk.montecarlo import binning_allowance, empirical_compare
 
 KNOWN_UNATTAINABLE = {
@@ -73,12 +74,35 @@ def endpoint_values(walk, n: int) -> dict[str, float]:
     }
 
 
-def same_discretization(acceptance_state, deep_state, name: str) -> list:
+DEEP_N = 256
+
+
+def _deep_values(name: str) -> dict:
+    """endpoint_values of one spec's walk to DEEP_N at n = 16, 64 and DEEP_N,
+    and for the gaussian the transform deviation d0 at 64 and DEEP_N.  The
+    walk is local, so it is freed when this returns."""
+    walk = mw.compute_walk(mw.DistributionSpec(name), DEEP_N, mw.make_working_grid(DEEP_N, 2**15))
+    values = {n: endpoint_values(walk, n) for n in (16, 64, DEEP_N)}
+    if name == "gaussian":
+        values["d0"] = {n: mw.charfn_convergence_report(walk, n)[0] for n in (64, DEEP_N)}
+    return values
+
+
+@pytest.fixture(scope="module")
+def deep_values() -> dict[str, dict]:
+    """The deep walks' values, one spec's walk alive at a time.  The walks go
+    to n = 256 on 2^15 cells: the window of make_working_grid(256) is twice
+    as wide, so the cell width equals the acceptance grid's and the n <= 64
+    laws are the same discretization."""
+    return {name: _deep_values(name) for name in _SPEC_NAMES}
+
+
+def same_discretization(acceptance_state, deep_values, name: str) -> list:
     """The deep walk's n = 64 values equal the acceptance curve row, so the
     n = 256 endpoint sits on the discretization the n = 64 rows use."""
     row = {r.n: r for r in acceptance_state[name].curves}[64]
     pinned = {"D_plus": row.D_plus, "tv": row.tv, "m2": row.m2_plus}
-    deep = endpoint_values(deep_state[name].walk, 64)
+    deep = deep_values[name][64]
     return [
         vf._le(
             f"acceptance.deep_grid.{name}.n64_{key}",
@@ -135,7 +159,7 @@ def test_c03_entropic_endpoint_absolute(acceptance_state):
     assert_all(report("3a (entropy endpoint, absolute)", rows))
 
 
-def test_c03_entropic_endpoint_ratio(acceptance_state, deep_state):
+def test_c03_entropic_endpoint_ratio(acceptance_state, deep_values):
     rows = [
         r
         for r in each(vf.check_entropic_endpoint, acceptance_state)
@@ -145,22 +169,21 @@ def test_c03_entropic_endpoint_ratio(acceptance_state, deep_state):
     # 0.354 > 1/3 over any 8x range; over 16x (16 -> 256) the limit is 1/4
     expect_catalogued("3b (entropy endpoint, one-third ratio, n = 64 over n = 8)", rows)
     deep = []
-    n = deep_state["gaussian"].config.n_max
-    for name, state in deep_state.items():
-        walk = state.walk
-        deep += same_discretization(acceptance_state, deep_state, name)
+    n = DEEP_N
+    for name, values in deep_values.items():
+        deep += same_discretization(acceptance_state, deep_values, name)
         deep.append(
             vf._le(
                 f"acceptance.entropic_endpoint.{name}.ratio_n{n}",
                 f"D_plus({n}) / D_plus(16)",
-                endpoint_values(walk, n)["D_plus"] / endpoint_values(walk, 16)["D_plus"],
+                values[n]["D_plus"] / values[16]["D_plus"],
                 1.0 / 3.0,
             )
         )
     assert_all(report(f"3b (entropy endpoint, one-third ratio, n = {n} over n = 16)", deep))
 
 
-def test_c04_tv_endpoint_absolute(acceptance_state, deep_state):
+def test_c04_tv_endpoint_absolute(acceptance_state, deep_values):
     rows = [
         r
         for r in each(vf.check_tv_endpoint, acceptance_state)
@@ -170,14 +193,14 @@ def test_c04_tv_endpoint_absolute(acceptance_state, deep_state):
     # every step law; 0.05 is crossed only past n ~ 128
     expect_catalogued("4a (total variation endpoint, n = 64)", rows)
     deep = []
-    n = deep_state["gaussian"].config.n_max
-    for name, state in deep_state.items():
-        deep += same_discretization(acceptance_state, deep_state, name)
+    n = DEEP_N
+    for name, values in deep_values.items():
+        deep += same_discretization(acceptance_state, deep_values, name)
         deep.append(
             vf._le(
                 f"acceptance.tv_endpoint.{name}.absolute_n{n}",
                 f"total variation to the half-normal at n={n}",
-                endpoint_values(state.walk, n)["tv"],
+                values[n]["tv"],
                 0.05,
             )
         )
@@ -202,7 +225,7 @@ def test_c04_tv_simulation_agreement(acceptance_state):
     assert_all(report("4b (simulation TV agreement, 1e6 samples)", rows))
 
 
-def test_c05_second_moment_absolute(acceptance_state, deep_state):
+def test_c05_second_moment_absolute(acceptance_state, deep_values):
     rows = [
         r
         for r in each(vf.check_second_moment, acceptance_state)
@@ -212,14 +235,14 @@ def test_c05_second_moment_absolute(acceptance_state, deep_state):
     # c = -2 zeta(1/2)/pi ~ 0.93 for the gaussian (the closed form below)
     expect_catalogued("5a (second moment within 0.1 of 1, n = 64)", rows)
     deep = []
-    n = deep_state["gaussian"].config.n_max
-    for name, state in deep_state.items():
-        deep += same_discretization(acceptance_state, deep_state, name)
+    n = DEEP_N
+    for name, values in deep_values.items():
+        deep += same_discretization(acceptance_state, deep_values, name)
         deep.append(
             vf._le(
                 f"acceptance.second_moment.{name}.absolute_n{n}",
                 f"|E(max^+/sqrt(n))^2 - 1| at n={n}",
-                abs(endpoint_values(state.walk, n)["m2"] - 1.0),
+                abs(values[n]["m2"] - 1.0),
                 0.1,
             )
         )
@@ -228,8 +251,7 @@ def test_c05_second_moment_absolute(acceptance_state, deep_state):
             vf._le(
                 f"acceptance.second_moment.gaussian.closed_form_n{k}",
                 f"|grid moment - grid-free Spitzer closed form| at n={k}",
-                abs(endpoint_values(deep_state["gaussian"].walk, k)["m2"]
-                    - gaussian_m2_closed_form(k)),
+                abs(deep_values["gaussian"][k]["m2"] - gaussian_m2_closed_form(k)),
                 1e-3,
             )
         )
@@ -294,7 +316,7 @@ def test_c10_charfn_halving(acceptance_state):
     assert_all(report("10a (transform deviations halve)", rows))
 
 
-def test_c10_charfn_absolute(acceptance_state, deep_state):
+def test_c10_charfn_absolute(acceptance_state, deep_values):
     rows = [
         r
         for r in each(vf.check_charfn_convergence, acceptance_state)
@@ -304,16 +326,14 @@ def test_c10_charfn_absolute(acceptance_state, deep_state):
     # 1/sqrt(n) term on the transform side; d0 halves by n = 256
     expect_catalogued("10b (transform deviation at n=64, absolute)", rows)
     (pinned,) = rows
-    n = deep_state["gaussian"].config.n_max
-    walk = deep_state["gaussian"].walk
-    t_window = deep_state["gaussian"].config.t_window
-    d64 = mw.charfn_convergence_report(walk, 64, t_window)
-    deep = same_discretization(acceptance_state, deep_state, "gaussian")
+    n = DEEP_N
+    d0 = deep_values["gaussian"]["d0"]
+    deep = same_discretization(acceptance_state, deep_values, "gaussian")
     deep.append(
         vf._le(
             "acceptance.deep_grid.gaussian.n64_d0",
             "|d0(64) on the deep grid - acceptance row|",
-            abs(d64[0] - pinned.value),
+            abs(d0[64] - pinned.value),
             1e-9,
         )
     )
@@ -321,7 +341,7 @@ def test_c10_charfn_absolute(acceptance_state, deep_state):
         vf._le(
             f"acceptance.charfn_convergence.gaussian.absolute_n{n}",
             f"transform deviation d0 at n={n}",
-            mw.charfn_convergence_report(walk, n, t_window)[0],
+            d0[n],
             0.05,
         )
     )

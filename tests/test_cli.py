@@ -52,9 +52,10 @@ def test_config_validation():
     assert RunConfig(n_max=64, grid_points=2**20).grid_points == 2**20
     assert RunConfig(n_max=1024, n_list=(1,), grid_points=2**16).n_max == 1024
     assert RunConfig(mc_samples=10**9).mc_samples == 10**9
-    assert RunConfig(t_window=50.0).t_window == 50.0
     mix = (0.3, -0.7, 0.3, 0.79)
     assert RunConfig(spec_parameters=mix).spec_parameters == mix
+    with pytest.raises(ConfigError):  # four numbers, but not a standardized mixture
+        RunConfig(specs=("gaussian",), spec_parameters=(0.5, 0, 0, 1.5))
 
 
 # each is a traceback or a silent misreading unless the config rejects it
@@ -72,6 +73,7 @@ _BAD_VALUES = (
     {"spec_parameters": [0.3, -0.7, 0.3, 0.79, 1.0]},
     {"spec_parameters": [0.3, -0.7, 0.3, float("nan")]},
     {"spec_parameters": [True, -0.7, 0.3, 0.79]},
+    {"spec_parameters": ["0.3", "-0.7", "0.3", "0.79"]},
     {"half_width_factor": "a"},
     {"sigma_pad": float("inf")},
     {"t_window": float("nan")},
@@ -104,6 +106,11 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         code = main([verb, "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+    # keys of settings that are no longer configurable, with values they once took
+    for key in ("threads", "half_width_factor", "sigma_pad", "decomposition_M", "t_window"):
+        path = write_config(tmp_path, **{key: 1.0})
+        assert main(["curves", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
 
 
 def test_n_list_defaults_to_the_listed_n_up_to_n_max(tmp_path):

@@ -189,8 +189,8 @@ def test_differential_entropy_closed_forms(fine_grid):
 
 def test_gaussian_closed_form_relent(fine_grid):
     h_z = 0.5 * math.log(2.0 * math.pi * math.e)
-    assert mw.gaussian_relative_entropy(h_z, 1.0, 1.0, "full") == pytest.approx(0.0, abs=1e-12)
-    val = mw.gaussian_relative_entropy(h_z, 1.0, 2.0, "full")
+    assert mw.gaussian_relative_entropy(h_z, 1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
+    val = mw.gaussian_relative_entropy(h_z, 1.0, 2.0)
     assert val == pytest.approx(0.5 * math.log(4.0) + 1.0 / 8.0 - 0.5, abs=1e-12)
     f = mw.sample_density(mw.DistributionSpec("gaussian"), fine_grid)
     assert mw.relative_entropy(f, mw.gaussian(0.0, 4.0)) == pytest.approx(val, abs=1e-4)
@@ -202,7 +202,7 @@ def test_gaussian_closed_form_minimized_at_sigma():
     taus = np.linspace(0.25, 3.0, 1101)
     for sigma in (0.5, 1.0, 2.0):
         h_x = 0.5 * math.log(2.0 * math.pi * math.e * sigma**2)
-        vals = [mw.gaussian_relative_entropy(h_x, sigma**2, t, "full") for t in taus]
+        vals = [mw.gaussian_relative_entropy(h_x, sigma**2, t) for t in taus]
         best = taus[int(np.argmin(vals))]
         assert abs(best - sigma) <= taus[1] - taus[0] + 1e-12
 

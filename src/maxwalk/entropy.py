@@ -8,6 +8,7 @@ underflows.  Cells where the argument vanishes contribute exactly 0
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -110,6 +111,18 @@ def gaussian_positive(mu: float = 0.0, sigma2: float = 1.0) -> ReferenceLaw:
     return ReferenceLaw("gaussian_positive", mu=mu, sigma2=sigma2)
 
 
+@functools.lru_cache(maxsize=8)
+def _support_log_density(grid: GridSpec, ref: ReferenceLaw) -> tuple[int, np.ndarray]:
+    """(start, log psi): the first cell of `grid` inside ref's support (x > 0
+    for a half-line reference) and log psi on the cells from there on,
+    shared read-only between calls."""
+    x = grid.centers()
+    start = 0 if ref.support_lo == -math.inf else int(np.searchsorted(x, 0.0, side="right"))
+    log_psi = ref.log_density(x[start:])
+    log_psi.setflags(write=False)
+    return start, log_psi
+
+
 def relative_entropy(f: GridDensity, ref: ReferenceLaw) -> float:
     """Relative entropy of a nonnegative grid function against a reference
     law: the quadrature of f * (log f - log psi) over ref's support.  Mass of
@@ -137,17 +150,18 @@ def relative_entropy(f: GridDensity, ref: ReferenceLaw) -> float:
         raise ValueError(f"argument density below the -1e-12 floor (min {low:.3e})")
 
     # cells at or below the value floor (negative round-off included)
-    # contribute 0, so the raw values are used where they exceed it
+    # contribute 0, so the raw values are used where they exceed it (all of
+    # them, without masked copies, when no cell is at or below it)
+    start, log_psi = _support_log_density(f.grid, ref)
+    vs = v[start:]
+    if not vs.size or vs.min() > _VALUE_FLOOR:
+        total = float(np.sum(vs * (np.log(vs) - log_psi)) * h)
+    else:
+        pos = vs > _VALUE_FLOOR
+        total = float(np.sum(vs[pos] * (np.log(vs[pos]) - log_psi[pos])) * h)
     if ref.support_lo == -math.inf:
-        mask = v > _VALUE_FLOOR
-        return float(np.sum(v[mask] * (np.log(v[mask]) - ref.log_density(x[mask]))) * h)
+        return total
 
-    above = int(np.searchsorted(x, 0.0, side="right"))  # cells from here on have x > 0
-    vp, xp = v[above:], x[above:]
-    pos = vp > _VALUE_FLOOR
-    total = 0.0
-    if np.any(pos):
-        total += float(np.sum(vp[pos] * (np.log(vp[pos]) - ref.log_density(xp[pos]))) * h)
     i = f.grid.zero_index()
     if i >= 0 and v[i] > _VALUE_FLOOR:
         log_psi0 = float(ref.log_density(np.array([0.0]))[0])

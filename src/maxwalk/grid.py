@@ -65,8 +65,8 @@ class GridSpec:
         return _grid_centers(self)
 
     def edges(self) -> np.ndarray:
-        """count+1 cell edges."""
-        return self.x_min + self.step * (np.arange(self.count + 1) - 0.5)
+        """count+1 cell edges, shared read-only between callers."""
+        return _grid_edges(self)
 
     @property
     def x_max(self) -> float:
@@ -92,6 +92,13 @@ def _grid_centers(grid: GridSpec) -> np.ndarray:
     x = grid.x_min + grid.step * np.arange(grid.count)
     x.setflags(write=False)
     return x
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_edges(grid: GridSpec) -> np.ndarray:
+    e = grid.x_min + grid.step * (np.arange(grid.count + 1) - 0.5)
+    e.setflags(write=False)
+    return e
 
 
 @dataclass(frozen=True)
@@ -396,16 +403,23 @@ def convolve(a: GridDensity, b: GridDensity, mode: ConvMode = "fast") -> GridDen
     if mode != "fast":
         raise ValueError(f"mode must be 'direct' or 'fast', got {mode!r}")
     full = np.zeros(2 * a.grid.count)
-    nz_a = np.flatnonzero(a.values)
-    nz_b = np.flatnonzero(b.values)
-    if nz_a.size and nz_b.size:
-        a0, a1 = nz_a[0], nz_a[-1] + 1
-        b0, b1 = nz_b[0], nz_b[-1] + 1
+    a0, a1 = _support(a.values)
+    b0, b1 = _support(b.values)
+    if a1 and b1:
         length = (a1 - a0) + (b1 - b0) - 1
         size = next_fast_len(length, real=True)
         prod = rfft(a.values[a0:a1], size) * rfft(b.values[b0:b1], size)
         full[a0 + b0 : a0 + b0 + length] = irfft(prod, size)[:length] * a.grid.step
     return _crop(a.grid, full, scale)
+
+
+def _support(v: np.ndarray) -> tuple[int, int]:
+    """[first, last + 1) of the nonzero cells of v, or (0, 0) if none."""
+    nz = v != 0
+    first = int(nz.argmax())
+    if not nz[first]:
+        return 0, 0
+    return first, len(v) - int(nz[::-1].argmax())
 
 
 def spectrum(f: GridDensity) -> np.ndarray:
@@ -464,7 +478,14 @@ def rescale_sqrt(f: GridDensity, n: int) -> GridDensity:
     root = math.sqrt(n)
     edges = f.grid.edges()
     cum = np.concatenate(([0.0], np.cumsum(f.values) * f.grid.step))
-    target = np.interp(root * edges, edges, cum, left=0.0, right=cum[-1])
+    # scaled edges below the window take 0 and those above it the full mass;
+    # only the ones inside need interpolation
+    scaled = root * edges
+    lo, hi = np.searchsorted(scaled, (edges[0], edges[-1]), side="right")
+    target = np.empty_like(scaled)
+    target[:lo] = 0.0
+    target[lo:hi] = np.interp(scaled[lo:hi], edges, cum)
+    target[hi:] = cum[-1]
     return GridDensity(f.grid, np.diff(target) / f.grid.step)
 
 

@@ -2,11 +2,13 @@
 
 Each step is drawn from one uniform by its law's elementwise map
 (`DistributionSpec.inv_cdf`): the inverse CDF for the single laws, the draw
-by component for the mixture, both exact in law.  The uniforms of a chunk go
-through that map in cache-sized blocks, and the steps overwrite them in
-place.  Chunk i uses the base Philox stream jumped i times, so results are
-bit-reproducible for a given (spec, n, samples, seed) and the chunk merge is
-order-independent by construction.
+by component for the mixture, both exact in law.  Walks are drawn in blocks
+of whole rows, about `_DRAW_BLOCK` uniforms each, and only the maxima of the
+walks outlive a block, so memory does not grow with n (for n up to
+`_DRAW_BLOCK`, where a block is one row).  Chunk i of 2^16 walks uses the
+base Philox stream jumped i times and its blocks read that stream in row
+order, so results are bit-reproducible for a given (spec, n, samples, seed)
+and the chunk merge is order-independent by construction.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .grid import DistributionSpec, GridDensity, rescale_sqrt
 from .walk import WalkLaws
 
 _CHUNK = 1 << 16
-_DRAW_BLOCK = 1 << 14  # uniforms per draw call: the law's temporaries stay in cache
+_DRAW_BLOCK = 1 << 14  # uniforms per row block: the block's temporaries stay in cache
 _U_CLIP = 1e-17  # lowest uniform: keeps the lower tails finite (random() is < 1)
 
 
@@ -69,7 +71,14 @@ def simulate(
     seed: int,
     bins: np.ndarray | None = None,
 ) -> EmpiricalSummary:
-    """Simulate the n-step walk maximum, rescaled by sqrt(n)."""
+    """Simulate the n-step walk maximum, rescaled by sqrt(n).
+
+    Each block of max(1, _DRAW_BLOCK // n) rows is filled with uniforms,
+    floored at _U_CLIP, mapped to steps, summed in place along each row and
+    reduced to one maximum per row.  A call holds one block and one chunk's
+    maxima whatever n is, and the summary is bit-identical to drawing each
+    chunk as one (walks, n) matrix.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if samples < 10**4:
@@ -85,18 +94,21 @@ def simulate(
     mean_sum = 0.0
     m2_sum = 0.0
 
+    rows = max(1, _DRAW_BLOCK // n)
+    block = np.empty((rows, n))
     n_chunks = (samples + _CHUNK - 1) // _CHUNK
     done = 0
     for i in range(n_chunks):
         m = min(_CHUNK, samples - done)
         done += m
         rng = Generator(base.jumped(i))
-        steps = rng.random((m, n))
-        np.maximum(steps, _U_CLIP, out=steps)
-        flat = steps.reshape(-1)
-        for a in range(0, flat.size, _DRAW_BLOCK):
-            flat[a : a + _DRAW_BLOCK] = spec.inv_cdf(flat[a : a + _DRAW_BLOCK])
-        walk_max = np.cumsum(steps, axis=1, out=steps).max(axis=1)
+        walk_max = np.empty(m)
+        for r in range(0, m, rows):
+            u = block[: min(rows, m - r)]
+            rng.random(out=u)
+            np.maximum(u, _U_CLIP, out=u)
+            steps = spec.inv_cdf(u)
+            np.cumsum(steps, axis=1, out=steps).max(axis=1, out=walk_max[r : r + len(u)])
         z = walk_max / root_n
         nonpos += int(np.count_nonzero(walk_max <= 0.0))
         mean_sum += float(z.sum())

@@ -299,18 +299,20 @@ def _random_bump_density(rng: Generator, grid: gr.GridSpec) -> gr.GridDensity:
 def _halfline_probability_density(
     rng: Generator, grid: gr.GridSpec, side: str
 ) -> gr.GridDensity:
+    # zero off the open half-line; the bumps are evaluated on it only
     x = grid.centers()
     sign = 1.0 if side == "positive" else -1.0
     v = np.zeros(grid.count)
+    if side == "positive":
+        half = slice(int(np.searchsorted(x, 0.0, side="right")), None)
+    else:
+        half = slice(0, int(np.searchsorted(x, 0.0, side="left")))
+    xs, vs = x[half], v[half]
     for _ in range(int(rng.integers(1, 4))):
         c = sign * rng.uniform(0.8, 3.5)
         s = rng.uniform(0.15, 0.5)
         w = rng.uniform(0.2, 2.0)
-        v += w * np.exp(-((x - c) ** 2) / (2.0 * s * s))
-    if side == "positive":
-        v[x <= 0] = 0.0
-    else:
-        v[x >= 0] = 0.0
+        vs += w * np.exp(-((xs - c) ** 2) / (2.0 * s * s))
     f = gr.GridDensity(grid, v)
     return (1.0 / f.mass) * f
 

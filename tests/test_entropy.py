@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maxwalk as mw
-from maxwalk.entropy import EntropyReport, L
+from maxwalk.entropy import EntropyReport, L, _support_log_density
 
 
 def bump_params(max_bumps: int = 4):
@@ -135,19 +135,39 @@ def _sliced_entropy_inputs(grid: mw.GridSpec) -> dict:
     tails = (x < -11.0) | (x > 5.0)
     v[tails] = -1e-12 * np.abs(np.sin(x[tails]))
     round_off = mw.GridDensity(grid, v)  # tail values in [-1e-12, 0)
+    v = full.values.copy()
+    v[x > 6.0] = 0.0
+    zero_cells = mw.GridDensity(grid, v)  # zero cells on the positive half-line
     return {"full_line": full, "half_line": half, "no_zero_cell": no_zero_cell,
-            "round_off": round_off}
+            "round_off": round_off, "zero_cells": zero_cells}
 
 
-@pytest.mark.parametrize("case", ["full_line", "half_line", "no_zero_cell", "round_off"])
+@pytest.mark.parametrize(
+    "case", ["full_line", "half_line", "no_zero_cell", "round_off", "zero_cells"]
+)
 def test_sliced_relative_entropy_is_bit_identical(fine_grid, case):
+    # full_line and no_zero_cell have every cell above the value floor and
+    # take the branch without masks; zero or negative cells on the support
+    # take the masked one
     f = _sliced_entropy_inputs(fine_grid)[case]
     assert f.grid.zero_index() == (-1 if case == "no_zero_cell" else fine_grid.zero_index())
     assert (f.values.min() < 0.0) == (case == "round_off")
+    assert (f.values.min() > 1e-300) == (case in ("full_line", "no_zero_cell"))
     for ref in (mw.half_normal(), mw.half_normal_scaled(4), mw.gaussian_positive(0.5, 2.0),
                 mw.gaussian(0.3, 2.0)):
         for scaled in (f, 0.5 * f):
             assert mw.relative_entropy(scaled, ref) == masked_relative_entropy(scaled, ref)
+
+
+def test_reference_log_density_cached_read_only(fine_grid):
+    x = fine_grid.centers()
+    for ref, first in ((mw.half_normal(), fine_grid.zero_index() + 1), (mw.gaussian(0.3, 2.0), 0)):
+        start, log_psi = _support_log_density(fine_grid, ref)
+        assert start == first
+        assert _support_log_density(fine_grid, ref)[1] is log_psi
+        assert np.array_equal(log_psi, ref.log_density(x[start:]))
+        with pytest.raises(ValueError):
+            log_psi[0] = 0.0
 
 
 def test_conditioned_gaussian_is_half_normal(fine_grid):

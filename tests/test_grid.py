@@ -10,6 +10,7 @@ from maxwalk.grid import (
     _SPEC_NAMES,
     GridError,
     _mixture_cdf,
+    _support,
     from_spectrum,
     halfline_l1,
     halfline_sup,
@@ -290,6 +291,25 @@ def test_centers_cached_read_only():
         x[0] = 1.0
 
 
+def test_edges_cached_read_only():
+    g = mw.make_working_grid(4, 2**12)
+    e = g.edges()
+    assert mw.GridSpec(g.x_min, g.step, g.count).edges() is e
+    assert np.array_equal(e, g.x_min + g.step * (np.arange(g.count + 1) - 0.5))
+    with pytest.raises(ValueError):
+        e[0] = 1.0
+
+
+def test_support_scan_matches_flatnonzero():
+    # the fast convolve's operand bounds, against np.flatnonzero
+    cases = [np.zeros(9), np.full(9, -0.0), np.eye(9)[0], np.eye(9)[-1], np.eye(9)[4],
+             np.r_[1.0, np.zeros(7), 2.0], np.r_[0.0, 0.0, -1e-300, 0.0, 3.0, 0.0]]
+    for v in cases:
+        nz = np.flatnonzero(v)
+        expected = (int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0)
+        assert _support(v) == expected
+
+
 def test_convolve_mass_multiplicative_signed(small_grid):
     a = mw.sample_density(mw.DistributionSpec("gaussian"), small_grid)
     b = mw.sample_density(mw.DistributionSpec("uniform"), small_grid)
@@ -301,6 +321,19 @@ def test_convolve_mass_multiplicative_signed(small_grid):
 def test_rescale_identity(small_grid):
     f = mw.sample_density(mw.DistributionSpec("laplace"), small_grid)
     assert mw.rescale_sqrt(f, 1) is f
+
+
+@pytest.mark.parametrize("n", [2, 4, 16, 1024])
+def test_rescale_matches_full_length_interp(small_grid, n):
+    # rescale_sqrt interpolates only the scaled edges inside the window; the
+    # oracle interpolates all of them with left/right for those outside
+    v = mw.sample_density(mw.DistributionSpec("laplace"), small_grid).values.copy()
+    v[0] = v[-1] = 1e-4  # mass in the window's edge cells
+    f = mw.GridDensity(small_grid, v)
+    edges = small_grid.edges()
+    cum = np.concatenate(([0.0], np.cumsum(v) * small_grid.step))
+    target = np.interp(math.sqrt(n) * edges, edges, cum, left=0.0, right=cum[-1])
+    assert np.array_equal(mw.rescale_sqrt(f, n).values, np.diff(target) / small_grid.step)
 
 
 def test_rescale_variance_n_to_standard(small_grid):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,12 +109,28 @@ def _one_pass_sums(spec, n, samples, seed):
 
 @pytest.mark.parametrize("name", _SPEC_NAMES)
 def test_blocked_draws_match_one_pass(name):
-    # two chunks, the second ending in a partial draw block
+    # n = 1 and 5: two chunks, the second ending in a partial row block;
+    # n = 300 does not divide the 2^14-uniform block: one chunk whose last
+    # row block is partial
     spec = mw.DistributionSpec(name)
-    samples = _CHUNK + 4464
-    summary = mw.simulate(spec, 5, samples, 99)
-    counts, nonpos, mean, m2 = _one_pass_sums(spec, 5, samples, 99)
-    assert np.array_equal(summary.bin_counts, counts)
-    assert (summary.nonpos_hat, summary.mean_max_scaled, summary.m2_plus_hat) == (
-        nonpos, mean, m2
-    )
+    for n, samples in ((1, _CHUNK + 4464), (5, _CHUNK + 4464), (300, 10**4)):
+        summary = mw.simulate(spec, n, samples, 99)
+        counts, nonpos, mean, m2 = _one_pass_sums(spec, n, samples, 99)
+        assert np.array_equal(summary.bin_counts, counts)
+        assert (summary.nonpos_hat, summary.mean_max_scaled, summary.m2_plus_hat) == (
+            nonpos, mean, m2
+        )
+
+
+@pytest.mark.parametrize("name", ["gaussian", "mixture"])
+def test_simulation_memory_does_not_grow_with_n(name):
+    # one row block and one chunk's maxima, not a (walks, n) step matrix:
+    # about 0.5-1 MiB at n = 1024, where the matrix alone is 78 MiB
+    spec = mw.DistributionSpec(name)
+    tracemalloc.start()
+    try:
+        mw.simulate(spec, 1024, 10**4, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20

@@ -27,7 +27,6 @@ from .decomposition import (
     max_law_splits,
     median_level,
     smooth_part,
-    smooth_part_mass,
     split_quality_diagnostics,
 )
 from .entropy import (
@@ -71,7 +70,6 @@ from .limits import (
     SplitResidual,
     convergence_curves,
     curves_csv,
-    half_normal_tail_x2,
     local_limit_residual,
     split_local_residual,
     tail_mass,

@@ -279,15 +279,6 @@ def smooth_part(table: DecompTable, k: int) -> GridDensity:
     return GridDensity(table.decomp.q1.grid, total)
 
 
-def smooth_part_mass(table: DecompTable, k: int) -> float:
-    """Expected mass of smooth_part: 1 - sum_{j<=2} C(k,j)(1-rho)^j rho^(k-j)."""
-    rho = table.decomp.rho
-    if rho == 0.0:
-        return 1.0
-    head = sum(binomial_log_weight(k, j, rho) for j in range(0, min(2, k) + 1))
-    return 1.0 - head
-
-
 def smooth_split_identity_gaps(
     table: DecompTable, walk: WalkLaws, splits
 ) -> dict[int, float]:

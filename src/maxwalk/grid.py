@@ -394,23 +394,22 @@ def convolve(a: GridDensity, b: GridDensity, mode: ConvMode = "fast") -> GridDen
     The fast mode transforms only each operand's nonzero index range
     [a0, a1) and [b0, b1), padded to a fast length of at least
     (a1 - a0) + (b1 - b0) - 1, and places the product at offset a0 + b0 of
-    the full convolution.
+    the full convolution (`from_spectrum`).
     """
     _require_same_grid(a, b)
     scale = abs(a.mass * b.mass)
     if mode == "direct":
-        return _crop(a.grid, np.convolve(a.values, b.values) * a.grid.step, scale)
+        return _crop(a.grid, np.convolve(a.values, b.values) * a.grid.step, 0, scale)
     if mode != "fast":
         raise ValueError(f"mode must be 'direct' or 'fast', got {mode!r}")
-    full = np.zeros(2 * a.grid.count)
     a0, a1 = _support(a.values)
     b0, b1 = _support(b.values)
-    if a1 and b1:
-        length = (a1 - a0) + (b1 - b0) - 1
-        size = next_fast_len(length, real=True)
-        prod = rfft(a.values[a0:a1], size) * rfft(b.values[b0:b1], size)
-        full[a0 + b0 : a0 + b0 + length] = irfft(prod, size)[:length] * a.grid.step
-    return _crop(a.grid, full, scale)
+    if not (a1 and b1):
+        return zero_density(a.grid)
+    length = (a1 - a0) + (b1 - b0) - 1
+    size = next_fast_len(length, real=True)
+    prod = spectrum(a, size, a0, a1) * spectrum(b, size, b0, b1)
+    return from_spectrum(a.grid, prod, scale, size, a0 + b0, length)
 
 
 def _support(v: np.ndarray) -> tuple[int, int]:
@@ -422,39 +421,71 @@ def _support(v: np.ndarray) -> tuple[int, int]:
     return first, len(v) - int(nz[::-1].argmax())
 
 
-def spectrum(f: GridDensity) -> np.ndarray:
-    """Half spectrum of f zero-padded to twice its cell count.
+def spectrum(
+    f: GridDensity, size: int | None = None, start: int = 0, stop: int | None = None
+) -> np.ndarray:
+    """Half spectrum of f's cells [start, stop), zero-padded to `size` points
+    (default: all cells, at twice the cell count).
 
-    The product of two such spectra is the transform of their linear
-    convolution (no wraparound), and so is any weighted sum of products:
-    `from_spectrum` turns it back into a cropped density.
+    The product of two spectra at one size is the transform of the linear
+    convolution of their cell ranges, without wraparound when `size` is at
+    least that convolution's length (the two range lengths summed, minus
+    one); so is any weighted sum of such products.  `from_spectrum` turns it
+    back into a cropped density.
     """
-    return rfft(f.values, 2 * f.grid.count)
+    values = f.values[start:stop]
+    if size is None:
+        size = 2 * f.grid.count
+    if size < values.size:
+        raise ValueError(f"size {size} is shorter than the {values.size} cells transformed")
+    return rfft(values, size)
 
 
-def from_spectrum(grid: GridSpec, acc: np.ndarray, scale: float) -> GridDensity:
-    """Density whose padded spectrum is `acc`, cropped to the grid window.
+def from_spectrum(
+    grid: GridSpec,
+    acc: np.ndarray,
+    scale: float,
+    size: int | None = None,
+    start: int = 0,
+    length: int | None = None,
+) -> GridDensity:
+    """Density whose spectrum is `acc`, placed in the full convolution and
+    cropped to the grid window.
 
-    `acc` is a product of two `spectrum` values on `grid`, or a weighted sum
-    of such products.  `scale` bounds the operands' total mass product
-    (sum of |w * mass_a * mass_b| over the terms); WindowOverflowError is
-    raised when the mass cropped away exceeds 10 * MASS_TOL * max(1, scale).
-    For nonnegative operands and weights the cropped mass of a sum is the
-    sum of the per-term losses, so the guard on the sum is the guard on
-    every term at once.
+    `acc` is a product of two `spectrum` values on `grid` at `size` points
+    (default twice the cell count), or a weighted sum of such products.  Its
+    inverse transform, cut to the products' `length` (default all `size`
+    points), is the full linear convolution of the whole windows from index
+    `start` on, which is where the products' cell ranges begin (the two
+    range starts summed); the rest of the full convolution is zero.
+
+    `scale` bounds the operands' total mass product (sum of
+    |w * mass_a * mass_b| over the terms); WindowOverflowError is raised
+    when the mass cropped away exceeds 10 * MASS_TOL * max(1, scale).  For
+    nonnegative operands and weights the cropped mass of a sum is the sum of
+    the per-term losses, so the guard on the sum is the guard on every term
+    at once.
     """
-    return _crop(grid, irfft(acc, 2 * grid.count) * grid.step, scale)
+    if size is None:
+        size = 2 * grid.count
+    return _crop(grid, irfft(acc, size)[:length] * grid.step, start, scale)
 
 
-def _crop(grid: GridSpec, full: np.ndarray, scale: float) -> GridDensity:
+def _crop(grid: GridSpec, part: np.ndarray, start: int, scale: float) -> GridDensity:
+    """The grid window of a full convolution whose only nonzero values are
+    `part`, from index `start` on; the kept cells are copied, so the result
+    does not hold `part`."""
     # the full convolution starts at 2*x_min; the window at x_min = -i_zero*step
     offset = grid.zero_index()
     if offset < 0:
         raise GridMismatchError("convolution requires a grid with a cell centered at 0")
-    kept = full[offset : offset + grid.count]
-    lost = grid.step * (
-        np.abs(full[:offset]).sum() + np.abs(full[offset + grid.count :]).sum()
-    )
+    lo = offset - start  # the window's first cell, as an index of part
+    hi = lo + grid.count
+    kept = np.zeros(grid.count)
+    first, last = max(lo, 0), min(hi, part.size)
+    if first < last:
+        kept[first - lo : last - lo] = part[first:last]
+    lost = grid.step * (np.abs(part[: max(lo, 0)]).sum() + np.abs(part[max(hi, 0) :]).sum())
     if lost > 10.0 * MASS_TOL * max(1.0, scale):
         raise WindowOverflowError(
             f"convolution loses mass {lost:.3e} outside the window; "
@@ -489,8 +520,10 @@ def rescale_sqrt(f: GridDensity, n: int) -> GridDensity:
     return GridDensity(f.grid, np.diff(target) / f.grid.step)
 
 
+@functools.lru_cache(maxsize=16)
 def _halfline_weights(grid: GridSpec, side: Side) -> np.ndarray:
-    """Integration weights for one open half-line; the 0-cell counts half."""
+    """Integration weights for one open half-line; the 0-cell counts half.
+    Shared read-only between callers."""
     x = grid.centers()
     h = grid.step
     if side == "positive":
@@ -500,6 +533,7 @@ def _halfline_weights(grid: GridSpec, side: Side) -> np.ndarray:
     i = grid.zero_index()
     if i >= 0:
         w[i] = h / 2.0
+    w.setflags(write=False)
     return w
 
 

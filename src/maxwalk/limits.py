@@ -13,7 +13,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .decomposition import MaxLawSplit, decomp_powers, max_law_splits
 from .entropy import (
@@ -72,15 +71,6 @@ def tail_mass(walk: WalkLaws, n: int) -> float:
     x = walk.grid.centers()
     w = np.where(x > _TAIL_CUTOFF, walk.grid.step, 0.0)
     return float(np.sum(w * x * x * scaled.values))
-
-
-def half_normal_tail_x2(C: float) -> float:
-    """Closed form of the half-normal x^2 tail mass beyond C (the limit of
-    tail_mass): sqrt(2/pi) C e^{-C^2/2} + 2 (1 - Phi(C))."""
-    return float(
-        math.sqrt(2.0 / math.pi) * C * math.exp(-C * C / 2.0)
-        + 2.0 * (1.0 - ndtr(C))
-    )
 
 
 def weighted_sup_residual(density_star: GridDensity, correction: GridDensity) -> float:

@@ -18,14 +18,17 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from .grid import (
     MASS_TOL,
     DistributionSpec,
     GridDensity,
     GridError,
+    GridMismatchError,
     GridSpec,
     HalfLineLaw,
+    _support,
     from_spectrum,
     make_working_grid,
     moment,
@@ -64,11 +67,19 @@ class WalkLaws:
             raise ValueError(f"n must lie in [1, {self.n_max}], got {n}")
 
 
+def _kernel_size(grid: GridSpec) -> int:
+    """FFT length of the kernel pass.  A kernel's negative part lives on
+    cells [0, zero_index]; its linear convolution with a whole window has
+    count + zero_index points, which this length holds without wraparound."""
+    return next_fast_len(grid.count + grid.zero_index(), real=True)
+
+
 class KernelSpectrum(NamedTuple):
     """What a kernel sum needs of the signed Nagaev kernel G_j: its atom at
     0, P(max_j <= 0), which is also the mass of its negative part, and that
-    part's padded spectrum (see grid.spectrum; None for the unit atom,
-    j = 0).  The negative density itself is not held."""
+    part's spectrum at the kernel pass's length (see grid.spectrum and
+    _kernel_size; None for the unit atom, j = 0).  The negative density
+    itself is not held."""
 
     index: int
     atom_at_zero: float
@@ -79,16 +90,19 @@ class KernelSum:
     """Running sum of densities convolved with signed Nagaev kernels:
     sum over terms (G, f, w) of w * (atom * f - f * neg), G = atom - neg.
 
-    Atom terms add in space and convolution terms as products of padded
-    spectra, so the whole sum costs one inverse transform.  Every f and neg
-    is a nonnegative density and every w positive, so the window guard acts
-    on the sum with scale sum |w * mass(f) * mass(neg)| (grid.from_spectrum).
+    Atom terms add in space and convolution terms as products of spectra
+    at the kernel pass's length, which holds a whole window convolved with a
+    negative part on cells [0, zero_index] (_kernel_size), so the whole sum
+    costs one inverse transform at that length.  Every f and neg is a
+    nonnegative density and every w positive, so the window guard acts on
+    the sum with scale sum |w * mass(f) * mass(neg)| (grid.from_spectrum).
     Each accumulator is allocated on its first term; a part without terms is
     the grid's shared zero density.
     """
 
     def __init__(self, grid: GridSpec) -> None:
         self.grid = grid
+        self._size = _kernel_size(grid)
         self._atoms: np.ndarray | None = None
         self._acc: np.ndarray | None = None
         self._scale = 0.0
@@ -96,8 +110,9 @@ class KernelSum:
     def add(
         self, kernel: KernelSpectrum, f: GridDensity, weight: float, f_hat: np.ndarray | None
     ) -> None:
-        """Add w * (G * f), with f_hat the spectrum of f (unused, and may be
-        None, for the unit atom)."""
+        """Add w * (G * f), with f_hat the spectrum of f's whole window at
+        the kernel pass's length (unused, and may be None, for the unit
+        atom)."""
         atoms = (weight * kernel.atom_at_zero) * f.values
         if self._atoms is None:
             self._atoms = atoms
@@ -121,7 +136,8 @@ class KernelSum:
         """The kernels' negative parts alone: sum of w * (f * neg)."""
         if self._acc is None:
             return zero_density(self.grid)
-        return from_spectrum(self.grid, self._acc, self._scale)
+        length = self.grid.count + self.grid.zero_index()
+        return from_spectrum(self.grid, self._acc, self._scale, self._size, 0, length)
 
     def total(self) -> GridDensity:
         return self.atom_part() - self.convolutions()
@@ -132,16 +148,37 @@ def compute_walk(
     n_max: int,
     grid: GridSpec | None = None,
 ) -> WalkLaws:
-    """Build all walk laws up to n_max by the one-step max recursion."""
+    """Build all walk laws up to n_max by the one-step max recursion.
+
+    Each step convolves the step law p with the previous sum law and with
+    the previous max law's positive part.  Each product is transformed at
+    the length its operands' supports need: p over its nonzero cells, the
+    positive part over cells [zero_index, count) and the sum law over the
+    whole window.  p is transformed once for each of the two lengths.
+    """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if grid is None:
         grid = make_working_grid(n_max)
+    zero = grid.zero_index()
+    if zero < 0:
+        raise GridMismatchError("the walk requires a grid with a cell centered at 0")
     p = sample_density(spec, grid)
-    p_hat = spectrum(p)  # every step convolves with p
+    p0, p1 = _support(p.values)
 
-    def convolve_p(f: GridDensity) -> GridDensity:
-        return from_spectrum(grid, p_hat * spectrum(f), abs(p.mass * f.mass))
+    def convolver(start: int):
+        """f -> p * f for densities f that vanish below cell `start`."""
+        length = (grid.count - start) + (p1 - p0) - 1
+        size = next_fast_len(length, real=True)
+        p_hat = spectrum(p, size, p0, p1)
+
+        def convolve_p(f: GridDensity) -> GridDensity:
+            prod = p_hat * spectrum(f, size, start)
+            return from_spectrum(grid, prod, abs(p.mass * f.mass), size, start + p0, length)
+
+        return convolve_p
+
+    convolve_sum, convolve_pos = convolver(0), convolver(zero)
 
     sum_laws: list = [None, p]
     max_laws: list = [None, p]
@@ -157,10 +194,9 @@ def compute_walk(
 
     scalars(1, p)
     for k in range(2, n_max + 1):
-        sum_laws.append(convolve_p(sum_laws[k - 1]))
-        prev = max_laws[k - 1]
-        pos_part, _ = restrict(prev, "positive")
-        nxt = nonpos[k - 1] * p + convolve_p(pos_part)
+        sum_laws.append(convolve_sum(sum_laws[k - 1]))
+        pos_part, _ = restrict(max_laws[k - 1], "positive")
+        nxt = nonpos[k - 1] * p + convolve_pos(pos_part)
         drift = abs(nxt.mass - 1.0)
         if drift > k * MASS_TOL:
             raise GridError(
@@ -189,7 +225,8 @@ def kernel_spectrum(walk: WalkLaws, index: int) -> KernelSpectrum:
         return KernelSpectrum(0, 1.0, None)
     walk.check_index(index)
     neg, _ = restrict(walk.max_laws[index], "negative")
-    return KernelSpectrum(index, float(walk.nonpos_prob[index]), spectrum(neg))
+    neg_hat = spectrum(neg, _kernel_size(walk.grid), 0, walk.grid.zero_index() + 1)
+    return KernelSpectrum(index, float(walk.nonpos_prob[index]), neg_hat)
 
 
 def kernel_sums(walk: WalkLaws, ns, parts):
@@ -197,10 +234,10 @@ def kernel_sums(walk: WalkLaws, ns, parts):
     pass over k = 1..max(ns).
 
     parts(k) gives one (density, weight) term, or None, per sum.  Each term
-    is transformed once and added, with kernel n - k, into its sum for every
-    n >= k of ns.  Yields (n, sums) right after step n.  Each kernel is made
-    on first use and dropped after its last: kernel j serves no step after
-    k = max(ns) - j.
+    is transformed once, at the kernel pass's length, and added, with kernel
+    n - k, into its sum for every n >= k of ns.  Yields (n, sums) right after
+    step n.  Each kernel is made on first use and dropped after its last:
+    kernel j serves no step after k = max(ns) - j.
     """
     ns = sorted(set(ns))
     if not ns:
@@ -208,6 +245,7 @@ def kernel_sums(walk: WalkLaws, ns, parts):
     for n in ns:
         walk.check_index(n)
     top = ns[-1]
+    size = _kernel_size(walk.grid)
     held: dict = {}
     sums: dict = {}
     for k in range(1, top + 1):
@@ -218,7 +256,7 @@ def kernel_sums(walk: WalkLaws, ns, parts):
             if term is None:
                 continue
             f, weight = term
-            f_hat = spectrum(f) if k < top else None  # step top needs kernel 0 only
+            f_hat = spectrum(f, size) if k < top else None  # step top needs kernel 0 only
             for n in ns[bisect_left(ns, k):]:
                 if n - k not in held:
                     held[n - k] = kernel_spectrum(walk, n - k)

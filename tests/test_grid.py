@@ -9,6 +9,7 @@ import maxwalk as mw
 from maxwalk.grid import (
     _SPEC_NAMES,
     GridError,
+    _halfline_weights,
     _mixture_cdf,
     _support,
     from_spectrum,
@@ -134,6 +135,25 @@ def test_trimmed_convolve_matches_direct(small_grid, case):
         fast = mw.convolve(first, second, "fast")
         direct = mw.convolve(first, second, "direct")
         assert np.abs(fast.values - direct.values).max() <= tol
+
+
+def test_cropped_results_own_their_values(small_grid):
+    # the kept window is copied, so no result holds its padded buffer
+    a = mw.sample_density(mw.DistributionSpec("gaussian"), small_grid)
+    b = mw.sample_density(mw.DistributionSpec("laplace"), small_grid)
+    for out in (
+        mw.convolve(a, b, "fast"),
+        mw.convolve(a, b, "direct"),
+        from_spectrum(small_grid, spectrum(a) * spectrum(b), 1.0),
+    ):
+        assert out.values.base is None
+
+
+def test_spectrum_refuses_a_wrapping_size(small_grid):
+    a = mw.sample_density(mw.DistributionSpec("gaussian"), small_grid)
+    assert spectrum(a, 10, 5, 15).size == 6
+    with pytest.raises(ValueError):
+        spectrum(a, 9, 5, 15)
 
 
 def test_convolve_all_zero_operand(small_grid):
@@ -298,6 +318,19 @@ def test_edges_cached_read_only():
     assert np.array_equal(e, g.x_min + g.step * (np.arange(g.count + 1) - 0.5))
     with pytest.raises(ValueError):
         e[0] = 1.0
+
+
+def test_halfline_weights_cached_read_only():
+    g = mw.make_working_grid(4, 2**12)
+    x, h, i = g.centers(), g.step, g.zero_index()
+    for side, inside in (("positive", x > 0), ("negative", x < 0)):
+        w = _halfline_weights(g, side)
+        assert _halfline_weights(mw.GridSpec(g.x_min, g.step, g.count), side) is w
+        expected = np.where(inside, h, 0.0)
+        expected[i] = h / 2.0
+        assert np.array_equal(w, expected)
+        with pytest.raises(ValueError):
+            w[0] = 1.0
 
 
 def test_support_scan_matches_flatnonzero():

@@ -7,7 +7,7 @@ import pytest
 
 import maxwalk as mw
 import maxwalk.walk as wk
-from maxwalk.grid import GridError, zero_density
+from maxwalk.grid import _SPEC_NAMES, GridError, zero_density
 
 
 def test_one_step_is_step_density(gaussian_walk8):
@@ -44,6 +44,33 @@ def test_walk_scalar_invariants(gaussian_walk8):
     assert np.all(np.diff(w.nonpos_prob[1:9]) < 0)  # strictly shrinking here
     _, p_neg = mw.restrict(w.step_density, "negative")
     assert w.nonpos_prob[1] == pytest.approx(p_neg, abs=1e-15)
+
+
+@pytest.mark.parametrize("name", _SPEC_NAMES)
+def test_trimmed_recursion_matches_direct(small_grid, name):
+    # oracle: the same recursion with every product by the dense direct
+    # sum; the walk transforms p over its support, the positive part over
+    # [zero_index, count) and the sum law over the window, each product at
+    # its own fast length
+    n_max = 16
+    w = mw.compute_walk(mw.DistributionSpec(name), n_max, small_grid)
+    p = w.step_density
+    sum_law, max_law = p, p
+    for k in range(2, n_max + 1):
+        sum_law = mw.convolve(p, sum_law, "direct")
+        pos, _ = mw.restrict(max_law, "positive")
+        _, nonpos = mw.restrict(max_law, "negative")
+        max_law = nonpos * p + mw.convolve(p, pos, "direct")
+        for got, expected in ((w.sum_laws[k], sum_law), (w.max_laws[k], max_law)):
+            sup = np.abs(expected.values).max()
+            assert np.abs(got.values - expected.values).max() <= 1e-14 * sup
+
+
+def test_walk_laws_own_their_values(gaussian_walk8):
+    # each cropped product is copied out of its padded transform buffer
+    for k in range(1, 9):
+        for law in (gaussian_walk8.sum_laws[k], gaussian_walk8.max_laws[k]):
+            assert law.values.base is None
 
 
 def test_mass_drift_abort():
@@ -90,7 +117,7 @@ def test_kernel_sums_shares_and_drops_kernels(gaussian_walk8, monkeypatch):
     w = gaussian_walk8
     ns, top = (1, 3, 5, 8), 8
     expected = mw.nagaev_density(w, ns)
-    made, spectra, transformed, given = [], {}, [], {}
+    made, spectra, transformed, given, sizes = [], {}, [], {}, set()
     make_kernel, transform = wk.kernel_spectrum, wk.spectrum
 
     def counting_kernel(walk, index):
@@ -100,9 +127,10 @@ def test_kernel_sums_shares_and_drops_kernels(gaussian_walk8, monkeypatch):
             spectra[index] = weakref.ref(kern.negative_spectrum)
         return kern
 
-    def counting_transform(f):
+    def counting_transform(f, size, *cells):
         transformed.append(f)
-        return transform(f)
+        sizes.add(size)
+        return transform(f, size, *cells)
 
     monkeypatch.setattr(wk, "kernel_spectrum", counting_kernel)
     monkeypatch.setattr(wk, "spectrum", counting_transform)
@@ -125,6 +153,9 @@ def test_kernel_sums_shares_and_drops_kernels(gaussian_walk8, monkeypatch):
     assert sorted(made) == sorted(set(made))  # each kernel made once
     assert set(made) == {n - k for k in range(1, top + 1) for n in ns if n >= k}
     assert all(ref() is None for ref in spectra.values())
+    # every transform of the pass, kernels and parts, at the kernel length
+    assert sizes == {wk._kernel_size(w.grid)}
+    assert wk._kernel_size(w.grid) < 2 * w.grid.count
     # each part transformed once per step, none at the last step (kernel 0 only)
     for k, densities in given.items():
         for f in densities:

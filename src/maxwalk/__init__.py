@@ -34,10 +34,8 @@ from .entropy import (
     L,
     ReferenceLaw,
     conditional_positive_entropy,
-    differential_entropy,
     gaussian,
     gaussian_positive,
-    gaussian_relative_entropy,
     half_normal,
     half_normal_scaled,
     pinsker_check,

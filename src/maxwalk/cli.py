@@ -68,19 +68,19 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
 
 
-def _states(config: RunConfig):
+def _states(config: RunConfig, keep):
     """(name, SuiteState) for each spec in turn, a fresh state each, so only
     one spec's walk and splits are held at a time (the loops below keep no
-    walk or split in a variable that outlives its iteration)."""
-    return ((name, SuiteState(config, name)) for name in config.specs)
+    walk or split in a variable that outlives its iteration).  Each walk
+    holds the full max law only at the n of `keep`, those its runner reads."""
+    return ((name, SuiteState(config, name, keep)) for name in config.specs)
 
 
 def run_curves(config: RunConfig, out: Path) -> int:
-    for name, state in _states(config):
+    for name, state in _states(config, config.n_list):
         rows = state.curves
         _write(out / f"curves_{name}.csv", lm.curves_csv(rows))
         _write(out / f"entropy_{name}.csv", lm.entropy_reports_csv(rows))
@@ -105,7 +105,7 @@ def run_charfn(config: RunConfig, out: Path) -> int:
     n = config.n_max
     _write(out / "charfn_half_normal.csv",
            cf.charfn_csv(cf.half_normal_charfn(t)))
-    for name, state in _states(config):
+    for name, state in _states(config, (n,)):
         p = state.walk.step_density
         law = gr.rescale_sqrt(state.walk.max_laws[n], n)
         _write(out / f"charfn_step_{name}.csv", cf.charfn_csv(cf.charfn(p, t, 2)))
@@ -119,7 +119,7 @@ def run_charfn(config: RunConfig, out: Path) -> int:
 
 def run_montecarlo(config: RunConfig, out: Path) -> int:
     n = config.n_max
-    for name, state in _states(config):
+    for name, state in _states(config, ()):  # builds no walk
         summary = mc.simulate(state.spec, n, config.mc_samples, config.seed)
         _write(out / f"mc_{name}_n{n}.json", mc.summary_json(summary))
         _write(out / f"mc_{name}_n{n}_hist.csv", mc.histogram_csv(summary))
@@ -128,7 +128,7 @@ def run_montecarlo(config: RunConfig, out: Path) -> int:
 
 def run_density(config: RunConfig, out: Path) -> int:
     n = config.n_max
-    for name, state in _states(config):
+    for name, state in _states(config, (n,)):
         law = state.walk.max_laws[n]
         _write(out / f"max_density_{name}_n{n}.csv", gr.density_to_csv(law))
         _write(out / f"max_density_{name}_n{n}_rescaled.csv",
@@ -137,8 +137,8 @@ def run_density(config: RunConfig, out: Path) -> int:
 
 
 def run_decomp(config: RunConfig, out: Path) -> int:
-    for name, state in _states(config):
-        splits = state.splits(state.diag_ns())
+    for name, state in _states(config, config.diag_ns):
+        splits = state.splits(config.diag_ns)
         rows = dc.split_quality_diagnostics(state.walk, list(splits.values()))
         _write(out / f"decomp_{name}.csv", dc.diagnostics_csv(rows))
     return 0
@@ -162,6 +162,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out = Path(config.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: cannot use out_dir {config.out_dir!r}: {exc.strerror}",
+              file=sys.stderr)
+        return 2
     try:
         return _RUNNERS[config.mode](config, out)
     except gr.GridError as exc:

@@ -9,9 +9,10 @@ from .grid import _SPEC_NAMES, DistributionSpec, GridError
 _MODES = ("curves", "verify", "charfn", "montecarlo", "density", "decomp")
 # The n at which the curves are reported unless n_list is given: those up to n_max.
 _DEFAULT_N_LIST = (1, 2, 4, 8, 16, 32, 64)
-# Upper bounds that keep a run's arrays allocatable: the walk holds 2 * n_max
-# densities of grid_points cells each, 1 GiB of float64 at n_max * grid_points
-# = 2^26.
+# Upper bounds that keep a run's arrays allocatable.  The walk holds n_max sum
+# laws of grid_points cells each and a full max law at each n its caller keeps
+# (every n in verify), so up to 2 * n_max densities: 1 GiB of float64 at
+# n_max * grid_points = 2^26.
 _N_MAX_LIMIT = 1024
 _WALK_CELLS_LIMIT = 2**26
 _MC_SAMPLES_LIMIT = 10**9
@@ -23,6 +24,13 @@ class ConfigError(ValueError):
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _as_tuple(key: str, value) -> tuple:
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ConfigError(f"{key} must be a list, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -42,7 +50,7 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if isinstance(self.specs, str):
             object.__setattr__(self, "specs", (self.specs,))
-        object.__setattr__(self, "specs", tuple(self.specs))
+        object.__setattr__(self, "specs", _as_tuple("specs", self.specs))
         for name in self.specs:
             if name not in _SPEC_NAMES:
                 raise ConfigError(f"unknown spec {name!r}; choose from {_SPEC_NAMES}")
@@ -50,7 +58,9 @@ class RunConfig:
             raise ConfigError("at least one spec is required")
         if len(set(self.specs)) != len(self.specs):
             raise ConfigError(f"specs must not repeat a name; got {list(self.specs)!r}")
-        object.__setattr__(self, "spec_parameters", tuple(self.spec_parameters))
+        object.__setattr__(
+            self, "spec_parameters", _as_tuple("spec_parameters", self.spec_parameters)
+        )
         if self.spec_parameters:  # the mixture's; grid checks their format
             try:
                 DistributionSpec("mixture", self.spec_parameters)
@@ -64,7 +74,7 @@ class RunConfig:
         if self.n_list is None:
             n_list = tuple(n for n in _DEFAULT_N_LIST if n <= self.n_max)
         else:
-            n_list = tuple(self.n_list)
+            n_list = _as_tuple("n_list", self.n_list)
         if not n_list:
             raise ConfigError("n_list must not be empty")
         for n in n_list:
@@ -87,6 +97,11 @@ class RunConfig:
             raise ConfigError(f"seed must be an integer in [0, 2^63), got {self.seed!r}")
         if not isinstance(self.out_dir, str):
             raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
+
+    @property
+    def diag_ns(self) -> list[int]:
+        """The n of the split-quality diagnostics (decomp mode and verify)."""
+        return [n for n in (8, 16, 32, 64) if n <= self.n_max] or [self.n_max]
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":

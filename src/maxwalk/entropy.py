@@ -187,38 +187,6 @@ def conditional_positive_entropy(f: GridDensity, ref: ReferenceLaw) -> float:
     return relative_entropy((1.0 / alpha) * f, ref)
 
 
-def differential_entropy(f: GridDensity) -> float:
-    """Shannon differential entropy -integral of L(f).
-
-    A density supported on one half-line (detected by vanishing mass on the
-    other side) gets the boundary-cell rule: the cell at 0 holds the one-sided
-    cell average, i.e. half the one-sided density value.
-    """
-    x = f.grid.centers()
-    v = np.maximum(f.values, 0.0)
-    h = f.grid.step
-    i = f.grid.zero_index()
-    neg_mass = float(np.abs(f.values[x < 0]).sum() * h)
-    pos_mass = float(np.abs(f.values[x > 0]).sum() * h)
-    one_sided = i >= 0 and v[i] > _VALUE_FLOOR and min(neg_mass, pos_mass) <= 1e-12
-    if not one_sided:
-        return float(-h * np.sum(L(v)))
-    side = v.copy()
-    side[i] = 0.0
-    return float(-h * np.sum(L(side)) - 0.5 * h * L(2.0 * v[i]))
-
-
-def gaussian_relative_entropy(h_x: float, sigma2: float, tau: float) -> float:
-    """Closed form for D(X | tau*Z).
-
-    h_x is the differential entropy of X and sigma2 its second moment; the
-    expression is minimized over tau at tau = sqrt(sigma2).
-    """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    return -h_x + 0.5 * math.log(2.0 * math.pi * tau * tau) + 0.5 * sigma2 / (tau * tau)
-
-
 @dataclass(frozen=True)
 class EntropyReport:
     """Relative entropy, total variation, and the Pinsker slack D - tv^2/2."""

@@ -549,10 +549,12 @@ def restrict(f: GridDensity, side: Side) -> tuple[GridDensity, float]:
     x = f.grid.centers()
     v = f.values.copy()
     i = f.grid.zero_index()
+    # the centers ascend: the cells with x < 0 come before the left insertion
+    # point of 0, those with x > 0 from the right one on
     if side == "positive":
-        v[x < 0] = 0.0
+        v[: np.searchsorted(x, 0.0, side="left")] = 0.0
     else:
-        v[x > 0] = 0.0
+        v[np.searchsorted(x, 0.0, side="right") :] = 0.0
     if i >= 0:
         v[i] = f.values[i] / 2.0
     out = GridDensity(f.grid, v)
@@ -602,10 +604,10 @@ def halfline_l1(f: GridDensity, side: Side = "positive") -> float:
 
 def halfline_sup(f: GridDensity) -> float:
     """sup of |f| over the open positive half-line."""
-    sel = f.grid.centers() > 0
-    if not np.any(sel):
+    positive = f.values[np.searchsorted(f.grid.centers(), 0.0, side="right") :]
+    if not positive.size:
         return 0.0
-    return float(np.abs(f.values[sel]).max())
+    return float(np.abs(positive).max())
 
 
 # ---------------------------------------------------------------------------

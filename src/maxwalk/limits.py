@@ -164,13 +164,14 @@ def convergence_curves(
 
     A prebuilt WalkLaws and a mapping n -> MaxLawSplit of that walk (one
     split for every n in n_list) may be passed to share work; otherwise
-    they are built at n_max = max(n_list) on the standard working grid.
+    they are built at n_max = max(n_list) on the standard working grid, with
+    the full max law kept at the n of n_list only.
     """
     n_list = sorted(set(n_list))
     if not n_list or n_list[0] < 1:
         raise ValueError("n_list must contain positive integers")
     if walk is None:
-        walk = compute_walk(spec, n_list[-1])
+        walk = compute_walk(spec, n_list[-1], keep=n_list)
     if splits is None:
         splits = max_law_splits(decomp_powers(walk), walk, n_list)
 

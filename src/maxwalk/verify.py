@@ -56,11 +56,13 @@ class SuiteState:
     max-law splits, convergence curves and simulations.  Each object is
     computed at most once and shared by every check of that spec; a run
     builds one state per spec and drops it before the next, so only one
-    spec's arrays are alive at a time."""
+    spec's arrays are alive at a time.  ``keep`` names the n whose full max
+    law the walk holds (compute_walk; None, as verify needs: every n)."""
 
-    def __init__(self, config: RunConfig, name: str):
+    def __init__(self, config: RunConfig, name: str, keep=None):
         self.config = config
         self.name = name
+        self.keep = keep
         self._splits: dict[int, dc.MaxLawSplit] = {}
         self._mc: dict[tuple[int, int], mc.EmpiricalSummary] = {}
 
@@ -73,7 +75,7 @@ class SuiteState:
     def walk(self) -> wk.WalkLaws:
         c = self.config
         grid = gr.make_working_grid(c.n_max, c.grid_points)
-        return wk.compute_walk(self.spec, c.n_max, grid)
+        return wk.compute_walk(self.spec, c.n_max, grid, self.keep)
 
     @cached_property
     def table(self) -> dc.DecompTable:
@@ -98,10 +100,6 @@ class SuiteState:
             seed = self.config.seed + gr._SPEC_NAMES.index(self.name)
             self._mc[n, samples] = mc.simulate(self.spec, n, samples, seed)
         return self._mc[n, samples]
-
-    def diag_ns(self) -> list[int]:
-        n_max = self.config.n_max
-        return [n for n in (8, 16, 32, 64) if n <= n_max] or [n_max]
 
 
 def _envelope_rows(
@@ -531,7 +529,7 @@ def check_local_limit(state: SuiteState) -> list[CheckResult]:
                 0.5 * rows[8].local_a,
             )
         )
-    ns = state.diag_ns()
+    ns = state.config.diag_ns
     splits = list(state.splits(ns).values())
     recon_worst = max(s.reconstruction_gap / (s.n * 1e-8) for s in splits)
     smooth_gaps = dc.smooth_split_identity_gaps(state.table, walk, splits)

@@ -39,24 +39,57 @@ from .grid import (
 )
 
 
+class KeptLaws:
+    """The max laws a walk holds, by n.  ``laws[n]`` is the n-step max law
+    for a kept n; any other n raises ValueError naming the kept ones."""
+
+    def __init__(self, laws: dict[int, GridDensity]) -> None:
+        self._laws = laws
+
+    @property
+    def kept(self) -> tuple[int, ...]:
+        return tuple(sorted(self._laws))
+
+    def __contains__(self, n) -> bool:
+        return n in self._laws
+
+    def __getitem__(self, n: int) -> GridDensity:
+        law = self._laws.get(n)
+        if law is None:
+            raise ValueError(
+                f"the {n}-step max law was not kept; this walk keeps n in {list(self.kept)}"
+            )
+        return law
+
+
 @dataclass(frozen=True)
 class WalkLaws:
     """Per-step laws of S_k and of the running maximum, with scalar tables.
 
-    ``sum_laws[k]`` and ``max_laws[k]`` are valid for 1 <= k <= n_max
-    (index 0 is None).  ``nonpos_prob[k]`` is P(max <= 0) after k steps,
-    ``neg_moment1``/``neg_moment2`` are the first and second moments of the
-    running maximum over the negative half-line.
+    ``sum_laws[k]`` is valid for 1 <= k <= n_max (index 0 is None).
+    ``max_laws[k]`` is the full k-step max law for each kept k (every k
+    unless compute_walk was given ``keep``).  For every other k the walk
+    holds only what the Nagaev kernel reads: the max law's negative part on
+    cells [kernel_start, zero_index], the 0-cell halved as restrict does
+    (``kernels[k]``; the recursion leaves every max law exactly zero below
+    the step law's first nonzero cell).  ``negative_part(k)`` rebuilds that
+    restriction for any k.  ``nonpos_prob[k]`` is P(max <= 0) after k
+    steps, ``neg_moment1``/``neg_moment2`` are the first and second moments
+    of the running maximum over the negative half-line and ``max_mass[k]``
+    is the mass of the k-step max law.
     """
 
     spec: DistributionSpec
     n_max: int
     step_density: GridDensity
     sum_laws: tuple
-    max_laws: tuple
+    max_laws: KeptLaws
+    kernels: dict
+    kernel_start: int
     nonpos_prob: np.ndarray
     neg_moment1: np.ndarray
     neg_moment2: np.ndarray
+    max_mass: np.ndarray
 
     @property
     def grid(self) -> GridSpec:
@@ -65,6 +98,17 @@ class WalkLaws:
     def check_index(self, n: int) -> None:
         if not 1 <= n <= self.n_max:
             raise ValueError(f"n must lie in [1, {self.n_max}], got {n}")
+
+    def negative_part(self, n: int) -> GridDensity:
+        """The n-step max law restricted to the negative half-line:
+        restrict(max_laws[n], "negative")[0], also where that law is not
+        kept."""
+        self.check_index(n)
+        if n in self.max_laws:
+            return restrict(self.max_laws[n], "negative")[0]
+        v = np.zeros(self.grid.count)
+        v[self.kernel_start : self.grid.zero_index() + 1] = self.kernels[n]
+        return GridDensity(self.grid, v)
 
 
 def _kernel_size(grid: GridSpec) -> int:
@@ -147,17 +191,25 @@ def compute_walk(
     spec: DistributionSpec,
     n_max: int,
     grid: GridSpec | None = None,
+    keep=None,
 ) -> WalkLaws:
-    """Build all walk laws up to n_max by the one-step max recursion.
+    """Build the walk laws up to n_max by the one-step max recursion.
 
     Each step convolves the step law p with the previous sum law and with
     the previous max law's positive part.  Each product is transformed at
     the length its operands' supports need: p over its nonzero cells, the
     positive part over cells [zero_index, count) and the sum law over the
     whole window.  p is transformed once for each of the two lengths.
+
+    ``keep`` names the n whose full max law the walk holds (None: every n
+    in [1, n_max]).  Every other step keeps only its Nagaev kernel's
+    negative part (see WalkLaws); all sum laws and scalar tables are held.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    keep = range(1, n_max + 1) if keep is None else set(keep)
+    if not all(1 <= n <= n_max for n in keep):
+        raise ValueError(f"keep must name steps in [1, {n_max}], got {sorted(keep)}")
     if grid is None:
         grid = make_working_grid(n_max)
     zero = grid.zero_index()
@@ -165,6 +217,7 @@ def compute_walk(
         raise GridMismatchError("the walk requires a grid with a cell centered at 0")
     p = sample_density(spec, grid)
     p0, p1 = _support(p.values)
+    kernel_start = min(p0, zero)
 
     def convolver(start: int):
         """f -> p * f for densities f that vanish below cell `start`."""
@@ -181,50 +234,60 @@ def compute_walk(
     convolve_sum, convolve_pos = convolver(0), convolver(zero)
 
     sum_laws: list = [None, p]
-    max_laws: list = [None, p]
+    laws: dict = {}
+    kernels: dict = {}
     nonpos = np.full(n_max + 1, np.nan)
     m1 = np.full(n_max + 1, np.nan)
     m2 = np.full(n_max + 1, np.nan)
+    mass = np.full(n_max + 1, np.nan)
 
-    def scalars(k: int, f: GridDensity) -> None:
-        _, neg_mass = restrict(f, "negative")
+    def record(k: int, f: GridDensity) -> None:
+        neg, neg_mass = restrict(f, "negative")
         nonpos[k] = neg_mass
         m1[k] = moment(f, 1, "negative")
         m2[k] = moment(f, 2, "negative")
+        mass[k] = f.mass
+        if k in keep:
+            laws[k] = f
+        else:
+            kernels[k] = neg.values[kernel_start : zero + 1].copy()
 
-    scalars(1, p)
+    record(1, p)
+    prev = p
     for k in range(2, n_max + 1):
         sum_laws.append(convolve_sum(sum_laws[k - 1]))
-        pos_part, _ = restrict(max_laws[k - 1], "positive")
-        nxt = nonpos[k - 1] * p + convolve_pos(pos_part)
-        drift = abs(nxt.mass - 1.0)
+        pos_part, _ = restrict(prev, "positive")
+        prev = nonpos[k - 1] * p + convolve_pos(pos_part)
+        drift = abs(prev.mass - 1.0)
         if drift > k * MASS_TOL:
             raise GridError(
                 f"mass drift {drift:.2e} at step {k} exceeds {k * MASS_TOL:.1e}; "
                 "increase the grid resolution or window"
             )
-        max_laws.append(nxt)
-        scalars(k, nxt)
+        record(k, prev)
 
     return WalkLaws(
         spec=spec,
         n_max=n_max,
         step_density=p,
         sum_laws=tuple(sum_laws),
-        max_laws=tuple(max_laws),
+        max_laws=KeptLaws(laws),
+        kernels=kernels,
+        kernel_start=kernel_start,
         nonpos_prob=nonpos,
         neg_moment1=m1,
         neg_moment2=m2,
+        max_mass=mass,
     )
 
 
 def kernel_spectrum(walk: WalkLaws, index: int) -> KernelSpectrum:
     """Kernel G_j in spectral form: the unit atom for j = 0; else the atom
-    P(max_j <= 0) minus the negative part of the j-step max law."""
+    P(max_j <= 0) minus the negative part of the j-step max law, transformed
+    over cells [0, zero_index] whether or not the walk kept that law."""
     if index == 0:
         return KernelSpectrum(0, 1.0, None)
-    walk.check_index(index)
-    neg, _ = restrict(walk.max_laws[index], "negative")
+    neg = walk.negative_part(index)
     neg_hat = spectrum(neg, _kernel_size(walk.grid), 0, walk.grid.zero_index() + 1)
     return KernelSpectrum(index, float(walk.nonpos_prob[index]), neg_hat)
 
@@ -360,6 +423,6 @@ def walk_scalars_csv(walk: WalkLaws) -> str:
         buf.write(
             f"{k},{walk.nonpos_prob[k]:.17g},{walk.neg_moment1[k]:.17g},"
             f"{walk.neg_moment2[k]:.17g},{walk.sum_laws[k].mass:.17g},"
-            f"{walk.max_laws[k].mass:.17g}\n"
+            f"{walk.max_mass[k]:.17g}\n"
         )
     return buf.getvalue()

@@ -81,7 +81,8 @@ def _deep_values(name: str) -> dict:
     """endpoint_values of one spec's walk to DEEP_N at n = 16, 64 and DEEP_N,
     and for the gaussian the transform deviation d0 at 64 and DEEP_N.  The
     walk is local, so it is freed when this returns."""
-    walk = mw.compute_walk(mw.DistributionSpec(name), DEEP_N, mw.make_working_grid(DEEP_N, 2**15))
+    grid = mw.make_working_grid(DEEP_N, 2**15)
+    walk = mw.compute_walk(mw.DistributionSpec(name), DEEP_N, grid, keep=(16, 64, DEEP_N))
     values = {n: endpoint_values(walk, n) for n in (16, 64, DEEP_N)}
     if name == "gaussian":
         values["d0"] = {n: mw.charfn_convergence_report(walk, n)[0] for n in (64, DEEP_N)}

@@ -111,6 +111,15 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         path = write_config(tmp_path, **{key: 1.0})
         assert main(["curves", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+    path = write_config(tmp_path, n_list=5)
+    assert main(["curves", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error: n_list must be a list, got 5" in capsys.readouterr().err
+    # an output path that is a file, or lies below one
+    path = write_config(tmp_path)
+    for out in (path, path / "sub"):
+        assert main(["density", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot use out_dir") and err.count("\n") == 1
 
 
 def test_n_list_defaults_to_the_listed_n_up_to_n_max(tmp_path):
@@ -163,6 +172,31 @@ def test_density_and_decomp_modes(tmp_path):
     assert main(["decomp", "--config", str(path), "--out", str(out)]) == 0
     text = (out / "decomp_spike.csv").read_text()
     assert text.splitlines()[0].startswith("n,l1_pq")
+
+
+def test_runners_keep_only_the_laws_they_read(tmp_path, monkeypatch):
+    import maxwalk.verify as vf
+
+    seen = []
+    build = vf.wk.compute_walk
+
+    def recording(spec, n_max, grid=None, keep=None):
+        seen.append(None if keep is None else sorted(keep))
+        return build(spec, n_max, grid, keep)
+
+    monkeypatch.setattr(vf.wk, "compute_walk", recording)
+    path = write_config(tmp_path, n_max=8, n_list=[1, 2, 4])
+    expected = {"curves": [1, 2, 4], "density": [8], "charfn": [8], "decomp": [8]}
+    for verb, keep in expected.items():
+        seen.clear()
+        assert main([verb, "--config", str(path), "--out", str(tmp_path / verb)]) == 0
+        assert seen == [keep]
+    seen.clear()
+    assert main(["montecarlo", "--config", str(path), "--out", str(tmp_path / "mc")]) == 0
+    assert seen == []
+    seen.clear()
+    main(["verify", "--config", str(path), "--out", str(tmp_path / "verify")])
+    assert seen and all(keep is None for keep in seen)
 
 
 def test_montecarlo_and_charfn_modes(tmp_path):

@@ -409,6 +409,39 @@ def test_restrict_reconstructs(small_grid):
     assert mp + mn == pytest.approx(f.mass, abs=1e-12)
 
 
+def _masked_restrict(f, side):
+    # the mask form: zero every cell center on the other side of 0
+    x = f.grid.centers()
+    v = f.values.copy()
+    v[(x < 0) if side == "positive" else (x > 0)] = 0.0
+    i = f.grid.zero_index()
+    if i >= 0:
+        v[i] = f.values[i] / 2.0
+    return v
+
+
+_SLICE_GRIDS = {
+    "zero_cell": mw.GridSpec(-2.0, 0.25, 33),
+    "no_zero_cell": mw.GridSpec(-2.125, 0.25, 33),
+    "zero_cell_off_by_round_off": mw.GridSpec(-2.0 - 1e-12, 0.25, 33),
+    "all_positive": mw.GridSpec(0.5, 0.25, 33),
+    "all_negative": mw.GridSpec(-10.0, 0.25, 33),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SLICE_GRIDS))
+def test_restrict_and_sup_slice_like_masks(case):
+    grid = _SLICE_GRIDS[case]
+    f = mw.GridDensity(grid, np.random.default_rng(7).normal(size=grid.count))
+    for side in ("positive", "negative"):
+        dens, mass = mw.restrict(f, side)
+        assert np.array_equal(dens.values, _masked_restrict(f, side))
+        assert mass == dens.mass
+    sel = grid.centers() > 0
+    expected = float(np.abs(f.values[sel]).max()) if sel.any() else 0.0
+    assert halfline_sup(f) == expected
+
+
 def test_moments(small_grid):
     f = mw.sample_density(mw.DistributionSpec("gaussian"), small_grid)
     assert mw.moment(f, 2, "all") == pytest.approx(1.0, abs=1e-4)

@@ -113,6 +113,68 @@ def test_nagaev_density_matches_per_term_direct(small_grid, name):
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(got).max()
 
 
+@pytest.mark.parametrize("name", _SPEC_NAMES)
+def test_kept_law_walk_matches_the_full_walk(small_grid, name):
+    # oracle: the walk that keeps every max law; keeping fewer changes no bit
+    spec, n_max, keep = mw.DistributionSpec(name), 8, (3, 5, 8)
+    full = mw.compute_walk(spec, n_max, small_grid)
+    kept = mw.compute_walk(spec, n_max, small_grid, keep=keep)
+    assert kept.max_laws.kept == keep
+    assert sorted(kept.kernels) == [k for k in range(1, n_max + 1) if k not in keep]
+    assert all(v.base is None for v in kept.kernels.values())  # no full-length buffer pinned
+    zero = small_grid.zero_index()
+    assert kept.kernel_start == min(wk._support(full.step_density.values)[0], zero)
+    for k in range(1, n_max + 1):
+        assert kept.kernels.get(k, np.zeros(0)).size in (0, zero - kept.kernel_start + 1)
+        assert np.array_equal(kept.sum_laws[k].values, full.sum_laws[k].values)
+        neg, _ = mw.restrict(full.max_laws[k], "negative")
+        assert np.array_equal(kept.negative_part(k).values, neg.values)
+    for n in keep:
+        assert np.array_equal(kept.max_laws[n].values, full.max_laws[n].values)
+    for table in ("nonpos_prob", "neg_moment1", "neg_moment2", "max_mass"):
+        assert np.array_equal(getattr(kept, table), getattr(full, table), equal_nan=True)
+    assert wk.walk_scalars_csv(kept) == wk.walk_scalars_csv(full)
+    t = np.linspace(-3.0, 3.0, 61)
+    for j in range(n_max + 1):
+        a, b = wk.kernel_spectrum(kept, j), wk.kernel_spectrum(full, j)
+        assert a.atom_at_zero == b.atom_at_zero
+        assert (a.negative_spectrum is None) == (b.negative_spectrum is None)
+        if j:
+            assert np.array_equal(a.negative_spectrum, b.negative_spectrum)
+        tails = zip(mw.negative_tail_transform(kept, j, t).values,
+                    mw.negative_tail_transform(full, j, t).values)
+        assert all(np.array_equal(x, y) for x, y in tails)
+    split_kept = mw.max_law_splits(mw.decomp_powers(kept), kept, keep)
+    split_full = mw.max_law_splits(mw.decomp_powers(full), full, keep)
+    for n in keep:
+        a, b = split_kept[n], split_full[n]
+        for part in ("bounded", "remainder_pos", "remainder_neg", "correction"):
+            assert np.array_equal(getattr(a, part).values, getattr(b, part).values)
+        assert a.reconstruction_gap == b.reconstruction_gap
+    assert mw.curves_csv(mw.convergence_curves(spec, keep, walk=kept)) == mw.curves_csv(
+        mw.convergence_curves(spec, keep, walk=full)
+    )
+
+
+def test_reading_a_law_not_kept_raises(small_grid, monkeypatch):
+    spec = mw.DistributionSpec("gaussian")
+    w = mw.compute_walk(spec, 8, small_grid, keep=(2, 8))
+    for n in (0, 1, 5, 9):
+        with pytest.raises(ValueError, match=r"keeps n in \[2, 8\]"):
+            w.max_laws[n]
+    with pytest.raises(ValueError, match="keeps n in"):
+        mw.convergence_curves(spec, [2, 5], walk=w)
+    assert mw.compute_walk(spec, 2, small_grid, keep=()).max_laws.kept == ()
+    with pytest.raises(ValueError, match="keep must name steps"):
+        mw.compute_walk(spec, 8, small_grid, keep=(2, 9))
+    # convergence_curves keeps its own walk's laws at the n it reports
+    seen = []
+    build = mw.limits.compute_walk
+    monkeypatch.setattr(mw.limits, "compute_walk", lambda *a, **kw: seen.append(kw) or build(*a, **kw))
+    mw.convergence_curves(mw.DistributionSpec("uniform"), [2, 1])
+    assert seen == [{"keep": [1, 2]}]
+
+
 def test_kernel_sums_shares_and_drops_kernels(gaussian_walk8, monkeypatch):
     w = gaussian_walk8
     ns, top = (1, 3, 5, 8), 8

@@ -9,9 +9,9 @@ from .grid import _SPEC_NAMES, DistributionSpec, GridError
 _MODES = ("curves", "verify", "charfn", "montecarlo", "density", "decomp")
 # The n at which the curves are reported unless n_list is given: those up to n_max.
 _DEFAULT_N_LIST = (1, 2, 4, 8, 16, 32, 64)
-# Upper bounds that keep a run's arrays allocatable.  The walk holds n_max sum
-# laws of grid_points cells each and a full max law at each n its caller keeps
-# (every n in verify), so up to 2 * n_max densities: 1 GiB of float64 at
+# Upper bounds that keep a run's arrays allocatable.  A walk holds its sum and
+# max laws of grid_points cells each only at the n its caller keeps; verify
+# keeps every n, so up to 2 * n_max densities: 1 GiB of float64 at
 # n_max * grid_points = 2^26.
 _N_MAX_LIMIT = 1024
 _WALK_CELLS_LIMIT = 2**26
@@ -27,6 +27,8 @@ def _is_int(value) -> bool:
 
 
 def _as_tuple(key: str, value) -> tuple:
+    if isinstance(value, str):  # a string iterates by character
+        raise ConfigError(f"{key} must be a list, got {value!r}")
     try:
         return tuple(value)
     except TypeError:

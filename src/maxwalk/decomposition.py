@@ -117,18 +117,44 @@ def binomial_log_weight(k: int, j: int, rho: float) -> float:
     return math.exp(log_w)
 
 
+class BoundedPowers:
+    """qk1[k] of a DecompTable, made from the walk's sum law S_k on each
+    read and not held: (S_k - rho^k qk2[k]) / (1 - rho^k) while the q2 power
+    is kept, q1 at k = 1, and S_k itself (the same object) beyond."""
+
+    def __init__(self, walk: WalkLaws, decomp: BinomialDecomposition, qk2: tuple, kept: int):
+        self._walk = walk
+        self._decomp = decomp
+        self._qk2 = qk2
+        self._kept = kept
+
+    def __getitem__(self, k: int) -> GridDensity | None:
+        if k == 0:
+            return None
+        if k > self._kept:
+            return self._walk.sum_laws[k]
+        if k == 1:
+            return self._decomp.q1
+        pk = self._walk.sum_laws[k]
+        rho_k = self._decomp.rho**k
+        return pk.with_values((pk.values - rho_k * self._qk2[k].values) / (1.0 - rho_k))
+
+
 @dataclass(frozen=True)
 class DecompTable:
     """Convolution powers of the split: for each k <= n_max,
     p_k = (1 - rho^k) qk1[k] + rho^k qk2[k] with qk1/qk2 probability
     densities.  qk2[k] = q2^{*k} is kept while rho^k >= _WEIGHT_CUTOFF and
-    is zero beyond (every k when rho = 0).  heads[k] is the part of p_k with
-    one or two bounded factors (see _bounded_head; None when every such
-    term is dropped).  Index 0 is None (the unit atom)."""
+    is zero beyond (every k when rho = 0).  qk1[k] is made from the walk's
+    sum law on each read (BoundedPowers), so the table holds no sum law;
+    read it in ascending k, as the kernel pass does, for one convolution
+    per step on a walk that does not keep every law.  heads[k] is the part
+    of p_k with one or two bounded factors (see _bounded_head; None when
+    every such term is dropped).  Index 0 is None (the unit atom)."""
 
     decomp: BinomialDecomposition
     n_max: int
-    qk1: tuple
+    qk1: BoundedPowers
     qk2: tuple
     heads: tuple
 
@@ -157,26 +183,19 @@ def decomp_powers(walk: WalkLaws, M: float | None = None) -> DecompTable:
     p^{*k} = ((1-rho) q1 + rho q2)^{*k} has every term but the last in qk1:
     (1 - rho^k) qk1[k] = p^{*k} - rho^k q2^{*k}, with p^{*k} the walk's sum
     law.  Where q2^{*k} is dropped, qk1[k] is that sum law itself (the same
-    object).
+    object).  qk1[k] is made on each read from S_k (BoundedPowers); the
+    table reads no sum law when it is built.
     """
     p = walk.step_density
     decomp = binomial_split(p, M)
     rho = decomp.rho
     n_max = walk.n_max
     kept = sum(1 for k in range(1, n_max + 1) if rho**k >= _WEIGHT_CUTOFF)
-    qk2 = [None, *islice(_powers(decomp.q2), kept)] + [zero_density(p.grid)] * (n_max - kept)
-    qk1 = [None]
-    for k in range(1, n_max + 1):
-        pk = walk.sum_laws[k]
-        if k > kept:
-            qk1.append(pk)
-        elif k == 1:
-            qk1.append(decomp.q1)
-        else:
-            qk1.append(pk.with_values((pk.values - rho**k * qk2[k].values) / (1.0 - rho**k)))
+    qk2 = (None, *islice(_powers(decomp.q2), kept), *[zero_density(p.grid)] * (n_max - kept))
+    qk1 = BoundedPowers(walk, decomp, qk2, kept)
     q1_powers = (None, *islice(_powers(decomp.q1), min(n_max, 2)))
     heads = [None] + [_bounded_head(rho, q1_powers, qk2, k) for k in range(1, n_max + 1)]
-    return DecompTable(decomp, n_max, tuple(qk1), tuple(qk2), tuple(heads))
+    return DecompTable(decomp, n_max, qk1, qk2, tuple(heads))
 
 
 @dataclass(frozen=True)
@@ -246,7 +265,7 @@ def _finish_split(
     )
 
 
-def _bounded_head(rho: float, q1_powers: tuple, qk2: list, k: int) -> GridDensity | None:
+def _bounded_head(rho: float, q1_powers: tuple, qk2: tuple, k: int) -> GridDensity | None:
     """The terms of the k-step sum law with one or two bounded factors:
     sum over j in {1, 2} of C(k, j) (1-rho)^j rho^(k-j) q1^{*j} * q2^{*(k-j)}
     (q2^{*0} is the unit atom, 0^0 = 1).  A term is dropped when rho^(k-j)

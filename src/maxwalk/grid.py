@@ -3,8 +3,11 @@
 A density is stored as cell-averaged values on an equally spaced grid with a
 cell centered at 0.  Cell averaging (CDF differences over cells) keeps
 unbounded-but-integrable densities representable and makes mass bookkeeping
-exact.  All objects are immutable; all operations are pure functions, safe to
-call concurrently, and deterministic regardless of thread count.
+exact.  The objects of this module are immutable; all operations are pure
+functions, safe to call concurrently, and deterministic regardless of thread
+count.  (A walk's sum-law store, walk.SumLaws, fills after it is built: each
+law on its first read, under a lock, with the same bits whatever the order
+of reads.)
 """
 
 from __future__ import annotations

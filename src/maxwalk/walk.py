@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import math
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,11 +63,63 @@ class KeptLaws:
         return law
 
 
+class SumLaws:
+    """The sum laws S_k = p^{*k} of a walk, made on first read.
+
+    ``[k]`` is valid for 1 <= k <= n_max (index 0 is None).  A law is
+    made forward from the nearest held law below k by S_k = p * S_{k-1}
+    (the same product, so the same bits, whatever the order of reads), its
+    mass written to the walk's ``sum_mass`` table as it is made.  The store
+    holds S_1 (the step law), the law at each n of ``keep`` and the last law
+    made, so an ascending read costs one convolution per step and a kept
+    walk holds at most len(keep) + 2 sum laws.  Reads are serialized by a
+    lock, so threads may share a walk.
+    """
+
+    def __init__(self, step: GridDensity, n_max: int, keep, convolve_p, mass: np.ndarray):
+        self.n_max = n_max
+        self._keep = keep
+        self._convolve = convolve_p
+        self._mass = mass
+        self._laws = {1: step}
+        self._last = 1
+        self._lock = threading.Lock()
+        mass[1] = step.mass
+
+    @property
+    def held(self) -> tuple[int, ...]:
+        """The k whose law the store holds now."""
+        return tuple(sorted(self._laws))
+
+    def __getitem__(self, k: int) -> GridDensity | None:
+        if k == 0:
+            return None
+        if not 1 <= k <= self.n_max:
+            raise IndexError(f"sum law index must lie in [0, {self.n_max}], got {k}")
+        with self._lock:
+            law = self._laws.get(k)
+            if law is not None:
+                return law
+            j = max(i for i in self._laws if i < k)
+            law = self._laws[j]
+            for i in range(j + 1, k + 1):
+                law = self._convolve(law)
+                self._mass[i] = law.mass
+                if i in self._keep:
+                    self._laws[i] = law
+            if self._last != 1 and self._last not in self._keep:
+                del self._laws[self._last]
+            self._laws[k] = law
+            self._last = k
+            return law
+
+
 @dataclass(frozen=True)
 class WalkLaws:
     """Per-step laws of S_k and of the running maximum, with scalar tables.
 
-    ``sum_laws[k]`` is valid for 1 <= k <= n_max (index 0 is None).
+    ``sum_laws[k]`` is valid for 1 <= k <= n_max (index 0 is None); each
+    is made on its first read and held only at the n of ``keep`` (SumLaws).
     ``max_laws[k]`` is the full k-step max law for each kept k (every k
     unless compute_walk was given ``keep``).  For every other k the walk
     holds only what the Nagaev kernel reads: the max law's negative part on
@@ -76,13 +129,14 @@ class WalkLaws:
     restriction for any k.  ``nonpos_prob[k]`` is P(max <= 0) after k
     steps, ``neg_moment1``/``neg_moment2`` are the first and second moments
     of the running maximum over the negative half-line and ``max_mass[k]``
-    is the mass of the k-step max law.
+    is the mass of the k-step max law.  ``sum_mass[k]`` is the mass of S_k,
+    written when S_k is made (NaN before).
     """
 
     spec: DistributionSpec
     n_max: int
     step_density: GridDensity
-    sum_laws: tuple
+    sum_laws: SumLaws
     max_laws: KeptLaws
     kernels: dict
     kernel_start: int
@@ -90,6 +144,7 @@ class WalkLaws:
     neg_moment1: np.ndarray
     neg_moment2: np.ndarray
     max_mass: np.ndarray
+    sum_mass: np.ndarray
 
     @property
     def grid(self) -> GridSpec:
@@ -195,15 +250,17 @@ def compute_walk(
 ) -> WalkLaws:
     """Build the walk laws up to n_max by the one-step max recursion.
 
-    Each step convolves the step law p with the previous sum law and with
-    the previous max law's positive part.  Each product is transformed at
-    the length its operands' supports need: p over its nonzero cells, the
-    positive part over cells [zero_index, count) and the sum law over the
-    whole window.  p is transformed once for each of the two lengths.
+    Each step convolves the step law p with the previous max law's positive
+    part, transformed over cells [zero_index, count) with p over its
+    nonzero cells.  The sum laws are not made here: the walk's SumLaws
+    makes S_k = p * S_{k-1} when a reader first asks for it, with the sum
+    law transformed over the whole window.  p is transformed once for each
+    of the two lengths.
 
-    ``keep`` names the n whose full max law the walk holds (None: every n
-    in [1, n_max]).  Every other step keeps only its Nagaev kernel's
-    negative part (see WalkLaws); all sum laws and scalar tables are held.
+    ``keep`` names the n whose full max and sum laws the walk holds (None:
+    every n in [1, n_max]).  Every other step keeps only its Nagaev kernel's
+    negative part (see WalkLaws); the max-side scalar tables are filled
+    here, the sum-law masses as the laws are made.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -231,15 +288,15 @@ def compute_walk(
 
         return convolve_p
 
-    convolve_sum, convolve_pos = convolver(0), convolver(zero)
+    convolve_pos = convolver(zero)
 
-    sum_laws: list = [None, p]
     laws: dict = {}
     kernels: dict = {}
     nonpos = np.full(n_max + 1, np.nan)
     m1 = np.full(n_max + 1, np.nan)
     m2 = np.full(n_max + 1, np.nan)
     mass = np.full(n_max + 1, np.nan)
+    sum_mass = np.full(n_max + 1, np.nan)
 
     def record(k: int, f: GridDensity) -> None:
         neg, neg_mass = restrict(f, "negative")
@@ -255,7 +312,6 @@ def compute_walk(
     record(1, p)
     prev = p
     for k in range(2, n_max + 1):
-        sum_laws.append(convolve_sum(sum_laws[k - 1]))
         pos_part, _ = restrict(prev, "positive")
         prev = nonpos[k - 1] * p + convolve_pos(pos_part)
         drift = abs(prev.mass - 1.0)
@@ -270,7 +326,7 @@ def compute_walk(
         spec=spec,
         n_max=n_max,
         step_density=p,
-        sum_laws=tuple(sum_laws),
+        sum_laws=SumLaws(p, n_max, keep, convolver(0), sum_mass),
         max_laws=KeptLaws(laws),
         kernels=kernels,
         kernel_start=kernel_start,
@@ -278,6 +334,7 @@ def compute_walk(
         neg_moment1=m1,
         neg_moment2=m2,
         max_mass=mass,
+        sum_mass=sum_mass,
     )
 
 
@@ -385,8 +442,11 @@ def spitzer_second_moment(walk: WalkLaws, n: int) -> float:
     """Second moment of the nonnegative part of the n-step maximum from the
     generating-series identity over positive-part moments of the sum laws."""
     walk.check_index(n)
-    e1 = np.array([moment(walk.sum_laws[k], 1, "positive") for k in range(1, n + 1)])
-    e2 = np.array([moment(walk.sum_laws[k], 2, "positive") for k in range(1, n + 1)])
+    e1, e2 = np.empty(n), np.empty(n)
+    for k in range(1, n + 1):  # one ascending read of the sum laws
+        law = walk.sum_laws[k]
+        e1[k - 1] = moment(law, 1, "positive")
+        e2[k - 1] = moment(law, 2, "positive")
     inv = 1.0 / np.arange(1, n + 1)
     a = inv * e1
     cross = 0.0
@@ -416,13 +476,16 @@ def spitzer_first_term_split(walk: WalkLaws, n: int) -> GridDensity:
 
 
 def walk_scalars_csv(walk: WalkLaws) -> str:
-    """Per-step scalar table: k,Fbar0,abar,bbar,mass_p,mass_pbar."""
+    """Per-step scalar table: k,Fbar0,abar,bbar,mass_p,mass_pbar.  Makes the
+    sum laws no reader has asked for yet, for their masses."""
+    if np.isnan(walk.sum_mass[walk.n_max]):
+        walk.sum_laws[walk.n_max]
     buf = io.StringIO()
     buf.write("k,Fbar0,abar,bbar,mass_p,mass_pbar\n")
     for k in range(1, walk.n_max + 1):
         buf.write(
             f"{k},{walk.nonpos_prob[k]:.17g},{walk.neg_moment1[k]:.17g},"
-            f"{walk.neg_moment2[k]:.17g},{walk.sum_laws[k].mass:.17g},"
+            f"{walk.neg_moment2[k]:.17g},{walk.sum_mass[k]:.17g},"
             f"{walk.max_mass[k]:.17g}\n"
         )
     return buf.getvalue()

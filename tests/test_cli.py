@@ -114,6 +114,13 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, n_list=5)
     assert main(["curves", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "config error: n_list must be a list, got 5" in capsys.readouterr().err
+    # a string is not read character by character
+    for key, value in (("n_list", "12"), ("spec_parameters", "0.3")):
+        path = write_config(tmp_path, n_max=16, **{key: value})
+        assert main(["curves", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {key} must be a list, got '{value}'" in capsys.readouterr().err
+    path = write_config(tmp_path, specs="gaussian")
+    assert main(["density", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     # an output path that is a file, or lies below one
     path = write_config(tmp_path)
     for out in (path, path / "sub"):

@@ -1,4 +1,6 @@
 import math
+import random
+import threading
 import weakref
 from fractions import Fraction
 
@@ -154,6 +156,119 @@ def test_kept_law_walk_matches_the_full_walk(small_grid, name):
     assert mw.curves_csv(mw.convergence_curves(spec, keep, walk=kept)) == mw.curves_csv(
         mw.convergence_curves(spec, keep, walk=full)
     )
+    # the sum-law readers, each an ascending read of the streamed laws
+    dens_kept, dens_full = mw.nagaev_density(kept, keep), mw.nagaev_density(full, keep)
+    for n in keep:
+        assert np.array_equal(dens_kept[n].values, dens_full[n].values)
+    a, b = mw.spitzer_positive_law(kept, n_max), mw.spitzer_positive_law(full, n_max)
+    assert (a.atom_at_zero, a.mass_tol) == (b.atom_at_zero, b.mass_tol)
+    assert np.array_equal(a.density.values, b.density.values)
+    assert mw.spitzer_second_moment(kept, n_max) == mw.spitzer_second_moment(full, n_max)
+    table_kept, table_full = mw.decomp_powers(kept), mw.decomp_powers(full)
+    for k in range(3, n_max + 1):
+        assert np.array_equal(
+            mw.smooth_part(table_kept, k).values, mw.smooth_part(table_full, k).values
+        )
+
+
+def _count_sum_convolutions(walk, monkeypatch, check=None) -> list:
+    """Wrap the walk's sum-law product, calling `check` before each; returns
+    a list that grows by one entry per product."""
+    made, convolve = [], walk.sum_laws._convolve
+
+    def counting(f):
+        if check is not None:
+            check()
+        law = convolve(f)
+        made.append(1)
+        return law
+
+    monkeypatch.setattr(walk.sum_laws, "_convolve", counting)
+    return made
+
+
+@pytest.mark.parametrize("name", _SPEC_NAMES)
+def test_streamed_sum_laws_match_in_any_order(small_grid, name):
+    # oracles: the walk that holds every sum law, bit for bit, and the dense
+    # direct recursion S_k = p * S_{k-1}
+    spec, n_max, keep = mw.DistributionSpec(name), 8, (3, 5, 8)
+    full = mw.compute_walk(spec, n_max, small_grid)
+    p, direct = full.step_density, [None, full.step_density]
+    for k in range(2, n_max + 1):
+        direct.append(mw.convolve(p, direct[-1], "direct"))
+    shuffled = list(range(1, n_max + 1))
+    random.Random(7).shuffle(shuffled)
+    orders = (range(1, n_max + 1), range(n_max, 0, -1), shuffled)
+    for order in orders:
+        kept = mw.compute_walk(spec, n_max, small_grid, keep=keep)
+        assert kept.sum_laws[0] is None and kept.sum_laws[1] is kept.step_density
+        for k in order:
+            law = kept.sum_laws[k]
+            assert np.array_equal(law.values, full.sum_laws[k].values)
+            sup = np.abs(direct[k].values).max()
+            assert np.abs(law.values - direct[k].values).max() <= 1e-14 * sup
+            assert len(kept.sum_laws.held) <= len(keep) + 2
+        assert np.array_equal(kept.sum_mass, full.sum_mass, equal_nan=True)
+    with pytest.raises(IndexError):
+        kept.sum_laws[n_max + 1]
+
+
+def test_kept_walk_holds_few_sum_laws(small_grid, monkeypatch):
+    spec, n_max, keep = mw.DistributionSpec("spike"), 8, (3, 5, 8)
+    w = mw.compute_walk(spec, n_max, small_grid, keep=keep)
+    table = mw.decomp_powers(w)
+    assert w.sum_laws.held == (1,)  # building the walk and the table makes none
+
+    def bounded():
+        assert len(w.sum_laws.held) <= len(keep) + 2
+
+    made = _count_sum_convolutions(w, monkeypatch, bounded)
+    splits = mw.max_law_splits(table, w, keep)
+    assert sorted(splits) == list(keep)
+    bounded()
+    assert set(keep) <= set(w.sum_laws.held)
+    assert len(made) == n_max - 1  # one ascending stream, each law made once
+
+
+def test_scalar_csv_does_not_depend_on_the_stream(small_grid, monkeypatch):
+    # the mass_p column is the same before any kernel pass, after a full
+    # one and after one that stopped short of n_max; finishing the stream
+    # makes only the laws not made yet
+    spec, n_max, keep = mw.DistributionSpec("mixture"), 8, (3, 5, 8)
+    expected = wk.walk_scalars_csv(mw.compute_walk(spec, n_max, small_grid))
+    for ns in (None, keep, (3, 5)):
+        w = mw.compute_walk(spec, n_max, small_grid, keep=keep)
+        made = _count_sum_convolutions(w, monkeypatch)
+        if ns is not None:
+            mw.max_law_splits(mw.decomp_powers(w), w, ns)
+            assert len(made) == max(ns) - 1
+        assert wk.walk_scalars_csv(w) == expected
+        assert len(made) == n_max - 1
+
+
+def test_threads_share_a_kept_walk(small_grid):
+    spec, n_max = mw.DistributionSpec("laplace"), 16
+    full = mw.compute_walk(spec, n_max, small_grid)
+    w = mw.compute_walk(spec, n_max, small_grid, keep=(4, 9))
+    start = threading.Barrier(2)
+    seen = {}
+
+    def read(order):
+        start.wait()
+        seen[order[0]] = {k: w.sum_laws[k].values for k in order}
+
+    threads = [
+        threading.Thread(target=read, args=(order,))
+        for order in (range(1, n_max + 1), range(n_max, 0, -1))
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for laws in seen.values():
+        assert sorted(laws) == list(range(1, n_max + 1))
+        for k, values in laws.items():
+            assert np.array_equal(values, full.sum_laws[k].values)
 
 
 def test_reading_a_law_not_kept_raises(small_grid, monkeypatch):

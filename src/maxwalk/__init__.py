@@ -30,15 +30,10 @@ from .decomposition import (
     split_quality_diagnostics,
 )
 from .entropy import (
-    EntropyReport,
     L,
     ReferenceLaw,
     conditional_positive_entropy,
-    gaussian,
-    gaussian_positive,
     half_normal,
-    half_normal_scaled,
-    pinsker_check,
     relative_entropy,
 )
 from .grid import (

@@ -9,6 +9,9 @@ from .grid import _SPEC_NAMES, DistributionSpec, GridError
 _MODES = ("curves", "verify", "charfn", "montecarlo", "density", "decomp")
 # The n at which the curves are reported unless n_list is given: those up to n_max.
 _DEFAULT_N_LIST = (1, 2, 4, 8, 16, 32, 64)
+# (n, smallest n_max that needs it): the curve rows verify reads once n_max
+# reaches their section's size (the n = 8 and 64 endpoints, the n >= 32 tail)
+_VERIFY_N = ((8, 64), (32, 32), (64, 64))
 # Upper bounds that keep a run's arrays allocatable.  A walk holds its sum and
 # max laws of grid_points cells each only at the n its caller keeps; verify
 # keeps every n, so up to 2 * n_max densities: 1 GiB of float64 at
@@ -99,6 +102,13 @@ class RunConfig:
             raise ConfigError(f"seed must be an integer in [0, 2^63), got {self.seed!r}")
         if not isinstance(self.out_dir, str):
             raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
+        if self.mode == "verify":
+            missing = [n for n, floor in _VERIFY_N if self.n_max >= floor and n not in n_list]
+            if missing:
+                raise ConfigError(
+                    f"verify at n_max {self.n_max} needs n_list to hold n = {missing}, "
+                    "the curve rows its checks read"
+                )
 
     @property
     def diag_ns(self) -> list[int]:

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import MaxLawSplit, decomp_powers, max_law_splits
-from .entropy import (
-    L,
-    conditional_positive_entropy,
-    half_normal,
-    pinsker_check,
-    relative_entropy,
-)
+from .entropy import L, conditional_positive_entropy, half_normal, relative_entropy
 from .grid import GridDensity, moment, rescale_sqrt, restrict, tv_distance
 from .walk import WalkLaws, compute_walk
 
@@ -54,6 +48,9 @@ class ConvergenceRow:
 
 
 def _check_row_invariants(row: ConvergenceRow) -> None:
+    for name, value in (("D", row.D), ("D_plus", row.D_plus)):
+        if value < -math.exp(-1.0) - 1e-6:
+            raise ValueError(f"n={row.n}: {name} {value} below the -1/e floor")
     ident = (1.0 - row.Fbar0) * row.D_plus + L(1.0 - row.Fbar0)
     if abs(row.D - ident) > 1e-6:
         raise ValueError(
@@ -187,7 +184,11 @@ def convergence_curves(
         # identity ties the row together exactly; it differs from the
         # walk-level probability by the 0-cell quadrature only
         fbar = 1.0 - alpha
-        report = pinsker_check((1.0 / alpha) * pos, _HALF_NORMAL)
+        # Pinsker slack D - tv^2/2 of the conditioned law; on the full-line
+        # (1/alpha)*star the 0-cell takes the two-sided rule, which equals
+        # the one-sided rule on (1/alpha)*pos, whose 0-cell restrict halves
+        cond_d = relative_entropy((1.0 / alpha) * star, _HALF_NORMAL)
+        cond_tv = tv_distance((1.0 / alpha) * pos, _HALF_NORMAL)
         alesh = (
             local_limit_residual(walk, n) if walk.spec.bounded_density else math.nan
         )
@@ -200,7 +201,7 @@ def convergence_curves(
             m2_plus=m2,
             Fbar0=fbar,
             tail_mass_C=tail_mass(walk, n),
-            pinsker_slack=report.pinsker_slack,
+            pinsker_slack=cond_d - 0.5 * cond_tv * cond_tv,
             alesh=alesh,
             local_a=local.part_a,
         )

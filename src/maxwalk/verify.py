@@ -189,8 +189,6 @@ def check_sparre_andersen(state: SuiteState) -> list[CheckResult]:
 
 def check_entropic_endpoint(state: SuiteState) -> list[CheckResult]:
     rows = {r.n: r for r in state.curves}
-    if 64 not in rows or 8 not in rows:
-        return []
     return [
         _le(
             f"acceptance.entropic_endpoint.{state.name}.absolute",
@@ -211,8 +209,6 @@ def check_entropic_endpoint(state: SuiteState) -> list[CheckResult]:
 
 def check_tv_endpoint(state: SuiteState) -> list[CheckResult]:
     rows = {r.n: r for r in state.curves}
-    if 64 not in rows:
-        return []
     summary = state.simulation(64)
     walk = state.walk
     _, tv_hist = mc.empirical_compare(summary, walk)
@@ -354,7 +350,7 @@ def check_entropy_calculus(config: RunConfig) -> list[CheckResult]:
         sandwich_hi = min(sandwich_hi, hi - lhs)
         for n in (4, 16):
             lhs = en.relative_entropy(gr.rescale_sqrt(f, n), psi)
-            rhs = en.relative_entropy(f, en.half_normal_scaled(n))
+            rhs = en.relative_entropy(f, en.half_normal(n))
             scaling_gap = max(scaling_gap, abs(lhs - rhs))
         fp = _halfline_probability_density(rng, grid, "positive")
         gn = _halfline_probability_density(rng, grid, "negative")
@@ -511,7 +507,7 @@ def check_local_limit(state: SuiteState) -> list[CheckResult]:
     out = []
     name, walk = state.name, state.walk
     rows = {r.n: r for r in state.curves}
-    if state.spec.bounded_density and 8 in rows and 64 in rows:
+    if state.spec.bounded_density:
         out.append(
             _le(
                 f"acceptance.local_limit.{name}.bounded_residual",
@@ -520,15 +516,14 @@ def check_local_limit(state: SuiteState) -> list[CheckResult]:
                 0.5 * rows[8].alesh,
             )
         )
-    if 8 in rows and 64 in rows:
-        out.append(
-            _le(
-                f"acceptance.local_limit.{name}.split_residual",
-                "split-route weighted sup residual halves from n=8 to n=64",
-                rows[64].local_a,
-                0.5 * rows[8].local_a,
-            )
+    out.append(
+        _le(
+            f"acceptance.local_limit.{name}.split_residual",
+            "split-route weighted sup residual halves from n=8 to n=64",
+            rows[64].local_a,
+            0.5 * rows[8].local_a,
         )
+    )
     ns = state.config.diag_ns
     splits = list(state.splits(ns).values())
     recon_worst = max(s.reconstruction_gap / (s.n * 1e-8) for s in splits)
@@ -740,7 +735,7 @@ def check_misc_invariants(state: SuiteState) -> list[CheckResult]:
     out = []
     c, name, walk = state.config, state.name, state.walk
     rows = {r.n: r for r in state.curves}
-    if 8 in rows and 64 in rows:
+    if c.n_max >= 64:
         for field_name in ("D", "D_plus", "tv"):
             out.append(
                 _le(
@@ -758,7 +753,7 @@ def check_misc_invariants(state: SuiteState) -> list[CheckResult]:
                 abs(1.0 - rows[8].m2_plus),
             )
         )
-    if 32 in rows:
+    if c.n_max >= 32:
         out.append(
             _le(
                 f"invariant.limits.{name}.tail_mass",

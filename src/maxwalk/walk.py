@@ -51,9 +51,6 @@ class KeptLaws:
     def kept(self) -> tuple[int, ...]:
         return tuple(sorted(self._laws))
 
-    def __contains__(self, n) -> bool:
-        return n in self._laws
-
     def __getitem__(self, n: int) -> GridDensity:
         law = self._laws.get(n)
         if law is None:
@@ -121,16 +118,16 @@ class WalkLaws:
     ``sum_laws[k]`` is valid for 1 <= k <= n_max (index 0 is None); each
     is made on its first read and held only at the n of ``keep`` (SumLaws).
     ``max_laws[k]`` is the full k-step max law for each kept k (every k
-    unless compute_walk was given ``keep``).  For every other k the walk
-    holds only what the Nagaev kernel reads: the max law's negative part on
-    cells [kernel_start, zero_index], the 0-cell halved as restrict does
+    unless compute_walk was given ``keep``).  For every k the walk holds
+    what the Nagaev kernel reads: the max law's negative part on cells
+    [kernel_start, zero_index], the 0-cell halved as restrict does
     (``kernels[k]``; the recursion leaves every max law exactly zero below
-    the step law's first nonzero cell).  ``negative_part(k)`` rebuilds that
-    restriction for any k.  ``nonpos_prob[k]`` is P(max <= 0) after k
-    steps, ``neg_moment1``/``neg_moment2`` are the first and second moments
-    of the running maximum over the negative half-line and ``max_mass[k]``
-    is the mass of the k-step max law.  ``sum_mass[k]`` is the mass of S_k,
-    written when S_k is made (NaN before).
+    the step law's first nonzero cell).  ``negative_part(k)`` rebuilds the
+    full-grid restriction from it.  ``nonpos_prob[k]`` is P(max <= 0) after
+    k steps, ``neg_moment1``/``neg_moment2`` are the first and second
+    moments of the running maximum over the negative half-line and
+    ``max_mass[k]`` is the mass of the k-step max law.  ``sum_mass[k]`` is
+    the mass of S_k, written when S_k is made (NaN before).
     """
 
     spec: DistributionSpec
@@ -155,12 +152,10 @@ class WalkLaws:
             raise ValueError(f"n must lie in [1, {self.n_max}], got {n}")
 
     def negative_part(self, n: int) -> GridDensity:
-        """The n-step max law restricted to the negative half-line:
-        restrict(max_laws[n], "negative")[0], also where that law is not
-        kept."""
+        """The n-step max law restricted to the negative half-line,
+        restrict(max_laws[n], "negative")[0], rebuilt from its kernel slice
+        whether or not that law is kept."""
         self.check_index(n)
-        if n in self.max_laws:
-            return restrict(self.max_laws[n], "negative")[0]
         v = np.zeros(self.grid.count)
         v[self.kernel_start : self.grid.zero_index() + 1] = self.kernels[n]
         return GridDensity(self.grid, v)
@@ -258,9 +253,9 @@ def compute_walk(
     of the two lengths.
 
     ``keep`` names the n whose full max and sum laws the walk holds (None:
-    every n in [1, n_max]).  Every other step keeps only its Nagaev kernel's
-    negative part (see WalkLaws); the max-side scalar tables are filled
-    here, the sum-law masses as the laws are made.
+    every n in [1, n_max]).  Every step keeps its Nagaev kernel's negative
+    part (see WalkLaws); the max-side scalar tables are filled here, the
+    sum-law masses as the laws are made.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -304,10 +299,9 @@ def compute_walk(
         m1[k] = moment(f, 1, "negative")
         m2[k] = moment(f, 2, "negative")
         mass[k] = f.mass
+        kernels[k] = neg.values[kernel_start : zero + 1].copy()
         if k in keep:
             laws[k] = f
-        else:
-            kernels[k] = neg.values[kernel_start : zero + 1].copy()
 
     record(1, p)
     prev = p

@@ -50,7 +50,12 @@ def test_config_validation():
     assert RunConfig(seed=2**63 - 1).seed == 2**63 - 1
     # the largest sizes still accepted
     assert RunConfig(n_max=64, grid_points=2**20).grid_points == 2**20
-    assert RunConfig(n_max=1024, n_list=(1,), grid_points=2**16).n_max == 1024
+    assert RunConfig(mode="curves", n_max=1024, n_list=(1,), grid_points=2**16).n_max == 1024
+    # verify needs the curve rows its checks read; the other modes take any n_list
+    with pytest.raises(ConfigError, match=r"needs n_list to hold n = \[8, 32, 64\]"):
+        RunConfig(n_max=1024, n_list=(1,), grid_points=2**16)
+    assert RunConfig(mode="curves", n_max=64, n_list=(1, 2, 4)).n_list == (1, 2, 4)
+    assert RunConfig(n_max=31, n_list=(1, 2, 4)).n_list == (1, 2, 4)
     assert RunConfig(mc_samples=10**9).mc_samples == 10**9
     mix = (0.3, -0.7, 0.3, 0.79)
     assert RunConfig(spec_parameters=mix).spec_parameters == mix
@@ -106,6 +111,12 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         code = main([verb, "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+    # a verify n_list without the n its endpoint and tail checks read, which
+    # would drop their rows without listing them as skipped
+    for n_max, n_list, missing in ((64, [1, 2, 4], [8, 32, 64]), (40, [1, 2, 4, 8], [32])):
+        path = write_config(tmp_path, n_max=n_max, n_list=n_list)
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"needs n_list to hold n = {missing}" in capsys.readouterr().err
     # keys of settings that are no longer configurable, with values they once took
     for key in ("threads", "half_width_factor", "sigma_pad", "decomposition_M", "t_window"):
         path = write_config(tmp_path, **{key: 1.0})

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 import maxwalk as mw
-from maxwalk.entropy import EntropyReport, L, _support_log_density
+from maxwalk.entropy import L, _support_log_density
 
 
 def bump_params(max_bumps: int = 4):
@@ -52,16 +53,18 @@ def test_L_pointwise():
 
 
 def test_reference_laws_normalized(fine_grid):
-    for ref in (
-        mw.half_normal(),
-        mw.half_normal_scaled(4),
-        mw.gaussian(0.3, 2.0),
-        mw.gaussian_positive(1.0, 1.0),
-    ):
+    for ref in (mw.half_normal(), mw.half_normal(4)):
         assert ref.sample_on(fine_grid).mass == pytest.approx(1.0, abs=1e-6)
         x = np.array([0.5, 1.0, 3.0])
         dens = np.exp(ref.log_density(x))
         assert np.all(np.isfinite(dens)) and np.all(dens > 0)
+    assert mw.half_normal() == mw.ReferenceLaw(n=1)
+    # n = 1 is the same float operations as the unscaled closed form
+    x = fine_grid.centers()
+    unscaled = 0.5 * math.log(2.0 / math.pi) - x * x / 2.0
+    assert np.array_equal(mw.half_normal().log_density(x), unscaled)
+    with pytest.raises(ValueError):
+        mw.half_normal(0)
 
 
 def test_self_entropy_vanishes(fine_grid):
@@ -69,10 +72,15 @@ def test_self_entropy_vanishes(fine_grid):
     assert mw.relative_entropy(hn.sample_on(fine_grid), hn) == pytest.approx(0.0, abs=1e-6)
 
 
-def test_laplace_against_gaussian_closed_form(fine_grid):
-    f = mw.sample_density(mw.DistributionSpec("laplace"), fine_grid)
-    target = 0.5 * math.log(math.pi * math.e) - 1.0
-    assert mw.relative_entropy(f, mw.gaussian()) == pytest.approx(target, abs=1e-4)
+@pytest.mark.parametrize(
+    "n, target", [(1, -0.5 * math.log(2.0)), (4, -3.0 / 16.0)], ids=["n1", "n4"]
+)
+def test_gaussian_against_half_normal_closed_form(fine_grid, n, target):
+    # on x > 0 a standard gaussian density phi has log(phi / psi_n) =
+    # log(sqrt(n)/2) - (1 - 1/n) x^2/2, and phi has mass 1/2 and second
+    # moment 1/2 there: D = (log n)/4 - (log 2)/2 - (1 - 1/n)/4
+    f = mw.sample_density(mw.DistributionSpec("gaussian"), fine_grid)
+    assert mw.relative_entropy(f, mw.half_normal(n)) == pytest.approx(target, abs=1e-8)
 
 
 def test_scalar_identity_alpha_two(fine_grid):
@@ -107,9 +115,6 @@ def masked_relative_entropy(f: mw.GridDensity, ref: mw.ReferenceLaw) -> float:
     if np.any(v < -1e-12):
         raise ValueError("below the floor")
     v = np.maximum(v, 0.0)
-    if ref.support_lo == -math.inf:
-        mask = v > 1e-300
-        return float(np.sum(v[mask] * (np.log(v[mask]) - ref.log_density(x[mask]))) * h)
     total = 0.0
     pos = (x > 0) & (v > 1e-300)
     if np.any(pos):
@@ -153,17 +158,16 @@ def test_sliced_relative_entropy_is_bit_identical(fine_grid, case):
     assert f.grid.zero_index() == (-1 if case == "no_zero_cell" else fine_grid.zero_index())
     assert (f.values.min() < 0.0) == (case == "round_off")
     assert (f.values.min() > 1e-300) == (case in ("full_line", "no_zero_cell"))
-    for ref in (mw.half_normal(), mw.half_normal_scaled(4), mw.gaussian_positive(0.5, 2.0),
-                mw.gaussian(0.3, 2.0)):
+    for ref in (mw.half_normal(), mw.half_normal(4)):
         for scaled in (f, 0.5 * f):
             assert mw.relative_entropy(scaled, ref) == masked_relative_entropy(scaled, ref)
 
 
 def test_reference_log_density_cached_read_only(fine_grid):
     x = fine_grid.centers()
-    for ref, first in ((mw.half_normal(), fine_grid.zero_index() + 1), (mw.gaussian(0.3, 2.0), 0)):
+    for ref in (mw.half_normal(), mw.half_normal(4)):
         start, log_psi = _support_log_density(fine_grid, ref)
-        assert start == first
+        assert start == fine_grid.zero_index() + 1
         assert _support_log_density(fine_grid, ref)[1] is log_psi
         assert np.array_equal(log_psi, ref.log_density(x[start:]))
         with pytest.raises(ValueError):
@@ -178,7 +182,8 @@ def test_conditioned_gaussian_is_half_normal(fine_grid):
 
 
 def test_conditioned_shifted_gaussian_positive(fine_grid):
-    f = mw.gaussian(1.0, 1.0).sample_on(fine_grid)
+    # N(1, 1), cell-averaged
+    f = mw.GridDensity(fine_grid, np.diff(ndtr(fine_grid.edges() - 1.0)) / fine_grid.step)
     val = mw.conditional_positive_entropy(f, mw.half_normal())
     assert math.isfinite(val) and val > 0.01
 
@@ -190,24 +195,6 @@ def test_conditioning_identity_exact(fine_grid):
     d = mw.relative_entropy(f, psi)
     d_plus = mw.conditional_positive_entropy(f, psi)
     assert d == pytest.approx(alpha * d_plus + L(alpha), abs=1e-9)
-
-
-def test_gaussian_closed_form_relent(fine_grid):
-    # D(Z | 2Z) = log 2 + 1/8 - 1/2 for a standard gaussian Z
-    val = 0.5 * math.log(4.0) + 1.0 / 8.0 - 0.5
-    f = mw.sample_density(mw.DistributionSpec("gaussian"), fine_grid)
-    assert mw.relative_entropy(f, mw.gaussian(0.0, 4.0)) == pytest.approx(val, abs=1e-4)
-
-
-def test_pinsker_report(fine_grid):
-    hn = mw.half_normal()
-    sampled = hn.sample_on(fine_grid)
-    report = mw.pinsker_check(sampled, hn)
-    assert report.D == pytest.approx(0.0, abs=1e-6)
-    assert report.tv == pytest.approx(0.0, abs=1e-6)
-    assert report.pinsker_slack >= -1e-6
-    with pytest.raises(ValueError):
-        EntropyReport(D=-1.0, mass_of_argument=1.0, tv=0.0, pinsker_slack=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +267,7 @@ def test_randomized_sandwich(fine_grid, params_f, params_g):
 def test_scaling_invariance(fine_grid, params, n):
     f = build_bumps(fine_grid, params)
     lhs = mw.relative_entropy(mw.rescale_sqrt(f, n), mw.half_normal())
-    rhs = mw.relative_entropy(f, mw.half_normal_scaled(n))
+    rhs = mw.relative_entropy(f, mw.half_normal(n))
     assert abs(lhs - rhs) <= 1e-6
 
 

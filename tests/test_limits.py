@@ -5,7 +5,9 @@ import pytest
 from scipy.special import ndtr
 
 import maxwalk as mw
+from maxwalk.grid import _SPEC_NAMES
 from maxwalk.limits import (
+    _check_row_invariants,
     curves_csv,
     entropy_reports_csv,
     fit_log_error_constant,
@@ -45,6 +47,36 @@ def test_rows_internally_consistent(laplace_setup):
     gaussian = mw.DistributionSpec("gaussian")
     g = mw.convergence_curves(gaussian, [1], walk=mw.compute_walk(gaussian, 1, walk.grid))
     assert g[0].D_plus == pytest.approx(0.0, abs=1e-6)
+
+
+def one_sided_pinsker_slack(star: mw.GridDensity) -> float:
+    """Reference: the conditioned law's Pinsker slack D - tv^2/2 on the
+    positive restriction scaled to mass 1.  That density vanishes below 0,
+    so its 0-cell takes relative_entropy's one-sided rule."""
+    pos, alpha = mw.restrict(star, "positive")
+    cond = (1.0 / alpha) * pos
+    tv = mw.tv_distance(cond, mw.half_normal())
+    return mw.relative_entropy(cond, mw.half_normal()) - 0.5 * tv * tv
+
+
+@pytest.mark.parametrize("name", _SPEC_NAMES)
+def test_pinsker_slack_matches_one_sided_route(small_grid, name):
+    # the curves read the full-line (1/alpha)*star, whose 0-cell takes the
+    # two-sided rule on twice the value restrict keeps: the same bits
+    spec = mw.DistributionSpec(name)
+    walk = mw.compute_walk(spec, 8, small_grid, keep=(2, 8))
+    rows = mw.convergence_curves(spec, [2, 8], walk=walk)
+    for row in rows:
+        star = mw.rescale_sqrt(walk.max_laws[row.n], row.n)
+        assert row.pinsker_slack == one_sided_pinsker_slack(star)
+
+
+def test_row_invariants_enforce_the_entropy_floor():
+    # D = D_plus = -1 with Fbar0 = 0 satisfies the conditioning identity
+    row = mw.ConvergenceRow(n=8, D=-1.0, D_plus=-1.0, tv=0.0, m2_plus=1.0, Fbar0=0.0,
+                            tail_mass_C=0.0, pinsker_slack=-1.0)
+    with pytest.raises(ValueError, match="below the -1/e floor"):
+        _check_row_invariants(row)
 
 
 def test_tail_mass_properties(laplace_setup):

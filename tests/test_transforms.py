@@ -26,16 +26,16 @@ def half_normal_transform_exact(t: np.ndarray) -> np.ndarray:
 
 def dense_charfn(f: mw.GridDensity, t: np.ndarray, order: int) -> list[np.ndarray]:
     """Reference: the e^{itx} matrix product over the nonzero cells, in
-    blocks of 256 t values."""
+    blocks of 32 t values (each t's sum does not depend on the block)."""
     x = f.grid.centers()
     mask = f.values != 0.0
     xs = x[mask]
     weights = [((1j * xs) ** j) * f.values[mask] * f.grid.step for j in range(order + 1)]
     outs = [np.zeros(t.shape, dtype=np.complex128) for _ in range(order + 1)]
-    for start in range(0, len(t), 256):
-        phase = np.exp(1j * np.outer(t[start : start + 256], xs))
+    for start in range(0, len(t), 32):
+        phase = np.exp(1j * np.outer(t[start : start + 32], xs))
         for j in range(order + 1):
-            outs[j][start : start + 256] = phase @ weights[j]
+            outs[j][start : start + 32] = phase @ weights[j]
     return outs
 
 

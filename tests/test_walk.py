@@ -122,12 +122,13 @@ def test_kept_law_walk_matches_the_full_walk(small_grid, name):
     full = mw.compute_walk(spec, n_max, small_grid)
     kept = mw.compute_walk(spec, n_max, small_grid, keep=keep)
     assert kept.max_laws.kept == keep
-    assert sorted(kept.kernels) == [k for k in range(1, n_max + 1) if k not in keep]
+    assert sorted(kept.kernels) == list(range(1, n_max + 1))  # every step's slice
     assert all(v.base is None for v in kept.kernels.values())  # no full-length buffer pinned
     zero = small_grid.zero_index()
     assert kept.kernel_start == min(wk._support(full.step_density.values)[0], zero)
     for k in range(1, n_max + 1):
-        assert kept.kernels.get(k, np.zeros(0)).size in (0, zero - kept.kernel_start + 1)
+        assert kept.kernels[k].size == zero - kept.kernel_start + 1
+        assert np.array_equal(kept.kernels[k], full.kernels[k])
         assert np.array_equal(kept.sum_laws[k].values, full.sum_laws[k].values)
         neg, _ = mw.restrict(full.max_laws[k], "negative")
         assert np.array_equal(kept.negative_part(k).values, neg.values)

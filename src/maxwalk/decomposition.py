@@ -118,26 +118,40 @@ def binomial_log_weight(k: int, j: int, rho: float) -> float:
 
 
 class BoundedPowers:
-    """qk1[k] of a DecompTable, made from the walk's sum law S_k on each
-    read and not held: (S_k - rho^k qk2[k]) / (1 - rho^k) while the q2 power
-    is kept, q1 at k = 1, and S_k itself (the same object) beyond."""
+    """qk1[k] of a DecompTable as a kernel-pass term, a spectrum at the
+    walk's kernel-pass length, made from the spectrum of the walk's sum law
+    S_k on each read and not held: (S_k - rho^k qk2[k]) / (1 - rho^k) while
+    the q2 power is kept, q1 at k = 1, and S_k's spectrum itself (the same
+    array) beyond; walk.window(qk1[k]) is the power in space.
+    ``q2_spectrum(k)`` is qk2[k] at that length, the last one made held for
+    the read of the same k that follows."""
 
     def __init__(self, walk: WalkLaws, decomp: BinomialDecomposition, qk2: tuple, kept: int):
-        self._walk = walk
+        self.walk = walk
         self._decomp = decomp
         self._qk2 = qk2
         self._kept = kept
+        self._q1_hat = None
+        self._q2_hat = (0, None)
 
-    def __getitem__(self, k: int) -> GridDensity | None:
+    def q2_spectrum(self, k: int) -> np.ndarray:
+        index, q2_hat = self._q2_hat
+        if index != k:
+            q2_hat = self.walk.transform(self._qk2[k])
+            self._q2_hat = (k, q2_hat)
+        return q2_hat
+
+    def __getitem__(self, k: int) -> np.ndarray | None:
         if k == 0:
             return None
         if k > self._kept:
-            return self._walk.sum_laws[k]
+            return self.walk.sum_laws.spectrum(k)
         if k == 1:
-            return self._decomp.q1
-        pk = self._walk.sum_laws[k]
+            if self._q1_hat is None:
+                self._q1_hat = self.walk.transform(self._decomp.q1)
+            return self._q1_hat
         rho_k = self._decomp.rho**k
-        return pk.with_values((pk.values - rho_k * self._qk2[k].values) / (1.0 - rho_k))
+        return (self.walk.sum_laws.spectrum(k) - rho_k * self.q2_spectrum(k)) / (1.0 - rho_k)
 
 
 @dataclass(frozen=True)
@@ -145,10 +159,11 @@ class DecompTable:
     """Convolution powers of the split: for each k <= n_max,
     p_k = (1 - rho^k) qk1[k] + rho^k qk2[k] with qk1/qk2 probability
     densities.  qk2[k] = q2^{*k} is kept while rho^k >= _WEIGHT_CUTOFF and
-    is zero beyond (every k when rho = 0).  qk1[k] is made from the walk's
-    sum law on each read (BoundedPowers), so the table holds no sum law;
-    read it in ascending k, as the kernel pass does, for one convolution
-    per step on a walk that does not keep every law.  heads[k] is the part
+    is zero beyond (every k when rho = 0).  qk1[k] is a spectrum at the
+    walk's kernel-pass length, made from the walk's sum-law spectrum on
+    each read (BoundedPowers), so the table holds no sum law; read it in
+    ascending k, as the kernel pass does, for one product per step on a
+    walk that does not keep every law.  heads[k] is the part
     of p_k with one or two bounded factors (see _bounded_head; None when
     every such term is dropped).  Index 0 is None (the unit atom)."""
 
@@ -182,9 +197,9 @@ def decomp_powers(walk: WalkLaws, M: float | None = None) -> DecompTable:
     Convolution is bilinear, so the binomial expansion of
     p^{*k} = ((1-rho) q1 + rho q2)^{*k} has every term but the last in qk1:
     (1 - rho^k) qk1[k] = p^{*k} - rho^k q2^{*k}, with p^{*k} the walk's sum
-    law.  Where q2^{*k} is dropped, qk1[k] is that sum law itself (the same
-    object).  qk1[k] is made on each read from S_k (BoundedPowers); the
-    table reads no sum law when it is built.
+    law.  Where q2^{*k} is dropped, qk1[k] is that sum law's spectrum itself
+    (the same array).  qk1[k] is made on each read from the spectrum of S_k
+    (BoundedPowers); the table reads no sum law when it is built.
     """
     p = walk.step_density
     decomp = binomial_split(p, M)
@@ -225,7 +240,8 @@ def max_law_splits(table: DecompTable, walk: WalkLaws, ns) -> dict[int, MaxLawSp
     correction term.
 
     One kernel pass (walk.kernel_sums) serves every n, with three sums per n:
-    qk1[k], the kept qk2[k] and the table's head, each weighted as in p_k.
+    qk1[k], the kept qk2[k] and the table's head, each weighted as in p_k
+    and taken as a spectrum at the kernel pass's length.
     Verifies each split's per-cell reconstruction against the walk's max law
     at tolerance n * 1e-8 before returning.
     """
@@ -238,8 +254,8 @@ def max_law_splits(table: DecompTable, walk: WalkLaws, ns) -> dict[int, MaxLawSp
         head = table.heads[k]
         return (
             (table.qk1[k], 1.0 - w),
-            (table.qk2[k], w) if w >= _WEIGHT_CUTOFF else None,
-            None if head is None else (head, 1.0),
+            (table.qk1.q2_spectrum(k), w) if w >= _WEIGHT_CUTOFF else None,
+            None if head is None else (walk.transform(head), 1.0),
         )
 
     return {n: _finish_split(walk, n, *sums) for n, sums in kernel_sums(walk, ns, parts)}
@@ -284,18 +300,23 @@ def _bounded_head(rho: float, q1_powers: tuple, qk2: tuple, k: int) -> GridDensi
     return None if head is None else GridDensity(q1_powers[1].grid, head)
 
 
-def smooth_part(table: DecompTable, k: int) -> GridDensity:
-    """Part of the k-step sum law with at least three bounded factors
-    (nonnegative; three-fold bounded convolutions have integrable spectra)."""
+def smooth_spectrum(table: DecompTable, k: int) -> np.ndarray:
+    """smooth_part(table, k) as a kernel-pass term, a spectrum at the
+    walk's kernel-pass length."""
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
     table.check_index(k)
-    rho = table.decomp.rho
-    total = (1.0 - rho**k) * table.qk1[k].values
+    total = (1.0 - table.decomp.rho**k) * table.qk1[k]
     head = table.heads[k]
     if head is not None:
-        total = total - head.values
-    return GridDensity(table.decomp.q1.grid, total)
+        total = total - table.qk1.walk.transform(head)
+    return total
+
+
+def smooth_part(table: DecompTable, k: int) -> GridDensity:
+    """Part of the k-step sum law with at least three bounded factors
+    (nonnegative; three-fold bounded convolutions have integrable spectra)."""
+    return table.qk1.walk.window(smooth_spectrum(table, k))
 
 
 def smooth_split_identity_gaps(
@@ -309,7 +330,7 @@ def smooth_split_identity_gaps(
         table.check_index(n)
 
     def parts(k: int):
-        return ((smooth_part(table, k), 1.0) if k >= 3 else None,)
+        return ((smooth_spectrum(table, k), 1.0) if k >= 3 else None,)
 
     gaps = {}
     for n, (terms,) in kernel_sums(walk, by_n, parts):

@@ -6,8 +6,8 @@ unbounded-but-integrable densities representable and makes mass bookkeeping
 exact.  The objects of this module are immutable; all operations are pure
 functions, safe to call concurrently, and deterministic regardless of thread
 count.  (A walk's sum-law store, walk.SumLaws, fills after it is built: each
-law on its first read, under a lock, with the same bits whatever the order
-of reads.)
+spectrum on its first read, under a lock, with the same bits whatever the
+order of reads.)
 """
 
 from __future__ import annotations

@@ -184,10 +184,8 @@ def convergence_curves(
         # identity ties the row together exactly; it differs from the
         # walk-level probability by the 0-cell quadrature only
         fbar = 1.0 - alpha
-        # Pinsker slack D - tv^2/2 of the conditioned law; on the full-line
-        # (1/alpha)*star the 0-cell takes the two-sided rule, which equals
-        # the one-sided rule on (1/alpha)*pos, whose 0-cell restrict halves
-        cond_d = relative_entropy((1.0 / alpha) * star, _HALF_NORMAL)
+        # Pinsker slack D_plus - tv^2/2 of the conditioned law, the tv taken
+        # on the positive restriction scaled to mass 1
         cond_tv = tv_distance((1.0 / alpha) * pos, _HALF_NORMAL)
         alesh = (
             local_limit_residual(walk, n) if walk.spec.bounded_density else math.nan
@@ -201,7 +199,7 @@ def convergence_curves(
             m2_plus=m2,
             Fbar0=fbar,
             tail_mass_C=tail_mass(walk, n),
-            pinsker_slack=cond_d - 0.5 * cond_tv * cond_tv,
+            pinsker_slack=d_plus - 0.5 * cond_tv * cond_tv,
             alesh=alesh,
             local_a=local.part_a,
         )

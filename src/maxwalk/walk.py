@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import next_fast_len
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .grid import (
     MASS_TOL,
@@ -29,6 +29,7 @@ from .grid import (
     GridMismatchError,
     GridSpec,
     HalfLineLaw,
+    WindowOverflowError,
     _support,
     from_spectrum,
     make_working_grid,
@@ -61,62 +62,114 @@ class KeptLaws:
 
 
 class SumLaws:
-    """The sum laws S_k = p^{*k} of a walk, made on first read.
+    """The sum laws S_k = p^{*k} of a walk, carried as spectra at the kernel
+    pass's length L (_kernel_size) and made on first read.
 
-    ``[k]`` is valid for 1 <= k <= n_max (index 0 is None).  A law is
-    made forward from the nearest held law below k by S_k = p * S_{k-1}
-    (the same product, so the same bits, whatever the order of reads), its
-    mass written to the walk's ``sum_mass`` table as it is made.  The store
-    holds S_1 (the step law), the law at each n of ``keep`` and the last law
-    made, so an ascending read costs one convolution per step and a kept
-    walk holds at most len(keep) + 2 sum laws.  Reads are serialized by a
-    lock, so threads may share a walk.
+    The spectrum of S_k is the half spectrum of a cyclic buffer of L cells:
+    the window's cells in [0, count) and, on the pad cells [count, L), what
+    the products pushed over the window's edges.  One step is one complex
+    product with the spectrum of h * p rolled back by zero_index cells (h
+    the cell width): the cyclic convolution with p, shifted so the window
+    stays at [0, count).  p vanishes below kernel_start, and the pad is at
+    least zero_index - kernel_start cells wide, so what a step pushes over
+    the left edge lands on it.  At every step the pad's mass is read from
+    the spectrum (Parseval against the pad's indicator) and
+    WindowOverflowError is raised when it exceeds grid.from_spectrum's bound,
+    10 * MASS_TOL * max(1, |mass(p) mass(S_{k-1})|); ``sum_mass[k]`` is the
+    window's mass, the total minus the pad's.
+
+    ``spectrum(k)`` is that spectrum for 1 <= k <= n_max, made forward from
+    the nearest held one below k (the same products, so the same bits,
+    whatever the order of reads).  The store holds k = 1, each n of
+    ``keep`` and the last k made, so an ascending read costs one product
+    per step and a kept walk holds at most len(keep) + 2 spectra.  ``[k]``
+    is S_k in space (index 0 is None): the step law for k = 1, else one
+    inverse transform cut to the window, not held.  Reads are serialized by
+    a lock, so threads may share a walk.
     """
 
-    def __init__(self, step: GridDensity, n_max: int, keep, convolve_p, mass: np.ndarray):
+    def __init__(self, step: GridDensity, n_max: int, keep, size: int, mass: np.ndarray):
+        grid = step.grid
         self.n_max = n_max
+        self.size = size
+        self._p = step
         self._keep = keep
-        self._convolve = convolve_p
         self._mass = mass
-        self._laws = {1: step}
+        self._spectra = {1: rfft(step.values, size)}
         self._last = 1
         self._lock = threading.Lock()
+        padded = np.zeros(size)
+        padded[: grid.count] = step.values
+        self._factor = grid.step * rfft(np.roll(padded, -grid.zero_index()))
+        # the sum of a buffer's pad cells is Re(s_hat . _pad) (Parseval)
+        pad = np.zeros(size)
+        pad[grid.count :] = 1.0
+        self._pad = np.conj(rfft(pad)) * (2.0 / size)
+        self._pad[0] /= 2.0
+        if size % 2 == 0:
+            self._pad[-1] /= 2.0
         mass[1] = step.mass
 
     @property
     def held(self) -> tuple[int, ...]:
-        """The k whose law the store holds now."""
-        return tuple(sorted(self._laws))
+        """The k whose spectrum the store holds now."""
+        return tuple(sorted(self._spectra))
+
+    def spectrum(self, k: int) -> np.ndarray:
+        if not 1 <= k <= self.n_max:
+            raise IndexError(f"sum law index must lie in [1, {self.n_max}], got {k}")
+        with self._lock:
+            s_hat = self._spectra.get(k)
+            if s_hat is not None:
+                return s_hat
+            j = max(i for i in self._spectra if i < k)
+            s_hat = self._spectra[j]
+            for i in range(j + 1, k + 1):
+                s_hat = self._step(i, s_hat)
+                if i in self._keep:
+                    self._spectra[i] = s_hat
+            if self._last != 1 and self._last not in self._keep:
+                del self._spectra[self._last]
+            self._spectra[k] = s_hat
+            self._last = k
+            return s_hat
+
+    def _step(self, k: int, prev: np.ndarray) -> np.ndarray:
+        """S_k's spectrum from S_{k-1}'s: one product, the pad guard and the
+        window's mass."""
+        s_hat = self._factor * prev
+        h = self._p.grid.step
+        pad = float(np.dot(s_hat, self._pad).real)
+        lost = h * abs(pad)
+        if lost > 10.0 * MASS_TOL * max(1.0, abs(self._p.mass * self._mass[k - 1])):
+            raise WindowOverflowError(
+                f"the {k}-step sum law puts mass {lost:.3e} outside the window; "
+                "enlarge the window or increase the cell count"
+            )
+        self._mass[k] = h * (float(s_hat[0].real) - pad)
+        return s_hat
 
     def __getitem__(self, k: int) -> GridDensity | None:
         if k == 0:
             return None
-        if not 1 <= k <= self.n_max:
-            raise IndexError(f"sum law index must lie in [0, {self.n_max}], got {k}")
-        with self._lock:
-            law = self._laws.get(k)
-            if law is not None:
-                return law
-            j = max(i for i in self._laws if i < k)
-            law = self._laws[j]
-            for i in range(j + 1, k + 1):
-                law = self._convolve(law)
-                self._mass[i] = law.mass
-                if i in self._keep:
-                    self._laws[i] = law
-            if self._last != 1 and self._last not in self._keep:
-                del self._laws[self._last]
-            self._laws[k] = law
-            self._last = k
-            return law
+        if k == 1:
+            return self._p
+        return _window(self._p.grid, self.spectrum(k), self.size)
+
+
+def _window(grid: GridSpec, s_hat: np.ndarray, size: int) -> GridDensity:
+    """The window cells [0, count) of the cyclic buffer whose half spectrum
+    at `size` points is s_hat, copied out of the inverse transform."""
+    return GridDensity(grid, irfft(s_hat, size)[: grid.count].copy())
 
 
 @dataclass(frozen=True)
 class WalkLaws:
     """Per-step laws of S_k and of the running maximum, with scalar tables.
 
-    ``sum_laws[k]`` is valid for 1 <= k <= n_max (index 0 is None); each
-    is made on its first read and held only at the n of ``keep`` (SumLaws).
+    ``sum_laws`` carries S_k for 1 <= k <= n_max as spectra at the kernel
+    pass's length (``pass_size``), each made on its first read and held only
+    at the n of ``keep``; ``sum_laws[k]`` is S_k in space (SumLaws).
     ``max_laws[k]`` is the full k-step max law for each kept k (every k
     unless compute_walk was given ``keep``).  For every k the walk holds
     what the Nagaev kernel reads: the max law's negative part on cells
@@ -127,7 +180,7 @@ class WalkLaws:
     k steps, ``neg_moment1``/``neg_moment2`` are the first and second
     moments of the running maximum over the negative half-line and
     ``max_mass[k]`` is the mass of the k-step max law.  ``sum_mass[k]`` is
-    the mass of S_k, written when S_k is made (NaN before).
+    the window's mass of S_k, written when S_k is made (NaN before).
     """
 
     spec: DistributionSpec
@@ -147,6 +200,11 @@ class WalkLaws:
     def grid(self) -> GridSpec:
         return self.step_density.grid
 
+    @property
+    def pass_size(self) -> int:
+        """FFT length of the kernel pass and of the sum-law spectra."""
+        return self.sum_laws.size
+
     def check_index(self, n: int) -> None:
         if not 1 <= n <= self.n_max:
             raise ValueError(f"n must lie in [1, {self.n_max}], got {n}")
@@ -160,20 +218,31 @@ class WalkLaws:
         v[self.kernel_start : self.grid.zero_index() + 1] = self.kernels[n]
         return GridDensity(self.grid, v)
 
+    def transform(self, f: GridDensity) -> np.ndarray:
+        """f's window as a kernel-pass term: its half spectrum at pass_size."""
+        return spectrum(f, self.pass_size)
 
-def _kernel_size(grid: GridSpec) -> int:
+    def window(self, f_hat: np.ndarray) -> GridDensity:
+        """The density in the window of a kernel-pass term (the inverse of
+        transform, which also drops a sum law's pad cells)."""
+        return _window(self.grid, f_hat, self.pass_size)
+
+
+def _kernel_size(grid: GridSpec, kernel_start: int) -> int:
     """FFT length of the kernel pass.  A kernel's negative part lives on
-    cells [0, zero_index]; its linear convolution with a whole window has
-    count + zero_index points, which this length holds without wraparound."""
-    return next_fast_len(grid.count + grid.zero_index(), real=True)
+    cells [kernel_start, zero_index]; its linear convolution with a whole
+    window has count + zero_index - kernel_start points, which this length
+    holds without wraparound.  The sum laws are carried at this length
+    too, with their pad cells [count, size) at least as wide as that part."""
+    return next_fast_len(grid.count + grid.zero_index() - kernel_start, real=True)
 
 
 class KernelSpectrum(NamedTuple):
     """What a kernel sum needs of the signed Nagaev kernel G_j: its atom at
     0, P(max_j <= 0), which is also the mass of its negative part, and that
-    part's spectrum at the kernel pass's length (see grid.spectrum and
-    _kernel_size; None for the unit atom, j = 0).  The negative density
-    itself is not held."""
+    part's spectrum: WalkLaws.kernels[j], the cells [kernel_start,
+    zero_index], transformed at the kernel pass's length (_kernel_size;
+    None for the unit atom, j = 0)."""
 
     index: int
     atom_at_zero: float
@@ -184,30 +253,32 @@ class KernelSum:
     """Running sum of densities convolved with signed Nagaev kernels:
     sum over terms (G, f, w) of w * (atom * f - f * neg), G = atom - neg.
 
-    Atom terms add in space and convolution terms as products of spectra
-    at the kernel pass's length, which holds a whole window convolved with a
-    negative part on cells [0, zero_index] (_kernel_size), so the whole sum
-    costs one inverse transform at that length.  Every f and neg is a
-    nonnegative density and every w positive, so the window guard acts on
-    the sum with scale sum |w * mass(f) * mass(neg)| (grid.from_spectrum).
-    Each accumulator is allocated on its first term; a part without terms is
-    the grid's shared zero density.
+    Each f comes as a spectrum at the walk's kernel-pass length (a sum
+    law's spectrum, or WalkLaws.transform of a density).  The atom terms
+    and the convolution terms are summed as spectra, and each part costs
+    one inverse transform: the atoms' is cut to the window, the
+    convolutions' placed at offset kernel_start of the full convolution
+    and cropped (grid.from_spectrum).  That length holds a whole window
+    convolved with a negative part on cells [kernel_start, zero_index]
+    without wraparound (_kernel_size).  Every f and neg is a nonnegative
+    density and every w positive, so the window guard acts on the sum with
+    scale sum |w * mass(f) * mass(neg)|, mass(f) read from f's spectrum at
+    0.  Each accumulator is allocated on its first term; a part without
+    terms is the grid's shared zero density.
     """
 
-    def __init__(self, grid: GridSpec) -> None:
-        self.grid = grid
-        self._size = _kernel_size(grid)
+    def __init__(self, walk: WalkLaws) -> None:
+        self.grid = walk.grid
+        self._size = walk.pass_size
+        self._start = walk.kernel_start
         self._atoms: np.ndarray | None = None
         self._acc: np.ndarray | None = None
         self._scale = 0.0
 
-    def add(
-        self, kernel: KernelSpectrum, f: GridDensity, weight: float, f_hat: np.ndarray | None
-    ) -> None:
-        """Add w * (G * f), with f_hat the spectrum of f's whole window at
-        the kernel pass's length (unused, and may be None, for the unit
-        atom)."""
-        atoms = (weight * kernel.atom_at_zero) * f.values
+    def add(self, kernel: KernelSpectrum, f_hat: np.ndarray, weight: float) -> None:
+        """Add w * (G * f), with f_hat the spectrum of f at the kernel
+        pass's length."""
+        atoms = (weight * kernel.atom_at_zero) * f_hat
         if self._atoms is None:
             self._atoms = atoms
         else:
@@ -218,20 +289,21 @@ class KernelSum:
                 self._acc = term
             else:
                 self._acc += term
-            self._scale += abs(weight * f.mass * kernel.atom_at_zero)
+            mass = self.grid.step * f_hat[0].real
+            self._scale += abs(weight * mass * kernel.atom_at_zero)
 
     def atom_part(self) -> GridDensity:
         """The kernels' atoms alone: sum of w * atom * f."""
         if self._atoms is None:
             return zero_density(self.grid)
-        return GridDensity(self.grid, self._atoms)
+        return _window(self.grid, self._atoms, self._size)
 
     def convolutions(self) -> GridDensity:
         """The kernels' negative parts alone: sum of w * (f * neg)."""
         if self._acc is None:
             return zero_density(self.grid)
-        length = self.grid.count + self.grid.zero_index()
-        return from_spectrum(self.grid, self._acc, self._scale, self._size, 0, length)
+        length = self.grid.count + self.grid.zero_index() - self._start
+        return from_spectrum(self.grid, self._acc, self._scale, self._size, self._start, length)
 
     def total(self) -> GridDensity:
         return self.atom_part() - self.convolutions()
@@ -248,14 +320,13 @@ def compute_walk(
     Each step convolves the step law p with the previous max law's positive
     part, transformed over cells [zero_index, count) with p over its
     nonzero cells.  The sum laws are not made here: the walk's SumLaws
-    makes S_k = p * S_{k-1} when a reader first asks for it, with the sum
-    law transformed over the whole window.  p is transformed once for each
-    of the two lengths.
+    steps the spectrum of S_k by one product with p's when a reader first
+    asks for it.
 
-    ``keep`` names the n whose full max and sum laws the walk holds (None:
-    every n in [1, n_max]).  Every step keeps its Nagaev kernel's negative
-    part (see WalkLaws); the max-side scalar tables are filled here, the
-    sum-law masses as the laws are made.
+    ``keep`` names the n whose full max law and sum-law spectrum the walk
+    holds (None: every n in [1, n_max]).  Every step keeps its Nagaev
+    kernel's negative part (see WalkLaws); the max-side scalar tables are
+    filled here, the sum-law masses as the laws are made.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -271,19 +342,14 @@ def compute_walk(
     p0, p1 = _support(p.values)
     kernel_start = min(p0, zero)
 
-    def convolver(start: int):
-        """f -> p * f for densities f that vanish below cell `start`."""
-        length = (grid.count - start) + (p1 - p0) - 1
-        size = next_fast_len(length, real=True)
-        p_hat = spectrum(p, size, p0, p1)
+    # p * f for the positive parts f, which vanish below cell zero
+    length = (grid.count - zero) + (p1 - p0) - 1
+    size = next_fast_len(length, real=True)
+    p_hat = spectrum(p, size, p0, p1)
 
-        def convolve_p(f: GridDensity) -> GridDensity:
-            prod = p_hat * spectrum(f, size, start)
-            return from_spectrum(grid, prod, abs(p.mass * f.mass), size, start + p0, length)
-
-        return convolve_p
-
-    convolve_pos = convolver(zero)
+    def convolve_pos(f: GridDensity) -> GridDensity:
+        prod = p_hat * spectrum(f, size, zero)
+        return from_spectrum(grid, prod, abs(p.mass * f.mass), size, zero + p0, length)
 
     laws: dict = {}
     kernels: dict = {}
@@ -320,7 +386,7 @@ def compute_walk(
         spec=spec,
         n_max=n_max,
         step_density=p,
-        sum_laws=SumLaws(p, n_max, keep, convolver(0), sum_mass),
+        sum_laws=SumLaws(p, n_max, keep, _kernel_size(grid, kernel_start), sum_mass),
         max_laws=KeptLaws(laws),
         kernels=kernels,
         kernel_start=kernel_start,
@@ -334,12 +400,12 @@ def compute_walk(
 
 def kernel_spectrum(walk: WalkLaws, index: int) -> KernelSpectrum:
     """Kernel G_j in spectral form: the unit atom for j = 0; else the atom
-    P(max_j <= 0) minus the negative part of the j-step max law, transformed
-    over cells [0, zero_index] whether or not the walk kept that law."""
+    P(max_j <= 0) minus the negative part of the j-step max law, its kernel
+    slice transformed at the kernel pass's length whether or not the walk
+    kept that law."""
     if index == 0:
         return KernelSpectrum(0, 1.0, None)
-    neg = walk.negative_part(index)
-    neg_hat = spectrum(neg, _kernel_size(walk.grid), 0, walk.grid.zero_index() + 1)
+    neg_hat = rfft(walk.kernels[index], walk.pass_size)
     return KernelSpectrum(index, float(walk.nonpos_prob[index]), neg_hat)
 
 
@@ -347,11 +413,12 @@ def kernel_sums(walk: WalkLaws, ns, parts):
     """Nagaev kernel sums sum_k w_k (f_k * G_{n-k}) for every n in ns, in one
     pass over k = 1..max(ns).
 
-    parts(k) gives one (density, weight) term, or None, per sum.  Each term
-    is transformed once, at the kernel pass's length, and added, with kernel
-    n - k, into its sum for every n >= k of ns.  Yields (n, sums) right after
-    step n.  Each kernel is made on first use and dropped after its last:
-    kernel j serves no step after k = max(ns) - j.
+    parts(k) gives one (spectrum, weight) term, or None, per sum; each
+    spectrum is at the kernel pass's length (a sum law's spectrum, or
+    WalkLaws.transform of a density) and is added, with kernel n - k, into
+    its sum for every n >= k of ns.  Yields (n, sums) right after step n.
+    Each kernel is made on first use and dropped after its last: kernel j
+    serves no step after k = max(ns) - j.
     """
     ns = sorted(set(ns))
     if not ns:
@@ -359,22 +426,20 @@ def kernel_sums(walk: WalkLaws, ns, parts):
     for n in ns:
         walk.check_index(n)
     top = ns[-1]
-    size = _kernel_size(walk.grid)
     held: dict = {}
     sums: dict = {}
     for k in range(1, top + 1):
         terms = parts(k)
         if k == 1:
-            sums = {n: tuple(KernelSum(walk.grid) for _ in terms) for n in ns}
+            sums = {n: tuple(KernelSum(walk) for _ in terms) for n in ns}
         for i, term in enumerate(terms):
             if term is None:
                 continue
-            f, weight = term
-            f_hat = spectrum(f, size) if k < top else None  # step top needs kernel 0 only
+            f_hat, weight = term
             for n in ns[bisect_left(ns, k):]:
                 if n - k not in held:
                     held[n - k] = kernel_spectrum(walk, n - k)
-                sums[n][i].add(held[n - k], f, weight, f_hat)
+                sums[n][i].add(held[n - k], f_hat, weight)
         held.pop(top - k, None)
         if k in sums:
             yield k, sums.pop(k)
@@ -384,7 +449,7 @@ def nagaev_density(walk: WalkLaws, ns) -> dict[int, GridDensity]:
     """Density of the n-step running maximum, for every n in ns, as the
     kernel representation: the sum over k of the k-step sum law convolved
     with the (n-k)-step kernel."""
-    sums = kernel_sums(walk, ns, lambda k: ((walk.sum_laws[k], 1.0),))
+    sums = kernel_sums(walk, ns, lambda k: ((walk.sum_laws.spectrum(k), 1.0),))
     return {n: terms.total() for n, (terms,) in sums}
 
 

@@ -88,8 +88,8 @@ def test_power_table_trivial_when_bounded(small_grid):
     d = table.decomp
     assert np.array_equal(d.q1.values, w.step_density.values)
     for k in (1, 4, 8):
-        # every q2 power is dropped: qk1[k] is the walk's sum law itself
-        assert table.qk1[k] is w.sum_laws[k]
+        # every q2 power is dropped: qk1[k] is the walk's sum-law spectrum
+        assert table.qk1[k] is w.sum_laws.spectrum(k)
         assert np.all(table.qk2[k].values == 0.0)
 
 
@@ -97,14 +97,14 @@ def test_power_table_reconstructs_spike(small_grid):
     w = mw.compute_walk(mw.DistributionSpec("spike"), 8, small_grid)
     table = mw.decomp_powers(w)
     d = table.decomp
-    assert np.array_equal(table.qk1[1].values, d.q1.values)
+    assert np.array_equal(table.qk1[1], w.transform(d.q1))
     assert np.array_equal(table.qk2[1].values, d.q2.values)
     for k in (2, 5, 8):
         rho_k = d.rho**k
-        recon = (1.0 - rho_k) * table.qk1[k] + rho_k * table.qk2[k]
+        recon = (1.0 - rho_k) * w.window(table.qk1[k]) + rho_k * table.qk2[k]
         assert mw.l1_distance(recon, w.sum_laws[k]) <= 1e-6
         assert np.abs(recon.values - w.sum_laws[k].values).max() <= k * 1e-9
-        assert table.qk1[k].mass == pytest.approx(1.0, abs=k * 1e-6)
+        assert w.window(table.qk1[k]).mass == pytest.approx(1.0, abs=k * 1e-6)
         assert table.qk2[k].mass == pytest.approx(1.0, abs=k * 1e-6)
 
 
@@ -142,7 +142,7 @@ def test_power_table_matches_binomial_double_sum(name, M):
     assert d.rho > 0
     qk1, heads = binomial_double_sum(d, n)
     for k in qk1:
-        for got, expected in ((table.qk1[k], qk1[k]), (table.heads[k], heads[k])):
+        for got, expected in ((w.window(table.qk1[k]), qk1[k]), (table.heads[k], heads[k])):
             assert np.abs(got.values - expected).max() <= 1e-12 * np.abs(expected).max()
     assert np.array_equal(table.heads[1].values, (1.0 - d.rho) * d.q1.values)
     dropped = [k for k in range(1, n + 1) if d.rho**k < _WEIGHT_CUTOFF]
@@ -150,7 +150,7 @@ def test_power_table_matches_binomial_double_sum(name, M):
     for k in range(1, n + 1):
         if k in dropped:
             assert np.all(table.qk2[k].values == 0.0)
-            assert table.qk1[k] is w.sum_laws[k]
+            assert table.qk1[k] is w.sum_laws.spectrum(k)
         else:
             assert table.qk2[k].mass == pytest.approx(1.0, abs=k * 1e-6)
 
@@ -204,7 +204,7 @@ def per_term_direct_split(w, table, n):
     for k in range(1, n + 1):
         j = n - k
         scale = 1.0 - rho**k if rho > 0 else 1.0
-        bounded += scale * apply_kernel_direct(table.qk1[k], w, j).values
+        bounded += scale * apply_kernel_direct(w.window(table.qk1[k]), w, j).values
         if rho > 0 and rho**k >= cutoff and j > 0:
             neg, _ = mw.restrict(w.max_laws[j], "negative")
             rem_neg += rho**k * mw.convolve(table.qk2[k], neg, "direct").values

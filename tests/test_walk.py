@@ -9,7 +9,7 @@ import pytest
 
 import maxwalk as mw
 import maxwalk.walk as wk
-from maxwalk.grid import _SPEC_NAMES, GridError, zero_density
+from maxwalk.grid import _SPEC_NAMES, GridError, WindowOverflowError, zero_density
 
 
 def test_one_step_is_step_density(gaussian_walk8):
@@ -50,22 +50,52 @@ def test_walk_scalar_invariants(gaussian_walk8):
 
 @pytest.mark.parametrize("name", _SPEC_NAMES)
 def test_trimmed_recursion_matches_direct(small_grid, name):
-    # oracle: the same recursion with every product by the dense direct
-    # sum; the walk transforms p over its support, the positive part over
-    # [zero_index, count) and the sum law over the window, each product at
-    # its own fast length
+    # oracle: the same max recursion with every product by the dense direct
+    # sum; the walk transforms p over its support and the positive part
+    # over [zero_index, count), each product at its own fast length
     n_max = 16
     w = mw.compute_walk(mw.DistributionSpec(name), n_max, small_grid)
     p = w.step_density
-    sum_law, max_law = p, p
+    max_law = p
     for k in range(2, n_max + 1):
-        sum_law = mw.convolve(p, sum_law, "direct")
         pos, _ = mw.restrict(max_law, "positive")
         _, nonpos = mw.restrict(max_law, "negative")
         max_law = nonpos * p + mw.convolve(p, pos, "direct")
-        for got, expected in ((w.sum_laws[k], sum_law), (w.max_laws[k], max_law)):
-            sup = np.abs(expected.values).max()
-            assert np.abs(got.values - expected.values).max() <= 1e-14 * sup
+        sup = np.abs(max_law.values).max()
+        assert np.abs(w.max_laws[k].values - max_law.values).max() <= 1e-14 * sup
+
+
+@pytest.mark.parametrize("name", _SPEC_NAMES)
+def test_spectral_sum_laws_match_direct_chain(name):
+    # oracle: S_k = p * S_{k-1} by a chain of dense direct convolutions, on
+    # a window that holds the 32-step walk (so the chain's per-step crop
+    # cuts nothing), against the spectra stepped by one product each
+    n_max = 32
+    grid = mw.make_working_grid(n_max, 2**12)
+    w = mw.compute_walk(mw.DistributionSpec(name), n_max, grid, keep=())
+    law = w.step_density
+    for k in range(2, n_max + 1):
+        law = mw.convolve(w.step_density, law, "direct")
+        got = w.sum_laws[k]
+        sup = np.abs(law.values).max()
+        assert np.abs(got.values - law.values).max() <= 1e-14 * sup
+        assert w.sum_mass[k] == pytest.approx(law.mass, abs=1e-14)
+    assert w.sum_laws.held == (1, n_max)
+
+
+def test_sum_laws_too_wide_for_the_window_raise():
+    # a window on [-10, 118] holds the 64-step max law (its left tail is
+    # the step law's) but not the sum laws beyond a few steps: S_64 puts
+    # ~10% of its mass left of -10.  The pad guard raises instead of
+    # letting that mass wrap around the cyclic buffer
+    step = 2.0**-5
+    g = mw.GridSpec(x_min=-320 * step, step=step, count=2**12)
+    w = mw.compute_walk(mw.DistributionSpec("gaussian"), 64, g, keep=())
+    assert w.sum_laws[4].mass == pytest.approx(1.0, abs=1e-6)
+    with pytest.raises(WindowOverflowError, match="sum law puts mass"):
+        w.sum_laws[64]
+    with pytest.raises(WindowOverflowError):
+        mw.nagaev_density(w, [64])
 
 
 def test_walk_laws_own_their_values(gaussian_walk8):
@@ -172,31 +202,46 @@ def test_kept_law_walk_matches_the_full_walk(small_grid, name):
         )
 
 
-def _count_sum_convolutions(walk, monkeypatch, check=None) -> list:
-    """Wrap the walk's sum-law product, calling `check` before each; returns
-    a list that grows by one entry per product."""
-    made, convolve = [], walk.sum_laws._convolve
+def _count_sum_products(walk, monkeypatch, check=None) -> list:
+    """Wrap the walk's sum-law step (one spectral product), calling `check`
+    before each; returns a list that grows by one entry per product."""
+    made, step = [], walk.sum_laws._step
 
-    def counting(f):
+    def counting(k, prev):
         if check is not None:
             check()
-        law = convolve(f)
-        made.append(1)
-        return law
+        s_hat = step(k, prev)
+        made.append(k)
+        return s_hat
 
-    monkeypatch.setattr(walk.sum_laws, "_convolve", counting)
+    monkeypatch.setattr(walk.sum_laws, "_step", counting)
     return made
+
+
+def uncropped_direct_sum_laws(p, n_max):
+    """Oracle: [None, S_1, ..., S_{n_max}] by the dense direct sum, each
+    product kept on a window three times as wide as p's and cut to p's
+    window only when it is read, so nothing a product pushes over the
+    window's edges is dropped (the sum laws' pad cells keep it too)."""
+    count, zero = p.grid.count, p.grid.zero_index()
+    p0, p1 = wk._support(p.values)
+    wide = np.zeros(3 * count)
+    wide[count : 2 * count] = p.values
+    laws = [None, p]
+    for _ in range(2, n_max + 1):
+        full = np.convolve(wide, p.values[p0:p1]) * p.grid.step
+        wide = full[zero - p0 : zero - p0 + 3 * count].copy()
+        laws.append(mw.GridDensity(p.grid, wide[count : 2 * count]))
+    return laws
 
 
 @pytest.mark.parametrize("name", _SPEC_NAMES)
 def test_streamed_sum_laws_match_in_any_order(small_grid, name):
     # oracles: the walk that holds every sum law, bit for bit, and the dense
-    # direct recursion S_k = p * S_{k-1}
+    # direct recursion S_k = p * S_{k-1} without a crop between products
     spec, n_max, keep = mw.DistributionSpec(name), 8, (3, 5, 8)
     full = mw.compute_walk(spec, n_max, small_grid)
-    p, direct = full.step_density, [None, full.step_density]
-    for k in range(2, n_max + 1):
-        direct.append(mw.convolve(p, direct[-1], "direct"))
+    direct = uncropped_direct_sum_laws(full.step_density, n_max)
     shuffled = list(range(1, n_max + 1))
     random.Random(7).shuffle(shuffled)
     orders = (range(1, n_max + 1), range(n_max, 0, -1), shuffled)
@@ -206,6 +251,7 @@ def test_streamed_sum_laws_match_in_any_order(small_grid, name):
         for k in order:
             law = kept.sum_laws[k]
             assert np.array_equal(law.values, full.sum_laws[k].values)
+            assert np.array_equal(kept.sum_laws.spectrum(k), full.sum_laws.spectrum(k))
             sup = np.abs(direct[k].values).max()
             assert np.abs(law.values - direct[k].values).max() <= 1e-14 * sup
             assert len(kept.sum_laws.held) <= len(keep) + 2
@@ -223,12 +269,12 @@ def test_kept_walk_holds_few_sum_laws(small_grid, monkeypatch):
     def bounded():
         assert len(w.sum_laws.held) <= len(keep) + 2
 
-    made = _count_sum_convolutions(w, monkeypatch, bounded)
+    made = _count_sum_products(w, monkeypatch, bounded)
     splits = mw.max_law_splits(table, w, keep)
     assert sorted(splits) == list(keep)
     bounded()
     assert set(keep) <= set(w.sum_laws.held)
-    assert len(made) == n_max - 1  # one ascending stream, each law made once
+    assert made == list(range(2, n_max + 1))  # one ascending stream, each law made once
 
 
 def test_scalar_csv_does_not_depend_on_the_stream(small_grid, monkeypatch):
@@ -239,7 +285,7 @@ def test_scalar_csv_does_not_depend_on_the_stream(small_grid, monkeypatch):
     expected = wk.walk_scalars_csv(mw.compute_walk(spec, n_max, small_grid))
     for ns in (None, keep, (3, 5)):
         w = mw.compute_walk(spec, n_max, small_grid, keep=keep)
-        made = _count_sum_convolutions(w, monkeypatch)
+        made = _count_sum_products(w, monkeypatch)
         if ns is not None:
             mw.max_law_splits(mw.decomp_powers(w), w, ns)
             assert len(made) == max(ns) - 1
@@ -295,8 +341,8 @@ def test_kernel_sums_shares_and_drops_kernels(gaussian_walk8, monkeypatch):
     w = gaussian_walk8
     ns, top = (1, 3, 5, 8), 8
     expected = mw.nagaev_density(w, ns)
-    made, spectra, transformed, given, sizes = [], {}, [], {}, set()
-    make_kernel, transform = wk.kernel_spectrum, wk.spectrum
+    made, spectra, sizes, transformed, given = [], {}, set(), [], {}
+    make_kernel, rfft, transform = wk.kernel_spectrum, wk.rfft, wk.spectrum
 
     def counting_kernel(walk, index):
         made.append(index)
@@ -305,20 +351,27 @@ def test_kernel_sums_shares_and_drops_kernels(gaussian_walk8, monkeypatch):
             spectra[index] = weakref.ref(kern.negative_spectrum)
         return kern
 
+    def counting_rfft(values, size):
+        sizes.add(size)
+        return rfft(values, size)
+
     def counting_transform(f, size, *cells):
         transformed.append(f)
-        sizes.add(size)
         return transform(f, size, *cells)
 
     monkeypatch.setattr(wk, "kernel_spectrum", counting_kernel)
+    monkeypatch.setattr(wk, "rfft", counting_rfft)
     monkeypatch.setattr(wk, "spectrum", counting_transform)
 
     def parts(k):
         # kernel j serves no step after k = top - j; the pass holds no other
         live = {j for j, ref in spectra.items() if ref() is not None}
         assert live == {j for j in spectra if j <= top - k}
-        given[k] = (w.sum_laws[k], w.max_laws[k] if k % 2 == 0 else None)
-        return ((w.sum_laws[k], 1.0), (w.max_laws[k], 0.5) if k % 2 == 0 else None)
+        given[k] = w.max_laws[k] if k % 2 == 0 else None
+        return (
+            (w.sum_laws.spectrum(k), 1.0),
+            (w.transform(w.max_laws[k]), 0.5) if k % 2 == 0 else None,
+        )
 
     yielded = []
     for n, sums in wk.kernel_sums(w, ns, parts):
@@ -331,25 +384,28 @@ def test_kernel_sums_shares_and_drops_kernels(gaussian_walk8, monkeypatch):
     assert sorted(made) == sorted(set(made))  # each kernel made once
     assert set(made) == {n - k for k in range(1, top + 1) for n in ns if n >= k}
     assert all(ref() is None for ref in spectra.values())
-    # every transform of the pass, kernels and parts, at the kernel length
-    assert sizes == {wk._kernel_size(w.grid)}
-    assert wk._kernel_size(w.grid) < 2 * w.grid.count
-    # each part transformed once per step, none at the last step (kernel 0 only)
-    for k, densities in given.items():
-        for f in densities:
-            if f is not None:
-                assert sum(g is f for g in transformed) == (k < top)
+    # each kernel transformed straight from its slice at the pass length,
+    # trimmed to the kernels' support; the held sum-law spectra need no
+    # transform, and the pass transforms no density itself: only the parts
+    # made spectra of the max laws, once per even step
+    assert sizes == {w.pass_size} == {wk._kernel_size(w.grid, w.kernel_start)}
+    assert w.pass_size < 2 * w.grid.count
+    assert transformed == [f for f in given.values() if f is not None]
 
 
 def test_kernel_sum_parts_without_terms_are_shared_zero(gaussian_walk8):
-    terms = wk.KernelSum(gaussian_walk8.grid)
-    zero = zero_density(gaussian_walk8.grid)
+    w = gaussian_walk8
+    terms = wk.KernelSum(w)
+    zero = zero_density(w.grid)
     assert terms.atom_part() is zero
     assert terms.convolutions() is zero
     assert np.all(terms.total().values == 0.0)
-    terms.add(wk.kernel_spectrum(gaussian_walk8, 0), gaussian_walk8.step_density, 1.0, None)
+    # the unit atom adds the term's spectrum to the atom part alone
+    terms.add(wk.kernel_spectrum(w, 0), w.sum_laws.spectrum(1), 1.0)
     assert terms.convolutions() is zero
-    assert np.array_equal(terms.total().values, gaussian_walk8.step_density.values)
+    assert np.array_equal(terms.total().values, w.window(w.sum_laws.spectrum(1)).values)
+    sup = np.abs(w.step_density.values).max()
+    assert np.abs(terms.total().values - w.step_density.values).max() <= 1e-15 * sup
 
 
 def test_spitzer_law_one_step(gaussian_walk8):

@@ -30,6 +30,7 @@ from .grid import (
     GridSpec,
     HalfLineLaw,
     WindowOverflowError,
+    _halfline_weights,
     _support,
     from_spectrum,
     make_working_grid,
@@ -63,20 +64,21 @@ class KeptLaws:
 
 class SumLaws:
     """The sum laws S_k = p^{*k} of a walk, carried as spectra at the kernel
-    pass's length L (_kernel_size) and made on first read.
+    pass's length L (_pass_size) and made on first read.
 
     The spectrum of S_k is the half spectrum of a cyclic buffer of L cells:
     the window's cells in [0, count) and, on the pad cells [count, L), what
     the products pushed over the window's edges.  One step is one complex
     product with the spectrum of h * p rolled back by zero_index cells (h
     the cell width): the cyclic convolution with p, shifted so the window
-    stays at [0, count).  p vanishes below kernel_start, and the pad is at
-    least zero_index - kernel_start cells wide, so what a step pushes over
-    the left edge lands on it.  At every step the pad's mass is read from
-    the spectrum (Parseval against the pad's indicator) and
-    WindowOverflowError is raised when it exceeds grid.from_spectrum's bound,
-    10 * MASS_TOL * max(1, |mass(p) mass(S_{k-1})|); ``sum_mass[k]`` is the
-    window's mass, the total minus the pad's.
+    stays at [0, count).  The pad is wide enough (_wrap_width) that what
+    spills over one edge does not come back in at the other, so the window
+    holds the uncropped chain p * ... * p to rounding.  At every step the
+    pad's mass is read from the spectrum (Parseval against the pad's
+    indicator) and WindowOverflowError is raised when it exceeds
+    grid.from_spectrum's bound, 10 * MASS_TOL * max(1, |mass(p)
+    mass(S_{k-1})|); ``sum_mass[k]`` is the window's mass, the total minus
+    the pad's.
 
     ``spectrum(k)`` is that spectrum for 1 <= k <= n_max, made forward from
     the nearest held one below k (the same products, so the same bits,
@@ -101,13 +103,9 @@ class SumLaws:
         padded = np.zeros(size)
         padded[: grid.count] = step.values
         self._factor = grid.step * rfft(np.roll(padded, -grid.zero_index()))
-        # the sum of a buffer's pad cells is Re(s_hat . _pad) (Parseval)
         pad = np.zeros(size)
         pad[grid.count :] = 1.0
-        self._pad = np.conj(rfft(pad)) * (2.0 / size)
-        self._pad[0] /= 2.0
-        if size % 2 == 0:
-            self._pad[-1] /= 2.0
+        self._pad = _dual(pad, size)
         mass[1] = step.mass
 
     @property
@@ -155,6 +153,17 @@ class SumLaws:
         if k == 1:
             return self._p
         return _window(self._p.grid, self.spectrum(k), self.size)
+
+
+def _dual(v: np.ndarray, size: int) -> np.ndarray:
+    """The vector d with Re(s_hat . d) = sum(v * s) for every real buffer s
+    of `size` cells with half spectrum s_hat (Parseval); v is zero past its
+    length."""
+    d = np.conj(rfft(v, size)) * (2.0 / size)
+    d[0] /= 2.0
+    if size % 2 == 0:
+        d[-1] /= 2.0
+    return d
 
 
 def _window(grid: GridSpec, s_hat: np.ndarray, size: int) -> GridDensity:
@@ -228,20 +237,63 @@ class WalkLaws:
         return _window(self.grid, f_hat, self.pass_size)
 
 
-def _kernel_size(grid: GridSpec, kernel_start: int) -> int:
-    """FFT length of the kernel pass.  A kernel's negative part lives on
+def _pass_size(p: GridDensity, n_max: int, kernel_start: int) -> int:
+    """FFT length of the kernel pass and of the sum-law spectra, count plus
+    a pad, rounded up by next_fast_len.  A kernel's negative part lives on
     cells [kernel_start, zero_index]; its linear convolution with a whole
-    window has count + zero_index - kernel_start points, which this length
-    holds without wraparound.  The sum laws are carried at this length
-    too, with their pad cells [count, size) at least as wide as that part."""
-    return next_fast_len(grid.count + grid.zero_index() - kernel_start, real=True)
+    window has count + zero_index - kernel_start points, so the pad is at
+    least zero_index - kernel_start cells wide.  It is also at least
+    _wrap_width(p, n_max) wide, so that no sum law wraps around the cyclic
+    buffer.  On the working grids (make_working_grid) the kernel's width is
+    the larger; on a window narrower than the sum laws the pad grows."""
+    grid = p.grid
+    pad = max(grid.zero_index() - kernel_start, _wrap_width(p, n_max))
+    return next_fast_len(grid.count + pad, real=True)
+
+
+# exponential tilts, per cell, over which _wrap_width minimizes its bound
+_TILTS = np.geomspace(1e-5, 4.0, 56)
+
+
+def _wrap_width(p: GridDensity, n: int) -> int:
+    """Least pad width, in cells, at which no S_k with k <= n puts more
+    than eps / (count * step) of density (eps * the smallest sup of a
+    window's unit mass) on the window by wrapping around the cyclic buffer.
+
+    With q(d) = step * p at d cells from the 0-cell, S_k is 1/step times
+    q^{*k} there, and for every tilt t > 0 (a Chernoff bound on the
+    uncropped chain) q^{*k}(m) <= e^{-t m} max_d(q(d) e^{t d}) M(t)^{k-1},
+    M(t) = sum_d q(d) e^{t d}.  The first image past the right edge lies
+    count + pad - zero_index cells right of the 0-cell, the first past the
+    left edge zero_index + pad + 1 cells left of it, and the later laps add
+    a geometric series in e^{-t count}.  The width is the least over
+    _TILTS, for the worse side (negative when the window alone suffices).
+    """
+    grid = p.grid
+    zero = grid.zero_index()
+    p0, p1 = _support(p.values)
+    d = np.arange(p0 - zero, p1 - zero, dtype=float)
+    with np.errstate(divide="ignore"):
+        log_q = np.log(grid.step * np.maximum(p.values[p0:p1], 0.0))
+    floor = math.log(np.finfo(float).eps / grid.count)
+    width = -grid.count
+    for sign, edge in ((1.0, grid.count - zero), (-1.0, zero + 1)):
+        reach = math.inf
+        for t in _TILTS:
+            a = log_q + (sign * t) * d
+            top = float(a.max())
+            log_m = max(top + math.log(float(np.exp(a - top).sum())), 0.0)
+            log_bound = top + (n - 1) * log_m - math.log(-math.expm1(-t * grid.count))
+            reach = min(reach, (log_bound - floor) / t)
+        width = max(width, math.ceil(reach) - edge)
+    return width
 
 
 class KernelSpectrum(NamedTuple):
     """What a kernel sum needs of the signed Nagaev kernel G_j: its atom at
     0, P(max_j <= 0), which is also the mass of its negative part, and that
     part's spectrum: WalkLaws.kernels[j], the cells [kernel_start,
-    zero_index], transformed at the kernel pass's length (_kernel_size;
+    zero_index], transformed at the kernel pass's length (_pass_size;
     None for the unit atom, j = 0)."""
 
     index: int
@@ -260,7 +312,7 @@ class KernelSum:
     convolutions' placed at offset kernel_start of the full convolution
     and cropped (grid.from_spectrum).  That length holds a whole window
     convolved with a negative part on cells [kernel_start, zero_index]
-    without wraparound (_kernel_size).  Every f and neg is a nonnegative
+    without wraparound (_pass_size).  Every f and neg is a nonnegative
     density and every w positive, so the window guard acts on the sum with
     scale sum |w * mass(f) * mass(neg)|, mass(f) read from f's spectrum at
     0.  Each accumulator is allocated on its first term; a part without
@@ -386,7 +438,7 @@ def compute_walk(
         spec=spec,
         n_max=n_max,
         step_density=p,
-        sum_laws=SumLaws(p, n_max, keep, _kernel_size(grid, kernel_start), sum_mass),
+        sum_laws=SumLaws(p, n_max, keep, _pass_size(p, n_max, kernel_start), sum_mass),
         max_laws=KeptLaws(laws),
         kernels=kernels,
         kernel_start=kernel_start,
@@ -501,11 +553,16 @@ def spitzer_second_moment(walk: WalkLaws, n: int) -> float:
     """Second moment of the nonnegative part of the n-step maximum from the
     generating-series identity over positive-part moments of the sum laws."""
     walk.check_index(n)
+    # E S_k^+ and E (S_k^+)^2 read off the sum-law spectra (Parseval), one
+    # ascending read with no inverse transform
+    x = walk.grid.centers()
+    w1 = _halfline_weights(walk.grid, "positive") * x
+    d1, d2 = _dual(w1, walk.pass_size), _dual(w1 * x, walk.pass_size)
     e1, e2 = np.empty(n), np.empty(n)
-    for k in range(1, n + 1):  # one ascending read of the sum laws
-        law = walk.sum_laws[k]
-        e1[k - 1] = moment(law, 1, "positive")
-        e2[k - 1] = moment(law, 2, "positive")
+    for k in range(1, n + 1):
+        s_hat = walk.sum_laws.spectrum(k)
+        e1[k - 1] = np.dot(s_hat, d1).real
+        e2[k - 1] = np.dot(s_hat, d2).real
     inv = 1.0 / np.arange(1, n + 1)
     a = inv * e1
     cross = 0.0
@@ -538,7 +595,7 @@ def walk_scalars_csv(walk: WalkLaws) -> str:
     """Per-step scalar table: k,Fbar0,abar,bbar,mass_p,mass_pbar.  Makes the
     sum laws no reader has asked for yet, for their masses."""
     if np.isnan(walk.sum_mass[walk.n_max]):
-        walk.sum_laws[walk.n_max]
+        walk.sum_laws.spectrum(walk.n_max)
     buf = io.StringIO()
     buf.write("k,Fbar0,abar,bbar,mass_p,mass_pbar\n")
     for k in range(1, walk.n_max + 1):

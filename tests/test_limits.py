@@ -49,16 +49,6 @@ def test_rows_internally_consistent(laplace_setup):
     assert g[0].D_plus == pytest.approx(0.0, abs=1e-6)
 
 
-def one_sided_pinsker_slack(star: mw.GridDensity) -> float:
-    """Reference: the conditioned law's Pinsker slack D - tv^2/2 on the
-    positive restriction scaled to mass 1.  That density vanishes below 0,
-    so its 0-cell takes relative_entropy's one-sided rule."""
-    pos, alpha = mw.restrict(star, "positive")
-    cond = (1.0 / alpha) * pos
-    tv = mw.tv_distance(cond, mw.half_normal())
-    return mw.relative_entropy(cond, mw.half_normal()) - 0.5 * tv * tv
-
-
 def _curves_and_stars(small_grid, name):
     spec = mw.DistributionSpec(name)
     walk = mw.compute_walk(spec, 8, small_grid, keep=(2, 8))
@@ -71,10 +61,15 @@ def test_pinsker_slack_matches_one_sided_route(small_grid, name):
     # the curves take the slack's D from D_plus: the full-line star scaled
     # by its half-line moment, whose 0-cell takes the two-sided rule on
     # twice the value restrict keeps.  The one-sided route scales the
-    # restriction by its mass instead; the two normalizers differ in the
-    # last bits, and so do the two slacks
+    # positive restriction by that same moment, so its 0-cell takes the
+    # one-sided rule on the kept value: the same bits.  Both take the tv on
+    # the restriction scaled by restrict's mass
     for row, star in _curves_and_stars(small_grid, name):
-        assert row.pinsker_slack == pytest.approx(one_sided_pinsker_slack(star), rel=1e-14)
+        pos, alpha = mw.restrict(star, "positive")
+        d = mw.relative_entropy((1.0 / mw.moment(star, 0, "positive")) * pos, mw.half_normal())
+        tv = mw.tv_distance((1.0 / alpha) * pos, mw.half_normal())
+        assert row.D_plus == d
+        assert row.pinsker_slack == d - 0.5 * tv * tv
 
 
 @pytest.mark.parametrize("name", _SPEC_NAMES)

@@ -50,19 +50,25 @@ def test_walk_scalar_invariants(gaussian_walk8):
 
 @pytest.mark.parametrize("name", _SPEC_NAMES)
 def test_trimmed_recursion_matches_direct(small_grid, name):
-    # oracle: the same max recursion with every product by the dense direct
-    # sum; the walk transforms p over its support and the positive part
-    # over [zero_index, count), each product at its own fast length
+    # oracles: the same max recursion with every product by the dense
+    # direct sum, and the dense direct chain S_k = p * S_{k-1} without a
+    # crop between products.  The walk transforms p over its support and the
+    # positive part over [zero_index, count), each product at its own fast
+    # length; the sum laws are spectra on a cyclic buffer whose pad holds
+    # what spills over the window's edges (at k = 16 on this window, S_16
+    # puts up to 7e-6 of its mass there)
     n_max = 16
     w = mw.compute_walk(mw.DistributionSpec(name), n_max, small_grid)
     p = w.step_density
+    sums = uncropped_direct_sum_laws(p, n_max)
     max_law = p
     for k in range(2, n_max + 1):
         pos, _ = mw.restrict(max_law, "positive")
         _, nonpos = mw.restrict(max_law, "negative")
         max_law = nonpos * p + mw.convolve(p, pos, "direct")
-        sup = np.abs(max_law.values).max()
-        assert np.abs(w.max_laws[k].values - max_law.values).max() <= 1e-14 * sup
+        for got, expected in ((w.sum_laws[k], sums[k]), (w.max_laws[k], max_law)):
+            sup = np.abs(expected.values).max()
+            assert np.abs(got.values - expected.values).max() <= 1e-14 * sup
 
 
 @pytest.mark.parametrize("name", _SPEC_NAMES)
@@ -96,6 +102,41 @@ def test_sum_laws_too_wide_for_the_window_raise():
         w.sum_laws[64]
     with pytest.raises(WindowOverflowError):
         mw.nagaev_density(w, [64])
+
+
+@pytest.mark.parametrize("name", ["spike", "uniform"])
+def test_sum_laws_on_a_narrow_window_match_the_uncropped_chain_or_raise(small_grid, name):
+    # small_grid's cells and left edge at -20 (it is sized for 4 steps),
+    # with the window run on to +60 so that it holds the 40-step max law.
+    # The pad is widened past the kernel pass's need until nothing wraps
+    # around, so each S_k either matches the uncropped chain or, once more
+    # than the window guard's share of its mass lies left of -20, raises,
+    # and so does every later one
+    n_max = 40
+    g = mw.GridSpec(x_min=small_grid.x_min, step=small_grid.step, count=2 * small_grid.count)
+    w = mw.compute_walk(mw.DistributionSpec(name), n_max, g, keep=())
+    kernel_size = wk.next_fast_len(g.count + g.zero_index() - w.kernel_start, real=True)
+    assert w.pass_size > kernel_size
+    assert w.pass_size == wk._pass_size(w.step_density, n_max, w.kernel_start)
+    oracle = uncropped_direct_sum_laws(w.step_density, n_max)
+    bound = 10 * mw.MASS_TOL
+    read = 1
+    for k in range(2, n_max + 1):
+        outside = 1.0 - oracle[k].mass  # the oracle's mass past the window
+        try:
+            got = w.sum_laws[k]
+        except WindowOverflowError:
+            assert outside > 0.9 * bound
+            break
+        assert outside <= 1.1 * bound
+        sup = np.abs(oracle[k].values).max()
+        assert np.abs(got.values - oracle[k].values).max() <= 1e-14 * sup
+        assert w.sum_mass[k] == pytest.approx(oracle[k].mass, abs=1e-14)
+        read = k
+    assert 16 <= read < n_max
+    for k in range(read + 1, n_max + 1):
+        with pytest.raises(WindowOverflowError):
+            w.sum_laws.spectrum(k)
 
 
 def test_walk_laws_own_their_values(gaussian_walk8):
@@ -388,7 +429,10 @@ def test_kernel_sums_shares_and_drops_kernels(gaussian_walk8, monkeypatch):
     # trimmed to the kernels' support; the held sum-law spectra need no
     # transform, and the pass transforms no density itself: only the parts
     # made spectra of the max laws, once per even step
-    assert sizes == {w.pass_size} == {wk._kernel_size(w.grid, w.kernel_start)}
+    # the kernels' width sets it here: nothing wraps around at 8 steps
+    assert sizes == {w.pass_size} == {wk._pass_size(w.step_density, 8, w.kernel_start)}
+    kernel_size = w.grid.count + w.grid.zero_index() - w.kernel_start
+    assert w.pass_size == wk.next_fast_len(kernel_size, real=True)
     assert w.pass_size < 2 * w.grid.count
     assert transformed == [f for f in given.values() if f is not None]
 
@@ -428,6 +472,21 @@ def test_spitzer_second_moment_consistency(small_grid):
     series = mw.spitzer_second_moment(w, 8)
     grid_value = mw.moment(mw.rescale_sqrt(w.max_laws[8], 8), 2, "positive") * 8.0
     assert series == pytest.approx(grid_value, abs=8e-3)
+
+
+@pytest.mark.parametrize("name", ["laplace", "spike"])
+def test_spitzer_second_moment_reads_the_spectra(small_grid, name, monkeypatch):
+    # oracle: the same series over the positive-part moments of the sum laws
+    # in space; the walk reads them off the spectra with no inverse transform
+    n = 8
+    w = mw.compute_walk(mw.DistributionSpec(name), n, small_grid)
+    e1 = np.array([mw.moment(w.sum_laws[k], 1, "positive") for k in range(1, n + 1)])
+    e2 = np.array([mw.moment(w.sum_laws[k], 2, "positive") for k in range(1, n + 1)])
+    a = e1 / np.arange(1, n + 1)
+    expected = sum(a[k - 1] * a[: n - k].sum() for k in range(1, n))
+    expected += (e2 / np.arange(1, n + 1)).sum()
+    monkeypatch.setattr(wk, "irfft", None)
+    assert mw.spitzer_second_moment(w, n) == pytest.approx(expected, rel=1e-13)
 
 
 def test_one_step_positive_second_moment(gaussian_walk8):

@@ -23,12 +23,10 @@ from .grid import (
     GridError,
     _halfline_weights,
     convolve,
-    from_spectrum,
     halfline_l1,
     halfline_sup,
     moment,
     rescale_sqrt,
-    spectrum,
     zero_density,
 )
 from .walk import KernelSum, WalkLaws, kernel_sums
@@ -180,13 +178,12 @@ class DecompTable:
 
 def _powers(q: GridDensity):
     """Yield the convolution powers q, q^{*2}, q^{*3}, ... (without end;
-    take as many as needed with islice)."""
-    q_hat = spectrum(q)
-    yield q
-    power = from_spectrum(q.grid, q_hat * q_hat, abs(q.mass * q.mass))
+    take as many as needed with islice), each grid.convolve of q with the
+    last, so a compactly supported q keeps compact powers."""
+    power = q
     while True:
         yield power
-        power = from_spectrum(q.grid, q_hat * spectrum(power), abs(q.mass * power.mass))
+        power = convolve(q, power)
 
 
 def decomp_powers(walk: WalkLaws, M: float | None = None) -> DecompTable:
@@ -284,12 +281,13 @@ def _finish_split(
 def _bounded_head(rho: float, q1_powers: tuple, qk2: tuple, k: int) -> GridDensity | None:
     """The terms of the k-step sum law with one or two bounded factors:
     sum over j in {1, 2} of C(k, j) (1-rho)^j rho^(k-j) q1^{*j} * q2^{*(k-j)}
-    (q2^{*0} is the unit atom, 0^0 = 1).  A term is dropped when rho^(k-j)
-    is below the weight cutoff, as the table drops its q2 power; None when
-    none is left."""
+    (q2^{*0} is the unit atom, 0^0 = 1), the weights from
+    binomial_log_weight.  A term is dropped when rho^(k-j) is below the
+    weight cutoff, as the table drops its q2 power; None when none is
+    left."""
     head = None
     for j in range(1, min(k, 2) + 1):
-        w = math.comb(k, j) * (1.0 - rho) ** j * rho ** (k - j)
+        w = binomial_log_weight(k, j, rho)
         if j == k:
             term = q1_powers[j].values
         elif rho ** (k - j) >= _WEIGHT_CUTOFF:

@@ -424,11 +424,8 @@ def _support(v: np.ndarray) -> tuple[int, int]:
     return first, len(v) - int(nz[::-1].argmax())
 
 
-def spectrum(
-    f: GridDensity, size: int | None = None, start: int = 0, stop: int | None = None
-) -> np.ndarray:
-    """Half spectrum of f's cells [start, stop), zero-padded to `size` points
-    (default: all cells, at twice the cell count).
+def spectrum(f: GridDensity, size: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Half spectrum of f's cells [start, stop), zero-padded to `size` points.
 
     The product of two spectra at one size is the transform of the linear
     convolution of their cell ranges, without wraparound when `size` is at
@@ -437,8 +434,6 @@ def spectrum(
     back into a cropped density.
     """
     values = f.values[start:stop]
-    if size is None:
-        size = 2 * f.grid.count
     if size < values.size:
         raise ValueError(f"size {size} is shorter than the {values.size} cells transformed")
     return rfft(values, size)
@@ -448,19 +443,19 @@ def from_spectrum(
     grid: GridSpec,
     acc: np.ndarray,
     scale: float,
-    size: int | None = None,
+    size: int,
     start: int = 0,
     length: int | None = None,
 ) -> GridDensity:
     """Density whose spectrum is `acc`, placed in the full convolution and
     cropped to the grid window.
 
-    `acc` is a product of two `spectrum` values on `grid` at `size` points
-    (default twice the cell count), or a weighted sum of such products.  Its
-    inverse transform, cut to the products' `length` (default all `size`
-    points), is the full linear convolution of the whole windows from index
-    `start` on, which is where the products' cell ranges begin (the two
-    range starts summed); the rest of the full convolution is zero.
+    `acc` is a product of two `spectrum` values on `grid` at `size` points,
+    or a weighted sum of such products.  Its inverse transform, cut to the
+    products' `length` (default all `size` points), is the full linear
+    convolution of the whole windows from index `start` on, which is where
+    the products' cell ranges begin (the two range starts summed); the rest
+    of the full convolution is zero.
 
     `scale` bounds the operands' total mass product (sum of
     |w * mass_a * mass_b| over the terms); WindowOverflowError is raised
@@ -469,8 +464,6 @@ def from_spectrum(
     the per-term losses, so the guard on the sum is the guard on every term
     at once.
     """
-    if size is None:
-        size = 2 * grid.count
     return _crop(grid, irfft(acc, size)[:length] * grid.step, start, scale)
 
 

@@ -591,10 +591,10 @@ def check_first_term_split(state: SuiteState) -> list[CheckResult]:
     walk = state.walk
     worst_min = 0.0
     worst_mass = 0.0
+    _, step_mass = gr.restrict(walk.step_density, "positive")
     for n in range(2, state.config.n_max + 1):
         rem = wk.spitzer_first_term_split(walk, n)
         worst_min = min(worst_min, float(rem.values.min()))
-        pos_step, step_mass = gr.restrict(walk.step_density, "positive")
         expected = (
             (1.0 - float(walk.nonpos_prob[n]))
             - float(walk.nonpos_prob[n - 1]) * step_mass

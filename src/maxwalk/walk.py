@@ -513,13 +513,19 @@ def spitzer_positive_law(walk: WalkLaws, n: int) -> HalfLineLaw:
     exp(sum_k s^k mu_k / k) has measure coefficients B_0 = delta_0 and
     B_m = (1/m) sum_{j<=m} mu_j * B_{m-j}; the result is
     sum_m c_{n-m} B_m with c_0 = 1 and c_j = P(max_j < 0).
+
+    Each mu_j and B_m lives on cells [zero_index, count) and is transformed
+    once there, at their linear convolution's fast length; B_m is one
+    inverse of the summed products, placed at offset 2 * zero_index and
+    cropped under the window guard (all operands are nonnegative measures).
     """
     walk.check_index(n)
     grid = walk.grid
+    zero = grid.zero_index()
+    length = 2 * (grid.count - zero) - 1
+    size = next_fast_len(length, real=True)
     mu = [None] + [restrict(walk.sum_laws[k], "positive")[0] for k in range(1, n + 1)]
-    # each mu_j and B_i is transformed once; B_m is one inverse transform of
-    # the summed products (all operands are nonnegative measures)
-    mu_hat = [None] + [spectrum(mu[j]) for j in range(1, n)]
+    mu_hat = [None] + [spectrum(mu[j], size, zero) for j in range(1, n)]
     b_hat: list = [None]
     b_mass: list = [None]
 
@@ -530,10 +536,10 @@ def spitzer_positive_law(walk: WalkLaws, n: int) -> HalfLineLaw:
         if m > 1:
             acc = sum(mu_hat[j] * b_hat[m - j] for j in range(1, m))
             scale = sum(mu[j].mass * b_mass[m - j] for j in range(1, m))
-            b += from_spectrum(grid, acc, scale).values
+            b += from_spectrum(grid, acc, scale, size, 2 * zero, length).values
         b_m = GridDensity(grid, b / m)
         if m < n:
-            b_hat.append(spectrum(b_m))
+            b_hat.append(spectrum(b_m, size, zero))
             b_mass.append(b_m.mass)
         c = 1.0 if n == m else float(walk.nonpos_prob[n - m])
         dens += c * b_m.values

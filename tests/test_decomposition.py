@@ -5,13 +5,15 @@ import pytest
 
 import maxwalk as mw
 import maxwalk.decomposition as dc
+import maxwalk.grid as gr
+import maxwalk.walk as wk
 from maxwalk.decomposition import (
     _WEIGHT_CUTOFF,
     binomial_log_weight,
     diagnostics_csv,
     smooth_split_identity_gaps,
 )
-from maxwalk.grid import GridError, zero_density
+from maxwalk.grid import GridError, _support, zero_density
 
 
 def smooth_part_mass(table, k: int) -> float:
@@ -153,6 +155,61 @@ def test_power_table_matches_binomial_double_sum(name, M):
             assert table.qk1[k] is w.sum_laws.spectrum(k)
         else:
             assert table.qk2[k].mass == pytest.approx(1.0, abs=k * 1e-6)
+
+
+def _linear_span(grid, factors) -> tuple[int, int]:
+    """[first, last + 1) of the linear convolution of the factors' supports,
+    as window cells, cut to the window."""
+    zero = grid.zero_index()
+    bounds = [_support(f.values) for f in factors]
+    shift = (len(bounds) - 1) * zero
+    first = sum(a for a, _ in bounds) - shift
+    last = sum(b - 1 for _, b in bounds) - shift
+    return max(first, 0), min(last + 1, grid.count)
+
+
+def test_spike_powers_span_their_linear_support(small_grid):
+    # each q2 power and head is a chain of trimmed linear convolutions, so it
+    # spans no more cells than its factors' supports allow
+    n = 8
+    w = mw.compute_walk(mw.DistributionSpec("spike"), n, small_grid)
+    table = mw.decomp_powers(w)
+    d = table.decomp
+    assert d.rho**n >= _WEIGHT_CUTOFF  # every q2 power is kept
+    for k in range(2, n + 1):
+        spans = {"qk2": _linear_span(small_grid, [d.q2] * k)}
+        # the head's terms j <= 2 are q1^{*j} * q2^{*(k-j)}: their hull
+        terms = [_linear_span(small_grid, [d.q1] * j + [d.q2] * (k - j))
+                 for j in range(1, min(k, 2) + 1)]
+        spans["heads"] = (min(a for a, _ in terms), max(b for _, b in terms))
+        for part, (lo, hi) in spans.items():
+            first, stop = _support(getattr(table, part)[k].values)
+            assert lo <= first < stop <= hi, (part, k)
+            assert hi - lo < small_grid.count // 2, (part, k)
+
+
+def test_no_product_runs_at_twice_the_cell_count(small_grid, monkeypatch):
+    # every transform of the split and of the Spitzer series covers its
+    # operands' supports, or runs at the kernel pass's length; none
+    # transforms whole windows at 2 * count points
+    w = mw.compute_walk(mw.DistributionSpec("spike"), 8, small_grid)
+    sizes = []
+
+    def recording(fn, default):
+        def wrapped(x, n=None, *args, **kwargs):
+            sizes.append(default(x) if n is None else n)
+            return fn(x, n, *args, **kwargs)
+        return wrapped
+
+    for mod in (gr, wk):
+        monkeypatch.setattr(mod, "rfft", recording(mod.rfft, lambda x: np.shape(x)[-1]))
+        monkeypatch.setattr(mod, "irfft", recording(mod.irfft, lambda x: 2 * np.shape(x)[-1] - 2))
+    table = mw.decomp_powers(w)
+    mw.max_law_splits(table, w, [2, 5, 8])
+    for n in range(1, 9):
+        mw.spitzer_positive_law(w, n)
+    assert sizes and 2 * small_grid.count not in sizes
+    assert not {"spectrum", "from_spectrum"} & set(vars(dc))
 
 
 def test_bounded_approximation_degenerates(small_grid):

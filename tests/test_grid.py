@@ -148,10 +148,11 @@ def test_cropped_results_own_their_values(small_grid):
     # the kept window is copied, so no result holds its padded buffer
     a = mw.sample_density(mw.DistributionSpec("gaussian"), small_grid)
     b = mw.sample_density(mw.DistributionSpec("laplace"), small_grid)
+    size = 2 * small_grid.count
     for out in (
         mw.convolve(a, b, "fast"),
         mw.convolve(a, b, "direct"),
-        from_spectrum(small_grid, spectrum(a) * spectrum(b), 1.0),
+        from_spectrum(small_grid, spectrum(a, size) * spectrum(b, size), 1.0, size),
     ):
         assert out.values.base is None
 
@@ -194,18 +195,20 @@ def test_summed_spectra_guard_and_linearity(small_grid):
     g = small_grid
     a = mw.sample_density(mw.DistributionSpec("gaussian"), g)
     b = mw.sample_density(mw.DistributionSpec("uniform"), g)
+    size = 2 * g.count
     # a weighted sum of products is the weighted sum of the convolutions
-    acc = 2.0 * spectrum(a) * spectrum(b) + 0.5 * spectrum(b) * spectrum(b)
-    out = from_spectrum(g, acc, 2.5)
+    a_hat, b_hat = spectrum(a, size), spectrum(b, size)
+    acc = 2.0 * a_hat * b_hat + 0.5 * b_hat * b_hat
+    out = from_spectrum(g, acc, 2.5, size)
     expected = 2.0 * mw.convolve(a, b).values + 0.5 * mw.convolve(b, b).values
     assert np.abs(out.values - expected).max() <= 1e-13
     # one term of the sum lands outside the window: the sum must raise
     v = np.zeros(g.count)
     v[-2] = 1.0 / g.step
     edge = mw.GridDensity(g, v)
-    acc = spectrum(a) * spectrum(b) + spectrum(edge) * spectrum(edge)
+    acc = a_hat * b_hat + spectrum(edge, size) * spectrum(edge, size)
     with pytest.raises(mw.WindowOverflowError):
-        from_spectrum(g, acc, 2.0)
+        from_spectrum(g, acc, 2.0, size)
 
 
 _MIX = (0.3, -0.7, 0.3, 0.79)  # the default mixture: weight, loc1, loc2, var

@@ -1,19 +1,19 @@
 """Characteristic functions with exact moment-weighted derivatives.
 
 Derivatives are computed by weighting the quadrature with (ix)^j rather than
-by finite differencing, so second derivatives are as accurate as values.
+by finite differencing, so second derivatives are as accurate as values.  The
+half-normal limit's transform is in closed form.
 """
 
 from __future__ import annotations
 
-import functools
 import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
-from scipy.integrate import quad_vec
+from scipy.special import dawsn
 
 from .grid import GridDensity, rescale_sqrt
 from .walk import WalkLaws
@@ -29,7 +29,7 @@ class CharFnSamples:
     values: tuple
 
     def __post_init__(self) -> None:
-        t = np.ascontiguousarray(self.t_grid, dtype=np.float64)
+        t = np.array(self.t_grid, dtype=np.float64)  # a copy: the caller's stays writable
         t.setflags(write=False)
         object.__setattr__(self, "t_grid", t)
         if self.order not in (0, 1, 2):
@@ -98,54 +98,29 @@ def negative_tail_transform(walk: WalkLaws, k: int, t_grid: np.ndarray) -> CharF
     return CharFnSamples(t, 2, (neg.mass - v0, -v1, -v2))
 
 
-_HALF_NORMAL_T_MAX = 100.0
+def half_normal_charfn(t_grid: np.ndarray) -> CharFnSamples:
+    """Fourier transform of the half-normal density, with its first two
+    derivatives, in closed form through Dawson's function D
+    (Abramowitz & Stegun 7.1.17): with z = t/sqrt(2),
 
+        phi(t)   = e^{-t^2/2} + i (2/sqrt(pi)) D(z),
+        phi'(t)  = -t e^{-t^2/2} + i (2/sqrt(pi)) D'(z) / sqrt(2),
+        phi''(t) = (t^2 - 1) e^{-t^2/2} + i (2/sqrt(pi)) D''(z) / 2,
 
-def half_normal_charfn(t_grid: np.ndarray, n: int = 1) -> CharFnSamples:
-    """Fourier transform of the half-normal density, via the n-parameterized
-    integral representation e^{-t^2/2} + (it/sqrt(2 pi n)) I(t).
-
-    The endpoint singularity of the inner integral is removed by the
-    substitution u = n - v^2.  The inner integral and the two moment-weighted
-    ones that give the first two derivatives (differentiating under the
-    integral sign) are integrated for all t at once, by one vector adaptive
-    quadrature (`quad_vec`) over v in [0, sqrt(n)] with its error taken in
-    the max norm over all components.  The result is independent of n (a
-    checkable identity).  The last few results are cached by (t grid, n).
-
-    ValueError for |t| > _HALF_NORMAL_T_MAX: the integrand concentrates at
-    v = sqrt(n) as |t| grows, and past |t| ~ 150 the quadrature misses it
-    (the imaginary part is 4e-3 off at t = 200, 3e-16 up to |t| = 100).
+    where D' = 1 - 2 z D and D'' = (4 z^2 - 2) D - 2 z.  Valid at every t;
+    phi'' loses about |t| eps to the cancellation in D''.  `verify` checks it
+    against the paper's n-parameterized integral representation.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     t = np.asarray(t_grid, dtype=np.float64)
-    if t.size and np.abs(t).max() > _HALF_NORMAL_T_MAX:
-        raise ValueError(f"half_normal_charfn is accurate for |t| <= "
-                         f"{_HALF_NORMAL_T_MAX:g}, got max |t| = {np.abs(t).max():g}")
-    return _half_normal_charfn(t.tobytes(), int(n))
-
-
-@functools.lru_cache(maxsize=8)
-def _half_normal_charfn(t_bytes: bytes, n: int) -> CharFnSamples:
-    t = np.frombuffer(t_bytes, dtype=np.float64)
-    if t.size == 0:  # quad_vec's max norm needs a nonempty vector
-        return CharFnSamples(t, 2, tuple(np.zeros(0, dtype=np.complex128) for _ in range(3)))
-    norm = 1.0 / math.sqrt(2.0 * math.pi * n)
-    half_t2 = t * t / (2.0 * n)
-
-    def moments(v: float) -> np.ndarray:
-        u = n - v * v
-        e = 2.0 * np.exp(-u * half_t2)
-        w = u / n
-        return np.concatenate((e, w * e, w * w * e))
-
-    stacked, _ = quad_vec(moments, 0.0, math.sqrt(n), epsabs=1e-13, epsrel=1e-12, norm="max")
-    i0, i1, i2 = np.reshape(stacked, (3, t.size))
+    z = t / math.sqrt(2.0)
+    d0 = dawsn(z)
+    d1 = 1.0 - 2.0 * z * d0
+    d2 = (4.0 * z * z - 2.0) * d0 - 2.0 * z
     gauss = np.exp(-t * t / 2.0)
-    v0 = gauss + 1j * norm * t * i0
-    v1 = -t * gauss + 1j * norm * (i0 - t * t * i1)
-    v2 = (t * t - 1.0) * gauss + 1j * norm * (-3.0 * t * i1 + t**3 * i2)
+    scale = 2.0 / math.sqrt(math.pi)
+    v0 = gauss + 1j * scale * d0
+    v1 = -t * gauss + 1j * (scale / math.sqrt(2.0)) * d1
+    v2 = (t * t - 1.0) * gauss + 1j * (scale / 2.0) * d2
     return CharFnSamples(t, 2, (v0, v1, v2))
 
 

@@ -294,15 +294,26 @@ def test_verify_report_is_deterministic(tmp_path):
     assert masked_report(tmp_path / "out1") == masked_report(tmp_path / "out2")
 
 
-def test_cli_import_skips_scipy_signal():
-    # importing scipy.signal costs most of a CLI run's start-up; nothing
-    # in the package needs it
+def _fresh_interpreter(code: str) -> str:
     src = str(Path(maxwalk.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import maxwalk.cli, sys; print('scipy.signal' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True, timeout=120,
-    )
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    return out.stdout.strip()
+
+
+def test_cli_import_skips_scipy_signal():
+    # importing scipy.signal costs most of a CLI run's start-up; nothing
+    # in the package needs it
+    assert _fresh_interpreter(
+        "import maxwalk.cli, sys; print('scipy.signal' in sys.modules)") == "False"
+
+
+def test_cli_import_footprint():
+    # the package needs scipy.fft and scipy.special only; scipy.integrate
+    # would pull in optimize, linalg and sparse, about a third of start-up
+    heavy = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
+    loaded = _fresh_interpreter(
+        f"import maxwalk, maxwalk.cli, sys; print([m for m in {heavy!r} if m in sys.modules])")
+    assert loaded == "[]"

@@ -8,7 +8,8 @@ from scipy.special import dawsn, fresnel
 import maxwalk as mw
 from maxwalk.grid import _MIX_DEFAULT
 from maxwalk import transforms
-from maxwalk.transforms import _half_normal_charfn, charfn_csv, gaussian_envelope_window
+from maxwalk import verify as vf
+from maxwalk.transforms import charfn_csv, gaussian_envelope_window
 
 
 @pytest.fixture(scope="module")
@@ -84,18 +85,15 @@ def test_charfn_empty_inputs(small_grid):
     out = mw.charfn(zero, np.linspace(-1.0, 1.0, 5), 1)
     assert len(out.values) == 2
     assert all(np.all(v == 0.0) for v in out.values)
+    half = mw.half_normal_charfn(np.array([]))
+    assert len(half.values) == 3 and all(v.shape == (0,) for v in half.values)
 
 
-def test_half_normal_cache_is_bounded():
+def test_transforms_leave_the_callers_t_writable(small_grid):
+    f = mw.sample_density(mw.DistributionSpec("gaussian"), small_grid)
     t = np.linspace(-1.0, 1.0, 5)
-    first = mw.half_normal_charfn(t)
-    hits = _half_normal_charfn.cache_info().hits
-    assert mw.half_normal_charfn(t.copy()) is first
-    assert _half_normal_charfn.cache_info().hits == hits + 1
-    for i in range(20):
-        mw.half_normal_charfn(np.array([0.1 * i, 0.1 * i + 0.05]))
-    info = _half_normal_charfn.cache_info()
-    assert info.currsize <= info.maxsize
+    for out in (mw.charfn(f, t, 0), mw.half_normal_charfn(t)):
+        assert t.flags.writeable and not out.t_grid.flags.writeable
 
 
 def test_moment_identities_at_zero(charfn_grid):
@@ -182,31 +180,70 @@ def test_half_normal_transform_properties():
     t = np.linspace(-5.0, 5.0, 101)
     base = mw.half_normal_charfn(t)
     i0 = np.argmin(np.abs(t))
-    assert base.values[0][i0] == pytest.approx(1.0, abs=1e-10)
-    # independent closed form through the Dawson function
-    assert np.abs(base.values[0] - half_normal_transform_exact(t)).max() <= 1e-9
-    for n in (2, 4, 16):
-        other = mw.half_normal_charfn(t, n=n)
+    # phi(0) = 1, phi'(0) = i E|Z|, phi''(0) = -E Z^2
+    assert base.values[0][i0] == pytest.approx(1.0, abs=1e-15)
+    assert base.values[1][i0] == pytest.approx(1j * math.sqrt(2.0 / math.pi), abs=1e-15)
+    assert base.values[2][i0] == pytest.approx(-1.0, abs=1e-15)
+    assert np.abs(base.values[0] - half_normal_transform_exact(t)).max() <= 1e-15
+    # the paper's representations, one for each n, by scalar quadrature
+    for n in (1, 2, 4, 16):
+        ref = scalar_half_normal_charfn(t, n)
         for j in range(3):
-            assert np.abs(base.values[j] - other.values[j]).max() <= 1e-8
+            assert np.abs(base.values[j] - ref[j]).max() <= 1e-13, (n, j)
+
+
+def test_verify_oracle_matches_scalar_quad():
+    # the Gauss-Legendre representation behind the n_independence row
+    t = np.linspace(-5.0, 5.0, 101)
+    for n in (1, 2, 4, 16):
+        ours = vf._half_normal_representation(t, n)
+        ref = scalar_half_normal_charfn(t, n)
+        for j in range(3):
+            assert np.abs(ours[j] - ref[j]).max() <= 1e-13, (n, j)
 
 
 @pytest.mark.parametrize("n", [1, 16])
 def test_half_normal_transform_closed_form_to_t_100(n):
     t = np.linspace(-100.0, 100.0, 2001)
-    values = mw.half_normal_charfn(t, n=n).values[0]
-    assert np.abs(values - half_normal_transform_exact(t)).max() <= 1e-14
+    values = mw.half_normal_charfn(t).values[0]
+    assert np.abs(values - scalar_half_normal_charfn(t, n, order=0)[0]).max() <= 1e-14
 
 
-def test_half_normal_transform_refuses_large_t():
-    # at t = 200 the quadrature misses the imaginary part by 4e-3
-    with pytest.raises(ValueError, match="accurate for"):
-        mw.half_normal_charfn(np.array([0.0, 200.0]))
+def dawson_asymptotic(z: np.ndarray, terms: int = 8) -> list[np.ndarray]:
+    """Dawson's function and its first two derivatives from the large-z
+    series D(z) ~ sum_k (2k-1)!! / (2^{k+1} z^{2k+1}), differentiated term by
+    term; at |z| >= 70 the first omitted term is below 1e-23 of each sum."""
+    out = [np.zeros_like(z) for _ in range(3)]
+    double_factorial = 1.0  # (2k - 1)!!
+    for k in range(terms):
+        c = double_factorial / 2.0 ** (k + 1)
+        out[0] += c / z ** (2 * k + 1)
+        out[1] -= c * (2 * k + 1) / z ** (2 * k + 2)
+        out[2] += c * (2 * k + 1) * (2 * k + 2) / z ** (2 * k + 3)
+        double_factorial *= 2 * k + 1
+    return out
 
 
-def scalar_half_normal_charfn(t: np.ndarray, n: int) -> list[np.ndarray]:
-    """Reference: the half-normal transform with one scalar adaptive `quad`
-    call per t and per moment of the inner integral."""
+def test_half_normal_transform_large_t():
+    # e^{-t^2/2} underflows to 0 here, so phi^(j) is i (2/sqrt(pi)) D^(j)(z)
+    # times (1/sqrt 2)^j.  Measured: value within 5.0e-16 relative, first
+    # derivative within 3.8e-16 absolute (D' = 1 - 2zD cancels), second within
+    # 3.9e-16 |t| (D'' = (4z^2 - 2)D - 2z cancels: 2.9e-12 at |t| = 10^4).
+    mag = np.geomspace(100.0, 1e4, 401)
+    t = np.concatenate((-mag[::-1], mag))
+    d = dawson_asymptotic(t / math.sqrt(2.0))
+    ours = mw.half_normal_charfn(t).values
+    refs = [2j / math.sqrt(math.pi) * d[j] / math.sqrt(2.0) ** j for j in range(3)]
+    assert np.all(np.abs(ours[0] - refs[0]) <= 1e-15 * np.abs(refs[0]))
+    assert np.abs(ours[1] - refs[1]).max() <= 1e-15
+    assert np.all(np.abs(ours[2] - refs[2]) <= 1e-15 * np.abs(t))
+
+
+def scalar_half_normal_charfn(t: np.ndarray, n: int, order: int = 2) -> list[np.ndarray]:
+    """Reference: the paper's n-parameterized representation of the
+    half-normal transform, e^{-t^2/2} + (it/sqrt(2 pi n)) I_n(t), with one
+    scalar adaptive `quad` call per t and per moment of the inner integral
+    (after u = n - v^2), and derivatives up to `order`."""
     root_n = math.sqrt(n)
     norm = 1.0 / math.sqrt(2.0 * math.pi * n)
 
@@ -220,17 +257,17 @@ def scalar_half_normal_charfn(t: np.ndarray, n: int) -> list[np.ndarray]:
     gauss = np.exp(-t * t / 2.0)
     out = [np.zeros(t.shape, dtype=np.complex128) for _ in range(3)]
     for i, ti in enumerate(t):
-        i0, i1, i2 = (moment(float(ti), m) for m in range(3))
+        i0, i1, i2 = [moment(float(ti), m) for m in range(order + 1)] + [0.0] * (2 - order)
         out[0][i] = gauss[i] + 1j * norm * ti * i0
         out[1][i] = -ti * gauss[i] + 1j * norm * (i0 - ti * ti * i1)
         out[2][i] = (ti * ti - 1.0) * gauss[i] + 1j * norm * (-3.0 * ti * i1 + ti**3 * i2)
-    return out
+    return out[: order + 1]
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 16])
 def test_half_normal_transform_matches_scalar_quad(n):
     t = np.linspace(-30.0, 30.0, 301)
-    ours = mw.half_normal_charfn(t, n=n)
+    ours = mw.half_normal_charfn(t)
     ref = scalar_half_normal_charfn(t, n)
     for j in range(3):
         assert np.abs(ours.values[j] - ref[j]).max() <= 1e-13, j

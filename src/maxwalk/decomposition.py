@@ -2,7 +2,8 @@
 
 The step density p is written as (1-rho) q1 + rho q2 with q1 bounded by a
 threshold M and rho < 1/2; the split propagates to every n-fold convolution
-(p^{*k} = (1 - rho^k) qk1 + rho^k q2^{*k}, by bilinearity), and yields a
+(by bilinearity, p^{*k} - rho^k q2^{*k} is the part with a bounded factor),
+and yields a
 bounded approximation to the running-max density together with explicitly
 controlled remainder terms.  Terms weighted by rho^k below a fixed cutoff are
 dropped; for bounded step densities rho = 0, so every such term is.
@@ -115,59 +116,18 @@ def binomial_log_weight(k: int, j: int, rho: float) -> float:
     return math.exp(log_w)
 
 
-class BoundedPowers:
-    """qk1[k] of a DecompTable as a kernel-pass term, a spectrum at the
-    walk's kernel-pass length, made from the spectrum of the walk's sum law
-    S_k on each read and not held: (S_k - rho^k qk2[k]) / (1 - rho^k) while
-    the q2 power is kept, q1 at k = 1, and S_k's spectrum itself (the same
-    array) beyond; walk.window(qk1[k]) is the power in space.
-    ``q2_spectrum(k)`` is qk2[k] at that length, the last one made held for
-    the read of the same k that follows."""
-
-    def __init__(self, walk: WalkLaws, decomp: BinomialDecomposition, qk2: tuple, kept: int):
-        self.walk = walk
-        self._decomp = decomp
-        self._qk2 = qk2
-        self._kept = kept
-        self._q1_hat = None
-        self._q2_hat = (0, None)
-
-    def q2_spectrum(self, k: int) -> np.ndarray:
-        index, q2_hat = self._q2_hat
-        if index != k:
-            q2_hat = self.walk.transform(self._qk2[k])
-            self._q2_hat = (k, q2_hat)
-        return q2_hat
-
-    def __getitem__(self, k: int) -> np.ndarray | None:
-        if k == 0:
-            return None
-        if k > self._kept:
-            return self.walk.sum_laws.spectrum(k)
-        if k == 1:
-            if self._q1_hat is None:
-                self._q1_hat = self.walk.transform(self._decomp.q1)
-            return self._q1_hat
-        rho_k = self._decomp.rho**k
-        return (self.walk.sum_laws.spectrum(k) - rho_k * self.q2_spectrum(k)) / (1.0 - rho_k)
-
-
 @dataclass(frozen=True)
 class DecompTable:
-    """Convolution powers of the split: for each k <= n_max,
-    p_k = (1 - rho^k) qk1[k] + rho^k qk2[k] with qk1/qk2 probability
-    densities.  qk2[k] = q2^{*k} is kept while rho^k >= _WEIGHT_CUTOFF and
-    is zero beyond (every k when rho = 0).  qk1[k] is a spectrum at the
-    walk's kernel-pass length, made from the walk's sum-law spectrum on
-    each read (BoundedPowers), so the table holds no sum law; read it in
-    ascending k, as the kernel pass does, for one product per step on a
-    walk that does not keep every law.  heads[k] is the part
-    of p_k with one or two bounded factors (see _bounded_head; None when
-    every such term is dropped).  Index 0 is None (the unit atom)."""
+    """Convolution powers of the split for each k <= n_max: qk2[k] = q2^{*k}
+    (a probability density) is kept while rho^k >= _WEIGHT_CUTOFF and is
+    zero beyond (every k when rho = 0).  The part of p^{*k} with a bounded
+    factor is read off the walk's sum law (split_spectra), so the table
+    holds no sum law.  heads[k] is the part of p^{*k} with one or two
+    bounded factors (see _bounded_head; None when every such term is
+    dropped).  Index 0 is None (the unit atom)."""
 
     decomp: BinomialDecomposition
     n_max: int
-    qk1: BoundedPowers
     qk2: tuple
     heads: tuple
 
@@ -189,25 +149,33 @@ def _powers(q: GridDensity):
 def decomp_powers(walk: WalkLaws, M: float | None = None) -> DecompTable:
     """Split the walk's step law at level M (binomial_split; default M as
     there) and propagate the split to all convolution powers up to
-    walk.n_max.
-
-    Convolution is bilinear, so the binomial expansion of
-    p^{*k} = ((1-rho) q1 + rho q2)^{*k} has every term but the last in qk1:
-    (1 - rho^k) qk1[k] = p^{*k} - rho^k q2^{*k}, with p^{*k} the walk's sum
-    law.  Where q2^{*k} is dropped, qk1[k] is that sum law's spectrum itself
-    (the same array).  qk1[k] is made on each read from the spectrum of S_k
-    (BoundedPowers); the table reads no sum law when it is built.
-    """
+    walk.n_max: the kept q2 powers and the one- and two-factor heads.  The
+    table reads no sum law when it is built."""
     p = walk.step_density
     decomp = binomial_split(p, M)
     rho = decomp.rho
     n_max = walk.n_max
     kept = sum(1 for k in range(1, n_max + 1) if rho**k >= _WEIGHT_CUTOFF)
     qk2 = (None, *islice(_powers(decomp.q2), kept), *[zero_density(p.grid)] * (n_max - kept))
-    qk1 = BoundedPowers(walk, decomp, qk2, kept)
     q1_powers = (None, *islice(_powers(decomp.q1), min(n_max, 2)))
     heads = [None] + [_bounded_head(rho, q1_powers, qk2, k) for k in range(1, n_max + 1)]
-    return DecompTable(decomp, n_max, qk1, qk2, tuple(heads))
+    return DecompTable(decomp, n_max, qk2, tuple(heads))
+
+
+def split_spectra(
+    table: DecompTable, walk: WalkLaws, k: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The k-step sum law's split as kernel-pass terms, spectra at the
+    walk's kernel-pass length: (bounded, q2), bounded = S_k - rho^k qk2[k]
+    (every term of the binomial expansion of p^{*k} with a bounded factor,
+    by bilinearity) and q2 = qk2[k] while the q2 power is kept; beyond,
+    (S_k's spectrum itself, the same array, None)."""
+    s_hat = walk.sum_laws.spectrum(k)
+    w = table.decomp.rho**k
+    if w < _WEIGHT_CUTOFF:
+        return s_hat, None
+    q2_hat = walk.transform(table.qk2[k])
+    return s_hat - w * q2_hat, q2_hat
 
 
 @dataclass(frozen=True)
@@ -236,9 +204,10 @@ def max_law_splits(table: DecompTable, walk: WalkLaws, ns) -> dict[int, MaxLawSp
     sum and the remainders carried by the unbounded component, with the local
     correction term.
 
-    One kernel pass (walk.kernel_sums) serves every n, with three sums per n:
-    qk1[k], the kept qk2[k] and the table's head, each weighted as in p_k
-    and taken as a spectrum at the kernel pass's length.
+    One kernel pass (walk.kernel_sums) serves every n, with three sums per n
+    of spectra at the kernel pass's length (split_spectra): the bounded
+    part S_k - rho^k qk2[k] with weight 1, the kept qk2[k] with weight
+    rho^k and the table's head with weight 1.
     Verifies each split's per-cell reconstruction against the walk's max law
     at tolerance n * 1e-8 before returning.
     """
@@ -247,11 +216,11 @@ def max_law_splits(table: DecompTable, walk: WalkLaws, ns) -> dict[int, MaxLawSp
     rho = table.decomp.rho
 
     def parts(k: int):
-        w = rho**k
+        bounded, q2_hat = split_spectra(table, walk, k)
         head = table.heads[k]
         return (
-            (table.qk1[k], 1.0 - w),
-            (table.qk1.q2_spectrum(k), w) if w >= _WEIGHT_CUTOFF else None,
+            (bounded, 1.0),
+            None if q2_hat is None else (q2_hat, rho**k),
             None if head is None else (walk.transform(head), 1.0),
         )
 
@@ -298,23 +267,23 @@ def _bounded_head(rho: float, q1_powers: tuple, qk2: tuple, k: int) -> GridDensi
     return None if head is None else GridDensity(q1_powers[1].grid, head)
 
 
-def smooth_spectrum(table: DecompTable, k: int) -> np.ndarray:
-    """smooth_part(table, k) as a kernel-pass term, a spectrum at the
+def smooth_spectrum(table: DecompTable, walk: WalkLaws, k: int) -> np.ndarray:
+    """smooth_part(table, walk, k) as a kernel-pass term, a spectrum at the
     walk's kernel-pass length."""
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
     table.check_index(k)
-    total = (1.0 - table.decomp.rho**k) * table.qk1[k]
+    total = split_spectra(table, walk, k)[0]
     head = table.heads[k]
     if head is not None:
-        total = total - table.qk1.walk.transform(head)
+        total = total - walk.transform(head)
     return total
 
 
-def smooth_part(table: DecompTable, k: int) -> GridDensity:
+def smooth_part(table: DecompTable, walk: WalkLaws, k: int) -> GridDensity:
     """Part of the k-step sum law with at least three bounded factors
     (nonnegative; three-fold bounded convolutions have integrable spectra)."""
-    return table.qk1.walk.window(smooth_spectrum(table, k))
+    return walk.window(smooth_spectrum(table, walk, k))
 
 
 def smooth_split_identity_gaps(
@@ -328,7 +297,7 @@ def smooth_split_identity_gaps(
         table.check_index(n)
 
     def parts(k: int):
-        return ((smooth_spectrum(table, k), 1.0) if k >= 3 else None,)
+        return ((smooth_spectrum(table, walk, k), 1.0) if k >= 3 else None,)
 
     gaps = {}
     for n, (terms,) in kernel_sums(walk, by_n, parts):

@@ -86,14 +86,16 @@ def negative_tail_transform(walk: WalkLaws, k: int, t_grid: np.ndarray) -> CharF
     derivatives: the deficit integral of (1 - e^{itx}) over the k-step max
     law on (-inf, 0).
 
-    k = 0 is the constant 1 (derivatives 0).  Reads only the walk's
-    negative part, so k need not be a kept step.
+    k = 0 is the constant 1 (derivatives 0).  Reads only the walk's kernel
+    walk.kernels[k], the negative part on its own cells, so k need not be a
+    kept step.
     """
     t = np.asarray(t_grid, dtype=np.float64)
     if k == 0:
         ones = np.ones(t.shape, dtype=np.complex128)
         return CharFnSamples(t, 2, (ones, np.zeros_like(ones), np.zeros_like(ones)))
-    neg = walk.negative_part(k)
+    walk.check_index(k)
+    neg = walk.kernels[k]
     v0, v1, v2 = charfn(neg, t, 2).values
     return CharFnSamples(t, 2, (neg.mass - v0, -v1, -v2))
 

@@ -798,10 +798,7 @@ def check_misc_invariants(state: SuiteState) -> list[CheckResult]:
             q_plus = gr.GridDensity(
                 walk.grid, np.maximum(gr.rescale_sqrt(split.bounded, n).values, 0.0)
             )
-            star = gr.rescale_sqrt(walk.max_laws[n], n)
-            gaps[n] = abs(
-                en.relative_entropy(q_plus, psi) - en.relative_entropy(star, psi)
-            )
+            gaps[n] = abs(en.relative_entropy(q_plus, psi) - rows[n].D)
         out.append(
             _le(
                 f"invariant.decomposition.{name}.entropy_stability",

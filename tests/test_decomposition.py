@@ -12,6 +12,7 @@ from maxwalk.decomposition import (
     binomial_log_weight,
     diagnostics_csv,
     smooth_split_identity_gaps,
+    split_spectra,
 )
 from maxwalk.grid import GridError, _support, zero_density
 
@@ -90,8 +91,11 @@ def test_power_table_trivial_when_bounded(small_grid):
     d = table.decomp
     assert np.array_equal(d.q1.values, w.step_density.values)
     for k in (1, 4, 8):
-        # every q2 power is dropped: qk1[k] is the walk's sum-law spectrum
-        assert table.qk1[k] is w.sum_laws.spectrum(k)
+        # every q2 power is dropped: the bounded term is the walk's sum-law
+        # spectrum itself
+        bounded, q2_hat = split_spectra(table, w, k)
+        assert bounded is w.sum_laws.spectrum(k)
+        assert q2_hat is None
         assert np.all(table.qk2[k].values == 0.0)
 
 
@@ -99,14 +103,19 @@ def test_power_table_reconstructs_spike(small_grid):
     w = mw.compute_walk(mw.DistributionSpec("spike"), 8, small_grid)
     table = mw.decomp_powers(w)
     d = table.decomp
-    assert np.array_equal(table.qk1[1], w.transform(d.q1))
     assert np.array_equal(table.qk2[1].values, d.q2.values)
+    # one step: the bounded term is (1 - rho) q1, the step law's clipped part
+    bounded = w.window(split_spectra(table, w, 1)[0]).values
+    clipped = (1.0 - d.rho) * d.q1.values
+    assert np.abs(bounded - clipped).max() <= 1e-12 * np.abs(clipped).max()
     for k in (2, 5, 8):
         rho_k = d.rho**k
-        recon = (1.0 - rho_k) * w.window(table.qk1[k]) + rho_k * table.qk2[k]
+        bounded, q2_hat = split_spectra(table, w, k)
+        assert np.array_equal(q2_hat, w.transform(table.qk2[k]))
+        recon = w.window(bounded) + rho_k * table.qk2[k]
         assert mw.l1_distance(recon, w.sum_laws[k]) <= 1e-6
         assert np.abs(recon.values - w.sum_laws[k].values).max() <= k * 1e-9
-        assert w.window(table.qk1[k]).mass == pytest.approx(1.0, abs=k * 1e-6)
+        assert w.window(bounded).mass == pytest.approx(1.0 - rho_k, abs=k * 1e-6)
         assert table.qk2[k].mass == pytest.approx(1.0, abs=k * 1e-6)
 
 
@@ -114,7 +123,8 @@ def binomial_double_sum(d, n):
     """qk1[k] and the one-/two-factor head for k = 2..n as the weighted
     (k, j) sum of the split, with terms
     C(k, j) (1-rho)^j rho^(k-j) q1^{*j} * q2^{*(k-j)} for j = 1..k below the
-    weight cutoff dropped: qk1[k] is their sum / (1 - rho^k), the head the
+    weight cutoff dropped: qk1[k] is their sum / (1 - rho^k), a probability
+    density (the split's bounded term is (1 - rho^k) qk1[k]), the head the
     terms j <= 2."""
     pow1, pow2 = [None, d.q1], [None, d.q2]
     for _ in range(2, n + 1):
@@ -144,7 +154,11 @@ def test_power_table_matches_binomial_double_sum(name, M):
     assert d.rho > 0
     qk1, heads = binomial_double_sum(d, n)
     for k in qk1:
-        for got, expected in ((w.window(table.qk1[k]), qk1[k]), (table.heads[k], heads[k])):
+        bounded = (1.0 - d.rho**k) * qk1[k]
+        for got, expected in (
+            (w.window(split_spectra(table, w, k)[0]), bounded),
+            (table.heads[k], heads[k]),
+        ):
             assert np.abs(got.values - expected).max() <= 1e-12 * np.abs(expected).max()
     assert np.array_equal(table.heads[1].values, (1.0 - d.rho) * d.q1.values)
     dropped = [k for k in range(1, n + 1) if d.rho**k < _WEIGHT_CUTOFF]
@@ -152,7 +166,7 @@ def test_power_table_matches_binomial_double_sum(name, M):
     for k in range(1, n + 1):
         if k in dropped:
             assert np.all(table.qk2[k].values == 0.0)
-            assert table.qk1[k] is w.sum_laws.spectrum(k)
+            assert split_spectra(table, w, k)[0] is w.sum_laws.spectrum(k)
         else:
             assert table.qk2[k].mass == pytest.approx(1.0, abs=k * 1e-6)
 
@@ -260,8 +274,10 @@ def per_term_direct_split(w, table, n):
     q1q1 = mw.convolve(q1, q1)
     for k in range(1, n + 1):
         j = n - k
-        scale = 1.0 - rho**k if rho > 0 else 1.0
-        bounded += scale * apply_kernel_direct(w.window(table.qk1[k]), w, j).values
+        # the terms of S_k with a bounded factor, in space (qk2[k] is zero
+        # where it is dropped)
+        base = w.sum_laws[k] - rho**k * table.qk2[k]
+        bounded += apply_kernel_direct(base, w, j).values
         if rho > 0 and rho**k >= cutoff and j > 0:
             neg, _ = mw.restrict(w.max_laws[j], "negative")
             rem_neg += rho**k * mw.convolve(table.qk2[k], neg, "direct").values
@@ -331,15 +347,15 @@ def test_smooth_part(small_grid):
     w = mw.compute_walk(mw.DistributionSpec("spike"), 8, small_grid)
     table = mw.decomp_powers(w)
     with pytest.raises(ValueError):
-        mw.smooth_part(table, 2)
+        mw.smooth_part(table, w, 2)
     for k in (3, 6, 8):
-        part = mw.smooth_part(table, k)
+        part = mw.smooth_part(table, w, k)
         assert part.values.min() >= -1e-9
         assert part.mass == pytest.approx(smooth_part_mass(table, k), abs=1e-6)
     # bounded laws: the smooth part is the whole sum law
     wl = mw.compute_walk(mw.DistributionSpec("uniform"), 4, small_grid)
     tl = mw.decomp_powers(wl)
-    assert np.array_equal(mw.smooth_part(tl, 4).values, wl.sum_laws[4].values)
+    assert np.array_equal(mw.smooth_part(tl, wl, 4).values, wl.sum_laws[4].values)
 
 
 def test_smooth_split_identity(small_grid, monkeypatch):

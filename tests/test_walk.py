@@ -193,16 +193,18 @@ def test_kept_law_walk_matches_the_full_walk(small_grid, name):
     full = mw.compute_walk(spec, n_max, small_grid)
     kept = mw.compute_walk(spec, n_max, small_grid, keep=keep)
     assert kept.max_laws.kept == keep
-    assert sorted(kept.kernels) == list(range(1, n_max + 1))  # every step's slice
-    assert all(v.base is None for v in kept.kernels.values())  # no full-length buffer pinned
+    assert sorted(kept.kernels) == list(range(1, n_max + 1))  # every step's kernel
+    # no full-length buffer pinned
+    assert all(f.values.base is None for f in kept.kernels.values())
     zero = small_grid.zero_index()
     assert kept.kernel_start == min(wk._support(full.step_density.values)[0], zero)
+    kernel_grid = kept.kernels[1].grid  # one grid, made once, for every k
+    assert kernel_grid.count == zero - kept.kernel_start + 1
+    assert kernel_grid.x_min == small_grid.centers()[kept.kernel_start]
     for k in range(1, n_max + 1):
-        assert kept.kernels[k].size == zero - kept.kernel_start + 1
-        assert np.array_equal(kept.kernels[k], full.kernels[k])
+        assert kept.kernels[k].grid is kernel_grid
+        assert np.array_equal(kept.kernels[k].values, full.kernels[k].values)
         assert np.array_equal(kept.sum_laws[k].values, full.sum_laws[k].values)
-        neg, _ = mw.restrict(full.max_laws[k], "negative")
-        assert np.array_equal(kept.negative_part(k).values, neg.values)
     for n in keep:
         assert np.array_equal(kept.max_laws[n].values, full.max_laws[n].values)
     for table in ("nonpos_prob", "neg_moment1", "neg_moment2", "max_mass"):
@@ -239,8 +241,54 @@ def test_kept_law_walk_matches_the_full_walk(small_grid, name):
     table_kept, table_full = mw.decomp_powers(kept), mw.decomp_powers(full)
     for k in range(3, n_max + 1):
         assert np.array_equal(
-            mw.smooth_part(table_kept, k).values, mw.smooth_part(table_full, k).values
+            mw.smooth_part(table_kept, kept, k).values, mw.smooth_part(table_full, full, k).values
         )
+
+
+@pytest.mark.parametrize("name", _SPEC_NAMES)
+def test_kernels_match_the_full_grid_restriction(small_grid, name):
+    # oracle: the full-grid route, restrict and moment over the whole window
+    # of each max law, and the transform of the restricted law
+    w = mw.compute_walk(mw.DistributionSpec(name), 8, small_grid)
+    zero = small_grid.zero_index()
+    t = np.linspace(-3.0, 3.0, 61)
+    for k in range(1, 9):
+        neg, neg_mass = mw.restrict(w.max_laws[k], "negative")
+        assert np.array_equal(w.kernels[k].values, neg.values[w.kernel_start : zero + 1])
+        for got, expected in (
+            (w.nonpos_prob[k], neg_mass),
+            (w.neg_moment1[k], mw.moment(w.max_laws[k], 1, "negative")),
+            (w.neg_moment2[k], mw.moment(w.max_laws[k], 2, "negative")),
+        ):
+            assert abs(got - expected) <= 1e-14 * abs(expected)
+        v0, v1, v2 = mw.charfn(neg, t, 2).values
+        got = mw.negative_tail_transform(w, k, t).values
+        for a, b in zip(got, (neg_mass - v0, -v1, -v2)):
+            assert np.abs(a - b).max() <= 1e-15
+
+
+def test_walk_restricts_no_full_grid_law(small_grid, monkeypatch):
+    # each step reads the previous max law's cells in place: no restrict,
+    # and every moment is taken of a kernel, on the kernel's own cells
+    restricted, moment_grids = [], []
+    restrict, moment = wk.restrict, wk.moment
+
+    def recording_restrict(f, side):
+        restricted.append(side)
+        return restrict(f, side)
+
+    def recording_moment(f, *args):
+        moment_grids.append(f.grid)
+        return moment(f, *args)
+
+    monkeypatch.setattr(wk, "restrict", recording_restrict)
+    monkeypatch.setattr(wk, "moment", recording_moment)
+    w = mw.compute_walk(mw.DistributionSpec("spike"), 8, small_grid)
+    assert restricted == []
+    kernel_grid = w.kernels[1].grid
+    assert kernel_grid.count < small_grid.count
+    assert len(moment_grids) == 2 * 8
+    assert all(g is kernel_grid for g in moment_grids)
 
 
 def _count_sum_products(walk, monkeypatch, check=None) -> list:
@@ -425,7 +473,7 @@ def test_kernel_sums_shares_and_drops_kernels(gaussian_walk8, monkeypatch):
     assert sorted(made) == sorted(set(made))  # each kernel made once
     assert set(made) == {n - k for k in range(1, top + 1) for n in ns if n >= k}
     assert all(ref() is None for ref in spectra.values())
-    # each kernel transformed straight from its slice at the pass length,
+    # each kernel transformed straight from its values at the pass length,
     # trimmed to the kernels' support; the held sum-law spectra need no
     # transform, and the pass transforms no density itself: only the parts
     # made spectra of the max laws, once per even step

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 
@@ -162,20 +163,34 @@ def decomp_powers(walk: WalkLaws, M: float | None = None) -> DecompTable:
     return DecompTable(decomp, n_max, qk2, tuple(heads))
 
 
-def split_spectra(
-    table: DecompTable, walk: WalkLaws, k: int
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The k-step sum law's split as kernel-pass terms, spectra at the
-    walk's kernel-pass length: (bounded, q2), bounded = S_k - rho^k qk2[k]
-    (every term of the binomial expansion of p^{*k} with a bounded factor,
-    by bilinearity) and q2 = qk2[k] while the q2 power is kept; beyond,
-    (S_k's spectrum itself, the same array, None)."""
-    s_hat = walk.sum_laws.spectrum(k)
-    w = table.decomp.rho**k
-    if w < _WEIGHT_CUTOFF:
-        return s_hat, None
-    q2_hat = walk.transform(table.qk2[k])
-    return s_hat - w * q2_hat, q2_hat
+def split_spectra(table: DecompTable, walk: WalkLaws, ns):
+    """The sum law's split as kernel-pass terms, spectra at the walk's
+    kernel-pass length, for one kernel pass over ns: a function
+    terms(k, s_hat), s_hat the spectrum of S_k, that gives (bounded, q2,
+    head).  bounded = S_k - rho^k qk2[k] (every term of the binomial
+    expansion of p^{*k} with a bounded factor, by bilinearity) and q2 =
+    qk2[k] while the q2 power is kept; beyond, bounded is s_hat itself (the
+    same array) and q2 is None.  head is the table's head (None where it is
+    None).  In the pass every n of ns reads k = 1..n once, so k's kept q2
+    power and head are transformed on its first read, shared by every n >= k
+    and dropped after the last."""
+    rho = table.decomp.rho
+    reads = Counter(k for n in set(ns) for k in range(1, n + 1))
+    made: dict = {}
+
+    def terms(k: int, s_hat: np.ndarray):
+        if k not in made:
+            q2_hat = walk.transform(table.qk2[k]) if rho**k >= _WEIGHT_CUTOFF else None
+            head = table.heads[k]
+            made[k] = q2_hat, None if head is None else walk.transform(head)
+        q2_hat, head_hat = made[k]
+        reads[k] -= 1
+        if reads[k] <= 0:
+            del made[k]
+        bounded = s_hat if q2_hat is None else s_hat - rho**k * q2_hat
+        return bounded, q2_hat, head_hat
+
+    return terms
 
 
 @dataclass(frozen=True)
@@ -207,24 +222,27 @@ def max_law_splits(table: DecompTable, walk: WalkLaws, ns) -> dict[int, MaxLawSp
     One kernel pass (walk.kernel_sums) serves every n, with three sums per n
     of spectra at the kernel pass's length (split_spectra): the bounded
     part S_k - rho^k qk2[k] with weight 1, the kept qk2[k] with weight
-    rho^k and the table's head with weight 1.
+    rho^k and the table's head with weight 1.  Each n reads its own stream
+    of sum-law spectra; each kept q2 power and head is transformed once for
+    the pass and shared by every n that reads its k.
     Verifies each split's per-cell reconstruction against the walk's max law
     at tolerance n * 1e-8 before returning.
     """
     for n in ns:
         table.check_index(n)
     rho = table.decomp.rho
+    split = split_spectra(table, walk, ns)
 
-    def parts(k: int):
-        bounded, q2_hat = split_spectra(table, walk, k)
-        head = table.heads[k]
+    def parts(k: int, s_hat: np.ndarray):
+        bounded, q2_hat, head_hat = split(k, s_hat)
         return (
             (bounded, 1.0),
             None if q2_hat is None else (q2_hat, rho**k),
-            None if head is None else (walk.transform(head), 1.0),
+            None if head_hat is None else (head_hat, 1.0),
         )
 
-    return {n: _finish_split(walk, n, *sums) for n, sums in kernel_sums(walk, ns, parts)}
+    sums = kernel_sums(walk, ns, parts)
+    return {n: _finish_split(walk, n, *terms) for n, terms in sums.items()}
 
 
 def _finish_split(
@@ -267,23 +285,21 @@ def _bounded_head(rho: float, q1_powers: tuple, qk2: tuple, k: int) -> GridDensi
     return None if head is None else GridDensity(q1_powers[1].grid, head)
 
 
-def smooth_spectrum(table: DecompTable, walk: WalkLaws, k: int) -> np.ndarray:
-    """smooth_part(table, walk, k) as a kernel-pass term, a spectrum at the
-    walk's kernel-pass length."""
-    if k < 3:
-        raise ValueError(f"k must be >= 3, got {k}")
-    table.check_index(k)
-    total = split_spectra(table, walk, k)[0]
-    head = table.heads[k]
-    if head is not None:
-        total = total - walk.transform(head)
-    return total
+def _smooth(terms) -> np.ndarray:
+    """The smooth part's spectrum from split_spectra's (bounded, q2, head):
+    the bounded part less the head."""
+    bounded, _, head = terms
+    return bounded if head is None else bounded - head
 
 
 def smooth_part(table: DecompTable, walk: WalkLaws, k: int) -> GridDensity:
     """Part of the k-step sum law with at least three bounded factors
     (nonnegative; three-fold bounded convolutions have integrable spectra)."""
-    return walk.window(smooth_spectrum(table, walk, k))
+    if k < 3:
+        raise ValueError(f"k must be >= 3, got {k}")
+    table.check_index(k)
+    terms = split_spectra(table, walk, (k,))(k, walk.sum_laws.spectrum(k))
+    return walk.window(_smooth(terms))
 
 
 def smooth_split_identity_gaps(
@@ -291,16 +307,19 @@ def smooth_split_identity_gaps(
 ) -> dict[int, float]:
     """Per split n, the max per-cell gap in: rescaled bounded part ==
     sqrt(n)-rescaled sum of smooth parts (k >= 3) convolved with kernels,
-    plus the local correction term.  One kernel pass serves all splits."""
+    plus the local correction term.  One kernel pass serves all splits,
+    each n on its own sum-law stream; the split's transforms for k >= 3
+    are made once for the pass (split_spectra)."""
     by_n = {s.n: s for s in splits}
     for n in by_n:
         table.check_index(n)
+    split = split_spectra(table, walk, by_n)
 
-    def parts(k: int):
-        return ((smooth_spectrum(table, walk, k), 1.0) if k >= 3 else None,)
+    def parts(k: int, s_hat: np.ndarray):
+        return ((_smooth(split(k, s_hat)), 1.0) if k >= 3 else None,)
 
     gaps = {}
-    for n, (terms,) in kernel_sums(walk, by_n, parts):
+    for n, (terms,) in kernel_sums(walk, by_n, parts).items():
         lhs = rescale_sqrt(by_n[n].bounded, n)
         rhs = rescale_sqrt(terms.total(), n) + by_n[n].correction
         gaps[n] = float(np.abs(lhs.values - rhs.values).max())

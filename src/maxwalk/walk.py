@@ -15,7 +15,7 @@ from __future__ import annotations
 import io
 import math
 import threading
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -88,8 +88,12 @@ class SumLaws:
     ``keep`` and the last k made, so an ascending read costs one product
     per step and a kept walk holds at most len(keep) + 2 spectra.  ``[k]``
     is S_k in space (index 0 is None): the step law for k = 1, else one
-    inverse transform cut to the window, not held.  Reads are serialized by
-    a lock, so threads may share a walk.
+    inverse transform cut to the window, not held.  Reads of the store are
+    serialized by a lock, so threads may share a walk.
+
+    ``stream()`` is a reader's own ascending walk through the same spectra:
+    it neither reads nor fills the store, holds only its current spectrum
+    and takes no lock (see stream).
     """
 
     def __init__(self, step: GridDensity, n_max: int, keep, size: int, mass: np.ndarray):
@@ -133,6 +137,18 @@ class SumLaws:
             self._spectra[k] = s_hat
             self._last = k
             return s_hat
+
+    def stream(self):
+        """Yield the spectra of S_1, S_2, ..., S_{n_max} in order, each made
+        from the last by _step: the products, pad guard and bits of
+        spectrum(k).  The generator holds only its current spectrum and
+        belongs to its caller; it takes no lock, and the sum_mass entries
+        it writes equal those any other read writes."""
+        s_hat = self._spectra[1]
+        yield s_hat
+        for k in range(2, self.n_max + 1):
+            s_hat = self._step(k, s_hat)
+            yield s_hat
 
     def _step(self, k: int, prev: np.ndarray) -> np.ndarray:
         """S_k's spectrum from S_{k-1}'s: one product, the pad guard and the
@@ -180,7 +196,8 @@ class WalkLaws:
 
     ``sum_laws`` carries S_k for 1 <= k <= n_max as spectra at the kernel
     pass's length (``pass_size``), each made on its first read and held only
-    at the n of ``keep``; ``sum_laws[k]`` is S_k in space (SumLaws).
+    at the n of ``keep``, or streamed to a reader that holds none
+    (SumLaws.stream); ``sum_laws[k]`` is S_k in space (SumLaws).
     ``max_laws[k]`` is the full k-step max law for each kept k (every k
     unless compute_walk was given ``keep``).  For every k the walk holds
     the Nagaev kernel's negative part, ``kernels[k]``: the max law's
@@ -190,8 +207,9 @@ class WalkLaws:
     nonzero cell).  ``nonpos_prob[k]``, P(max <= 0) after k steps, is that
     density's mass and ``neg_moment1``/``neg_moment2`` its first and second
     moments; ``max_mass[k]`` is the mass of the k-step max law.
-    ``sum_mass[k]`` is the window's mass of S_k, written when S_k is made
-    (NaN before).
+    ``sum_mass[k]`` is the window's mass of S_k, written whenever S_k is
+    made, by the store or by a stream, always to the same value (NaN
+    before).
     """
 
     spec: DistributionSpec
@@ -299,8 +317,10 @@ class KernelSum:
     sum over terms (G, f, w) of w * (atom * f - f * neg), G = atom - neg.
 
     Each f comes as a spectrum at the walk's kernel-pass length (a sum
-    law's spectrum, or WalkLaws.transform of a density).  The atom terms
-    and the convolution terms are summed as spectra, and each part costs
+    law's spectrum, or WalkLaws.transform of a density); kernel_sums adds
+    the terms of one n in ascending k, each with its kernel's spectrum
+    while that spectrum is alive.  The atom terms and the convolution
+    terms are summed as spectra, and each part costs
     one inverse transform: the atoms' is cut to the window, the
     convolutions' placed at offset kernel_start of the full convolution
     and cropped (grid.from_spectrum).  That length holds a whole window
@@ -403,18 +423,18 @@ def compute_walk(
     mass = np.full(n_max + 1, np.nan)
     sum_mass = np.full(n_max + 1, np.nan)
 
-    def record(k: int, f: GridDensity) -> None:
+    def record(k: int, f: GridDensity, f_mass: float) -> None:
         neg = f.values[kernel_start : zero + 1].copy()
         neg[-1] /= 2.0
         kernel = kernels[k] = GridDensity(kernel_grid, neg)
         nonpos[k] = kernel.mass
         m1[k] = moment(kernel, 1)
         m2[k] = moment(kernel, 2)
-        mass[k] = f.mass
+        mass[k] = f_mass
         if k in keep:
             laws[k] = f
 
-    record(1, p)
+    record(1, p, p.mass)
     prev = p
     for k in range(2, n_max + 1):
         pos = prev.values[zero:].copy()
@@ -422,13 +442,14 @@ def compute_walk(
         scale = abs(p.mass * grid.step * pos.sum())
         conv = from_spectrum(grid, p_hat * rfft(pos, size), scale, size, zero + p0, length)
         prev = nonpos[k - 1] * p + conv
-        drift = abs(prev.mass - 1.0)
+        prev_mass = prev.mass  # one window sum for the guard and the table
+        drift = abs(prev_mass - 1.0)
         if drift > k * MASS_TOL:
             raise GridError(
                 f"mass drift {drift:.2e} at step {k} exceeds {k * MASS_TOL:.1e}; "
                 "increase the grid resolution or window"
             )
-        record(k, prev)
+        record(k, prev, prev_mass)
 
     return WalkLaws(
         spec=spec,
@@ -457,48 +478,47 @@ def kernel_spectrum(walk: WalkLaws, index: int) -> KernelSpectrum:
     return KernelSpectrum(index, float(walk.nonpos_prob[index]), neg_hat)
 
 
-def kernel_sums(walk: WalkLaws, ns, parts):
+def kernel_sums(walk: WalkLaws, ns, parts) -> dict[int, tuple[KernelSum, ...]]:
     """Nagaev kernel sums sum_k w_k (f_k * G_{n-k}) for every n in ns, in one
-    pass over k = 1..max(ns).
+    pass over the kernels j = max(ns) - 1, ..., 0.
 
-    parts(k) gives one (spectrum, weight) term, or None, per sum; each
-    spectrum is at the kernel pass's length (a sum law's spectrum, or
-    WalkLaws.transform of a density) and is added, with kernel n - k, into
-    its sum for every n >= k of ns.  Yields (n, sums) right after step n.
-    Each kernel is made on first use and dropped after its last: kernel j
-    serves no step after k = max(ns) - j.
+    Kernel j is made once (kernel_spectrum), added at once into the sum of
+    every n > j of ns, at k = n - j, and dropped before kernel j - 1 is
+    made, so one kernel spectrum is alive at a time.  As j descends, each
+    n's k ascends 1, 2, ..., n: each n reads its own sum-law stream
+    (SumLaws.stream), and parts(k, s_hat), s_hat the stream's spectrum of
+    S_k, gives one (spectrum, weight) term, or None, per sum, each a
+    spectrum at the kernel pass's length.  Every sum adds its terms in
+    ascending k.  Returns {n: sums} in ascending n, every sum finished.
     """
     ns = sorted(set(ns))
     if not ns:
         raise ValueError("ns must name at least one n")
     for n in ns:
         walk.check_index(n)
-    top = ns[-1]
-    held: dict = {}
-    sums: dict = {}
-    for k in range(1, top + 1):
-        terms = parts(k)
-        if k == 1:
-            sums = {n: tuple(KernelSum(walk) for _ in terms) for n in ns}
-        for i, term in enumerate(terms):
-            if term is None:
-                continue
-            f_hat, weight = term
-            for n in ns[bisect_left(ns, k):]:
-                if n - k not in held:
-                    held[n - k] = kernel_spectrum(walk, n - k)
-                sums[n][i].add(held[n - k], f_hat, weight)
-        held.pop(top - k, None)
-        if k in sums:
-            yield k, sums.pop(k)
+    streams = {n: walk.sum_laws.stream() for n in ns}
+    sums: dict = dict.fromkeys(ns)
+    for j in range(ns[-1] - 1, -1, -1):
+        kernel = kernel_spectrum(walk, j)
+        for n in ns[bisect_right(ns, j):]:
+            k = n - j
+            terms = parts(k, next(streams[n]))
+            if k == 1:
+                sums[n] = tuple(KernelSum(walk) for _ in terms)
+            for acc, term in zip(sums[n], terms):
+                if term is not None:
+                    acc.add(kernel, *term)
+        del kernel, terms
+    return sums
 
 
 def nagaev_density(walk: WalkLaws, ns) -> dict[int, GridDensity]:
     """Density of the n-step running maximum, for every n in ns, as the
     kernel representation: the sum over k of the k-step sum law convolved
-    with the (n-k)-step kernel."""
-    sums = kernel_sums(walk, ns, lambda k: ((walk.sum_laws.spectrum(k), 1.0),))
-    return {n: terms.total() for n, (terms,) in sums}
+    with the (n-k)-step kernel, in one kernel pass (kernel_sums) whose
+    terms are the streamed sum-law spectra themselves."""
+    sums = kernel_sums(walk, ns, lambda k, s_hat: ((s_hat, 1.0),))
+    return {n: terms.total() for n, (terms,) in sums.items()}
 
 
 def spitzer_positive_law(walk: WalkLaws, n: int) -> HalfLineLaw:

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from maxwalk.decomposition import (
     smooth_split_identity_gaps,
     split_spectra,
 )
-from maxwalk.grid import GridError, _support, zero_density
+from maxwalk.grid import _SPEC_NAMES, GridError, _support, zero_density
 
 
 def smooth_part_mass(table, k: int) -> float:
@@ -24,6 +25,12 @@ def smooth_part_mass(table, k: int) -> float:
         return 1.0
     head = sum(binomial_log_weight(k, j, rho) for j in range(0, min(2, k) + 1))
     return 1.0 - head
+
+
+def store_split(table, w, k):
+    """split_spectra's (bounded, q2) for S_k, its spectrum read from the
+    walk's store, with the transforms made for k alone."""
+    return split_spectra(table, w, (k,))(k, w.sum_laws.spectrum(k))[:2]
 
 
 def apply_kernel_direct(f, w, j):
@@ -93,7 +100,7 @@ def test_power_table_trivial_when_bounded(small_grid):
     for k in (1, 4, 8):
         # every q2 power is dropped: the bounded term is the walk's sum-law
         # spectrum itself
-        bounded, q2_hat = split_spectra(table, w, k)
+        bounded, q2_hat = store_split(table, w, k)
         assert bounded is w.sum_laws.spectrum(k)
         assert q2_hat is None
         assert np.all(table.qk2[k].values == 0.0)
@@ -105,12 +112,12 @@ def test_power_table_reconstructs_spike(small_grid):
     d = table.decomp
     assert np.array_equal(table.qk2[1].values, d.q2.values)
     # one step: the bounded term is (1 - rho) q1, the step law's clipped part
-    bounded = w.window(split_spectra(table, w, 1)[0]).values
+    bounded = w.window(store_split(table, w, 1)[0]).values
     clipped = (1.0 - d.rho) * d.q1.values
     assert np.abs(bounded - clipped).max() <= 1e-12 * np.abs(clipped).max()
     for k in (2, 5, 8):
         rho_k = d.rho**k
-        bounded, q2_hat = split_spectra(table, w, k)
+        bounded, q2_hat = store_split(table, w, k)
         assert np.array_equal(q2_hat, w.transform(table.qk2[k]))
         recon = w.window(bounded) + rho_k * table.qk2[k]
         assert mw.l1_distance(recon, w.sum_laws[k]) <= 1e-6
@@ -156,7 +163,7 @@ def test_power_table_matches_binomial_double_sum(name, M):
     for k in qk1:
         bounded = (1.0 - d.rho**k) * qk1[k]
         for got, expected in (
-            (w.window(split_spectra(table, w, k)[0]), bounded),
+            (w.window(store_split(table, w, k)[0]), bounded),
             (table.heads[k], heads[k]),
         ):
             assert np.abs(got.values - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -166,7 +173,7 @@ def test_power_table_matches_binomial_double_sum(name, M):
     for k in range(1, n + 1):
         if k in dropped:
             assert np.all(table.qk2[k].values == 0.0)
-            assert split_spectra(table, w, k)[0] is w.sum_laws.spectrum(k)
+            assert store_split(table, w, k)[0] is w.sum_laws.spectrum(k)
         else:
             assert table.qk2[k].mass == pytest.approx(1.0, abs=k * 1e-6)
 
@@ -323,6 +330,84 @@ def test_kernel_sums_match_per_term_direct(small_grid, name):
         # one step has no kernel to convolve with: no convolution remainder
         assert (np.abs(rem_neg).max() > 0) == (name == "spike" and n > 1)
     assert (rho > 0) == (name == "spike")
+
+
+def k_major_kernel_sums(walk, ns, parts):
+    """Oracle: the kernel pass in k order, as the walk ran it before the
+    kernel-major pass.  parts is called once per k with S_k's spectrum read
+    from the walk's store, and each kernel is made on first use and held
+    until its last, k = max(ns) - j."""
+    ns = sorted(set(ns))
+    if not ns:
+        raise ValueError("ns must name at least one n")
+    for n in ns:
+        walk.check_index(n)
+    top = ns[-1]
+    held: dict = {}
+    sums: dict = {}
+    for k in range(1, top + 1):
+        terms = parts(k, walk.sum_laws.spectrum(k))
+        if k == 1:
+            sums = {n: tuple(wk.KernelSum(walk) for _ in terms) for n in ns}
+        for i, term in enumerate(terms):
+            if term is None:
+                continue
+            f_hat, weight = term
+            for n in ns[bisect_left(ns, k):]:
+                if n - k not in held:
+                    held[n - k] = wk.kernel_spectrum(walk, n - k)
+                sums[n][i].add(held[n - k], f_hat, weight)
+        held.pop(top - k, None)
+    return sums
+
+
+@pytest.mark.parametrize("name", _SPEC_NAMES)
+def test_kernel_major_pass_matches_the_k_major_oracle(small_grid, name, monkeypatch):
+    # every sum adds its terms in the same ascending k with the same
+    # spectra, so the kernel-major pass changes no bit
+    spec, ns = mw.DistributionSpec(name), (1, 3, 5, 8)
+    results = []
+    for oracle in (True, False):
+        if oracle:
+            monkeypatch.setattr(wk, "kernel_sums", k_major_kernel_sums)
+            monkeypatch.setattr(dc, "kernel_sums", k_major_kernel_sums)
+        w = mw.compute_walk(spec, ns[-1], small_grid)
+        table = mw.decomp_powers(w)
+        splits = mw.max_law_splits(table, w, ns)
+        gaps = smooth_split_identity_gaps(table, w, splits.values())
+        results.append((mw.nagaev_density(w, ns), splits, gaps))
+        monkeypatch.undo()
+    (dens_a, splits_a, gaps_a), (dens_b, splits_b, gaps_b) = results
+    assert list(dens_b) == list(splits_b) == list(ns)
+    for n in ns:
+        assert np.array_equal(dens_a[n].values, dens_b[n].values)
+        for part in ("bounded", "remainder_pos", "remainder_neg", "correction"):
+            assert np.array_equal(getattr(splits_a[n], part).values, getattr(splits_b[n], part).values)
+        assert splits_a[n].reconstruction_gap == splits_b[n].reconstruction_gap
+    assert gaps_a == gaps_b
+
+
+@pytest.mark.parametrize("name, n_max", [("spike", 24), ("laplace", 8)])
+def test_split_pass_transforms_each_power_and_head_once(name, n_max, monkeypatch):
+    # the kept q2 powers and the heads are transformed once for the pass,
+    # and every n of it reads the same spectra
+    w = mw.compute_walk(mw.DistributionSpec(name), n_max, mw.make_working_grid(n_max, 2**12))
+    table = mw.decomp_powers(w)
+    rho = table.decomp.rho
+    calls = []
+    transform = wk.WalkLaws.transform
+    monkeypatch.setattr(
+        wk.WalkLaws, "transform", lambda walk, f: calls.append(f) or transform(walk, f)
+    )
+    mw.max_law_splits(table, w, (3, 8, n_max))
+    kept = [table.qk2[k] for k in range(1, n_max + 1) if rho**k >= _WEIGHT_CUTOFF]
+    heads = [h for h in table.heads[1:] if h is not None]
+    assert len(calls) == len(kept) + len(heads)
+    assert sorted(map(id, calls)) == sorted(map(id, kept + heads))
+    if name == "spike":
+        assert 0 < len(kept) < n_max and 0 < len(heads) < n_max  # both cut off
+    else:
+        assert rho == 0.0 and kept == [] and len(heads) == 2
 
 
 @pytest.mark.parametrize("name", ["laplace", "spike"])

@@ -350,36 +350,58 @@ def test_streamed_sum_laws_match_in_any_order(small_grid, name):
 
 
 def test_kept_walk_holds_few_sum_laws(small_grid, monkeypatch):
+    # a split pass neither reads nor fills the store: each n of the pass
+    # streams its own sum laws and holds one spectrum at a time
     spec, n_max, keep = mw.DistributionSpec("spike"), 8, (3, 5, 8)
     w = mw.compute_walk(spec, n_max, small_grid, keep=keep)
     table = mw.decomp_powers(w)
     assert w.sum_laws.held == (1,)  # building the walk and the table makes none
+    spectra = []
 
     def bounded():
-        assert len(w.sum_laws.held) <= len(keep) + 2
+        assert w.sum_laws.held == (1,)
+        assert sum(ref() is not None for ref in spectra) <= len(keep)
 
     made = _count_sum_products(w, monkeypatch, bounded)
+    step = w.sum_laws._step
+
+    def recording(k, prev):
+        s_hat = step(k, prev)
+        spectra.append(weakref.ref(s_hat))
+        return s_hat
+
+    monkeypatch.setattr(w.sum_laws, "_step", recording)
     splits = mw.max_law_splits(table, w, keep)
     assert sorted(splits) == list(keep)
     bounded()
-    assert set(keep) <= set(w.sum_laws.held)
-    assert made == list(range(2, n_max + 1))  # one ascending stream, each law made once
+    assert all(ref() is None for ref in spectra)
+    # one product per step of each n's stream
+    assert sorted(made) == sorted(k for n in keep for k in range(2, n + 1))
 
 
 def test_scalar_csv_does_not_depend_on_the_stream(small_grid, monkeypatch):
-    # the mass_p column is the same before any kernel pass, after a full
-    # one and after one that stopped short of n_max; finishing the stream
-    # makes only the laws not made yet
+    # sum_mass and the mass_p column are the same before any kernel pass and
+    # after any set of passes: every stream writes the masses the store
+    # writes, and a pass that stops short of n_max leaves the rest to the
+    # table, which makes them from the store
     spec, n_max, keep = mw.DistributionSpec("mixture"), 8, (3, 5, 8)
-    expected = wk.walk_scalars_csv(mw.compute_walk(spec, n_max, small_grid))
-    for ns in (None, keep, (3, 5)):
+    full = mw.compute_walk(spec, n_max, small_grid)
+    expected = wk.walk_scalars_csv(full)
+    for passes in ((), (keep,), ((3, 5),), ((3,), (5, 3), (5,))):
         w = mw.compute_walk(spec, n_max, small_grid, keep=keep)
         made = _count_sum_products(w, monkeypatch)
-        if ns is not None:
-            mw.max_law_splits(mw.decomp_powers(w), w, ns)
-            assert len(made) == max(ns) - 1
+        table = mw.decomp_powers(w)
+        for ns in passes:
+            splits = mw.max_law_splits(table, w, ns)
+            mw.nagaev_density(w, ns)
+            mw.decomposition.smooth_split_identity_gaps(table, w, splits.values())
+        top = max((max(ns) for ns in passes), default=1)
+        assert np.array_equal(w.sum_mass[: top + 1], full.sum_mass[: top + 1], equal_nan=True)
+        assert np.isnan(w.sum_mass[top + 1 :]).all()
+        before = len(made)
         assert wk.walk_scalars_csv(w) == expected
-        assert len(made) == n_max - 1
+        assert np.array_equal(w.sum_mass, full.sum_mass, equal_nan=True)
+        assert len(made) - before == (0 if top == n_max else n_max - 1)
 
 
 def test_threads_share_a_kept_walk(small_grid):
@@ -427,13 +449,21 @@ def test_reading_a_law_not_kept_raises(small_grid, monkeypatch):
 
 
 def test_kernel_sums_shares_and_drops_kernels(gaussian_walk8, monkeypatch):
+    # kernel-major pass: each kernel is made once, serves every n at once
+    # and is dropped before the next one is made; each n reads its own
+    # stream S_1, ..., S_n in order
     w = gaussian_walk8
     ns, top = (1, 3, 5, 8), 8
     expected = mw.nagaev_density(w, ns)
-    made, spectra, sizes, transformed, given = [], {}, set(), [], {}
+    stored = {k: w.sum_laws.spectrum(k).copy() for k in range(1, top + 1)}
+    made, spectra, sizes, transformed, read = [], {}, [], [], {}
     make_kernel, rfft, transform = wk.kernel_spectrum, wk.rfft, wk.spectrum
 
+    def live() -> list:
+        return [j for j, ref in spectra.items() if ref() is not None]
+
     def counting_kernel(walk, index):
+        assert live() == []  # the last kernel is gone before the next is made
         made.append(index)
         kern = make_kernel(walk, index)
         if index > 0:
@@ -441,7 +471,7 @@ def test_kernel_sums_shares_and_drops_kernels(gaussian_walk8, monkeypatch):
         return kern
 
     def counting_rfft(values, size):
-        sizes.add(size)
+        sizes.append(size)
         return rfft(values, size)
 
     def counting_transform(f, size, *cells):
@@ -451,38 +481,39 @@ def test_kernel_sums_shares_and_drops_kernels(gaussian_walk8, monkeypatch):
     monkeypatch.setattr(wk, "kernel_spectrum", counting_kernel)
     monkeypatch.setattr(wk, "rfft", counting_rfft)
     monkeypatch.setattr(wk, "spectrum", counting_transform)
+    products = _count_sum_products(w, monkeypatch)
 
-    def parts(k):
-        # kernel j serves no step after k = top - j; the pass holds no other
-        live = {j for j, ref in spectra.items() if ref() is not None}
-        assert live == {j for j in spectra if j <= top - k}
-        given[k] = w.max_laws[k] if k % 2 == 0 else None
+    def parts(k, s_hat):
+        assert len(live()) <= 1
+        j = made[-1]
+        read.setdefault(k + j, []).append(k)
+        assert np.array_equal(s_hat, stored[k])
         return (
-            (w.sum_laws.spectrum(k), 1.0),
+            (s_hat, 1.0),
             (w.transform(w.max_laws[k]), 0.5) if k % 2 == 0 else None,
         )
 
-    yielded = []
-    for n, sums in wk.kernel_sums(w, ns, parts):
-        assert max(given) == n  # yielded right after step n
-        yielded.append(n)
-        assert len(sums) == 2
-        assert np.array_equal(sums[0].total().values, expected[n].values)
-        del sums
-    assert yielded == list(ns)
-    assert sorted(made) == sorted(set(made))  # each kernel made once
-    assert set(made) == {n - k for k in range(1, top + 1) for n in ns if n >= k}
+    sums = wk.kernel_sums(w, ns, parts)
+    assert list(sums) == list(ns)
+    for n, terms in sums.items():
+        assert len(terms) == 2
+        assert np.array_equal(terms[0].total().values, expected[n].values)
+    assert made == list(range(top - 1, -1, -1))  # each kernel once, in kernel order
     assert all(ref() is None for ref in spectra.values())
+    assert read == {n: list(range(1, n + 1)) for n in ns}
+    # one product per step of each n's stream, and no read of the store
+    assert sorted(products) == sorted(k for n in ns for k in range(2, n + 1))
     # each kernel transformed straight from its values at the pass length,
-    # trimmed to the kernels' support; the held sum-law spectra need no
+    # trimmed to the kernels' support; the streamed sum-law spectra need no
     # transform, and the pass transforms no density itself: only the parts
-    # made spectra of the max laws, once per even step
+    # made spectra of the max laws, once per even (n, k)
     # the kernels' width sets it here: nothing wraps around at 8 steps
-    assert sizes == {w.pass_size} == {wk._pass_size(w.step_density, 8, w.kernel_start)}
+    assert sizes == [w.pass_size] * (top - 1)
+    assert w.pass_size == wk._pass_size(w.step_density, 8, w.kernel_start)
     kernel_size = w.grid.count + w.grid.zero_index() - w.kernel_start
     assert w.pass_size == wk.next_fast_len(kernel_size, real=True)
     assert w.pass_size < 2 * w.grid.count
-    assert transformed == [f for f in given.values() if f is not None]
+    assert len(transformed) == sum(k % 2 == 0 for n in ns for k in range(1, n + 1))
 
 
 def test_kernel_sum_parts_without_terms_are_shared_zero(gaussian_walk8):

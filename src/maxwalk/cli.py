@@ -8,6 +8,7 @@ file supplies defaults; flags override individual fields.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from pathlib import Path
@@ -154,7 +155,33 @@ _RUNNERS = {
 }
 
 
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_heap() -> None:
+    """Let glibc's heap keep the program's arrays.
+
+    By default glibc maps each block of 128 KiB and up on its own and
+    unmaps it on free, and returns the top of the heap to the kernel, so an
+    array made again after a free faults its pages in again (the threshold
+    only rises after a mapped block is freed, as importing a large library
+    does).  Blocks below 16 MiB come from the heap, and the heap keeps up to
+    64 MiB free at its top.  Does nothing where the C library has no
+    mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 16 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _keep_heap()
     args = _parser().parse_args(argv)
     try:
         config = load_config(args)

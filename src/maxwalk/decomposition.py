@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-from scipy.special import gammaln
 
 from .grid import (
     GridDensity,
@@ -108,9 +107,9 @@ def binomial_log_weight(k: int, j: int, rho: float) -> float:
     if j == 0:
         return math.exp(k * math.log(rho))
     log_w = (
-        gammaln(k + 1)
-        - gammaln(j + 1)
-        - gammaln(k - j + 1)
+        math.lgamma(k + 1)
+        - math.lgamma(j + 1)
+        - math.lgamma(k - j + 1)
         + j * math.log1p(-rho)
         + (k - j) * math.log(rho)
     )

@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
+from ._special import ndtr
 from .grid import GridDensity, GridSpec, moment
 
 _VALUE_FLOOR = 1e-300
@@ -60,13 +60,18 @@ class ReferenceLaw:
         return np.where(x <= 0, 0.0, 2.0 * ndtr(np.maximum(x, 0.0) / r) - 1.0)
 
     def sample_on(self, grid: GridSpec) -> GridDensity:
-        """Cell-averaged sampling (zero off the support)."""
-        values = np.diff(self.cdf(grid.edges())) / grid.step
-        return GridDensity(grid, values)
+        """Cell-averaged sampling (zero off the support), shared read-only
+        between calls."""
+        return _sampled(grid, self)
 
 
 def half_normal(n: int = 1) -> ReferenceLaw:
     return ReferenceLaw(n)
+
+
+@functools.lru_cache(maxsize=8)
+def _sampled(grid: GridSpec, ref: ReferenceLaw) -> GridDensity:
+    return GridDensity(grid, np.diff(ref.cdf(grid.edges())) / grid.step)
 
 
 @functools.lru_cache(maxsize=8)

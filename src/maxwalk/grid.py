@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.special import ndtr, ndtri
+from numpy.fft import irfft, rfft
+
+from ._special import ndtr, ndtri, next_fast_len
 
 MASS_TOL = 1e-6
 

@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
-from scipy.special import dawsn
+from numpy.fft import fft, ifft
 
+from ._special import dawsn, next_fast_len
 from .grid import GridDensity, rescale_sqrt
 from .walk import WalkLaws
 

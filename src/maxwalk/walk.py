@@ -21,8 +21,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
+from ._special import next_fast_len
 from .grid import (
     MASS_TOL,
     DistributionSpec,

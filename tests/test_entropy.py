@@ -174,6 +174,17 @@ def test_reference_log_density_cached_read_only(fine_grid):
             log_psi[0] = 0.0
 
 
+def test_reference_sample_cached_read_only(fine_grid):
+    edges = fine_grid.edges()
+    for n in (1, 4):
+        sampled = mw.half_normal(n).sample_on(fine_grid)
+        assert mw.ReferenceLaw(n).sample_on(fine_grid) is sampled
+        assert np.array_equal(sampled.values,
+                              np.diff(mw.half_normal(n).cdf(edges)) / fine_grid.step)
+        with pytest.raises(ValueError):
+            sampled.values[0] = 1.0
+
+
 def test_conditioned_gaussian_is_half_normal(fine_grid):
     f = mw.sample_density(mw.DistributionSpec("gaussian"), fine_grid)
     assert mw.conditional_positive_entropy(f, mw.half_normal()) == pytest.approx(

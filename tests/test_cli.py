@@ -304,6 +304,13 @@ def _fresh_interpreter(code: str) -> str:
     return out.stdout.strip()
 
 
+def test_cli_import_skips_scipy_signal():
+    # importing scipy.signal costs most of a CLI run's start-up; nothing
+    # in the package needs it
+    assert _fresh_interpreter(
+        "import maxwalk.cli, sys; print('scipy.signal' in sys.modules)") == "False"
+
+
 def test_cli_import_footprint():
     # the package runs on numpy alone: importing scipy.special and scipy.fft
     # would double a CLI run's start-up time and add 25 MB

@@ -1,9 +1,11 @@
 """Numerical laws of random-walk maxima and their half-normal limit.
 
 Computes the law of max(S_1..S_n) for centered unit-variance walks by three
-independent analytic routes on a shared grid, measures relative-entropy and
-total-variation distances to the half-normal law, and verifies the
-constructive identities and bounds behind those limits at desk scale.
+analytic routes on a shared grid, which agree to rounding on the grid's
+lattice (so they check the code, not the grid error).  Measures
+relative-entropy and total-variation distances to the half-normal law, and
+verifies the constructive identities and bounds behind those limits at
+desk scale.
 """
 
 from .transforms import (
@@ -76,6 +78,7 @@ from .walk import (
     nagaev_density,
     sparre_andersen,
     spitzer_first_term_split,
+    spitzer_nonpos_probs,
     spitzer_positive_law,
     spitzer_second_moment,
 )

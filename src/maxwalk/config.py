@@ -12,10 +12,10 @@ _DEFAULT_N_LIST = (1, 2, 4, 8, 16, 32, 64)
 # (n, smallest n_max that needs it): the curve rows verify reads once n_max
 # reaches their section's size (the n = 8 and 64 endpoints, the n >= 32 tail)
 _VERIFY_N = ((8, 64), (32, 32), (64, 64))
-# Upper bounds that keep a run's arrays allocatable.  A walk holds its sum and
-# max laws of grid_points cells each only at the n its caller keeps; verify
-# keeps every n, so up to 2 * n_max densities: 1 GiB of float64 at
-# n_max * grid_points = 2^26.
+# Upper bounds that keep a run's arrays allocatable.  A walk holds its max laws
+# of grid_points cells each only at the n its caller keeps, and streams its sum
+# laws to each reader, one spectrum at a time; verify keeps every n, so n_max
+# densities: 512 MiB of float64 at n_max * grid_points = 2^26.
 _N_MAX_LIMIT = 1024
 _WALK_CELLS_LIMIT = 2**26
 _MC_SAMPLES_LIMIT = 10**9

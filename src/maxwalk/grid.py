@@ -3,11 +3,8 @@
 A density is stored as cell-averaged values on an equally spaced grid with a
 cell centered at 0.  Cell averaging (CDF differences over cells) keeps
 unbounded-but-integrable densities representable and makes mass bookkeeping
-exact.  The objects of this module are immutable; all operations are pure
-functions, safe to call concurrently, and deterministic regardless of thread
-count.  (A walk's sum-law store, walk.SumLaws, fills after it is built: each
-spectrum on its first read, under a lock, with the same bits whatever the
-order of reads.)
+exact.  The objects of this module are immutable and all operations are
+pure, deterministic functions.
 """
 
 from __future__ import annotations
@@ -158,10 +155,9 @@ class HalfLineLaw:
 
     atom_at_zero: float
     density: GridDensity
-    mass_tol: float = MASS_TOL
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.atom_at_zero <= 1.0 + self.mass_tol):
+        if not (0.0 <= self.atom_at_zero <= 1.0 + MASS_TOL):
             raise GridError(f"atom mass {self.atom_at_zero} outside [0, 1]")
         x = self.density.grid.centers()
         v = self.density.values
@@ -170,8 +166,8 @@ class HalfLineLaw:
         if float(np.abs(v[x < -self.density.grid.step / 2]).sum()) > 1e-12:
             raise GridError("half-line density has mass at negative abscissas")
         total = self.atom_at_zero + self.density.mass
-        if abs(total - 1.0) > self.mass_tol:
-            raise GridError(f"atom + density mass = {total}, expected 1 +- {self.mass_tol}")
+        if abs(total - 1.0) > MASS_TOL:
+            raise GridError(f"atom + density mass = {total}, expected 1 +- {MASS_TOL}")
 
 
 def make_working_grid(n_max: int, points: int = 2**14) -> GridSpec:

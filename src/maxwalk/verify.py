@@ -146,11 +146,12 @@ def check_route_equivalence(state: SuiteState) -> list[CheckResult]:
                 1e-3,
             )
         )
+        # on the lattice: the max law's cells > 0 against the series density,
+        # its mass on the cells <= 0 against the series atom
         series = wk.spitzer_positive_law(walk, n)
-        pos, alpha = gr.restrict(direct, "positive")
-        gap = gr.l1_distance(pos, series.density) + abs(
-            series.atom_at_zero - float(walk.nonpos_prob[n])
-        )
+        v, h, first = direct.values, walk.grid.step, walk.grid.zero_index() + 1
+        gap = h * float(np.abs(v[first:] - series.density.values[first:]).sum())
+        gap += abs(series.atom_at_zero - h * float(v[:first].sum()))
         out.append(
             _le(
                 f"acceptance.route_equivalence.{name}.series.n{n}",

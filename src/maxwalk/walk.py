@@ -1,23 +1,26 @@
 """Laws of the partial-sum walk and its running maximum, by three routes.
 
 The canonical route is the distributional recursion
-``max(S_1..S_n) =d X + max(S_1..S_{n-1})^+`` (one convolution per step).
-Two independent representations are provided for cross-validation: the
-Nagaev kernel sum and the Spitzer generating-series expansion of the law of
-the nonnegative part.  On the default verify grid (2^14 cells, n <= 16) the
-kernel route matches the recursion to 1.0e-14 in L1 or better, and the
-series route to 6.0e-6 (uniform) to 1.7e-5 (laplace), 3.4e-4 for the spike
-(unbounded at 0); the published cross-route tolerance is 1e-3.
+``max(S_1..S_n) =d X + max(S_1..S_{n-1})^+`` (one convolution per step),
+exact for the lattice walk on the grid's cells.  Two other representations
+check it: the Nagaev kernel sum, which reads the recursion's negative parts
+and is the recursion re-expanded (f_{n+1} = p * (f_n + G_n)), and Spitzer's
+generating series for the law of the nonnegative part, which reads the sum
+laws alone.  On the default verify grid (2^14 cells, n <= 16) both match
+the recursion to rounding: the kernel route to 1.0e-14 in L1 or better,
+the series to 6.3e-15 (7e-16 to 1e-15 in P(M_n <= 0) at every n <= 64).
+So the routes check the code, not the grid error.  The published
+cross-route tolerance is 1e-3.
 """
 
 from __future__ import annotations
 
 import io
 import math
-import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -67,7 +70,7 @@ class KeptLaws:
 
 class SumLaws:
     """The sum laws S_k = p^{*k} of a walk, carried as spectra at the kernel
-    pass's length L (_pass_size) and made on first read.
+    pass's length L (_pass_size) and made by the reader that asks for them.
 
     The spectrum of S_k is the half spectrum of a cyclic buffer of L cells:
     the window's cells in [0, count) and, on the pad cells [count, L), what
@@ -83,30 +86,20 @@ class SumLaws:
     mass(S_{k-1})|); ``sum_mass[k]`` is the window's mass, the total minus
     the pad's.
 
-    ``spectrum(k)`` is that spectrum for 1 <= k <= n_max, made forward from
-    the nearest held one below k (the same products, so the same bits,
-    whatever the order of reads).  The store holds k = 1, each n of
-    ``keep`` and the last k made, so an ascending read costs one product
-    per step and a kept walk holds at most len(keep) + 2 spectra.  ``[k]``
-    is S_k in space (index 0 is None): the step law for k = 1, else one
-    inverse transform cut to the window, not held.  Reads of the store are
-    serialized by a lock, so threads may share a walk.
-
-    ``stream()`` is a reader's own ascending walk through the same spectra:
-    it neither reads nor fills the store, holds only its current spectrum
-    and takes no lock (see stream).
+    ``stream()`` yields the spectra of S_1, S_2, ..., S_{n_max} in order,
+    one product per step; ``spectrum(k)`` is S_k's, streamed to k.  Only
+    S_1's spectrum is held, so every read makes the same products and the
+    same bits.  ``[k]`` is S_k in space (index 0 is None): the step law for
+    k = 1, else one inverse transform of spectrum(k) cut to the window.
     """
 
-    def __init__(self, step: GridDensity, n_max: int, keep, size: int, mass: np.ndarray):
+    def __init__(self, step: GridDensity, n_max: int, size: int, mass: np.ndarray):
         grid = step.grid
         self.n_max = n_max
         self.size = size
         self._p = step
-        self._keep = keep
         self._mass = mass
-        self._spectra = {1: rfft(step.values, size)}
-        self._last = 1
-        self._lock = threading.Lock()
+        self._first = rfft(step.values, size)
         padded = np.zeros(size)
         padded[: grid.count] = step.values
         self._factor = grid.step * rfft(np.roll(padded, -grid.zero_index()))
@@ -115,37 +108,17 @@ class SumLaws:
         self._pad = _dual(pad, size)
         mass[1] = step.mass
 
-    @property
-    def held(self) -> tuple[int, ...]:
-        """The k whose spectrum the store holds now."""
-        return tuple(sorted(self._spectra))
-
     def spectrum(self, k: int) -> np.ndarray:
         if not 1 <= k <= self.n_max:
             raise IndexError(f"sum law index must lie in [1, {self.n_max}], got {k}")
-        with self._lock:
-            s_hat = self._spectra.get(k)
-            if s_hat is not None:
-                return s_hat
-            j = max(i for i in self._spectra if i < k)
-            s_hat = self._spectra[j]
-            for i in range(j + 1, k + 1):
-                s_hat = self._step(i, s_hat)
-                if i in self._keep:
-                    self._spectra[i] = s_hat
-            if self._last != 1 and self._last not in self._keep:
-                del self._spectra[self._last]
-            self._spectra[k] = s_hat
-            self._last = k
-            return s_hat
+        return next(islice(self.stream(), k - 1, None))
 
     def stream(self):
         """Yield the spectra of S_1, S_2, ..., S_{n_max} in order, each made
-        from the last by _step: the products, pad guard and bits of
-        spectrum(k).  The generator holds only its current spectrum and
-        belongs to its caller; it takes no lock, and the sum_mass entries
-        it writes equal those any other read writes."""
-        s_hat = self._spectra[1]
+        from the last by _step.  The generator holds only its current
+        spectrum and belongs to its caller; the sum_mass entries it writes
+        equal those any other read writes."""
+        s_hat = self._first
         yield s_hat
         for k in range(2, self.n_max + 1):
             s_hat = self._step(k, s_hat)
@@ -196,9 +169,8 @@ class WalkLaws:
     """Per-step laws of S_k and of the running maximum, with scalar tables.
 
     ``sum_laws`` carries S_k for 1 <= k <= n_max as spectra at the kernel
-    pass's length (``pass_size``), each made on its first read and held only
-    at the n of ``keep``, or streamed to a reader that holds none
-    (SumLaws.stream); ``sum_laws[k]`` is S_k in space (SumLaws).
+    pass's length (``pass_size``), streamed to each reader (SumLaws);
+    ``sum_laws[k]`` is S_k in space.
     ``max_laws[k]`` is the full k-step max law for each kept k (every k
     unless compute_walk was given ``keep``).  For every k the walk holds
     the Nagaev kernel's negative part, ``kernels[k]``: the max law's
@@ -209,8 +181,7 @@ class WalkLaws:
     density's mass and ``neg_moment1``/``neg_moment2`` its first and second
     moments; ``max_mass[k]`` is the mass of the k-step max law.
     ``sum_mass[k]`` is the window's mass of S_k, written whenever S_k is
-    made, by the store or by a stream, always to the same value (NaN
-    before).
+    made, always to the same value (NaN before).
     """
 
     spec: DistributionSpec
@@ -387,13 +358,12 @@ def compute_walk(
     part, its cells [zero_index, count) read in place with the 0-cell
     halved, transformed with p over its nonzero cells.  The sum laws are
     not made here: the walk's SumLaws steps the spectrum of S_k by one
-    product with p's when a reader first asks for it.
+    product with p's when a reader streams it.
 
-    ``keep`` names the n whose full max law and sum-law spectrum the walk
-    holds (None: every n in [1, n_max]).  Every step keeps its Nagaev
-    kernel's negative part on the kernel's own cells (see WalkLaws) and
-    reads the max-side scalar tables off it; the sum-law masses are filled
-    as the laws are made.
+    ``keep`` names the n whose full max law the walk holds (None: every n
+    in [1, n_max]).  Every step keeps its Nagaev kernel's negative part on
+    the kernel's own cells (see WalkLaws) and reads the max-side scalar
+    tables off it; the sum-law masses are filled as the laws are made.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -456,7 +426,7 @@ def compute_walk(
         spec=spec,
         n_max=n_max,
         step_density=p,
-        sum_laws=SumLaws(p, n_max, keep, _pass_size(p, n_max, kernel_start), sum_mass),
+        sum_laws=SumLaws(p, n_max, _pass_size(p, n_max, kernel_start), sum_mass),
         max_laws=KeptLaws(laws),
         kernels=kernels,
         kernel_start=kernel_start,
@@ -522,70 +492,82 @@ def nagaev_density(walk: WalkLaws, ns) -> dict[int, GridDensity]:
     return {n: terms.total() for n, (terms,) in sums.items()}
 
 
-def spitzer_positive_law(walk: WalkLaws, n: int) -> HalfLineLaw:
-    """Law of the nonnegative part of the n-step maximum via the
-    exponential generating-series recursion over positive sum restrictions.
-
-    With mu_k the restriction of the k-step sum law to (0, inf), the series
-    exp(sum_k s^k mu_k / k) has measure coefficients B_0 = delta_0 and
-    B_m = (1/m) sum_{j<=m} mu_j * B_{m-j}; the result is
-    sum_m c_{n-m} B_m with c_0 = 1 and c_j = P(max_j <= 0).
-
-    Each mu_j and B_m lives on cells [zero_index, count) and is transformed
-    once there, at their linear convolution's fast length; B_m is one
-    inverse of the summed products, placed at offset 2 * zero_index and
-    cropped under the window guard (all operands are nonnegative measures).
-    """
+def spitzer_nonpos_probs(walk: WalkLaws, n: int) -> np.ndarray:
+    """P(M_j <= 0) for j = 0, 1, ..., n (1 at j = 0) from the sum laws
+    alone, on the lattice of the walk's cells (see spitzer_positive_law):
+    c_0 = 1 and c_j = (1/j) sum_{k<=j} a_k c_{j-k}, the coefficients of
+    exp(sum_k a_k s^k / k), with a_k = P(S_k <= 0), the full 0-cell
+    included.  Each a_k is read off the streamed spectrum of S_k (Parseval
+    against the indicator of the window's cells <= 0, as
+    spitzer_second_moment reads its moments)."""
     walk.check_index(n)
-    grid = walk.grid
-    zero = grid.zero_index()
-    length = 2 * (grid.count - zero) - 1
-    size = next_fast_len(length, real=True)
-    mu = [None] + [restrict(walk.sum_laws[k], "positive")[0] for k in range(1, n + 1)]
-    mu_hat = [None] + [spectrum(mu[j], size, zero) for j in range(1, n)]
-    b_hat: list = [None]
-    b_mass: list = [None]
+    h, first = walk.grid.step, walk.grid.zero_index() + 1
+    nonpos = _dual(np.ones(first), walk.pass_size)
+    a = h * np.array([np.dot(s_hat, nonpos).real for s_hat in islice(walk.sum_laws.stream(), n)])
+    c = np.ones(n + 1)
+    for j in range(1, n + 1):
+        c[j] = np.dot(a[:j], c[j - 1 :: -1]) / j
+    return c
 
-    atom = float(walk.nonpos_prob[n])  # c_n * B_0
+
+def spitzer_positive_law(walk: WalkLaws, n: int) -> HalfLineLaw:
+    """Law of the nonnegative part of the n-step maximum from the sum laws
+    alone, by Spitzer's identity (Trans. AMS 82, 1956) on the lattice of
+    the walk's cells, the 0-cell the point 0:
+    sum_n s^n E e^{itM_n^+} = exp(sum_k (s^k / k) E e^{itS_k^+}).
+
+    S_k^+ is P(S_k <= 0), the full 0-cell included, at 0 plus mu_k, S_k on
+    the cells > 0.  So the law is sum_m c_{n-m} B_m, with c_j = P(M_j <= 0)
+    from spitzer_nonpos_probs and B_0 = delta_0, B_m = (1/m) sum_{j<=m}
+    mu_j * B_{m-j} the coefficients of exp(sum_k mu_k s^k / k); its atom at
+    0 is c_n.  This is the lattice law the recursion computes: its halved
+    0-cell and its atom land on the same point.
+
+    Each mu_k is one inverse transform of the streamed spectrum of S_k.
+    Each mu_j and B_m is transformed once over the cells > 0, at their
+    linear convolution's fast length; B_m is one inverse of the summed
+    products, cropped under the window guard (all operands are nonnegative
+    measures).
+    """
+    c = spitzer_nonpos_probs(walk, n)
+    grid = walk.grid
+    h, first = grid.step, grid.zero_index() + 1  # the first cell > 0
+    length = 2 * (grid.count - first) - 1
+    size = next_fast_len(length, real=True)
+    mu = [None] + [
+        irfft(s_hat, walk.pass_size)[first : grid.count].copy()
+        for s_hat in islice(walk.sum_laws.stream(), n)
+    ]
+    mu_hat = [None] + [rfft(mu[j], size) for j in range(1, n)]
+    b_hat, b_mass = [None], [None]
     dens = np.zeros(grid.count)
     for m in range(1, n + 1):
-        b = mu[m].values.copy()  # j = m term: mu_m * B_0 = mu_m
+        b = mu[m].copy()  # j = m term: mu_m * B_0 = mu_m
         if m > 1:
             acc = sum(mu_hat[j] * b_hat[m - j] for j in range(1, m))
-            scale = sum(mu[j].mass * b_mass[m - j] for j in range(1, m))
-            b += from_spectrum(grid, acc, scale, size, 2 * zero, length).values
-        b_m = GridDensity(grid, b / m)
+            scale = sum(h * mu[j].sum() * b_mass[m - j] for j in range(1, m))
+            b += from_spectrum(grid, acc, scale, size, 2 * first, length).values[first:]
+        b /= m
         if m < n:
-            b_hat.append(spectrum(b_m, size, zero))
-            b_mass.append(b_m.mass)
-        c = 1.0 if n == m else float(walk.nonpos_prob[n - m])
-        dens += c * b_m.values
-    density = GridDensity(grid, np.maximum(dens, 0.0))
-    # the boundary cells of the half-line restrictions carry an O(n step^2)
-    # quadrature drift into the total mass, plus an O(step^{3/2}) term driven
-    # by the boundary magnitude when the step density is unbounded at 0
-    boundary = max(
-        float(mu[j].values[grid.zero_index()]) for j in range(1, min(n, 2) + 1)
-    )
-    tol = n * (MASS_TOL + 0.05 * grid.step**2)
-    tol += 0.2 * grid.step**1.5 * boundary**2
-    return HalfLineLaw(atom_at_zero=atom, density=density, mass_tol=tol)
+            b_hat.append(rfft(b, size))
+            b_mass.append(h * b.sum())
+        dens[first:] += c[n - m] * b
+    return HalfLineLaw(atom_at_zero=c[n], density=GridDensity(grid, np.maximum(dens, 0.0)))
 
 
 def spitzer_second_moment(walk: WalkLaws, n: int) -> float:
     """Second moment of the nonnegative part of the n-step maximum from the
     generating-series identity over positive-part moments of the sum laws."""
     walk.check_index(n)
-    # E S_k^+ and E (S_k^+)^2 read off the sum-law spectra (Parseval), one
-    # ascending read with no inverse transform
+    # E S_k^+ and E (S_k^+)^2 read off the streamed sum-law spectra
+    # (Parseval), with no inverse transform
     x = walk.grid.centers()
     w1 = _halfline_weights(walk.grid, "positive") * x
     d1, d2 = _dual(w1, walk.pass_size), _dual(w1 * x, walk.pass_size)
     e1, e2 = np.empty(n), np.empty(n)
-    for k in range(1, n + 1):
-        s_hat = walk.sum_laws.spectrum(k)
-        e1[k - 1] = np.dot(s_hat, d1).real
-        e2[k - 1] = np.dot(s_hat, d2).real
+    for i, s_hat in enumerate(islice(walk.sum_laws.stream(), n)):
+        e1[i] = np.dot(s_hat, d1).real
+        e2[i] = np.dot(s_hat, d2).real
     inv = 1.0 / np.arange(1, n + 1)
     a = inv * e1
     cross = 0.0
@@ -615,8 +597,8 @@ def spitzer_first_term_split(walk: WalkLaws, n: int) -> GridDensity:
 
 
 def walk_scalars_csv(walk: WalkLaws) -> str:
-    """Per-step scalar table: k,Fbar0,abar,bbar,mass_p,mass_pbar.  Makes the
-    sum laws no reader has asked for yet, for their masses."""
+    """Per-step scalar table: k,Fbar0,abar,bbar,mass_p,mass_pbar.  Streams
+    the sum laws to n_max for their masses unless a reader already has."""
     if np.isnan(walk.sum_mass[walk.n_max]):
         walk.sum_laws.spectrum(walk.n_max)
     buf = io.StringIO()

@@ -27,10 +27,12 @@ def smooth_part_mass(table, k: int) -> float:
     return 1.0 - head
 
 
-def store_split(table, w, k):
-    """split_spectra's (bounded, q2) for S_k, its spectrum read from the
-    walk's store, with the transforms made for k alone."""
-    return split_spectra(table, w, (k,))(k, w.sum_laws.spectrum(k))[:2]
+def sum_law_split(table, w, k, s_hat=None):
+    """split_spectra's (bounded, q2) for S_k, with the transforms made for k
+    alone; s_hat is S_k's spectrum (default: streamed from the walk)."""
+    if s_hat is None:
+        s_hat = w.sum_laws.spectrum(k)
+    return split_spectra(table, w, (k,))(k, s_hat)[:2]
 
 
 def apply_kernel_direct(f, w, j):
@@ -100,8 +102,9 @@ def test_power_table_trivial_when_bounded(small_grid):
     for k in (1, 4, 8):
         # every q2 power is dropped: the bounded term is the walk's sum-law
         # spectrum itself
-        bounded, q2_hat = store_split(table, w, k)
-        assert bounded is w.sum_laws.spectrum(k)
+        s_hat = w.sum_laws.spectrum(k)
+        bounded, q2_hat = sum_law_split(table, w, k, s_hat)
+        assert bounded is s_hat
         assert q2_hat is None
         assert np.all(table.qk2[k].values == 0.0)
 
@@ -112,12 +115,12 @@ def test_power_table_reconstructs_spike(small_grid):
     d = table.decomp
     assert np.array_equal(table.qk2[1].values, d.q2.values)
     # one step: the bounded term is (1 - rho) q1, the step law's clipped part
-    bounded = w.window(store_split(table, w, 1)[0]).values
+    bounded = w.window(sum_law_split(table, w, 1)[0]).values
     clipped = (1.0 - d.rho) * d.q1.values
     assert np.abs(bounded - clipped).max() <= 1e-12 * np.abs(clipped).max()
     for k in (2, 5, 8):
         rho_k = d.rho**k
-        bounded, q2_hat = store_split(table, w, k)
+        bounded, q2_hat = sum_law_split(table, w, k)
         assert np.array_equal(q2_hat, w.transform(table.qk2[k]))
         recon = w.window(bounded) + rho_k * table.qk2[k]
         assert mw.l1_distance(recon, w.sum_laws[k]) <= 1e-6
@@ -163,7 +166,7 @@ def test_power_table_matches_binomial_double_sum(name, M):
     for k in qk1:
         bounded = (1.0 - d.rho**k) * qk1[k]
         for got, expected in (
-            (w.window(store_split(table, w, k)[0]), bounded),
+            (w.window(sum_law_split(table, w, k)[0]), bounded),
             (table.heads[k], heads[k]),
         ):
             assert np.abs(got.values - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -173,7 +176,8 @@ def test_power_table_matches_binomial_double_sum(name, M):
     for k in range(1, n + 1):
         if k in dropped:
             assert np.all(table.qk2[k].values == 0.0)
-            assert store_split(table, w, k)[0] is w.sum_laws.spectrum(k)
+            s_hat = w.sum_laws.spectrum(k)
+            assert sum_law_split(table, w, k, s_hat)[0] is s_hat
         else:
             assert table.qk2[k].mass == pytest.approx(1.0, abs=k * 1e-6)
 
@@ -334,8 +338,8 @@ def test_kernel_sums_match_per_term_direct(small_grid, name):
 
 def k_major_kernel_sums(walk, ns, parts):
     """Oracle: the kernel pass in k order, as the walk ran it before the
-    kernel-major pass.  parts is called once per k with S_k's spectrum read
-    from the walk's store, and each kernel is made on first use and held
+    kernel-major pass.  parts is called once per k with S_k's spectrum
+    (SumLaws.spectrum), and each kernel is made on first use and held
     until its last, k = max(ns) - j."""
     ns = sorted(set(ns))
     if not ns:

@@ -2,11 +2,11 @@
 
 The step density p is written as (1-rho) q1 + rho q2 with q1 bounded by a
 threshold M and rho < 1/2; the split propagates to every n-fold convolution
-(by bilinearity, p^{*k} - rho^k q2^{*k} is the part with a bounded factor),
-and yields a
-bounded approximation to the running-max density together with explicitly
-controlled remainder terms.  Terms weighted by rho^k below a fixed cutoff are
-dropped; for bounded step densities rho = 0, so every such term is.
+(by bilinearity, p^{*k} - rho^k q2^{*k} is the part with a bounded factor).
+Through the Nagaev kernel sum, whose full sum is the max law, it yields a
+bounded approximation to the running-max density, its remainders and a local
+correction term.  Terms weighted by rho^k below a fixed cutoff are dropped;
+for bounded step densities rho = 0, so every such term is.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .grid import (
     rescale_sqrt,
     zero_density,
 )
-from .walk import KernelSum, WalkLaws, kernel_sums
+from .walk import KernelSum, WalkLaws, kernel_spectrum, kernel_sums
 
 _WEIGHT_CUTOFF = 1e-16
 
@@ -121,10 +121,10 @@ class DecompTable:
     """Convolution powers of the split for each k <= n_max: qk2[k] = q2^{*k}
     (a probability density) is kept while rho^k >= _WEIGHT_CUTOFF and is
     zero beyond (every k when rho = 0).  The part of p^{*k} with a bounded
-    factor is read off the walk's sum law (split_spectra), so the table
-    holds no sum law.  heads[k] is the part of p^{*k} with one or two
-    bounded factors (see _bounded_head; None when every such term is
-    dropped).  Index 0 is None (the unit atom)."""
+    factor, read only by the splits' oracle, comes off the walk's sum law
+    (split_spectra), so the table holds no sum law.  heads[k] is the part
+    of p^{*k} with one or two bounded factors (see _bounded_head; None when
+    every such term is dropped).  Index 0 is None (the unit atom)."""
 
     decomp: BinomialDecomposition
     n_max: int
@@ -164,9 +164,9 @@ def decomp_powers(walk: WalkLaws, M: float | None = None) -> DecompTable:
 
 def split_spectra(table: DecompTable, walk: WalkLaws, ns):
     """The sum law's split as kernel-pass terms, spectra at the walk's
-    kernel-pass length, for one kernel pass over ns: a function
-    terms(k, s_hat), s_hat the spectrum of S_k, that gives (bounded, q2,
-    head).  bounded = S_k - rho^k qk2[k] (every term of the binomial
+    kernel-pass length, for one streamed pass (kernel_sums) over ns: a
+    function terms(k, s_hat), s_hat the spectrum of S_k, that gives (bounded,
+    q2, head).  bounded = S_k - rho^k qk2[k] (every term of the binomial
     expansion of p^{*k} with a bounded factor, by bilinearity) and q2 =
     qk2[k] while the q2 power is kept; beyond, bounded is s_hat itself (the
     same array) and q2 is None.  head is the table's head (None where it is
@@ -196,21 +196,19 @@ def split_spectra(table: DecompTable, walk: WalkLaws, ns):
 class MaxLawSplit:
     """Bounded approximation of the n-step max density and its remainders.
 
-    ``bounded`` is signed; ``remainder_pos``/``remainder_neg`` are the
-    nonnegative remainder parts built from the kernel's atom and negative
-    density (the grid's shared zero density when rho = 0).  The
-    reconstruction max_law = bounded + remainder_pos - remainder_neg holds
-    per cell, with largest gap ``reconstruction_gap``.  ``correction`` is the
-    signed local correction term on the sqrt(n) scale: the one- and
-    two-factor bounded-component terms of the split, convolved with the max
-    kernels."""
+    ``remainder_pos``/``remainder_neg`` are the nonnegative remainder parts
+    built from the kernel's atom and negative density (the grid's shared
+    zero density when rho = 0).  ``bounded`` is signed: max_law -
+    remainder_pos + remainder_neg, the max law itself when rho = 0.
+    ``correction`` is the signed local correction term on the sqrt(n) scale:
+    the one- and two-factor bounded-component terms of the split, convolved
+    with the max kernels."""
 
     n: int
     bounded: GridDensity
     remainder_pos: GridDensity
     remainder_neg: GridDensity
     correction: GridDensity
-    reconstruction_gap: float
 
 
 def max_law_splits(table: DecompTable, walk: WalkLaws, ns) -> dict[int, MaxLawSplit]:
@@ -218,50 +216,41 @@ def max_law_splits(table: DecompTable, walk: WalkLaws, ns) -> dict[int, MaxLawSp
     sum and the remainders carried by the unbounded component, with the local
     correction term.
 
-    One kernel pass (walk.kernel_sums) serves every n, with three sums per n
-    of spectra at the kernel pass's length (split_spectra): the bounded
-    part S_k - rho^k qk2[k] with weight 1, the kept qk2[k] with weight
-    rho^k and the table's head with weight 1.  Each n reads its own stream
-    of sum-law spectra; each kept q2 power and head is transformed once for
-    the pass and shared by every n that reads its k.
-    Verifies each split's per-cell reconstruction against the walk's max law
-    at tolerance n * 1e-8 before returning.
+    The Nagaev kernel sum of every S_k is the max law, which the walk
+    holds, so the bounded part is read off it: max_law - remainder_pos +
+    remainder_neg.  Only the kept q2 powers (weight rho^k: the remainder)
+    and the heads (weight 1: the correction) are summed, k = 1..min(n, K),
+    K the last k with either; each is transformed once for every n, and
+    each n makes only its kernels G_{n-k} (kernel_spectrum), one alive at
+    a time.  No sum law is read: smooth_split_identity_gaps builds the
+    bounded part from the sum laws, as the splits' oracle.
     """
+    ns = sorted(set(ns))
+    if not ns:
+        raise ValueError("ns must name at least one n")
     for n in ns:
         table.check_index(n)
     rho = table.decomp.rho
-    split = split_spectra(table, walk, ns)
-
-    def parts(k: int, s_hat: np.ndarray):
-        bounded, q2_hat, head_hat = split(k, s_hat)
-        return (
-            (bounded, 1.0),
-            None if q2_hat is None else (q2_hat, rho**k),
-            None if head_hat is None else (head_hat, 1.0),
-        )
-
-    sums = kernel_sums(walk, ns, parts)
-    return {n: _finish_split(walk, n, *terms) for n, terms in sums.items()}
-
-
-def _finish_split(
-    walk: WalkLaws, n: int, bounded: KernelSum, remainder: KernelSum, correction: KernelSum
-) -> MaxLawSplit:
-    bounded_sum = bounded.total()
-    remainder_pos = remainder.atom_part()
-    remainder_neg = remainder.convolutions()
-    recon = bounded_sum + remainder_pos - remainder_neg
-    gap = float(np.abs(recon.values - walk.max_laws[n].values).max())
-    if gap > n * 1e-8:
-        raise GridError(f"split reconstruction gap {gap:.2e} exceeds {n * 1e-8:.1e}")
-    return MaxLawSplit(
-        n=n,
-        bounded=bounded_sum,
-        remainder_pos=remainder_pos,
-        remainder_neg=remainder_neg,
-        correction=rescale_sqrt(correction.total(), n),
-        reconstruction_gap=gap,
-    )
+    terms = [None]  # terms[k]: k's (remainder, correction) term, k = 1..K
+    for k in range(1, ns[-1] + 1):
+        q2 = (walk.transform(table.qk2[k]), rho**k) if rho**k >= _WEIGHT_CUTOFF else None
+        head = table.heads[k]
+        if q2 is None and head is None:
+            break  # so is every later q2 power and head
+        terms.append((q2, None if head is None else (walk.transform(head), 1.0)))
+    splits = {}
+    for n in ns:
+        sums = KernelSum(walk), KernelSum(walk)
+        for k in range(1, min(n, len(terms) - 1) + 1):
+            kernel = kernel_spectrum(walk, n - k)
+            for acc, term in zip(sums, terms[k]):
+                if term is not None:
+                    acc.add(kernel, *term)
+            del kernel
+        pos, neg = sums[0].atom_part(), sums[0].convolutions()
+        correction = rescale_sqrt(sums[1].total(), n)
+        splits[n] = MaxLawSplit(n, walk.max_laws[n] - pos + neg, pos, neg, correction)
+    return splits
 
 
 def _bounded_head(rho: float, q1_powers: tuple, qk2: tuple, k: int) -> GridDensity | None:
@@ -303,25 +292,32 @@ def smooth_part(table: DecompTable, walk: WalkLaws, k: int) -> GridDensity:
 
 def smooth_split_identity_gaps(
     table: DecompTable, walk: WalkLaws, splits
-) -> dict[int, float]:
-    """Per split n, the max per-cell gap in: rescaled bounded part ==
-    sqrt(n)-rescaled sum of smooth parts (k >= 3) convolved with kernels,
-    plus the local correction term.  One kernel pass serves all splits,
-    each n on its own sum-law stream; the split's transforms for k >= 3
-    are made once for the pass (split_spectra)."""
+) -> dict[int, tuple[float, float]]:
+    """The splits' oracle: per split n, the max per-cell gaps (reconstruction,
+    smooth identity).  One kernel pass, each n on its own sum-law stream,
+    builds B_n = sum_k (S_k - rho^k qk2[k]) * G_{n-k} and the sum of the
+    smooth parts (k >= 3) convolved with the kernels (split_spectra).  The
+    gaps: B_n + remainder_pos - remainder_neg against the max law, and the
+    sqrt(n)-rescaled B_n against the rescaled smooth sum plus correction."""
     by_n = {s.n: s for s in splits}
     for n in by_n:
         table.check_index(n)
     split = split_spectra(table, walk, by_n)
 
     def parts(k: int, s_hat: np.ndarray):
-        return ((_smooth(split(k, s_hat)), 1.0) if k >= 3 else None,)
+        terms = split(k, s_hat)
+        return (terms[0], 1.0), ((_smooth(terms), 1.0) if k >= 3 else None)
 
     gaps = {}
-    for n, (terms,) in kernel_sums(walk, by_n, parts).items():
-        lhs = rescale_sqrt(by_n[n].bounded, n)
-        rhs = rescale_sqrt(terms.total(), n) + by_n[n].correction
-        gaps[n] = float(np.abs(lhs.values - rhs.values).max())
+    for n, (bounded, smooth) in kernel_sums(walk, by_n, parts).items():
+        s, b_n = by_n[n], bounded.total()
+        recon = b_n + s.remainder_pos - s.remainder_neg
+        lhs = rescale_sqrt(b_n, n)
+        rhs = rescale_sqrt(smooth.total(), n) + s.correction
+        gaps[n] = (
+            float(np.abs(recon.values - walk.max_laws[n].values).max()),
+            float(np.abs(lhs.values - rhs.values).max()),
+        )
     return gaps
 
 

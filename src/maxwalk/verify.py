@@ -83,7 +83,7 @@ class SuiteState:
 
     def splits(self, ns) -> dict[int, dc.MaxLawSplit]:
         """The max-law splits at every n of ns; the ones not built yet are
-        built together, in one kernel pass."""
+        built together, in one max_law_splits call."""
         missing = [n for n in ns if n not in self._splits]
         if missing:
             self._splits.update(dc.max_law_splits(self.table, self.walk, missing))
@@ -556,9 +556,9 @@ def check_local_limit(state: SuiteState) -> list[CheckResult]:
     )
     ns = state.config.diag_ns
     splits = list(state.splits(ns).values())
-    recon_worst = max(s.reconstruction_gap / (s.n * 1e-8) for s in splits)
-    smooth_gaps = dc.smooth_split_identity_gaps(state.table, walk, splits)
-    smooth_worst = max(gap / (n * 1e-8) for n, gap in smooth_gaps.items())
+    gaps = dc.smooth_split_identity_gaps(state.table, walk, splits)
+    recon_worst = max(recon / (n * 1e-8) for n, (recon, _) in gaps.items())
+    smooth_worst = max(smooth / (n * 1e-8) for n, (_, smooth) in gaps.items())
     rbar1 = {}
     rbar2 = {}
     x2r = {}

@@ -289,11 +289,11 @@ class KernelSum:
     sum over terms (G, f, w) of w * (atom * f - f * neg), G = atom - neg.
 
     Each f comes as a spectrum at the walk's kernel-pass length (a sum
-    law's spectrum, or WalkLaws.transform of a density); kernel_sums adds
-    the terms of one n in ascending k, each with its kernel's spectrum
-    while that spectrum is alive.  The atom terms and the convolution
-    terms are summed as spectra, and each part costs
-    one inverse transform: the atoms' is cut to the window, the
+    law's spectrum, or WalkLaws.transform of a density); kernel_sums, and
+    max_law_splits without sum laws, add the terms of one n in ascending
+    k, each with its kernel's spectrum while that spectrum is alive.  The
+    atom terms and the convolution terms are summed as spectra, and each
+    part costs one inverse transform: the atoms' is cut to the window, the
     convolutions' placed at offset kernel_start of the full convolution
     and cropped (grid.from_spectrum).  That length holds a whole window
     convolved with a negative part on cells [kernel_start, zero_index]
@@ -461,6 +461,7 @@ def kernel_sums(walk: WalkLaws, ns, parts) -> dict[int, tuple[KernelSum, ...]]:
     S_k, gives one (spectrum, weight) term, or None, per sum, each a
     spectrum at the kernel pass's length.  Every sum adds its terms in
     ascending k.  Returns {n: sums} in ascending n, every sum finished.
+    Its callers read the sum laws: nagaev_density and the splits' oracle.
     """
     ns = sorted(set(ns))
     if not ns:

@@ -241,7 +241,7 @@ def test_bounded_approximation_degenerates(small_grid):
     w = mw.compute_walk(mw.DistributionSpec("gaussian"), 8, small_grid)
     table = mw.decomp_powers(w)
     split = mw.max_law_splits(table, w, [8])[8]
-    assert mw.l1_distance(split.bounded, w.max_laws[8]) <= 1e-12
+    assert np.array_equal(split.bounded.values, w.max_laws[8].values)
     assert split.remainder_pos.mass == 0.0
     assert split.remainder_neg.mass == 0.0
     # rho = 0: both remainders are the grid's one shared zero density
@@ -251,9 +251,12 @@ def test_bounded_approximation_degenerates(small_grid):
 def test_bounded_approximation_reconstruction_spike(small_grid):
     w = mw.compute_walk(mw.DistributionSpec("spike"), 8, small_grid)
     table = mw.decomp_powers(w)
-    split = mw.max_law_splits(table, w, [8])[8]  # validates internally
+    split = mw.max_law_splits(table, w, [8])[8]
     recon = split.bounded + split.remainder_pos - split.remainder_neg
-    assert np.abs(recon.values - w.max_laws[8].values).max() <= 8e-8
+    assert np.abs(recon.values - w.max_laws[8].values).max() <= 1e-14  # by construction
+    # oracle: the bounded part built from the sum laws by the kernel sum
+    recon_gap, _ = smooth_split_identity_gaps(table, w, [split])[8]
+    assert recon_gap <= 8e-8
     assert split.remainder_pos.values.min() >= -1e-12
     assert split.remainder_neg.values.min() >= -1e-12
 
@@ -387,7 +390,6 @@ def test_kernel_major_pass_matches_the_k_major_oracle(small_grid, name, monkeypa
         assert np.array_equal(dens_a[n].values, dens_b[n].values)
         for part in ("bounded", "remainder_pos", "remainder_neg", "correction"):
             assert np.array_equal(getattr(splits_a[n], part).values, getattr(splits_b[n], part).values)
-        assert splits_a[n].reconstruction_gap == splits_b[n].reconstruction_gap
     assert gaps_a == gaps_b
 
 
@@ -421,11 +423,12 @@ def test_batched_splits_are_the_single_splits(small_grid, name):
     table = mw.decomp_powers(w)
     batch = mw.max_law_splits(table, w, (8, 2, 5, 2))
     assert sorted(batch) == [2, 5, 8]
+    gaps = smooth_split_identity_gaps(table, w, batch.values())
     for n, split in batch.items():
         single = mw.max_law_splits(table, w, [n])[n]
         for part in ("bounded", "remainder_pos", "remainder_neg", "correction"):
             assert np.array_equal(getattr(split, part).values, getattr(single, part).values)
-        assert split.reconstruction_gap == single.reconstruction_gap
+        assert smooth_split_identity_gaps(table, w, [single]) == {n: gaps[n]}
     with pytest.raises(ValueError):
         mw.max_law_splits(table, w, ())
     with pytest.raises(ValueError):
@@ -458,10 +461,10 @@ def test_smooth_split_identity(small_grid, monkeypatch):
         monkeypatch.setattr(dc, "convolve", no_convolve)
         gaps = smooth_split_identity_gaps(table, w, splits.values())
         assert sorted(gaps) == [3, 5, 8]
-        for n, gap in gaps.items():
-            assert gap <= n * 1e-8
+        for n, (recon, smooth) in gaps.items():
+            assert recon <= n * 1e-8 and smooth <= n * 1e-8
             alone = smooth_split_identity_gaps(table, w, [splits[n]])
-            assert alone == {n: gap}
+            assert alone == {n: (recon, smooth)}
         monkeypatch.undo()
 
 

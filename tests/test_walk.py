@@ -103,6 +103,19 @@ def test_sum_laws_too_wide_for_the_window_raise():
         mw.nagaev_density(w, [64])
 
 
+def test_splits_do_not_depend_on_the_sum_law_pad():
+    # the window of test_sum_laws_too_wide_for_the_window_raise: it holds
+    # the 64-step max law but not S_64.  The split reads no sum law, so it
+    # is built; for the gaussian (rho = 0) its bounded part is the max law
+    step = 2.0**-5
+    g = mw.GridSpec(x_min=-320 * step, step=step, count=2**12)
+    w = mw.compute_walk(mw.DistributionSpec("gaussian"), 64, g, keep=(64,))
+    split = mw.max_law_splits(mw.decomp_powers(w), w, [64])[64]
+    assert np.array_equal(split.bounded.values, w.max_laws[64].values)
+    with pytest.raises(WindowOverflowError):
+        mw.nagaev_density(w, [64])
+
+
 @pytest.mark.parametrize("name", ["spike", "uniform"])
 def test_sum_laws_on_a_narrow_window_match_the_uncropped_chain_or_raise(small_grid, name):
     # small_grid's cells and left edge at -20 (it is sized for 4 steps),
@@ -219,13 +232,15 @@ def test_kept_law_walk_matches_the_full_walk(small_grid, name):
         tails = zip(mw.negative_tail_transform(kept, j, t).values,
                     mw.negative_tail_transform(full, j, t).values)
         assert all(np.array_equal(x, y) for x, y in tails)
-    split_kept = mw.max_law_splits(mw.decomp_powers(kept), kept, keep)
-    split_full = mw.max_law_splits(mw.decomp_powers(full), full, keep)
+    table_kept, table_full = mw.decomp_powers(kept), mw.decomp_powers(full)
+    split_kept = mw.max_law_splits(table_kept, kept, keep)
+    split_full = mw.max_law_splits(table_full, full, keep)
     for n in keep:
         a, b = split_kept[n], split_full[n]
         for part in ("bounded", "remainder_pos", "remainder_neg", "correction"):
             assert np.array_equal(getattr(a, part).values, getattr(b, part).values)
-        assert a.reconstruction_gap == b.reconstruction_gap
+    gaps = mw.decomposition.smooth_split_identity_gaps
+    assert gaps(table_kept, kept, split_kept.values()) == gaps(table_full, full, split_full.values())
     assert mw.curves_csv(mw.convergence_curves(spec, keep, walk=kept)) == mw.curves_csv(
         mw.convergence_curves(spec, keep, walk=full)
     )
@@ -237,7 +252,6 @@ def test_kept_law_walk_matches_the_full_walk(small_grid, name):
     assert a.atom_at_zero == b.atom_at_zero
     assert np.array_equal(a.density.values, b.density.values)
     assert mw.spitzer_second_moment(kept, n_max) == mw.spitzer_second_moment(full, n_max)
-    table_kept, table_full = mw.decomp_powers(kept), mw.decomp_powers(full)
     for k in range(3, n_max + 1):
         assert np.array_equal(
             mw.smooth_part(table_kept, kept, k).values, mw.smooth_part(table_full, full, k).values
@@ -290,14 +304,12 @@ def test_walk_restricts_no_full_grid_law(small_grid, monkeypatch):
     assert all(g is kernel_grid for g in moment_grids)
 
 
-def _count_sum_products(walk, monkeypatch, check=None) -> list:
-    """Wrap the walk's sum-law step (one spectral product), calling `check`
-    before each; returns a list that grows by one entry per product."""
+def _count_sum_products(walk, monkeypatch) -> list:
+    """Wrap the walk's sum-law step (one spectral product); returns a list
+    that grows by one entry per product."""
     made, step = [], walk.sum_laws._step
 
     def counting(k, prev):
-        if check is not None:
-            check()
         s_hat = step(k, prev)
         made.append(k)
         return s_hat
@@ -347,32 +359,40 @@ def test_streamed_sum_laws_match_in_any_order(small_grid, name):
         kept.sum_laws[n_max + 1]
 
 
-def test_kept_walk_holds_few_sum_laws(small_grid, monkeypatch):
-    # each n of a split pass streams its own sum laws and holds one
-    # spectrum at a time
-    spec, n_max, keep = mw.DistributionSpec("spike"), 8, (3, 5, 8)
-    w = mw.compute_walk(spec, n_max, small_grid, keep=keep)
-    table = mw.decomp_powers(w)
-    spectra = []
+def test_kept_walk_holds_few_sum_laws(monkeypatch):
+    # the split's terms stop at K (the last kept q2 power or head): each n
+    # makes only the kernels j = n - 1, ..., n - K, one at a time, and the
+    # bounded part comes off the max law, so a split pass makes and holds
+    # no sum law at all
+    make_kernel = wk.kernel_spectrum
+    for name, n_max, reach in (("spike", 24, 19), ("laplace", 12, 2)):
+        keep = (3, 8, n_max)
+        grid = mw.make_working_grid(n_max, 2**12)
+        w = mw.compute_walk(mw.DistributionSpec(name), n_max, grid, keep=keep)
+        table = mw.decomp_powers(w)
+        rho = table.decomp.rho
+        cutoff = mw.decomposition._WEIGHT_CUTOFF
+        terms = [k for k in range(1, n_max + 1) if table.heads[k] is not None or rho**k >= cutoff]
+        assert terms == list(range(1, reach + 1))
+        made, spectra = [], []
 
-    def bounded():
-        assert sum(ref() is not None for ref in spectra) <= len(keep)
+        def counting_kernel(walk, index):
+            assert all(ref() is None for ref in spectra)  # the last kernel is gone
+            made.append(index)
+            kern = make_kernel(walk, index)
+            if index > 0:
+                spectra.append(weakref.ref(kern.negative_spectrum))
+            return kern
 
-    made = _count_sum_products(w, monkeypatch, bounded)
-    step = w.sum_laws._step
-
-    def recording(k, prev):
-        s_hat = step(k, prev)
-        spectra.append(weakref.ref(s_hat))
-        return s_hat
-
-    monkeypatch.setattr(w.sum_laws, "_step", recording)
-    splits = mw.max_law_splits(table, w, keep)
-    assert sorted(splits) == list(keep)
-    bounded()
-    assert all(ref() is None for ref in spectra)
-    # one product per step of each n's stream
-    assert sorted(made) == sorted(k for n in keep for k in range(2, n + 1))
+        monkeypatch.setattr(mw.decomposition, "kernel_spectrum", counting_kernel)
+        products = _count_sum_products(w, monkeypatch)
+        monkeypatch.setattr(w.sum_laws, "spectrum", None)
+        monkeypatch.setattr(w.sum_laws, "stream", None)
+        splits = mw.max_law_splits(table, w, keep)
+        assert sorted(splits) == list(keep)
+        assert products == []
+        assert made == [n - k for n in keep for k in range(1, min(n, reach) + 1)]
+        monkeypatch.undo()
 
 
 def test_scalar_csv_does_not_depend_on_the_stream(small_grid, monkeypatch):

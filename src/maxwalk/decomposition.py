@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import io
 import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, takewhile
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .grid import (
     rescale_sqrt,
     zero_density,
 )
-from .walk import KernelSum, WalkLaws, kernel_spectrum, kernel_sums
+from .walk import KernelSum, WalkLaws, kernel_sums
 
 _WEIGHT_CUTOFF = 1e-16
 
@@ -121,10 +120,11 @@ class DecompTable:
     """Convolution powers of the split for each k <= n_max: qk2[k] = q2^{*k}
     (a probability density) is kept while rho^k >= _WEIGHT_CUTOFF and is
     zero beyond (every k when rho = 0).  The part of p^{*k} with a bounded
-    factor, read only by the splits' oracle, comes off the walk's sum law
-    (split_spectra), so the table holds no sum law.  heads[k] is the part
-    of p^{*k} with one or two bounded factors (see _bounded_head; None when
-    every such term is dropped).  Index 0 is None (the unit atom)."""
+    factor, read only by the splits' oracle and smooth_part, comes off the
+    walk's sum law (_split_parts), so the table holds no sum law.  heads[k]
+    is the part of p^{*k} with one or two bounded factors (see _bounded_head;
+    None when every such term is dropped).  Index 0 is None (the unit
+    atom)."""
 
     decomp: BinomialDecomposition
     n_max: int
@@ -162,34 +162,24 @@ def decomp_powers(walk: WalkLaws, M: float | None = None) -> DecompTable:
     return DecompTable(decomp, n_max, qk2, tuple(heads))
 
 
-def split_spectra(table: DecompTable, walk: WalkLaws, ns):
-    """The sum law's split as kernel-pass terms, spectra at the walk's
-    kernel-pass length, for one streamed pass (kernel_sums) over ns: a
-    function terms(k, s_hat), s_hat the spectrum of S_k, that gives (bounded,
-    q2, head).  bounded = S_k - rho^k qk2[k] (every term of the binomial
-    expansion of p^{*k} with a bounded factor, by bilinearity) and q2 =
-    qk2[k] while the q2 power is kept; beyond, bounded is s_hat itself (the
-    same array) and q2 is None.  head is the table's head (None where it is
-    None).  In the pass every n of ns reads k = 1..n once, so k's kept q2
-    power and head are transformed on its first read, shared by every n >= k
-    and dropped after the last."""
-    rho = table.decomp.rho
-    reads = Counter(k for n in set(ns) for k in range(1, n + 1))
-    made: dict = {}
+def _split_terms(table: DecompTable, walk: WalkLaws, k: int):
+    """k's q2 power and head as kernel_sums terms (q2, head): each a
+    (spectrum at the kernel-pass length, weight) pair, weights rho^k and 1,
+    or None where the table drops it (q2 once rho^k is below the cutoff)."""
+    rho_k = table.decomp.rho**k
+    q2 = (walk.transform(table.qk2[k]), rho_k) if rho_k >= _WEIGHT_CUTOFF else None
+    head = table.heads[k]
+    return q2, None if head is None else (walk.transform(head), 1.0)
 
-    def terms(k: int, s_hat: np.ndarray):
-        if k not in made:
-            q2_hat = walk.transform(table.qk2[k]) if rho**k >= _WEIGHT_CUTOFF else None
-            head = table.heads[k]
-            made[k] = q2_hat, None if head is None else walk.transform(head)
-        q2_hat, head_hat = made[k]
-        reads[k] -= 1
-        if reads[k] <= 0:
-            del made[k]
-        bounded = s_hat if q2_hat is None else s_hat - rho**k * q2_hat
-        return bounded, q2_hat, head_hat
 
-    return terms
+def _split_parts(s_hat: np.ndarray, q2, head):
+    """The split of S_k, whose spectrum is s_hat, from k's _split_terms:
+    (bounded, smooth).  bounded = S_k - rho^k q2^{*k} (every term of the
+    binomial expansion of p^{*k} with a bounded factor, by bilinearity), s_hat
+    itself (the same array) once q2 is dropped; smooth is bounded less the
+    head (at least three bounded factors when k >= 3)."""
+    bounded = s_hat if q2 is None else s_hat - q2[1] * q2[0]
+    return bounded, (bounded if head is None else bounded - head[0])
 
 
 @dataclass(frozen=True)
@@ -219,10 +209,11 @@ def max_law_splits(table: DecompTable, walk: WalkLaws, ns) -> dict[int, MaxLawSp
     The Nagaev kernel sum of every S_k is the max law, which the walk
     holds, so the bounded part is read off it: max_law - remainder_pos +
     remainder_neg.  Only the kept q2 powers (weight rho^k: the remainder)
-    and the heads (weight 1: the correction) are summed, k = 1..min(n, K),
-    K the last k with either; each is transformed once for every n, and
-    each n makes only its kernels G_{n-k} (kernel_spectrum), one alive at
-    a time.  No sum law is read: smooth_split_identity_gaps builds the
+    and the heads (weight 1: the correction) are summed (kernel_sums),
+    k = 1..min(n, K), K the last k with either; each is transformed once
+    for every n (_split_terms), and each n makes only its kernels
+    G_{n-k}, one alive at a time, and drops its sums before the next n
+    starts.  No sum law is read: smooth_split_identity_gaps builds the
     bounded part from the sum laws, as the splits' oracle.
     """
     ns = sorted(set(ns))
@@ -230,26 +221,15 @@ def max_law_splits(table: DecompTable, walk: WalkLaws, ns) -> dict[int, MaxLawSp
         raise ValueError("ns must name at least one n")
     for n in ns:
         table.check_index(n)
-    rho = table.decomp.rho
-    terms = [None]  # terms[k]: k's (remainder, correction) term, k = 1..K
-    for k in range(1, ns[-1] + 1):
-        q2 = (walk.transform(table.qk2[k]), rho**k) if rho**k >= _WEIGHT_CUTOFF else None
-        head = table.heads[k]
-        if q2 is None and head is None:
-            break  # so is every later q2 power and head
-        terms.append((q2, None if head is None else (walk.transform(head), 1.0)))
+    # k = 1..K: once a k has neither a q2 power nor a head, no later k has
+    terms = list(takewhile(any, (_split_terms(table, walk, k) for k in range(1, ns[-1] + 1))))
     splits = {}
     for n in ns:
-        sums = KernelSum(walk), KernelSum(walk)
-        for k in range(1, min(n, len(terms) - 1) + 1):
-            kernel = kernel_spectrum(walk, n - k)
-            for acc, term in zip(sums, terms[k]):
-                if term is not None:
-                    acc.add(kernel, *term)
-            del kernel
-        pos, neg = sums[0].atom_part(), sums[0].convolutions()
-        correction = rescale_sqrt(sums[1].total(), n)
-        splits[n] = MaxLawSplit(n, walk.max_laws[n] - pos + neg, pos, neg, correction)
+        remainder, correction = kernel_sums(walk, n, terms)
+        pos, neg = remainder.atom_part(), remainder.convolutions()
+        rn = rescale_sqrt(correction.total(), n)
+        del remainder, correction  # finished: dropped before the next n's kernels
+        splits[n] = MaxLawSplit(n, walk.max_laws[n] - pos + neg, pos, neg, rn)
     return splits
 
 
@@ -273,47 +253,46 @@ def _bounded_head(rho: float, q1_powers: tuple, qk2: tuple, k: int) -> GridDensi
     return None if head is None else GridDensity(q1_powers[1].grid, head)
 
 
-def _smooth(terms) -> np.ndarray:
-    """The smooth part's spectrum from split_spectra's (bounded, q2, head):
-    the bounded part less the head."""
-    bounded, _, head = terms
-    return bounded if head is None else bounded - head
-
-
 def smooth_part(table: DecompTable, walk: WalkLaws, k: int) -> GridDensity:
     """Part of the k-step sum law with at least three bounded factors
-    (nonnegative; three-fold bounded convolutions have integrable spectra)."""
+    (nonnegative; three-fold bounded convolutions have integrable spectra),
+    from S_k's spectrum and k's _split_terms alone."""
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
     table.check_index(k)
-    terms = split_spectra(table, walk, (k,))(k, walk.sum_laws.spectrum(k))
-    return walk.window(_smooth(terms))
+    _, smooth = _split_parts(walk.sum_laws.spectrum(k), *_split_terms(table, walk, k))
+    return walk.window(smooth)
 
 
 def smooth_split_identity_gaps(
     table: DecompTable, walk: WalkLaws, splits
 ) -> dict[int, tuple[float, float]]:
     """The splits' oracle: per split n, the max per-cell gaps (reconstruction,
-    smooth identity).  One kernel pass, each n on its own sum-law stream,
-    builds B_n = sum_k (S_k - rho^k qk2[k]) * G_{n-k} and the sum of the
-    smooth parts (k >= 3) convolved with the kernels (split_spectra).  The
-    gaps: B_n + remainder_pos - remainder_neg against the max law, and the
+    smooth identity).  Each n streams its own S_1..S_n into kernel_sums,
+    which builds B_n = sum_k (S_k - rho^k qk2[k]) * G_{n-k} and the sum of
+    the smooth parts (k >= 3) convolved with the kernels (_split_parts, from
+    the q2 powers and heads transformed once for every n); both sums are
+    finished and dropped before the next n starts.  The gaps: B_n +
+    remainder_pos - remainder_neg against the max law, and the
     sqrt(n)-rescaled B_n against the rescaled smooth sum plus correction."""
     by_n = {s.n: s for s in splits}
+    if not by_n:
+        raise ValueError("splits must name at least one n")
     for n in by_n:
         table.check_index(n)
-    split = split_spectra(table, walk, by_n)
+    split = [_split_terms(table, walk, k) for k in range(1, max(by_n) + 1)]
 
-    def parts(k: int, s_hat: np.ndarray):
-        terms = split(k, s_hat)
-        return (terms[0], 1.0), ((_smooth(terms), 1.0) if k >= 3 else None)
+    def terms():
+        for k, (s_hat, split_k) in enumerate(zip(walk.sum_laws.stream(), split), 1):
+            bounded, smooth = _split_parts(s_hat, *split_k)
+            yield (bounded, 1.0), ((smooth, 1.0) if k >= 3 else None)
 
     gaps = {}
-    for n, (bounded, smooth) in kernel_sums(walk, by_n, parts).items():
-        s, b_n = by_n[n], bounded.total()
+    for n, s in sorted(by_n.items()):
+        b_n, smooth = map(KernelSum.total, kernel_sums(walk, n, terms()))
         recon = b_n + s.remainder_pos - s.remainder_neg
         lhs = rescale_sqrt(b_n, n)
-        rhs = rescale_sqrt(smooth.total(), n) + s.correction
+        rhs = rescale_sqrt(smooth, n) + s.correction
         gaps[n] = (
             float(np.abs(recon.values - walk.max_laws[n].values).max()),
             float(np.abs(lhs.values - rhs.values).max()),

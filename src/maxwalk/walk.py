@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import io
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -289,9 +288,9 @@ class KernelSum:
     sum over terms (G, f, w) of w * (atom * f - f * neg), G = atom - neg.
 
     Each f comes as a spectrum at the walk's kernel-pass length (a sum
-    law's spectrum, or WalkLaws.transform of a density); kernel_sums, and
-    max_law_splits without sum laws, add the terms of one n in ascending
-    k, each with its kernel's spectrum while that spectrum is alive.  The
+    law's spectrum, or WalkLaws.transform of a density); kernel_sums alone
+    adds the terms, one n at a time and in ascending k, each with its
+    kernel's spectrum while that spectrum is alive.  The
     atom terms and the convolution terms are summed as spectra, and each
     part costs one inverse transform: the atoms' is cut to the window, the
     convolutions' placed at offset kernel_start of the full convolution
@@ -449,48 +448,39 @@ def kernel_spectrum(walk: WalkLaws, index: int) -> KernelSpectrum:
     return KernelSpectrum(index, float(walk.nonpos_prob[index]), neg_hat)
 
 
-def kernel_sums(walk: WalkLaws, ns, parts) -> dict[int, tuple[KernelSum, ...]]:
-    """Nagaev kernel sums sum_k w_k (f_k * G_{n-k}) for every n in ns, in one
-    pass over the kernels j = max(ns) - 1, ..., 0.
-
-    Kernel j is made once (kernel_spectrum), added at once into the sum of
-    every n > j of ns, at k = n - j, and dropped before kernel j - 1 is
-    made, so one kernel spectrum is alive at a time.  As j descends, each
-    n's k ascends 1, 2, ..., n: each n reads its own sum-law stream
-    (SumLaws.stream), and parts(k, s_hat), s_hat the stream's spectrum of
-    S_k, gives one (spectrum, weight) term, or None, per sum, each a
-    spectrum at the kernel pass's length.  Every sum adds its terms in
-    ascending k.  Returns {n: sums} in ascending n, every sum finished.
-    Its callers read the sum laws: nagaev_density and the splits' oracle.
-    """
-    ns = sorted(set(ns))
-    if not ns:
-        raise ValueError("ns must name at least one n")
-    for n in ns:
-        walk.check_index(n)
-    streams = {n: walk.sum_laws.stream() for n in ns}
-    sums: dict = dict.fromkeys(ns)
-    for j in range(ns[-1] - 1, -1, -1):
-        kernel = kernel_spectrum(walk, j)
-        for n in ns[bisect_right(ns, j):]:
-            k = n - j
-            terms = parts(k, next(streams[n]))
-            if k == 1:
-                sums[n] = tuple(KernelSum(walk) for _ in terms)
-            for acc, term in zip(sums[n], terms):
-                if term is not None:
-                    acc.add(kernel, *term)
-        del kernel, terms
+def kernel_sums(walk: WalkLaws, n: int, terms) -> tuple[KernelSum, ...]:
+    """The Nagaev kernel sums sum_k w_k (f_k * G_{n-k}) of one n: the loop
+    every kernel sum runs.  ``terms`` yields one tuple per k = 1, 2, ...,
+    one (spectrum at the kernel pass's length, weight) term or None per
+    sum.  For each k the loop makes G_{n-k} (kernel_spectrum), adds k's
+    terms into the sums and drops the kernel, so one kernel spectrum is
+    alive at a time.  It stops where ``terms`` ends or at k = n and pulls
+    no tuple past k = n, so a sum-law stream (SumLaws.stream) is stepped
+    to S_n and no further.  Returns the sums, one per tuple entry."""
+    walk.check_index(n)
+    sums: tuple = ()
+    for k, row in zip(range(1, n + 1), terms):
+        if k == 1:
+            sums = tuple(KernelSum(walk) for _ in row)
+        kernel = kernel_spectrum(walk, n - k)
+        for acc, term in zip(sums, row):
+            if term is not None:
+                acc.add(kernel, *term)
+        del kernel
     return sums
 
 
 def nagaev_density(walk: WalkLaws, ns) -> dict[int, GridDensity]:
     """Density of the n-step running maximum, for every n in ns, as the
     kernel representation: the sum over k of the k-step sum law convolved
-    with the (n-k)-step kernel, in one kernel pass (kernel_sums) whose
-    terms are the streamed sum-law spectra themselves."""
-    sums = kernel_sums(walk, ns, lambda k, s_hat: ((s_hat, 1.0),))
-    return {n: terms.total() for n, (terms,) in sums.items()}
+    with the (n-k)-step kernel (kernel_sums), whose terms are the spectra
+    of the sum-law stream itself.  Each n streams its own S_1..S_n, and its
+    sum is finished and dropped before the next n starts."""
+    ns = sorted(set(ns))
+    if not ns:
+        raise ValueError("ns must name at least one n")
+    stream = walk.sum_laws.stream
+    return {n: kernel_sums(walk, n, (((s, 1.0),) for s in stream()))[0].total() for n in ns}
 
 
 def spitzer_nonpos_probs(walk: WalkLaws, n: int) -> np.ndarray:

@@ -13,7 +13,6 @@ from maxwalk.decomposition import (
     binomial_log_weight,
     diagnostics_csv,
     smooth_split_identity_gaps,
-    split_spectra,
 )
 from maxwalk.grid import _SPEC_NAMES, GridError, _support, zero_density
 
@@ -28,11 +27,13 @@ def smooth_part_mass(table, k: int) -> float:
 
 
 def sum_law_split(table, w, k, s_hat=None):
-    """split_spectra's (bounded, q2) for S_k, with the transforms made for k
-    alone; s_hat is S_k's spectrum (default: streamed from the walk)."""
+    """(bounded, q2) for S_k: the bounded part of the split (_split_parts)
+    and k's q2 term, (spectrum, weight) or None (_split_terms); s_hat is S_k's
+    spectrum (default: streamed from the walk)."""
     if s_hat is None:
         s_hat = w.sum_laws.spectrum(k)
-    return split_spectra(table, w, (k,))(k, s_hat)[:2]
+    q2, head = dc._split_terms(table, w, k)
+    return dc._split_parts(s_hat, q2, head)[0], q2
 
 
 def apply_kernel_direct(f, w, j):
@@ -103,9 +104,9 @@ def test_power_table_trivial_when_bounded(small_grid):
         # every q2 power is dropped: the bounded term is the walk's sum-law
         # spectrum itself
         s_hat = w.sum_laws.spectrum(k)
-        bounded, q2_hat = sum_law_split(table, w, k, s_hat)
+        bounded, q2 = sum_law_split(table, w, k, s_hat)
         assert bounded is s_hat
-        assert q2_hat is None
+        assert q2 is None
         assert np.all(table.qk2[k].values == 0.0)
 
 
@@ -120,8 +121,9 @@ def test_power_table_reconstructs_spike(small_grid):
     assert np.abs(bounded - clipped).max() <= 1e-12 * np.abs(clipped).max()
     for k in (2, 5, 8):
         rho_k = d.rho**k
-        bounded, q2_hat = sum_law_split(table, w, k)
+        bounded, (q2_hat, weight) = sum_law_split(table, w, k)
         assert np.array_equal(q2_hat, w.transform(table.qk2[k]))
+        assert weight == rho_k
         recon = w.window(bounded) + rho_k * table.qk2[k]
         assert mw.l1_distance(recon, w.sum_laws[k]) <= 1e-6
         assert np.abs(recon.values - w.sum_laws[k].values).max() <= k * 1e-9
@@ -340,15 +342,11 @@ def test_kernel_sums_match_per_term_direct(small_grid, name):
 
 
 def k_major_kernel_sums(walk, ns, parts):
-    """Oracle: the kernel pass in k order, as the walk ran it before the
-    kernel-major pass.  parts is called once per k with S_k's spectrum
-    (SumLaws.spectrum), and each kernel is made on first use and held
-    until its last, k = max(ns) - j."""
+    """Oracle: the kernel sums of every n in ns in one pass in k order.
+    parts is called once per k with S_k's spectrum (SumLaws.spectrum), and
+    each kernel is made on first use and held until its last use, at
+    k = max(ns) - j."""
     ns = sorted(set(ns))
-    if not ns:
-        raise ValueError("ns must name at least one n")
-    for n in ns:
-        walk.check_index(n)
     top = ns[-1]
     held: dict = {}
     sums: dict = {}
@@ -369,28 +367,52 @@ def k_major_kernel_sums(walk, ns, parts):
 
 
 @pytest.mark.parametrize("name", _SPEC_NAMES)
-def test_kernel_major_pass_matches_the_k_major_oracle(small_grid, name, monkeypatch):
-    # every sum adds its terms in the same ascending k with the same
-    # spectra, so the kernel-major pass changes no bit
+def test_kernel_major_pass_matches_the_k_major_oracle(small_grid, name):
+    # the kernel density, the four split fields and the gaps against the
+    # five sums of the k-major oracle, built from the same terms: every sum
+    # adds them in the same ascending k with the same spectra, so the n-by-n
+    # loop changes no bit
     spec, ns = mw.DistributionSpec(name), (1, 3, 5, 8)
-    results = []
-    for oracle in (True, False):
-        if oracle:
-            monkeypatch.setattr(wk, "kernel_sums", k_major_kernel_sums)
-            monkeypatch.setattr(dc, "kernel_sums", k_major_kernel_sums)
-        w = mw.compute_walk(spec, ns[-1], small_grid)
-        table = mw.decomp_powers(w)
-        splits = mw.max_law_splits(table, w, ns)
-        gaps = smooth_split_identity_gaps(table, w, splits.values())
-        results.append((mw.nagaev_density(w, ns), splits, gaps))
-        monkeypatch.undo()
-    (dens_a, splits_a, gaps_a), (dens_b, splits_b, gaps_b) = results
-    assert list(dens_b) == list(splits_b) == list(ns)
+    w = mw.compute_walk(spec, ns[-1], small_grid)
+    table = mw.decomp_powers(w)
+    split = {k: dc._split_terms(table, w, k) for k in range(1, ns[-1] + 1)}
+
+    def parts(k, s_hat):
+        q2, head = split[k]
+        bounded, smooth = dc._split_parts(s_hat, q2, head)
+        return (
+            (s_hat, 1.0),
+            q2,
+            head,
+            (bounded, 1.0),
+            (smooth, 1.0) if k >= 3 else None,
+        )
+
+    oracle = k_major_kernel_sums(w, ns, parts)
+    dens = mw.nagaev_density(w, ns)
+    splits = mw.max_law_splits(table, w, ns)
+    gaps = smooth_split_identity_gaps(table, w, splits.values())
+    assert list(dens) == list(splits) == list(gaps) == list(ns)
     for n in ns:
-        assert np.array_equal(dens_a[n].values, dens_b[n].values)
-        for part in ("bounded", "remainder_pos", "remainder_neg", "correction"):
-            assert np.array_equal(getattr(splits_a[n], part).values, getattr(splits_b[n], part).values)
-    assert gaps_a == gaps_b
+        density, remainder, correction, bounded, smooth = oracle[n]
+        assert np.array_equal(dens[n].values, density.total().values)
+        pos, neg = remainder.atom_part(), remainder.convolutions()
+        expected = {
+            "bounded": w.max_laws[n] - pos + neg,
+            "remainder_pos": pos,
+            "remainder_neg": neg,
+            "correction": mw.rescale_sqrt(correction.total(), n),
+        }
+        for part, f in expected.items():
+            assert np.array_equal(getattr(splits[n], part).values, f.values)
+        b_n = bounded.total()
+        recon = b_n + splits[n].remainder_pos - splits[n].remainder_neg
+        lhs = mw.rescale_sqrt(b_n, n)
+        rhs = mw.rescale_sqrt(smooth.total(), n) + splits[n].correction
+        assert gaps[n] == (
+            float(np.abs(recon.values - w.max_laws[n].values).max()),
+            float(np.abs(lhs.values - rhs.values).max()),
+        )
 
 
 @pytest.mark.parametrize("name, n_max", [("spike", 24), ("laplace", 8)])

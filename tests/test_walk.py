@@ -384,7 +384,7 @@ def test_kept_walk_holds_few_sum_laws(monkeypatch):
                 spectra.append(weakref.ref(kern.negative_spectrum))
             return kern
 
-        monkeypatch.setattr(mw.decomposition, "kernel_spectrum", counting_kernel)
+        monkeypatch.setattr(wk, "kernel_spectrum", counting_kernel)
         products = _count_sum_products(w, monkeypatch)
         monkeypatch.setattr(w.sum_laws, "spectrum", None)
         monkeypatch.setattr(w.sum_laws, "stream", None)
@@ -440,71 +440,101 @@ def test_reading_a_law_not_kept_raises(small_grid, monkeypatch):
 
 
 def test_kernel_sums_shares_and_drops_kernels(gaussian_walk8, monkeypatch):
-    # kernel-major pass: each kernel is made once, serves every n at once
-    # and is dropped before the next one is made; each n reads its own
-    # stream S_1, ..., S_n in order
+    # one n at a time: its kernels n - 1, ..., 0 are made in that order, and
+    # each is dropped before the next is made; it reads S_1, ..., S_n once,
+    # from its own stream (n - 1 products), and no term past k = n.  Terms
+    # that end before k = n end the loop there
     w = gaussian_walk8
     ns, top = (1, 3, 5, 8), 8
     expected = mw.nagaev_density(w, ns)
     stored = {k: w.sum_laws.spectrum(k).copy() for k in range(1, top + 1)}
-    made, spectra, sizes, transformed, read = [], {}, [], [], {}
-    make_kernel, rfft, transform = wk.kernel_spectrum, wk.rfft, wk.spectrum
-
-    def live() -> list:
-        return [j for j, ref in spectra.items() if ref() is not None]
+    made, spectra, sizes, read = [], [], [], []
+    make_kernel, rfft = wk.kernel_spectrum, wk.rfft
 
     def counting_kernel(walk, index):
-        assert live() == []  # the last kernel is gone before the next is made
+        assert all(ref() is None for ref in spectra)  # the last kernel is gone
         made.append(index)
         kern = make_kernel(walk, index)
         if index > 0:
-            spectra[index] = weakref.ref(kern.negative_spectrum)
+            spectra.append(weakref.ref(kern.negative_spectrum))
         return kern
 
     def counting_rfft(values, size):
         sizes.append(size)
         return rfft(values, size)
 
-    def counting_transform(f, size, *cells):
-        transformed.append(f)
-        return transform(f, size, *cells)
+    def terms():
+        for k, s_hat in enumerate(w.sum_laws.stream(), 1):
+            read.append(k)
+            assert np.array_equal(s_hat, stored[k])
+            yield (s_hat, 1.0), ((w.transform(w.max_laws[k]), 0.5) if k % 2 == 0 else None)
 
     monkeypatch.setattr(wk, "kernel_spectrum", counting_kernel)
     monkeypatch.setattr(wk, "rfft", counting_rfft)
-    monkeypatch.setattr(wk, "spectrum", counting_transform)
     products = _count_sum_products(w, monkeypatch)
-
-    def parts(k, s_hat):
-        assert len(live()) <= 1
-        j = made[-1]
-        read.setdefault(k + j, []).append(k)
-        assert np.array_equal(s_hat, stored[k])
-        return (
-            (s_hat, 1.0),
-            (w.transform(w.max_laws[k]), 0.5) if k % 2 == 0 else None,
-        )
-
-    sums = wk.kernel_sums(w, ns, parts)
-    assert list(sums) == list(ns)
-    for n, terms in sums.items():
-        assert len(terms) == 2
-        assert np.array_equal(terms[0].total().values, expected[n].values)
-    assert made == list(range(top - 1, -1, -1))  # each kernel once, in kernel order
-    assert all(ref() is None for ref in spectra.values())
-    assert read == {n: list(range(1, n + 1)) for n in ns}
-    # one product per step of each n's stream
-    assert sorted(products) == sorted(k for n in ns for k in range(2, n + 1))
-    # each kernel transformed straight from its values at the pass length,
-    # trimmed to the kernels' support; the streamed sum-law spectra need no
-    # transform, and the pass transforms no density itself: only the parts
-    # made spectra of the max laws, once per even (n, k)
-    # the kernels' width sets it here: nothing wraps around at 8 steps
-    assert sizes == [w.pass_size] * (top - 1)
+    for n in ns:
+        for log in (made, sizes, read, products):
+            log.clear()
+        sums = wk.kernel_sums(w, n, terms())
+        assert len(sums) == 2
+        assert np.array_equal(sums[0].total().values, expected[n].values)
+        assert made == list(range(n - 1, -1, -1))
+        assert all(ref() is None for ref in spectra)
+        assert read == list(range(1, n + 1))
+        assert products == list(range(2, n + 1))  # one product per step
+        # each kernel transformed straight from its values at the pass
+        # length; the streamed sum-law spectra need no transform
+        assert sizes == [w.pass_size] * (n - 1)
+    made.clear()
+    wk.kernel_sums(w, top, [((stored[k], 1.0),) for k in (1, 2, 3)])
+    assert made == [7, 6, 5]
+    # the kernels' width sets the pass length here: nothing wraps around at
+    # 8 steps
     assert w.pass_size == wk._pass_size(w.step_density, 8, w.kernel_start)
     kernel_size = w.grid.count + w.grid.zero_index() - w.kernel_start
     assert w.pass_size == wk.next_fast_len(kernel_size, real=True)
     assert w.pass_size < 2 * w.grid.count
-    assert len(transformed) == sum(k % 2 == 0 for n in ns for k in range(1, n + 1))
+
+
+@pytest.mark.parametrize("name", ["gaussian", "spike"])
+def test_each_n_drops_its_sums_before_the_next_n(small_grid, name, monkeypatch):
+    # nagaev_density, the splits and their oracle run one n at a time: each
+    # n's KernelSum accumulators are finished and unreachable before the
+    # next n's first kernel is made, so whenever a kernel is made only the
+    # current n's sums are alive
+    ns = (1, 3, 5, 8)
+    w = mw.compute_walk(mw.DistributionSpec(name), ns[-1], small_grid)
+    table = mw.decomp_powers(w)
+    splits = mw.max_law_splits(table, w, ns)
+    rho, cutoff = table.decomp.rho, mw.decomposition._WEIGHT_CUTOFF
+    reach = sum(table.heads[k] is not None or rho**k >= cutoff for k in range(1, ns[-1] + 1))
+    alive, made = [], []
+    make_kernel = wk.kernel_spectrum
+
+    class CountingSum(wk.KernelSum):
+        def __init__(self, walk):
+            super().__init__(walk)
+            alive.append(weakref.ref(self))
+
+    def counting_kernel(walk, index):
+        made.append((index, sum(ref() is not None for ref in alive)))
+        return make_kernel(walk, index)
+
+    monkeypatch.setattr(wk, "KernelSum", CountingSum)
+    monkeypatch.setattr(wk, "kernel_spectrum", counting_kernel)
+    runs = (
+        (1, ns[-1], lambda: mw.nagaev_density(w, ns)),
+        (2, reach, lambda: mw.max_law_splits(table, w, ns)),
+        (2, ns[-1], lambda: mw.decomposition.smooth_split_identity_gaps(table, w, splits.values())),
+    )
+    for width, terms, run in runs:
+        alive.clear()
+        made.clear()
+        run()
+        assert {live for _, live in made} == {width}
+        assert made == [(n - k, width) for n in ns for k in range(1, min(n, terms) + 1)]
+        assert len(alive) == width * len(ns)
+        assert all(ref() is None for ref in alive)
 
 
 def test_kernel_sum_parts_without_terms_are_shared_zero(gaussian_walk8):

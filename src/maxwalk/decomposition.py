@@ -117,19 +117,18 @@ def binomial_log_weight(k: int, j: int, rho: float) -> float:
 
 @dataclass(frozen=True)
 class DecompTable:
-    """Convolution powers of the split for each k <= n_max: qk2[k] = q2^{*k}
-    (a probability density) is kept while rho^k >= _WEIGHT_CUTOFF and is
-    zero beyond (every k when rho = 0).  The part of p^{*k} with a bounded
-    factor, read only by the splits' oracle and smooth_part, comes off the
-    walk's sum law (_split_parts), so the table holds no sum law.  heads[k]
-    is the part of p^{*k} with one or two bounded factors (see _bounded_head;
-    None when every such term is dropped).  Index 0 is None (the unit
-    atom)."""
+    """The split's terms for each k <= n_max, as spectra only, each
+    WalkLaws.transform of its density: qk2_hat[k] that of q2^{*k}, kept while
+    rho^k >= _WEIGHT_CUTOFF and None beyond (every k when rho = 0), and
+    heads_hat[k] that of the part of p^{*k} with one or two bounded factors
+    (_bounded_head; None when every such term is dropped).  The part with a
+    bounded factor comes off the walk's sum law (_split_parts), so the table
+    holds no sum law.  Index 0 is None (the unit atom)."""
 
     decomp: BinomialDecomposition
     n_max: int
-    qk2: tuple
-    heads: tuple
+    qk2_hat: tuple
+    heads_hat: tuple
 
     def check_index(self, k: int) -> None:
         if not 1 <= k <= self.n_max:
@@ -149,27 +148,30 @@ def _powers(q: GridDensity):
 def decomp_powers(walk: WalkLaws, M: float | None = None) -> DecompTable:
     """Split the walk's step law at level M (binomial_split; default M as
     there) and propagate the split to all convolution powers up to
-    walk.n_max: the kept q2 powers and the one- and two-factor heads.  The
-    table reads no sum law when it is built."""
-    p = walk.step_density
-    decomp = binomial_split(p, M)
-    rho = decomp.rho
-    n_max = walk.n_max
-    kept = sum(1 for k in range(1, n_max + 1) if rho**k >= _WEIGHT_CUTOFF)
-    qk2 = (None, *islice(_powers(decomp.q2), kept), *[zero_density(p.grid)] * (n_max - kept))
+    walk.n_max: the kept q2 powers and the one- and two-factor heads, built
+    by grid.convolve chains, each kept only as its spectrum (walk.transform)
+    and alive in space only while the next two heads read it."""
+    decomp = binomial_split(walk.step_density, M)
+    rho, n_max = decomp.rho, walk.n_max
+    powers = _powers(decomp.q2)
     q1_powers = (None, *islice(_powers(decomp.q1), min(n_max, 2)))
-    heads = [None] + [_bounded_head(rho, q1_powers, qk2, k) for k in range(1, n_max + 1)]
-    return DecompTable(decomp, n_max, qk2, tuple(heads))
+    last = (None, None)  # q2^{*(k-1)}, q2^{*(k-2)}
+    qk2_hat, heads_hat = [None], [None]
+    for k in range(1, n_max + 1):
+        head = _bounded_head(rho, q1_powers, last, k)
+        power = next(powers) if rho**k >= _WEIGHT_CUTOFF else None
+        last = (power, last[0])
+        heads_hat.append(None if head is None else walk.transform(head))
+        qk2_hat.append(None if power is None else walk.transform(power))
+    return DecompTable(decomp, n_max, tuple(qk2_hat), tuple(heads_hat))
 
 
-def _split_terms(table: DecompTable, walk: WalkLaws, k: int):
-    """k's q2 power and head as kernel_sums terms (q2, head): each a
-    (spectrum at the kernel-pass length, weight) pair, weights rho^k and 1,
-    or None where the table drops it (q2 once rho^k is below the cutoff)."""
-    rho_k = table.decomp.rho**k
-    q2 = (walk.transform(table.qk2[k]), rho_k) if rho_k >= _WEIGHT_CUTOFF else None
-    head = table.heads[k]
-    return q2, None if head is None else (walk.transform(head), 1.0)
+def _split_terms(table: DecompTable, k: int):
+    """k's q2 power and head as kernel_sums terms (q2, head): the table's
+    spectra with weights rho^k and 1, or None where the table drops one."""
+    q2, head = table.qk2_hat[k], table.heads_hat[k]
+    q2 = None if q2 is None else (q2, table.decomp.rho**k)
+    return q2, None if head is None else (head, 1.0)
 
 
 def _split_parts(s_hat: np.ndarray, q2, head):
@@ -206,47 +208,47 @@ def max_law_splits(table: DecompTable, walk: WalkLaws, ns) -> dict[int, MaxLawSp
     sum and the remainders carried by the unbounded component, with the local
     correction term.
 
-    The Nagaev kernel sum of every S_k is the max law, which the walk
-    holds, so the bounded part is read off it: max_law - remainder_pos +
-    remainder_neg.  Only the kept q2 powers (weight rho^k: the remainder)
-    and the heads (weight 1: the correction) are summed (kernel_sums),
-    k = 1..min(n, K), K the last k with either; each is transformed once
-    for every n (_split_terms), and each n makes only its kernels
-    G_{n-k}, one alive at a time, and drops its sums before the next n
-    starts.  No sum law is read: smooth_split_identity_gaps builds the
-    bounded part from the sum laws, as the splits' oracle.
+    The Nagaev kernel sum of every S_k is the max law, which the walk holds,
+    so the bounded part is read off it: max_law - remainder_pos +
+    remainder_neg, the max law itself when rho = 0.  Only the kept q2 powers
+    (weight rho^k: the remainder) and the heads (weight 1: the correction)
+    are summed (kernel_sums) from the table's spectra, k = 1..min(n, K), K
+    the last k with either; each n makes only its kernels G_{n-k}, one alive
+    at a time, and drops its sums before the next n starts.  No sum law is
+    read: the splits' oracle, smooth_split_identity_gaps, reads them.
     """
     ns = sorted(set(ns))
     if not ns:
         raise ValueError("ns must name at least one n")
     for n in ns:
         table.check_index(n)
-    # k = 1..K: once a k has neither a q2 power nor a head, no later k has
-    terms = list(takewhile(any, (_split_terms(table, walk, k) for k in range(1, ns[-1] + 1))))
     splits = {}
     for n in ns:
+        # k = 1..K: once a k has neither a q2 power nor a head, no later k has
+        terms = takewhile(any, (_split_terms(table, k) for k in range(1, n + 1)))
         remainder, correction = kernel_sums(walk, n, terms)
         pos, neg = remainder.atom_part(), remainder.convolutions()
         rn = rescale_sqrt(correction.total(), n)
         del remainder, correction  # finished: dropped before the next n's kernels
-        splits[n] = MaxLawSplit(n, walk.max_laws[n] - pos + neg, pos, neg, rn)
+        law = walk.max_laws[n]  # rho = 0: both remainders zero, the law itself
+        splits[n] = MaxLawSplit(n, law - pos + neg if table.decomp.rho else law, pos, neg, rn)
     return splits
 
 
-def _bounded_head(rho: float, q1_powers: tuple, qk2: tuple, k: int) -> GridDensity | None:
+def _bounded_head(rho: float, q1_powers: tuple, last: tuple, k: int) -> GridDensity | None:
     """The terms of the k-step sum law with one or two bounded factors:
     sum over j in {1, 2} of C(k, j) (1-rho)^j rho^(k-j) q1^{*j} * q2^{*(k-j)}
     (q2^{*0} is the unit atom, 0^0 = 1), the weights from
-    binomial_log_weight.  A term is dropped when rho^(k-j) is below the
-    weight cutoff, as the table drops its q2 power; None when none is
-    left."""
+    binomial_log_weight; last[j - 1] is q2^{*(k-j)}.  A term is dropped
+    when rho^(k-j) is below the weight cutoff, as the table drops its q2
+    power; None when none is left."""
     head = None
     for j in range(1, min(k, 2) + 1):
         w = binomial_log_weight(k, j, rho)
         if j == k:
             term = q1_powers[j].values
         elif rho ** (k - j) >= _WEIGHT_CUTOFF:
-            term = convolve(q1_powers[j], qk2[k - j]).values
+            term = convolve(q1_powers[j], last[j - 1]).values
         else:
             continue
         head = w * term if head is None else head + w * term
@@ -256,11 +258,11 @@ def _bounded_head(rho: float, q1_powers: tuple, qk2: tuple, k: int) -> GridDensi
 def smooth_part(table: DecompTable, walk: WalkLaws, k: int) -> GridDensity:
     """Part of the k-step sum law with at least three bounded factors
     (nonnegative; three-fold bounded convolutions have integrable spectra),
-    from S_k's spectrum and k's _split_terms alone."""
+    from S_k's spectrum and the table's spectra of k alone."""
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
     table.check_index(k)
-    _, smooth = _split_parts(walk.sum_laws.spectrum(k), *_split_terms(table, walk, k))
+    _, smooth = _split_parts(walk.sum_laws.spectrum(k), *_split_terms(table, k))
     return walk.window(smooth)
 
 
@@ -268,23 +270,21 @@ def smooth_split_identity_gaps(
     table: DecompTable, walk: WalkLaws, splits
 ) -> dict[int, tuple[float, float]]:
     """The splits' oracle: per split n, the max per-cell gaps (reconstruction,
-    smooth identity).  Each n streams its own S_1..S_n into kernel_sums,
-    which builds B_n = sum_k (S_k - rho^k qk2[k]) * G_{n-k} and the sum of
-    the smooth parts (k >= 3) convolved with the kernels (_split_parts, from
-    the q2 powers and heads transformed once for every n); both sums are
-    finished and dropped before the next n starts.  The gaps: B_n +
-    remainder_pos - remainder_neg against the max law, and the
+    smooth identity).  Each n streams its own S_1..S_n into kernel_sums, which
+    builds B_n = sum_k (S_k - rho^k q2^{*k}) * G_{n-k} and the sum of the
+    smooth parts (k >= 3) convolved with the kernels, from the table's spectra
+    (_split_parts); both sums are dropped before the next n starts.  The gaps:
+    B_n + remainder_pos - remainder_neg against the max law, and the
     sqrt(n)-rescaled B_n against the rescaled smooth sum plus correction."""
     by_n = {s.n: s for s in splits}
     if not by_n:
         raise ValueError("splits must name at least one n")
     for n in by_n:
         table.check_index(n)
-    split = [_split_terms(table, walk, k) for k in range(1, max(by_n) + 1)]
 
     def terms():
-        for k, (s_hat, split_k) in enumerate(zip(walk.sum_laws.stream(), split), 1):
-            bounded, smooth = _split_parts(s_hat, *split_k)
+        for k, s_hat in enumerate(walk.sum_laws.stream(), 1):
+            bounded, smooth = _split_parts(s_hat, *_split_terms(table, k))
             yield (bounded, 1.0), ((smooth, 1.0) if k >= 3 else None)
 
     gaps = {}

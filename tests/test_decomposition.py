@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from bisect import bisect_left
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,8 +34,38 @@ def sum_law_split(table, w, k, s_hat=None):
     spectrum (default: streamed from the walk)."""
     if s_hat is None:
         s_hat = w.sum_laws.spectrum(k)
-    q2, head = dc._split_terms(table, w, k)
+    q2, head = dc._split_terms(table, k)
     return dc._split_parts(s_hat, q2, head)[0], q2
+
+
+def space_table(w, M=None):
+    """Oracle: the split's terms in space, every q2 power and head held at
+    once, by the same grid.convolve chains and weights as decomp_powers.
+    qk2[k] is q2^{*k} while rho^k >= the cutoff and the zero density beyond;
+    heads[k] is the one- and two-factor head, None when every term is
+    dropped.  Index 0 is None."""
+    decomp = mw.binomial_split(w.step_density, M)
+    rho, n_max = decomp.rho, w.n_max
+    qk2, heads = [None], [None]
+    for k in range(1, n_max + 1):
+        if rho**k < _WEIGHT_CUTOFF:
+            qk2.append(zero_density(w.grid))
+        else:
+            qk2.append(decomp.q2 if k == 1 else mw.convolve(decomp.q2, qk2[-1]))
+    q1_powers = (None, decomp.q1, mw.convolve(decomp.q1, decomp.q1))
+    for k in range(1, n_max + 1):
+        head = None
+        for j in range(1, min(k, 2) + 1):
+            weight = binomial_log_weight(k, j, rho)
+            if j == k:
+                term = q1_powers[j].values
+            elif rho ** (k - j) >= _WEIGHT_CUTOFF:
+                term = mw.convolve(q1_powers[j], qk2[k - j]).values
+            else:
+                continue
+            head = weight * term if head is None else head + weight * term
+        heads.append(None if head is None else mw.GridDensity(w.grid, head))
+    return SimpleNamespace(decomp=decomp, qk2=qk2, heads=heads)
 
 
 def apply_kernel_direct(f, w, j):
@@ -102,19 +134,21 @@ def test_power_table_trivial_when_bounded(small_grid):
     assert np.array_equal(d.q1.values, w.step_density.values)
     for k in (1, 4, 8):
         # every q2 power is dropped: the bounded term is the walk's sum-law
-        # spectrum itself
+        # spectrum itself, and the table holds no q2 spectrum
         s_hat = w.sum_laws.spectrum(k)
         bounded, q2 = sum_law_split(table, w, k, s_hat)
         assert bounded is s_hat
         assert q2 is None
-        assert np.all(table.qk2[k].values == 0.0)
+        assert table.qk2_hat[k] is None
+    # only the one- and two-factor heads are left, and only for k <= 2
+    assert [k for k, h in enumerate(table.heads_hat) if h is not None] == [1, 2]
 
 
 def test_power_table_reconstructs_spike(small_grid):
     w = mw.compute_walk(mw.DistributionSpec("spike"), 8, small_grid)
-    table = mw.decomp_powers(w)
+    table, space = mw.decomp_powers(w), space_table(w)
     d = table.decomp
-    assert np.array_equal(table.qk2[1].values, d.q2.values)
+    assert np.array_equal(table.qk2_hat[1], w.transform(d.q2))
     # one step: the bounded term is (1 - rho) q1, the step law's clipped part
     bounded = w.window(sum_law_split(table, w, 1)[0]).values
     clipped = (1.0 - d.rho) * d.q1.values
@@ -122,13 +156,15 @@ def test_power_table_reconstructs_spike(small_grid):
     for k in (2, 5, 8):
         rho_k = d.rho**k
         bounded, (q2_hat, weight) = sum_law_split(table, w, k)
-        assert np.array_equal(q2_hat, w.transform(table.qk2[k]))
+        assert q2_hat is table.qk2_hat[k]
+        assert np.array_equal(q2_hat, w.transform(space.qk2[k]))
         assert weight == rho_k
-        recon = w.window(bounded) + rho_k * table.qk2[k]
+        recon = w.window(bounded) + rho_k * space.qk2[k]
         assert mw.l1_distance(recon, w.sum_laws[k]) <= 1e-6
         assert np.abs(recon.values - w.sum_laws[k].values).max() <= k * 1e-9
         assert w.window(bounded).mass == pytest.approx(1.0 - rho_k, abs=k * 1e-6)
-        assert table.qk2[k].mass == pytest.approx(1.0, abs=k * 1e-6)
+        assert space.qk2[k].mass == pytest.approx(1.0, abs=k * 1e-6)
+        assert w.window(q2_hat).mass == pytest.approx(1.0, abs=k * 1e-6)
 
 
 def binomial_double_sum(d, n):
@@ -161,7 +197,7 @@ def test_power_table_matches_binomial_double_sum(name, M):
     n = 16
     grid = mw.make_working_grid(n, 2**12)
     w = mw.compute_walk(mw.DistributionSpec(name), n, grid)
-    table = mw.decomp_powers(w, M)
+    table, space = mw.decomp_powers(w, M), space_table(w, M)
     d = table.decomp
     assert d.rho > 0
     qk1, heads = binomial_double_sum(d, n)
@@ -169,19 +205,22 @@ def test_power_table_matches_binomial_double_sum(name, M):
         bounded = (1.0 - d.rho**k) * qk1[k]
         for got, expected in (
             (w.window(sum_law_split(table, w, k)[0]), bounded),
-            (table.heads[k], heads[k]),
+            (space.heads[k], heads[k]),
+            (w.window(table.heads_hat[k]), heads[k]),
         ):
             assert np.abs(got.values - expected).max() <= 1e-12 * np.abs(expected).max()
-    assert np.array_equal(table.heads[1].values, (1.0 - d.rho) * d.q1.values)
+    assert np.array_equal(space.heads[1].values, (1.0 - d.rho) * d.q1.values)
+    assert np.array_equal(table.heads_hat[1], w.transform(space.heads[1]))
     dropped = [k for k in range(1, n + 1) if d.rho**k < _WEIGHT_CUTOFF]
     assert (name == "gaussian") == bool(dropped)  # rho = 0.097: 16 is dropped
     for k in range(1, n + 1):
         if k in dropped:
-            assert np.all(table.qk2[k].values == 0.0)
+            assert table.qk2_hat[k] is None
             s_hat = w.sum_laws.spectrum(k)
             assert sum_law_split(table, w, k, s_hat)[0] is s_hat
         else:
-            assert table.qk2[k].mass == pytest.approx(1.0, abs=k * 1e-6)
+            assert space.qk2[k].mass == pytest.approx(1.0, abs=k * 1e-6)
+            assert np.array_equal(table.qk2_hat[k], w.transform(space.qk2[k]))
 
 
 def _linear_span(grid, factors) -> tuple[int, int]:
@@ -197,10 +236,11 @@ def _linear_span(grid, factors) -> tuple[int, int]:
 
 def test_spike_powers_span_their_linear_support(small_grid):
     # each q2 power and head is a chain of trimmed linear convolutions, so it
-    # spans no more cells than its factors' supports allow
+    # spans no more cells than its factors' supports allow; the table holds
+    # the transform of exactly those chains (the space oracle's terms)
     n = 8
     w = mw.compute_walk(mw.DistributionSpec("spike"), n, small_grid)
-    table = mw.decomp_powers(w)
+    table, space = mw.decomp_powers(w), space_table(w)
     d = table.decomp
     assert d.rho**n >= _WEIGHT_CUTOFF  # every q2 power is kept
     for k in range(2, n + 1):
@@ -210,7 +250,9 @@ def test_spike_powers_span_their_linear_support(small_grid):
                  for j in range(1, min(k, 2) + 1)]
         spans["heads"] = (min(a for a, _ in terms), max(b for _, b in terms))
         for part, (lo, hi) in spans.items():
-            first, stop = _support(getattr(table, part)[k].values)
+            f = getattr(space, part)[k]
+            assert np.array_equal(getattr(table, part + "_hat")[k], w.transform(f))
+            first, stop = _support(f.values)
             assert lo <= first < stop <= hi, (part, k)
             assert hi - lo < small_grid.count // 2, (part, k)
 
@@ -280,7 +322,8 @@ def test_correction_term_two_term_collapse(small_grid):
 def per_term_direct_split(w, table, n):
     """The bounded part, the convolution remainder and the correction term
     (before rescaling) of the n-step split, every kernel term convolved on
-    its own by the dense path and summed in space."""
+    its own by the dense path and summed in space; table is the space
+    oracle (space_table)."""
     rho = table.decomp.rho
     cutoff = 1e-16
     bounded = np.zeros(w.grid.count)
@@ -320,12 +363,12 @@ def test_kernel_sums_match_per_term_direct(small_grid, name):
     # batch of four n shares and drops kernels between the splits
     ns = (1, 3, 5, 8)
     w = mw.compute_walk(mw.DistributionSpec(name), ns[-1], small_grid)
-    table = mw.decomp_powers(w)
+    table, space = mw.decomp_powers(w), space_table(w)
     rho = table.decomp.rho
     splits = mw.max_law_splits(table, w, ns)
     assert sorted(splits) == list(ns)
     for n in ns:
-        bounded, rem_neg, corr = per_term_direct_split(w, table, n)
+        bounded, rem_neg, corr = per_term_direct_split(w, space, n)
         split = splits[n]
         assert split.n == n
         expected_rn = mw.rescale_sqrt(mw.GridDensity(small_grid, corr), n).values
@@ -375,7 +418,7 @@ def test_kernel_major_pass_matches_the_k_major_oracle(small_grid, name):
     spec, ns = mw.DistributionSpec(name), (1, 3, 5, 8)
     w = mw.compute_walk(spec, ns[-1], small_grid)
     table = mw.decomp_powers(w)
-    split = {k: dc._split_terms(table, w, k) for k in range(1, ns[-1] + 1)}
+    split = {k: dc._split_terms(table, k) for k in range(1, ns[-1] + 1)}
 
     def parts(k, s_hat):
         q2, head = split[k]
@@ -417,25 +460,103 @@ def test_kernel_major_pass_matches_the_k_major_oracle(small_grid, name):
 
 @pytest.mark.parametrize("name, n_max", [("spike", 24), ("laplace", 8)])
 def test_split_pass_transforms_each_power_and_head_once(name, n_max, monkeypatch):
-    # the kept q2 powers and the heads are transformed once for the pass,
-    # and every n of it reads the same spectra
+    # decomp_powers transforms each kept q2 power and each head once, the
+    # space oracle's terms exactly, and every n of the split pass reads
+    # those spectra: the pass itself transforms nothing
     w = mw.compute_walk(mw.DistributionSpec(name), n_max, mw.make_working_grid(n_max, 2**12))
-    table = mw.decomp_powers(w)
-    rho = table.decomp.rho
+    space = space_table(w)
+    rho = space.decomp.rho
     calls = []
     transform = wk.WalkLaws.transform
     monkeypatch.setattr(
         wk.WalkLaws, "transform", lambda walk, f: calls.append(f) or transform(walk, f)
     )
-    mw.max_law_splits(table, w, (3, 8, n_max))
-    kept = [table.qk2[k] for k in range(1, n_max + 1) if rho**k >= _WEIGHT_CUTOFF]
-    heads = [h for h in table.heads[1:] if h is not None]
+    table = mw.decomp_powers(w)
+    kept = [space.qk2[k] for k in range(1, n_max + 1) if rho**k >= _WEIGHT_CUTOFF]
+    heads = [h for h in space.heads[1:] if h is not None]
     assert len(calls) == len(kept) + len(heads)
-    assert sorted(map(id, calls)) == sorted(map(id, kept + heads))
+    assert sorted(f.values.tobytes() for f in calls) == sorted(
+        f.values.tobytes() for f in kept + heads
+    )
+    calls.clear()
+    mw.max_law_splits(table, w, (3, 8, n_max))
+    assert calls == []
     if name == "spike":
         assert 0 < len(kept) < n_max and 0 < len(heads) < n_max  # both cut off
     else:
         assert rho == 0.0 and kept == [] and len(heads) == 2
+
+
+@pytest.mark.parametrize("name", _SPEC_NAMES)
+def test_split_readers_make_no_transform(small_grid, name, monkeypatch):
+    # work count: decomp_powers makes one WalkLaws.transform per kept q2
+    # power and one per head; the splits, their oracle and smooth_part read
+    # the table's spectra and make no grid.spectrum call at all
+    n_max = 8
+    w = mw.compute_walk(mw.DistributionSpec(name), n_max, small_grid)
+    transforms, spectra = [], []
+    transform, spectrum = wk.WalkLaws.transform, gr.spectrum
+    monkeypatch.setattr(
+        wk.WalkLaws, "transform", lambda walk, f: transforms.append(f) or transform(walk, f)
+    )
+
+    def counting_spectrum(f, size, *args):
+        spectra.append(size)
+        return spectrum(f, size, *args)
+
+    for mod in (gr, wk):
+        monkeypatch.setattr(mod, "spectrum", counting_spectrum)
+    table = mw.decomp_powers(w)
+    held = [f for f in table.qk2_hat[1:] + table.heads_hat[1:] if f is not None]
+    assert len(transforms) == len(held) > 0
+    assert spectra.count(w.pass_size) >= len(held)
+    transforms.clear()
+    spectra.clear()
+    splits = mw.max_law_splits(table, w, (3, 5, n_max))
+    smooth_split_identity_gaps(table, w, splits.values())
+    for k in range(3, n_max + 1):
+        mw.smooth_part(table, w, k)
+    assert transforms == [] and spectra == []
+
+
+@pytest.mark.parametrize("name", _SPEC_NAMES)
+def test_rho_zero_splits_share_the_max_law(small_grid, name):
+    # with rho = 0 both remainders are the shared zero density and the
+    # bounded part is the walk's max law itself, not a copy; with rho > 0 it
+    # is max_law - remainder_pos + remainder_neg, bit for bit
+    w = mw.compute_walk(mw.DistributionSpec(name), 8, small_grid)
+    table = mw.decomp_powers(w)
+    rho = table.decomp.rho
+    assert (rho > 0.0) == (name == "spike")
+    for n, split in mw.max_law_splits(table, w, (1, 4, 8)).items():
+        law = w.max_laws[n]
+        if rho == 0.0:
+            assert split.bounded is law
+        else:
+            expected = law - split.remainder_pos + split.remainder_neg
+            assert np.array_equal(split.bounded.values, expected.values)
+
+
+def test_split_pass_holds_each_term_once():
+    # memory guard (tracemalloc): the table holds each kept q2 power and
+    # head once, as its spectrum, and the split pass reads those spectra in
+    # place, so building the table and the splits rises only a few windows
+    # above what they return (a kernel spectrum, two sums' accumulators and
+    # their temporaries).  Holding the terms in space and transforming them
+    # again for the pass would rise by about one window per term, 36 here
+    grid = mw.make_working_grid(64, 2**13)
+    w = mw.compute_walk(mw.DistributionSpec("spike"), 64, grid)
+    window = grid.count * 8
+    tracemalloc.start()
+    try:
+        table = mw.decomp_powers(w)
+        splits = mw.max_law_splits(table, w, (8, 16, 32, 64))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held <= 12 * window
+    assert sorted(splits) == [8, 16, 32, 64]
+    assert sum(f is not None for f in table.qk2_hat + table.heads_hat) == 17 + 19
 
 
 @pytest.mark.parametrize("name", ["laplace", "spike"])

@@ -372,7 +372,7 @@ def test_kept_walk_holds_few_sum_laws(monkeypatch):
         table = mw.decomp_powers(w)
         rho = table.decomp.rho
         cutoff = mw.decomposition._WEIGHT_CUTOFF
-        terms = [k for k in range(1, n_max + 1) if table.heads[k] is not None or rho**k >= cutoff]
+        terms = [k for k in range(1, n_max + 1) if table.heads_hat[k] is not None or rho**k >= cutoff]
         assert terms == list(range(1, reach + 1))
         made, spectra = [], []
 
@@ -507,7 +507,7 @@ def test_each_n_drops_its_sums_before_the_next_n(small_grid, name, monkeypatch):
     table = mw.decomp_powers(w)
     splits = mw.max_law_splits(table, w, ns)
     rho, cutoff = table.decomp.rho, mw.decomposition._WEIGHT_CUTOFF
-    reach = sum(table.heads[k] is not None or rho**k >= cutoff for k in range(1, ns[-1] + 1))
+    reach = sum(table.heads_hat[k] is not None or rho**k >= cutoff for k in range(1, ns[-1] + 1))
     alive, made = [], []
     make_kernel = wk.kernel_spectrum
 

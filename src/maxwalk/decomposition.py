@@ -14,7 +14,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from itertools import islice, takewhile
+from itertools import islice
 
 import numpy as np
 
@@ -103,8 +103,6 @@ def binomial_log_weight(k: int, j: int, rho: float) -> float:
     """C(k, j) (1-rho)^j rho^(k-j), accumulated in log space; 0^0 = 1."""
     if rho == 0.0:
         return 1.0 if j == k else 0.0
-    if j == 0:
-        return math.exp(k * math.log(rho))
     log_w = (
         math.lgamma(k + 1)
         - math.lgamma(j + 1)
@@ -117,13 +115,13 @@ def binomial_log_weight(k: int, j: int, rho: float) -> float:
 
 @dataclass(frozen=True)
 class DecompTable:
-    """The split's terms for each k <= n_max, as spectra only, each
+    """The split's terms for each k <= K, as spectra only, each
     WalkLaws.transform of its density: qk2_hat[k] that of q2^{*k}, kept while
     rho^k >= _WEIGHT_CUTOFF and None beyond (every k when rho = 0), and
     heads_hat[k] that of the part of p^{*k} with one or two bounded factors
-    (_bounded_head; None when every such term is dropped).  The part with a
-    bounded factor comes off the walk's sum law (_split_parts), so the table
-    holds no sum law.  Index 0 is None (the unit atom)."""
+    (_bounded_head).  Both tuples end at K, the last k with a head: no later
+    k has a head or a kept q2 power.  The table holds no sum law.  Index 0
+    is None (the unit atom); check_index bounds n by the walk's n_max."""
 
     decomp: BinomialDecomposition
     n_max: int
@@ -147,7 +145,7 @@ def _powers(q: GridDensity):
 
 def decomp_powers(walk: WalkLaws, M: float | None = None) -> DecompTable:
     """Split the walk's step law at level M (binomial_split; default M as
-    there) and propagate the split to all convolution powers up to
+    there) and propagate the split to the convolution powers up to K <=
     walk.n_max: the kept q2 powers and the one- and two-factor heads, built
     by grid.convolve chains, each kept only as its spectrum (walk.transform)
     and alive in space only while the next two heads read it."""
@@ -159,29 +157,31 @@ def decomp_powers(walk: WalkLaws, M: float | None = None) -> DecompTable:
     qk2_hat, heads_hat = [None], [None]
     for k in range(1, n_max + 1):
         head = _bounded_head(rho, q1_powers, last, k)
+        if head is None:  # k > K: rho^(k-2), and so rho^k, is below the cutoff
+            break
         power = next(powers) if rho**k >= _WEIGHT_CUTOFF else None
         last = (power, last[0])
-        heads_hat.append(None if head is None else walk.transform(head))
+        heads_hat.append(walk.transform(head))
         qk2_hat.append(None if power is None else walk.transform(power))
     return DecompTable(decomp, n_max, tuple(qk2_hat), tuple(heads_hat))
 
 
 def _split_terms(table: DecompTable, k: int):
     """k's q2 power and head as kernel_sums terms (q2, head): the table's
-    spectra with weights rho^k and 1, or None where the table drops one."""
-    q2, head = table.qk2_hat[k], table.heads_hat[k]
-    q2 = None if q2 is None else (q2, table.decomp.rho**k)
-    return q2, None if head is None else (head, 1.0)
+    spectra with weights rho^k and 1, or None where dropped (both past K)."""
+    if k >= len(table.heads_hat):
+        return None, None
+    q2 = table.qk2_hat[k]
+    return None if q2 is None else (q2, table.decomp.rho**k), (table.heads_hat[k], 1.0)
 
 
-def _split_parts(s_hat: np.ndarray, q2, head):
-    """The split of S_k, whose spectrum is s_hat, from k's _split_terms:
-    (bounded, smooth).  bounded = S_k - rho^k q2^{*k} (every term of the
-    binomial expansion of p^{*k} with a bounded factor, by bilinearity), s_hat
-    itself (the same array) once q2 is dropped; smooth is bounded less the
-    head (at least three bounded factors when k >= 3)."""
+def _split_parts(s_hat: np.ndarray, q2, head) -> np.ndarray:
+    """The smooth part of S_k, whose spectrum is s_hat, from k's
+    _split_terms: S_k less rho^k q2^{*k} and less the head, the terms of the
+    binomial expansion of p^{*k} with at least three bounded factors (by
+    bilinearity); s_hat itself (the same array) where both are dropped."""
     bounded = s_hat if q2 is None else s_hat - q2[1] * q2[0]
-    return bounded, (bounded if head is None else bounded - head[0])
+    return bounded if head is None else bounded - head[0]
 
 
 @dataclass(frozen=True)
@@ -213,8 +213,8 @@ def max_law_splits(table: DecompTable, walk: WalkLaws, ns) -> dict[int, MaxLawSp
     remainder_neg, the max law itself when rho = 0.  Only the kept q2 powers
     (weight rho^k: the remainder) and the heads (weight 1: the correction)
     are summed (kernel_sums) from the table's spectra, k = 1..min(n, K), K
-    the last k with either; each n makes only its kernels G_{n-k}, one alive
-    at a time, and drops its sums before the next n starts.  No sum law is
+    the table's last k; each n makes only its kernels G_{n-k}, one alive at
+    a time, and drops its sums before the next n starts.  No sum law is
     read: the splits' oracle, smooth_split_identity_gaps, reads them.
     """
     ns = sorted(set(ns))
@@ -224,9 +224,8 @@ def max_law_splits(table: DecompTable, walk: WalkLaws, ns) -> dict[int, MaxLawSp
         table.check_index(n)
     splits = {}
     for n in ns:
-        # k = 1..K: once a k has neither a q2 power nor a head, no later k has
-        terms = takewhile(any, (_split_terms(table, k) for k in range(1, n + 1)))
-        remainder, correction = kernel_sums(walk, n, terms)
+        terms = (_split_terms(table, k) for k in range(1, len(table.heads_hat)))
+        remainder, correction = kernel_sums(walk, n, terms)  # k = 1..min(n, K)
         pos, neg = remainder.atom_part(), remainder.convolutions()
         rn = rescale_sqrt(correction.total(), n)
         del remainder, correction  # finished: dropped before the next n's kernels
@@ -262,8 +261,7 @@ def smooth_part(table: DecompTable, walk: WalkLaws, k: int) -> GridDensity:
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
     table.check_index(k)
-    _, smooth = _split_parts(walk.sum_laws.spectrum(k), *_split_terms(table, k))
-    return walk.window(smooth)
+    return walk.window(_split_parts(walk.sum_laws.spectrum(k), *_split_terms(table, k)))
 
 
 def smooth_split_identity_gaps(
@@ -271,11 +269,11 @@ def smooth_split_identity_gaps(
 ) -> dict[int, tuple[float, float]]:
     """The splits' oracle: per split n, the max per-cell gaps (reconstruction,
     smooth identity).  Each n streams its own S_1..S_n into kernel_sums, which
-    builds B_n = sum_k (S_k - rho^k q2^{*k}) * G_{n-k} and the sum of the
-    smooth parts (k >= 3) convolved with the kernels, from the table's spectra
-    (_split_parts); both sums are dropped before the next n starts.  The gaps:
-    B_n + remainder_pos - remainder_neg against the max law, and the
-    sqrt(n)-rescaled B_n against the rescaled smooth sum plus correction."""
+    sums S_k (nagaev_density's sum, bit for bit) and the smooth parts (k >=
+    3, _split_parts) convolved with the kernels; both are dropped before the
+    next n starts.  The gaps: the Nagaev sum against the max law, and the
+    sqrt(n)-rescaled split's bounded part against the rescaled smooth sum
+    plus correction."""
     by_n = {s.n: s for s in splits}
     if not by_n:
         raise ValueError("splits must name at least one n")
@@ -284,17 +282,16 @@ def smooth_split_identity_gaps(
 
     def terms():
         for k, s_hat in enumerate(walk.sum_laws.stream(), 1):
-            bounded, smooth = _split_parts(s_hat, *_split_terms(table, k))
-            yield (bounded, 1.0), ((smooth, 1.0) if k >= 3 else None)
+            smooth = (_split_parts(s_hat, *_split_terms(table, k)), 1.0) if k >= 3 else None
+            yield (s_hat, 1.0), smooth
 
     gaps = {}
     for n, s in sorted(by_n.items()):
-        b_n, smooth = map(KernelSum.total, kernel_sums(walk, n, terms()))
-        recon = b_n + s.remainder_pos - s.remainder_neg
-        lhs = rescale_sqrt(b_n, n)
+        density, smooth = map(KernelSum.total, kernel_sums(walk, n, terms()))
+        lhs = rescale_sqrt(s.bounded, n)
         rhs = rescale_sqrt(smooth, n) + s.correction
         gaps[n] = (
-            float(np.abs(recon.values - walk.max_laws[n].values).max()),
+            float(np.abs(density.values - walk.max_laws[n].values).max()),
             float(np.abs(lhs.values - rhs.values).max()),
         )
     return gaps

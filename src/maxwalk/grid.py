@@ -534,23 +534,14 @@ def restrict(f: GridDensity, side: Side) -> tuple[GridDensity, float]:
     """Restriction of f to an open half-line, and its mass.
 
     The cell centered at 0 is split evenly between the two sides, which
-    removes the O(step) bias a hard cut would introduce.  The two restrictions
-    always add back to f exactly.
+    removes the O(step) bias a hard cut would introduce: f times the
+    half-line weights of moment and halfline_l1 (_halfline_weights) over the
+    cell width, 1, 1/2 or 0 per cell.  The two restrictions always add back
+    to f exactly.
     """
     if side not in ("positive", "negative"):
         raise ValueError(f"side must be 'positive' or 'negative', got {side!r}")
-    x = f.grid.centers()
-    v = f.values.copy()
-    i = f.grid.zero_index()
-    # the centers ascend: the cells with x < 0 come before the left insertion
-    # point of 0, those with x > 0 from the right one on
-    if side == "positive":
-        v[: np.searchsorted(x, 0.0, side="left")] = 0.0
-    else:
-        v[np.searchsorted(x, 0.0, side="right") :] = 0.0
-    if i >= 0:
-        v[i] = f.values[i] / 2.0
-    out = GridDensity(f.grid, v)
+    out = GridDensity(f.grid, f.values * (_halfline_weights(f.grid, side) / f.grid.step))
     return out, out.mass
 
 
@@ -621,11 +612,21 @@ def density_to_csv(f: GridDensity) -> str:
 
 
 def density_from_csv(text: str) -> GridDensity:
+    """The density density_to_csv wrote; GridError naming the fault if not."""
     lines = text.strip().splitlines()
-    header = lines[0]
-    if not header.startswith("#"):
+    if not lines or not lines[0].startswith("#"):
         raise GridError("missing grid header comment line")
-    fields = dict(part.split("=") for part in header[1:].split())
-    grid = GridSpec(float(fields["x_min"]), float(fields["step"]), int(fields["count"]))
-    values = np.array([float(line.split(",")[1]) for line in lines[2:]])
-    return GridDensity(grid, values)
+    fields = dict(token.partition("=")[::2] for token in lines[0][1:].split())
+    missing = [key for key in ("x_min", "step", "count") if not fields.get(key)]
+    if missing:
+        raise GridError(f"grid header {lines[0]!r} gives no {', '.join(missing)}=value")
+    rows = [line.split(",") for line in lines[2:]]
+    short = [number for number, row in enumerate(rows, 3) if len(row) < 2]
+    if short:
+        raise GridError(f"line {short[0]} has no value column")
+    try:
+        x_min, step, count = float(fields["x_min"]), float(fields["step"]), int(fields["count"])
+        values = np.array([float(row[1]) for row in rows])
+    except ValueError as exc:
+        raise GridError(f"malformed number in the density CSV: {exc}") from exc
+    return GridDensity(GridSpec(x_min, step, count), values)

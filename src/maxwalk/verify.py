@@ -905,6 +905,7 @@ class VerifyReport:
                 "grid_points": self.config.grid_points,
                 "mc_samples": self.config.mc_samples,
                 "seed": self.config.seed,
+                "spec_parameters": list(self.config.spec_parameters),
             },
             "checks": [asdict(c) for c in self.checks],
             "skipped": self.skipped,

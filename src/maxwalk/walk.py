@@ -82,22 +82,22 @@ class SumLaws:
     pad's mass is read from the spectrum (Parseval against the pad's
     indicator) and WindowOverflowError is raised when it exceeds
     grid.from_spectrum's bound, 10 * MASS_TOL * max(1, |mass(p)
-    mass(S_{k-1})|); ``sum_mass[k]`` is the window's mass, the total minus
-    the pad's.
+    mass(S_{k-1})|), the window's mass (the total less the pad's) carried by
+    the stream.
 
     ``stream()`` yields the spectra of S_1, S_2, ..., S_{n_max} in order,
-    one product per step; ``spectrum(k)`` is S_k's, streamed to k.  Only
-    S_1's spectrum is held, so every read makes the same products and the
-    same bits.  ``[k]`` is S_k in space (index 0 is None): the step law for
-    k = 1, else one inverse transform of spectrum(k) cut to the window.
+    one product per step; ``spectrum(k)`` is S_k's, streamed to k, and
+    ``masses()`` the window's masses.  Only S_1's spectrum is held, so every
+    read makes the same products and the same bits, and changes nothing.
+    ``[k]`` is S_k in space (index 0 is None): the step law for k = 1, else
+    one inverse transform of spectrum(k) cut to the window.
     """
 
-    def __init__(self, step: GridDensity, n_max: int, size: int, mass: np.ndarray):
+    def __init__(self, step: GridDensity, n_max: int, size: int):
         grid = step.grid
         self.n_max = n_max
         self.size = size
         self._p = step
-        self._mass = mass
         self._first = rfft(step.values, size)
         padded = np.zeros(size)
         padded[: grid.count] = step.values
@@ -105,7 +105,6 @@ class SumLaws:
         pad = np.zeros(size)
         pad[grid.count :] = 1.0
         self._pad = _dual(pad, size)
-        mass[1] = step.mass
 
     def spectrum(self, k: int) -> np.ndarray:
         if not 1 <= k <= self.n_max:
@@ -115,28 +114,33 @@ class SumLaws:
     def stream(self):
         """Yield the spectra of S_1, S_2, ..., S_{n_max} in order, each made
         from the last by _step.  The generator holds only its current
-        spectrum and belongs to its caller; the sum_mass entries it writes
-        equal those any other read writes."""
-        s_hat = self._first
+        spectrum and mass and belongs to its caller."""
+        s_hat, mass = self._first, self._p.mass
         yield s_hat
         for k in range(2, self.n_max + 1):
-            s_hat = self._step(k, s_hat)
+            s_hat, mass = self._step(k, s_hat, mass)
             yield s_hat
 
-    def _step(self, k: int, prev: np.ndarray) -> np.ndarray:
-        """S_k's spectrum from S_{k-1}'s: one product, the pad guard and the
-        window's mass."""
+    def masses(self) -> np.ndarray:
+        """The window's mass of S_k at index k <= n_max (NaN at 0), streamed."""
+        mass = np.full(self.n_max + 1, np.nan)
+        s_hat, mass[1] = self._first, self._p.mass
+        for k in range(2, self.n_max + 1):
+            s_hat, mass[k] = self._step(k, s_hat, mass[k - 1])
+        return mass
+
+    def _step(self, k: int, prev: np.ndarray, prev_mass: float) -> tuple[np.ndarray, float]:
+        """S_k's spectrum and window mass from S_{k-1}'s: one product, guarded."""
         s_hat = self._factor * prev
         h = self._p.grid.step
         pad = float(np.dot(s_hat, self._pad).real)
         lost = h * abs(pad)
-        if lost > 10.0 * MASS_TOL * max(1.0, abs(self._p.mass * self._mass[k - 1])):
+        if lost > 10.0 * MASS_TOL * max(1.0, abs(self._p.mass * prev_mass)):
             raise WindowOverflowError(
                 f"the {k}-step sum law puts mass {lost:.3e} outside the window; "
                 "enlarge the window or increase the cell count"
             )
-        self._mass[k] = h * (float(s_hat[0].real) - pad)
-        return s_hat
+        return s_hat, h * (float(s_hat[0].real) - pad)
 
     def __getitem__(self, k: int) -> GridDensity | None:
         if k == 0:
@@ -178,9 +182,8 @@ class WalkLaws:
     recursion leaves every max law exactly zero below the step law's first
     nonzero cell).  ``nonpos_prob[k]``, P(max <= 0) after k steps, is that
     density's mass and ``neg_moment1``/``neg_moment2`` its first and second
-    moments; ``max_mass[k]`` is the mass of the k-step max law.
-    ``sum_mass[k]`` is the window's mass of S_k, written whenever S_k is
-    made, always to the same value (NaN before).
+    moments; ``max_mass[k]`` is the mass of the k-step max law.  No reader
+    changes a walk.
     """
 
     spec: DistributionSpec
@@ -194,7 +197,6 @@ class WalkLaws:
     neg_moment1: np.ndarray
     neg_moment2: np.ndarray
     max_mass: np.ndarray
-    sum_mass: np.ndarray
 
     @property
     def grid(self) -> GridSpec:
@@ -362,7 +364,7 @@ def compute_walk(
     ``keep`` names the n whose full max law the walk holds (None: every n
     in [1, n_max]).  Every step keeps its Nagaev kernel's negative part on
     the kernel's own cells (see WalkLaws) and reads the max-side scalar
-    tables off it; the sum-law masses are filled as the laws are made.
+    tables off it.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -391,7 +393,6 @@ def compute_walk(
     m1 = np.full(n_max + 1, np.nan)
     m2 = np.full(n_max + 1, np.nan)
     mass = np.full(n_max + 1, np.nan)
-    sum_mass = np.full(n_max + 1, np.nan)
 
     def record(k: int, f: GridDensity, f_mass: float) -> None:
         neg = f.values[kernel_start : zero + 1].copy()
@@ -425,7 +426,7 @@ def compute_walk(
         spec=spec,
         n_max=n_max,
         step_density=p,
-        sum_laws=SumLaws(p, n_max, _pass_size(p, n_max, kernel_start), sum_mass),
+        sum_laws=SumLaws(p, n_max, _pass_size(p, n_max, kernel_start)),
         max_laws=KeptLaws(laws),
         kernels=kernels,
         kernel_start=kernel_start,
@@ -433,7 +434,6 @@ def compute_walk(
         neg_moment1=m1,
         neg_moment2=m2,
         max_mass=mass,
-        sum_mass=sum_mass,
     )
 
 
@@ -588,16 +588,15 @@ def spitzer_first_term_split(walk: WalkLaws, n: int) -> GridDensity:
 
 
 def walk_scalars_csv(walk: WalkLaws) -> str:
-    """Per-step scalar table: k,Fbar0,abar,bbar,mass_p,mass_pbar.  Streams
-    the sum laws to n_max for their masses unless a reader already has."""
-    if np.isnan(walk.sum_mass[walk.n_max]):
-        walk.sum_laws.spectrum(walk.n_max)
+    """Per-step scalar table: k,Fbar0,abar,bbar,mass_p,mass_pbar (mass_p from
+    SumLaws.masses)."""
+    mass_p = walk.sum_laws.masses()
     buf = io.StringIO()
     buf.write("k,Fbar0,abar,bbar,mass_p,mass_pbar\n")
     for k in range(1, walk.n_max + 1):
         buf.write(
             f"{k},{walk.nonpos_prob[k]:.17g},{walk.neg_moment1[k]:.17g},"
-            f"{walk.neg_moment2[k]:.17g},{walk.sum_mass[k]:.17g},"
+            f"{walk.neg_moment2[k]:.17g},{mass_p[k]:.17g},"
             f"{walk.max_mass[k]:.17g}\n"
         )
     return buf.getvalue()

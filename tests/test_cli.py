@@ -266,6 +266,23 @@ def test_verify_below_eight_steps(tmp_path, n_max):
     assert json.loads((out / "verify_report.json").read_text())["checks"]
 
 
+def test_verify_report_config_names_the_mixture(tmp_path):
+    # two runs that differ only in the mixture's parameters write different
+    # config blocks, which name those parameters
+    configs = {}
+    for label, params in (("default", []), ("custom", [0.5, -0.99, 0.99, 0.0199])):
+        path = write_config(tmp_path, specs=["mixture"], n_max=1, n_list=[1],
+                            spec_parameters=params)
+        out = tmp_path / label
+        main(["verify", "--config", str(path), "--out", str(out)])
+        configs[label] = json.loads((out / "verify_report.json").read_text())["config"]
+    assert configs["default"]["spec_parameters"] == []
+    assert configs["custom"]["spec_parameters"] == [0.5, -0.99, 0.99, 0.0199]
+    assert configs["default"] != configs["custom"]
+    del configs["custom"]["spec_parameters"], configs["default"]["spec_parameters"]
+    assert configs["default"] == configs["custom"]
+
+
 def test_flag_overrides(tmp_path):
     path = write_config(tmp_path)
     out = tmp_path / "out"

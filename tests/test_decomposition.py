@@ -29,13 +29,14 @@ def smooth_part_mass(table, k: int) -> float:
 
 
 def sum_law_split(table, w, k, s_hat=None):
-    """(bounded, q2) for S_k: the bounded part of the split (_split_parts)
-    and k's q2 term, (spectrum, weight) or None (_split_terms); s_hat is S_k's
-    spectrum (default: streamed from the walk)."""
+    """(bounded, q2) for S_k: the bounded part of the split, S_k less
+    rho^k q2^{*k} (s_hat itself where q2 is dropped), and k's q2 term,
+    (spectrum, weight) or None (_split_terms); s_hat is S_k's spectrum
+    (default: streamed from the walk)."""
     if s_hat is None:
         s_hat = w.sum_laws.spectrum(k)
-    q2, head = dc._split_terms(table, k)
-    return dc._split_parts(s_hat, q2, head)[0], q2
+    q2, _ = dc._split_terms(table, k)
+    return (s_hat if q2 is None else s_hat - q2[1] * q2[0]), q2
 
 
 def space_table(w, M=None):
@@ -120,6 +121,13 @@ def test_split_rejects_excessive_truncation(small_grid):
     assert "need M >" in str(err.value)
 
 
+def test_binomial_weight_without_a_bounded_factor_is_rho_to_the_k():
+    # j = 0 takes the general lgamma form, which gives rho^k's own bits
+    for rho in (1e-3, 0.01, 0.1, 0.3, 0.49):
+        for k in range(1, 300):
+            assert binomial_log_weight(k, 0, rho) == math.exp(k * math.log(rho))
+
+
 def test_binomial_weights_sum_to_one():
     for rho in (0.0, 0.1247, 0.4):
         for k in (1, 7, 32, 64):
@@ -139,9 +147,14 @@ def test_power_table_trivial_when_bounded(small_grid):
         bounded, q2 = sum_law_split(table, w, k, s_hat)
         assert bounded is s_hat
         assert q2 is None
-        assert table.qk2_hat[k] is None
-    # only the one- and two-factor heads are left, and only for k <= 2
+    assert table.qk2_hat == (None, None, None)
+    # only the one- and two-factor heads are left, and only for k <= 2: the
+    # table ends at K = 2, and past it S_k is all smooth part
     assert [k for k, h in enumerate(table.heads_hat) if h is not None] == [1, 2]
+    for k in (3, 4, 8):
+        assert dc._split_terms(table, k) == (None, None)
+        s_hat = w.sum_laws.spectrum(k)
+        assert dc._split_parts(s_hat, *dc._split_terms(table, k)) is s_hat
 
 
 def test_power_table_reconstructs_spike(small_grid):
@@ -412,7 +425,7 @@ def k_major_kernel_sums(walk, ns, parts):
 @pytest.mark.parametrize("name", _SPEC_NAMES)
 def test_kernel_major_pass_matches_the_k_major_oracle(small_grid, name):
     # the kernel density, the four split fields and the gaps against the
-    # five sums of the k-major oracle, built from the same terms: every sum
+    # four sums of the k-major oracle, built from the same terms: every sum
     # adds them in the same ascending k with the same spectra, so the n-by-n
     # loop changes no bit
     spec, ns = mw.DistributionSpec(name), (1, 3, 5, 8)
@@ -422,13 +435,11 @@ def test_kernel_major_pass_matches_the_k_major_oracle(small_grid, name):
 
     def parts(k, s_hat):
         q2, head = split[k]
-        bounded, smooth = dc._split_parts(s_hat, q2, head)
         return (
             (s_hat, 1.0),
             q2,
             head,
-            (bounded, 1.0),
-            (smooth, 1.0) if k >= 3 else None,
+            (dc._split_parts(s_hat, q2, head), 1.0) if k >= 3 else None,
         )
 
     oracle = k_major_kernel_sums(w, ns, parts)
@@ -437,7 +448,7 @@ def test_kernel_major_pass_matches_the_k_major_oracle(small_grid, name):
     gaps = smooth_split_identity_gaps(table, w, splits.values())
     assert list(dens) == list(splits) == list(gaps) == list(ns)
     for n in ns:
-        density, remainder, correction, bounded, smooth = oracle[n]
+        density, remainder, correction, smooth = oracle[n]
         assert np.array_equal(dens[n].values, density.total().values)
         pos, neg = remainder.atom_part(), remainder.convolutions()
         expected = {
@@ -448,12 +459,10 @@ def test_kernel_major_pass_matches_the_k_major_oracle(small_grid, name):
         }
         for part, f in expected.items():
             assert np.array_equal(getattr(splits[n], part).values, f.values)
-        b_n = bounded.total()
-        recon = b_n + splits[n].remainder_pos - splits[n].remainder_neg
-        lhs = mw.rescale_sqrt(b_n, n)
+        lhs = mw.rescale_sqrt(splits[n].bounded, n)
         rhs = mw.rescale_sqrt(smooth.total(), n) + splits[n].correction
         assert gaps[n] == (
-            float(np.abs(recon.values - w.max_laws[n].values).max()),
+            float(np.abs(density.total().values - w.max_laws[n].values).max()),
             float(np.abs(lhs.values - rhs.values).max()),
         )
 
@@ -557,6 +566,18 @@ def test_split_pass_holds_each_term_once():
     assert peak - held <= 12 * window
     assert sorted(splits) == [8, 16, 32, 64]
     assert sum(f is not None for f in table.qk2_hat + table.heads_hat) == 17 + 19
+
+
+@pytest.mark.parametrize("name", _SPEC_NAMES)
+def test_reconstruction_gap_is_the_nagaev_sum_against_the_max_law(name):
+    # the oracle's first kernel sum is S_k itself, summed as nagaev_density
+    # sums it, so its reconstruction gap is that density's, bit for bit
+    ns = (4, 8, 16)
+    w = mw.compute_walk(mw.DistributionSpec(name), ns[-1], mw.make_working_grid(16, 2**12))
+    table = mw.decomp_powers(w)
+    gaps = smooth_split_identity_gaps(table, w, mw.max_law_splits(table, w, ns).values())
+    for n, density in mw.nagaev_density(w, ns).items():
+        assert gaps[n][0] == float(np.abs(density.values - w.max_laws[n].values).max())
 
 
 @pytest.mark.parametrize("name", ["laplace", "spike"])

@@ -484,6 +484,21 @@ def test_density_csv_roundtrip(small_grid):
     assert np.array_equal(back.values, f.values)
 
 
+@pytest.mark.parametrize(
+    "text, fault",
+    [
+        ("# x_min=-1 step=1\nx,value\n-1,0.5\n0,0.5\n", "gives no count=value"),
+        ("# x_min=-1 step=1 count 2\nx,value\n-1,0.5\n0,0.5\n", "gives no count=value"),
+        ("# x_min=-1 step=1 count=2\nx,value\n-1,0.5\n0\n", "line 4 has no value column"),
+        ("", "missing grid header"),
+    ],
+    ids=["no_count", "token_without_equals", "short_row", "empty"],
+)
+def test_density_csv_rejects_malformed_text(text, fault):
+    with pytest.raises(GridError, match=fault):
+        mw.density_from_csv(text)
+
+
 def test_halfline_law_validation(small_grid):
     f = mw.sample_density(mw.DistributionSpec("gaussian"), small_grid)
     pos, mass = mw.restrict(f, "positive")

@@ -79,13 +79,13 @@ def test_spectral_sum_laws_match_direct_chain(name):
     n_max = 32
     grid = mw.make_working_grid(n_max, 2**12)
     w = mw.compute_walk(mw.DistributionSpec(name), n_max, grid, keep=())
-    law = w.step_density
+    law, mass = w.step_density, w.sum_laws.masses()
     for k in range(2, n_max + 1):
         law = mw.convolve(w.step_density, law, "direct")
         got = w.sum_laws[k]
         sup = np.abs(law.values).max()
         assert np.abs(got.values - law.values).max() <= 1e-14 * sup
-        assert w.sum_mass[k] == pytest.approx(law.mass, abs=1e-14)
+        assert mass[k] == pytest.approx(law.mass, abs=1e-14)
 
 
 def test_sum_laws_too_wide_for_the_window_raise():
@@ -122,8 +122,8 @@ def test_sum_laws_on_a_narrow_window_match_the_uncropped_chain_or_raise(small_gr
     # with the window run on to +60 so that it holds the 40-step max law.
     # The pad is widened past the kernel pass's need until nothing wraps
     # around, so each S_k either matches the uncropped chain or, once more
-    # than the window guard's share of its mass lies left of -20, raises,
-    # and so does every later one
+    # than the window guard's share of its mass lies left of -20, raises, as
+    # do every later one and the stream of masses
     n_max = 40
     g = mw.GridSpec(x_min=small_grid.x_min, step=small_grid.step, count=2 * small_grid.count)
     w = mw.compute_walk(mw.DistributionSpec(name), n_max, g, keep=())
@@ -143,12 +143,17 @@ def test_sum_laws_on_a_narrow_window_match_the_uncropped_chain_or_raise(small_gr
         assert outside <= 1.1 * bound
         sup = np.abs(oracle[k].values).max()
         assert np.abs(got.values - oracle[k].values).max() <= 1e-14 * sup
-        assert w.sum_mass[k] == pytest.approx(oracle[k].mass, abs=1e-14)
         read = k
     assert 16 <= read < n_max
     for k in range(read + 1, n_max + 1):
         with pytest.raises(WindowOverflowError):
             w.sum_laws.spectrum(k)
+    with pytest.raises(WindowOverflowError):
+        w.sum_laws.masses()
+    # the same stream stopped at the last S_k the window holds
+    mass = wk.SumLaws(w.step_density, read, w.pass_size).masses()
+    for k in range(2, read + 1):
+        assert mass[k] == pytest.approx(oracle[k].mass, abs=1e-14)
 
 
 def test_walk_laws_own_their_values(gaussian_walk8):
@@ -309,10 +314,10 @@ def _count_sum_products(walk, monkeypatch) -> list:
     that grows by one entry per product."""
     made, step = [], walk.sum_laws._step
 
-    def counting(k, prev):
-        s_hat = step(k, prev)
+    def counting(k, *prev):
+        result = step(k, *prev)
         made.append(k)
-        return s_hat
+        return result
 
     monkeypatch.setattr(walk.sum_laws, "_step", counting)
     return made
@@ -354,7 +359,7 @@ def test_streamed_sum_laws_match_in_any_order(small_grid, name):
             assert np.array_equal(kept.sum_laws.spectrum(k), full.sum_laws.spectrum(k))
             sup = np.abs(direct[k].values).max()
             assert np.abs(law.values - direct[k].values).max() <= 1e-14 * sup
-        assert np.array_equal(kept.sum_mass, full.sum_mass, equal_nan=True)
+        assert np.array_equal(kept.sum_laws.masses(), full.sum_laws.masses(), equal_nan=True)
     with pytest.raises(IndexError):
         kept.sum_laws[n_max + 1]
 
@@ -372,8 +377,13 @@ def test_kept_walk_holds_few_sum_laws(monkeypatch):
         table = mw.decomp_powers(w)
         rho = table.decomp.rho
         cutoff = mw.decomposition._WEIGHT_CUTOFF
-        terms = [k for k in range(1, n_max + 1) if table.heads_hat[k] is not None or rho**k >= cutoff]
-        assert terms == list(range(1, reach + 1))
+        # the table ends at K: a head at every k <= K, and no kept q2 power
+        # past it
+        assert len(table.heads_hat) == len(table.qk2_hat) == reach + 1
+        assert all(h is not None for h in table.heads_hat[1:])
+        assert [k for k in range(1, n_max + 1) if rho**k >= cutoff] == [
+            k for k, q2 in enumerate(table.qk2_hat) if q2 is not None
+        ]
         made, spectra = [], []
 
         def counting_kernel(walk, index):
@@ -396,10 +406,9 @@ def test_kept_walk_holds_few_sum_laws(monkeypatch):
 
 
 def test_scalar_csv_does_not_depend_on_the_stream(small_grid, monkeypatch):
-    # sum_mass and the mass_p column are the same before any kernel pass and
-    # after any set of passes: every stream writes the same masses, and a
-    # pass that stops short of n_max leaves the rest to the table, which
-    # streams the sum laws to n_max
+    # the masses and the mass_p column are the same before any kernel pass
+    # and after any set of passes: the table streams the sum laws to n_max
+    # itself, whatever ran before it
     spec, n_max, keep = mw.DistributionSpec("mixture"), 8, (3, 5, 8)
     full = mw.compute_walk(spec, n_max, small_grid)
     expected = wk.walk_scalars_csv(full)
@@ -411,13 +420,44 @@ def test_scalar_csv_does_not_depend_on_the_stream(small_grid, monkeypatch):
             splits = mw.max_law_splits(table, w, ns)
             mw.nagaev_density(w, ns)
             mw.decomposition.smooth_split_identity_gaps(table, w, splits.values())
-        top = max((max(ns) for ns in passes), default=1)
-        assert np.array_equal(w.sum_mass[: top + 1], full.sum_mass[: top + 1], equal_nan=True)
-        assert np.isnan(w.sum_mass[top + 1 :]).all()
         before = len(made)
         assert wk.walk_scalars_csv(w) == expected
-        assert np.array_equal(w.sum_mass, full.sum_mass, equal_nan=True)
-        assert len(made) - before == (0 if top == n_max else n_max - 1)
+        assert len(made) - before == n_max - 1
+        assert np.array_equal(w.sum_laws.masses(), full.sum_laws.masses(), equal_nan=True)
+
+
+def walk_arrays(obj, path="walk"):
+    """Every numpy array reachable from a walk's fields, by path: the
+    scalar tables, the held laws and kernels, and the sum laws' state."""
+    if isinstance(obj, np.ndarray):
+        yield path, obj
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from walk_arrays(value, f"{path}[{key}]")
+    elif hasattr(obj, "__dict__"):
+        for key, value in vars(obj).items():
+            yield from walk_arrays(value, f"{path}.{key}")
+
+
+def test_no_reader_writes_to_a_walk(small_grid):
+    # oracle: a fresh walk of the same law, which no reader has seen; after
+    # every reader of the walk has run, each array of the walk keeps its bits
+    spec, n_max, ns = mw.DistributionSpec("spike"), 8, (3, 8)
+    w = mw.compute_walk(spec, n_max, small_grid)
+    mw.nagaev_density(w, ns)
+    table = mw.decomp_powers(w)
+    splits = mw.max_law_splits(table, w, ns)
+    mw.decomposition.smooth_split_identity_gaps(table, w, splits.values())
+    wk.spitzer_nonpos_probs(w, n_max)
+    mw.spitzer_positive_law(w, n_max)
+    mw.spitzer_second_moment(w, n_max)
+    mw.smooth_part(table, w, n_max)
+    wk.walk_scalars_csv(w)
+    read = dict(walk_arrays(w))
+    fresh = dict(walk_arrays(mw.compute_walk(spec, n_max, small_grid)))
+    assert read.keys() == fresh.keys() and len(read) > 2 * n_max
+    for path, array in fresh.items():
+        assert read[path].tobytes() == array.tobytes(), path
 
 
 def test_reading_a_law_not_kept_raises(small_grid, monkeypatch):
@@ -506,8 +546,7 @@ def test_each_n_drops_its_sums_before_the_next_n(small_grid, name, monkeypatch):
     w = mw.compute_walk(mw.DistributionSpec(name), ns[-1], small_grid)
     table = mw.decomp_powers(w)
     splits = mw.max_law_splits(table, w, ns)
-    rho, cutoff = table.decomp.rho, mw.decomposition._WEIGHT_CUTOFF
-    reach = sum(table.heads_hat[k] is not None or rho**k >= cutoff for k in range(1, ns[-1] + 1))
+    reach = len(table.heads_hat) - 1  # K: the table ends at its last head
     alive, made = [], []
     make_kernel = wk.kernel_spectrum
 

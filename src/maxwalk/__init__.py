@@ -49,6 +49,7 @@ from .grid import (
     UnknownDistributionError,
     WindowOverflowError,
     WindowTooSmallError,
+    cdf_at,
     convolve,
     density_from_csv,
     density_to_csv,
@@ -70,7 +71,7 @@ from .limits import (
     tail_mass,
     weighted_sup_residual,
 )
-from .montecarlo import EmpiricalSummary, binning_allowance, empirical_compare, simulate
+from .montecarlo import Comparison, EmpiricalSummary, compare, simulate
 from .verify import CheckResult, VerifyReport, run_verification
 from .walk import (
     WalkLaws,

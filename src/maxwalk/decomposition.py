@@ -325,14 +325,13 @@ def split_quality_diagnostics(
         diff = p_star - q_star
         x = walk.grid.centers()
         w = _halfline_weights(walk.grid, "positive")
-        l1 = float(np.sum(w * np.abs(diff.values)))
         x2 = float(np.sum(w * x * x * np.abs(diff.values)))
         qminus = float(np.sum(w * np.maximum(-q_star.values, 0.0)))
         qsup = halfline_sup(split.bounded) / math.sqrt(n)
         rows.append(
             DiagnosticsRow(
                 n=n,
-                l1_pq=l1,
+                l1_pq=halfline_l1(diff, "positive"),
                 x2_pq=x2,
                 qminus_l1=qminus,
                 qbar_sup_over_sqrtn=qsup,

@@ -487,30 +487,26 @@ def _crop(grid: GridSpec, part: np.ndarray, start: int, scale: float) -> GridDen
     return GridDensity(grid, kept)
 
 
+def cdf_at(f: GridDensity, x: np.ndarray) -> np.ndarray:
+    """The cumulative mass function of f at the points x: exactly piecewise
+    linear for a cell-averaged density, the cells' cumulative sums times the
+    cell width at the edges, 0 below the window and f's mass above it."""
+    cum = np.concatenate(([0.0], np.cumsum(f.values) * f.grid.step))
+    return np.interp(x, f.grid.edges(), cum, left=0.0, right=cum[-1])
+
+
 def rescale_sqrt(f: GridDensity, n: int) -> GridDensity:
     """Law of X/sqrt(n) for X ~ f: x -> sqrt(n) f(sqrt(n) x), cell-averaged.
 
-    The cumulative mass function of a cell-averaged density is exactly
-    piecewise linear between cell edges, so re-binning through it is the
-    exact pushforward of the represented law: mass and nonnegativity are
-    preserved, and unbounded inputs stay representable.
+    Re-binning through the cumulative mass function (cdf_at) at the scaled
+    cell edges is the exact pushforward of the represented law: mass and
+    nonnegativity are preserved, and unbounded inputs stay representable.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n == 1:
         return f
-    root = math.sqrt(n)
-    edges = f.grid.edges()
-    cum = np.concatenate(([0.0], np.cumsum(f.values) * f.grid.step))
-    # scaled edges below the window take 0 and those above it the full mass;
-    # only the ones inside need interpolation
-    scaled = root * edges
-    lo, hi = np.searchsorted(scaled, (edges[0], edges[-1]), side="right")
-    target = np.empty_like(scaled)
-    target[:lo] = 0.0
-    target[lo:hi] = np.interp(scaled[lo:hi], edges, cum)
-    target[hi:] = cum[-1]
-    return GridDensity(f.grid, np.diff(target) / f.grid.step)
+    return GridDensity(f.grid, np.diff(cdf_at(f, math.sqrt(n) * f.grid.edges())) / f.grid.step)
 
 
 @functools.lru_cache(maxsize=16)

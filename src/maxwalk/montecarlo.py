@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .grid import DistributionSpec, GridDensity, rescale_sqrt
+from .grid import DistributionSpec, _halfline_weights, cdf_at, moment, rescale_sqrt
 from .walk import WalkLaws
 
 _CHUNK = 1 << 16
@@ -135,42 +135,50 @@ def simulate(
     )
 
 
-def _grid_bin_masses(law: GridDensity, edges: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Bin masses of a grid law integrated over histogram bins, plus the
-    under/overflow masses."""
-    cum = np.concatenate(([0.0], np.cumsum(law.values) * law.grid.step))
-    cdf_at = np.interp(edges, law.grid.edges(), cum, left=0.0, right=cum[-1])
-    inner = np.diff(cdf_at)
-    return inner, float(cdf_at[0]), float(cum[-1] - cdf_at[-1])
+@dataclass(frozen=True)
+class Comparison:
+    """A simulation against the grid law of its walk, rescaled by sqrt(n):
+    z-scores of P(max <= 0), E(max/sqrt(n)) and E(max^+/sqrt(n))^2, and the
+    histogram-vs-grid-law total variation with its sampling allowance."""
+
+    nonpos_z: float
+    mean_z: float
+    m2_z: float
+    tv: float
+    allowance: float
 
 
-def empirical_compare(summary: EmpiricalSummary, walk: WalkLaws) -> tuple[float, float]:
-    """Consistency of simulation and grid law: (z-score of P(max<=0),
-    histogram-vs-grid-law total variation over the summary's bins)."""
-    if walk.spec.name != summary.spec_name or summary.n > walk.n_max:
+def compare(summary: EmpiricalSummary, walk: WalkLaws) -> Comparison:
+    """`summary` against the walk's n-step max law, rescaled once.  A z-score
+    is a gap over the grid law's standard error of the mean (variance floored
+    at 1e-12; P(max <= 0) takes the summary's binomial error).  The bin masses
+    are the law's CDF at the histogram edges (cdf_at) and the mass beyond
+    them; the allowance is half their summed binomial standard errors."""
+    n, samples = summary.n, summary.samples
+    if walk.spec.name != summary.spec_name or n > walk.n_max:
         raise ValueError("summary and walk describe different experiments")
-    fbar = float(walk.nonpos_prob[summary.n])
-    z = abs(summary.nonpos_hat - fbar) / summary.nonpos_se
+    nonpos_z = abs(summary.nonpos_hat - float(walk.nonpos_prob[n])) / summary.nonpos_se
 
-    law = rescale_sqrt(walk.max_laws[summary.n], summary.n)
-    inner, under, over = _grid_bin_masses(law, summary.bin_edges)
-    emp = summary.bin_counts / summary.samples
+    star = rescale_sqrt(walk.max_laws[n], n)
+    mean = moment(star, 1, "all")
+    se = math.sqrt(max(moment(star, 2, "all") - mean**2, 1e-12) / samples)
+    mean_z = abs(summary.mean_max_scaled - mean) / se
+    m2 = moment(star, 2, "positive")
+    x = star.grid.centers()
+    m4 = float(np.sum(_halfline_weights(star.grid, "positive") * x**4 * star.values))
+    se = math.sqrt(max(m4 - m2**2, 1e-12) / samples)
+    m2_z = abs(m2 - summary.m2_plus_hat) / se
+
+    cdf = cdf_at(star, np.concatenate((summary.bin_edges, [np.inf])))  # the mass at inf
+    inner, under, over = np.diff(cdf[:-1]), float(cdf[0]), float(cdf[-1] - cdf[-2])
     tv = 0.5 * (
-        float(np.abs(emp - inner).sum())
-        + abs(summary.underflow / summary.samples - under)
-        + abs(summary.overflow / summary.samples - over)
+        float(np.abs(summary.bin_counts / samples - inner).sum())
+        + abs(summary.underflow / samples - under)
+        + abs(summary.overflow / samples - over)
     )
-    return z, tv
-
-
-def binning_allowance(walk: WalkLaws, n: int, edges: np.ndarray, samples: int) -> float:
-    """Expected sampling contribution to the histogram TV: half the summed
-    binomial standard errors of the bin masses."""
-    law = rescale_sqrt(walk.max_laws[n], n)
-    inner, under, over = _grid_bin_masses(law, edges)
-    masses = np.concatenate((inner, [under, over]))
-    masses = np.clip(masses, 0.0, 1.0)
-    return float(0.5 * np.sum(np.sqrt(masses * (1.0 - masses) / samples)))
+    masses = np.clip(np.concatenate((inner, [under, over])), 0.0, 1.0)
+    allowance = float(0.5 * np.sum(np.sqrt(masses * (1.0 - masses) / samples)))
+    return Comparison(nonpos_z, mean_z, m2_z, tv, allowance)
 
 
 def summary_json(summary: EmpiricalSummary) -> str:

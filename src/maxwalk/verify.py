@@ -53,7 +53,7 @@ def _ge(check_id: str, desc: str, value: float, threshold: float) -> CheckResult
 
 class SuiteState:
     """The lazily built state of one step law: its walk, decomposition table,
-    max-law splits, convergence curves and simulations.  Each object is
+    max-law splits, convergence curves and simulation comparisons.  Each is
     computed at most once and shared by every check of that spec; a run
     builds one state per spec and drops it before the next, so only one
     spec's arrays are alive at a time.  ``keep`` names the n whose full max
@@ -64,7 +64,7 @@ class SuiteState:
         self.name = name
         self.keep = keep
         self._splits: dict[int, dc.MaxLawSplit] = {}
-        self._mc: dict[tuple[int, int], mc.EmpiricalSummary] = {}
+        self._mc: dict[tuple[int, int], mc.Comparison] = {}
 
     @cached_property
     def spec(self) -> gr.DistributionSpec:
@@ -94,11 +94,13 @@ class SuiteState:
         ns = list(self.config.n_list)
         return lm.convergence_curves(self.spec, ns, walk=self.walk, splits=self.splits(ns))
 
-    def simulation(self, n: int, samples: int | None = None) -> mc.EmpiricalSummary:
+    def simulation(self, n: int, samples: int | None = None) -> mc.Comparison:
+        """The n-step simulation (config.mc_samples walks unless `samples`
+        is given) compared with the walk's law (montecarlo.compare)."""
         samples = self.config.mc_samples if samples is None else samples
         if (n, samples) not in self._mc:
             seed = self.config.seed + gr._SPEC_NAMES.index(self.name)
-            self._mc[n, samples] = mc.simulate(self.spec, n, samples, seed)
+            self._mc[n, samples] = mc.compare(mc.simulate(self.spec, n, samples, seed), self.walk)
         return self._mc[n, samples]
 
 
@@ -210,10 +212,7 @@ def check_entropic_endpoint(state: SuiteState) -> list[CheckResult]:
 
 def check_tv_endpoint(state: SuiteState) -> list[CheckResult]:
     rows = {r.n: r for r in state.curves}
-    summary = state.simulation(64)
-    walk = state.walk
-    _, tv_hist = mc.empirical_compare(summary, walk)
-    allowance = mc.binning_allowance(walk, 64, summary.bin_edges, summary.samples)
+    sim = state.simulation(64)
     return [
         _le(
             f"acceptance.tv_endpoint.{state.name}.absolute",
@@ -226,22 +225,16 @@ def check_tv_endpoint(state: SuiteState) -> list[CheckResult]:
         _le(
             f"acceptance.tv_endpoint.{state.name}.simulation",
             "histogram-vs-grid-law total variation",
-            tv_hist,
-            0.01 + allowance,
+            sim.tv,
+            0.01 + sim.allowance,
         ),
     ]
 
 
 def check_second_moment(state: SuiteState) -> list[CheckResult]:
-    name, walk = state.name, state.walk
-    star = gr.rescale_sqrt(walk.max_laws[64], 64)
-    grid_m2 = gr.moment(star, 2, "positive")
-    series_m2 = wk.spitzer_second_moment(walk, 64) / 64.0
-    summary = state.simulation(64)
-    x = walk.grid.centers()
-    w = gr._halfline_weights(walk.grid, "positive")
-    m4 = float(np.sum(w * x**4 * star.values))
-    se = math.sqrt(max(m4 - grid_m2**2, 1e-12) / summary.samples)
+    name = state.name
+    grid_m2 = {r.n: r for r in state.curves}[64].m2_plus
+    series_m2 = wk.spitzer_second_moment(state.walk, 64) / 64.0
     return [
         _le(
             f"acceptance.second_moment.{name}.absolute",
@@ -260,7 +253,7 @@ def check_second_moment(state: SuiteState) -> list[CheckResult]:
         _le(
             f"acceptance.second_moment.{name}.simulation_gap",
             "|grid moment - simulated moment| in standard errors",
-            abs(grid_m2 - summary.m2_plus_hat) / se,
+            state.simulation(64).m2_z,
             4.0,
         ),
     ]
@@ -719,25 +712,18 @@ def check_density_core(config: RunConfig) -> list[CheckResult]:
 
 
 def check_simulation_agreement(state: SuiteState) -> list[CheckResult]:
-    n = min(64, state.config.n_max)
-    walk = state.walk
-    summary = state.simulation(n)
-    z, tv_hist = mc.empirical_compare(summary, walk)
-    star = gr.rescale_sqrt(walk.max_laws[n], n)
-    mean_grid = gr.moment(star, 1, "all")
-    var = gr.moment(star, 2, "all") - mean_grid**2
-    se = math.sqrt(max(var, 1e-12) / summary.samples)
+    sim = state.simulation(min(64, state.config.n_max))
     return [
         _le(
             f"invariant.simulation.{state.name}.nonpos_z",
             "z-score of P(max<=0), simulation vs grid law",
-            z,
+            sim.nonpos_z,
             4.0,
         ),
         _le(
             f"invariant.simulation.{state.name}.mean_z",
             "z-score of E(max/sqrt(n)), simulation vs grid law",
-            abs(summary.mean_max_scaled - mean_grid) / se,
+            sim.mean_z,
             4.0,
         ),
     ]

@@ -26,7 +26,6 @@ import maxwalk as mw
 from maxwalk import verify as vf
 from maxwalk.config import RunConfig
 from maxwalk.grid import _SPEC_NAMES
-from maxwalk.montecarlo import binning_allowance, empirical_compare
 
 KNOWN_UNATTAINABLE = {
     "acceptance.entropic_endpoint.gaussian.ratio",
@@ -211,16 +210,13 @@ def test_c04_tv_endpoint_absolute(acceptance_state, deep_values):
 def test_c04_tv_simulation_agreement(acceptance_state):
     rows = []
     for name, state in acceptance_state.items():
-        summary = state.simulation(64, samples=10**6)
-        walk = state.walk
-        _, tv_hist = empirical_compare(summary, walk)
-        allowance = binning_allowance(walk, 64, summary.bin_edges, summary.samples)
+        sim = state.simulation(64, samples=10**6)
         rows.append(
             vf._le(
                 f"acceptance.tv_endpoint.{name}.simulation_1e6",
                 "histogram TV vs grid law at 1e6 samples",
-                tv_hist,
-                0.01 + allowance,
+                sim.tv,
+                0.01 + sim.allowance,
             )
         )
     assert_all(report("4b (simulation TV agreement, 1e6 samples)", rows))
@@ -266,19 +262,11 @@ def test_c05_second_moment_three_routes(acceptance_state):
         if not r.check_id.endswith("absolute")
     ]
     for name, state in acceptance_state.items():
-        walk = state.walk
-        summary = state.simulation(64, samples=10**6)
-        grid_m2 = mw.moment(mw.rescale_sqrt(walk.max_laws[64], 64), 2, "positive")
-        x = walk.grid.centers()
-        w = np.where(x > 0, walk.grid.step, 0.0)
-        star = mw.rescale_sqrt(walk.max_laws[64], 64)
-        m4 = float(np.sum(w * x**4 * star.values))
-        se = math.sqrt(max(m4 - grid_m2**2, 1e-12) / summary.samples)
         rows.append(
             vf._le(
                 f"acceptance.second_moment.{name}.simulation_1e6",
                 "grid vs simulated moment in standard errors (1e6 samples)",
-                abs(grid_m2 - summary.m2_plus_hat) / se,
+                state.simulation(64, samples=10**6).m2_z,
                 4.0,
             )
         )

@@ -366,10 +366,52 @@ def test_rescale_identity(small_grid):
     assert mw.rescale_sqrt(f, 1) is f
 
 
+def test_cdf_at_reads_the_piecewise_linear_cdf(small_grid):
+    v = mw.sample_density(mw.DistributionSpec("spike"), small_grid).values.copy()
+    v[0] = v[-1] = 1e-4  # mass in the window's edge cells
+    f = mw.GridDensity(small_grid, v)
+    edges, h = small_grid.edges(), small_grid.step
+    cum = np.concatenate(([0.0], np.cumsum(v) * h))
+    # the cumulative sums at the edges, bit for bit
+    assert np.array_equal(mw.cdf_at(f, edges), cum)
+    # linear between them: a quarter of the way across every cell
+    t = 0.25
+    between = mw.cdf_at(f, edges[:-1] + t * h)
+    assert np.allclose(between, cum[:-1] + t * (cum[1:] - cum[:-1]), rtol=0.0, atol=1e-15)
+    # 0 below the window, the mass above it
+    outside = mw.cdf_at(f, np.array([-np.inf, edges[0] - h, edges[-1] + h, np.inf]))
+    assert list(outside) == [0.0, 0.0, cum[-1], cum[-1]]
+
+
+def _split_rescale(f: mw.GridDensity, n: int) -> np.ndarray:
+    """The former rescale_sqrt: the scaled edges below the window take 0 and
+    those above it the full mass; only the ones inside are interpolated."""
+    edges = f.grid.edges()
+    cum = np.concatenate(([0.0], np.cumsum(f.values) * f.grid.step))
+    scaled = math.sqrt(n) * edges
+    lo, hi = np.searchsorted(scaled, (edges[0], edges[-1]), side="right")
+    target = np.empty_like(scaled)
+    target[:lo] = 0.0
+    target[lo:hi] = np.interp(scaled[lo:hi], edges, cum)
+    target[hi:] = cum[-1]
+    return np.diff(target) / f.grid.step
+
+
+@pytest.mark.parametrize("grid_args", [(4, 2**12), (16, 2**13), (64, 2**14)])
+@pytest.mark.parametrize("name", ["laplace", "spike"])
+def test_rescale_matches_the_split_interpolation(grid_args, name):
+    grid = mw.make_working_grid(*grid_args)
+    v = mw.sample_density(mw.DistributionSpec(name), grid).values.copy()
+    v[0] = v[-1] = 1e-4  # mass in the window's edge cells
+    f = mw.GridDensity(grid, v)
+    for n in (2, 9, 64):
+        assert np.array_equal(mw.rescale_sqrt(f, n).values, _split_rescale(f, n))
+
+
 @pytest.mark.parametrize("n", [2, 4, 16, 1024])
 def test_rescale_matches_full_length_interp(small_grid, n):
-    # rescale_sqrt interpolates only the scaled edges inside the window; the
-    # oracle interpolates all of them with left/right for those outside
+    # the oracle interpolates every scaled edge, with left/right for those
+    # outside the window, written out
     v = mw.sample_density(mw.DistributionSpec("laplace"), small_grid).values.copy()
     v[0] = v[-1] = 1e-4  # mass in the window's edge cells
     f = mw.GridDensity(small_grid, v)

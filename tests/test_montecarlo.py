@@ -6,7 +6,7 @@ import pytest
 from numpy.random import Generator, Philox
 
 import maxwalk as mw
-from maxwalk.grid import _SPEC_NAMES
+from maxwalk.grid import _SPEC_NAMES, _halfline_weights
 from maxwalk.montecarlo import _CHUNK, default_bins, histogram_csv, summary_json
 
 
@@ -39,10 +39,9 @@ def test_histogram_accounts_for_everything():
 def test_agreement_with_grid_law(small_grid):
     walk = mw.compute_walk(mw.DistributionSpec("mixture"), 8, small_grid)
     summary = mw.simulate(mw.DistributionSpec("mixture"), 8, 10**5, 123)
-    z, tv_hist = mw.empirical_compare(summary, walk)
-    assert z <= 4.0
-    allowance = mw.binning_allowance(walk, 8, summary.bin_edges, summary.samples)
-    assert tv_hist <= 0.01 + allowance
+    sim = mw.compare(summary, walk)
+    assert sim.nonpos_z <= 4.0
+    assert sim.tv <= 0.01 + sim.allowance
     assert summary.m2_plus_hat == pytest.approx(
         mw.moment(mw.rescale_sqrt(walk.max_laws[8], 8), 2, "positive"), abs=0.02
     )
@@ -50,15 +49,12 @@ def test_agreement_with_grid_law(small_grid):
 
 def test_bin_refinement_consistency(small_grid):
     walk = mw.compute_walk(mw.DistributionSpec("gaussian"), 8, small_grid)
-    coarse = mw.simulate(mw.DistributionSpec("gaussian"), 8, 10**5, 5)
-    fine = mw.simulate(
-        mw.DistributionSpec("gaussian"), 8, 10**5, 5, bins=default_bins(width=0.025)
+    coarse = mw.compare(mw.simulate(mw.DistributionSpec("gaussian"), 8, 10**5, 5), walk)
+    fine = mw.compare(
+        mw.simulate(mw.DistributionSpec("gaussian"), 8, 10**5, 5, bins=default_bins(width=0.025)),
+        walk,
     )
-    _, tv_coarse = mw.empirical_compare(coarse, walk)
-    _, tv_fine = mw.empirical_compare(fine, walk)
-    a1 = mw.binning_allowance(walk, 8, coarse.bin_edges, coarse.samples)
-    a2 = mw.binning_allowance(walk, 8, fine.bin_edges, fine.samples)
-    assert abs(tv_fine - tv_coarse) <= a1 + a2
+    assert abs(fine.tv - coarse.tv) <= coarse.allowance + fine.allowance
 
 
 def test_mean_limit_large_n():
@@ -83,9 +79,63 @@ def test_serialization_formats():
 
 def test_mismatched_compare_rejected(small_grid):
     walk = mw.compute_walk(mw.DistributionSpec("gaussian"), 4, small_grid)
-    summary = mw.simulate(mw.DistributionSpec("laplace"), 4, 10**4, 3)
-    with pytest.raises(ValueError):
-        mw.empirical_compare(summary, walk)
+    other_law = mw.simulate(mw.DistributionSpec("laplace"), 4, 10**4, 3)
+    longer_walk = mw.simulate(mw.DistributionSpec("gaussian"), 8, 10**4, 3)
+    for summary in (other_law, longer_walk):
+        with pytest.raises(ValueError):
+            mw.compare(summary, walk)
+
+
+def _separate_readings(summary, walk) -> tuple:
+    """The simulation statistics as they were read one by one: the z-score
+    and histogram TV of the former empirical_compare, the former
+    binning_allowance, and the mean and second-moment z-scores verify wrote
+    out, each rescaling the n-step law on its own."""
+    n, samples = summary.n, summary.samples
+
+    def bin_masses(law, edges):
+        cum = np.concatenate(([0.0], np.cumsum(law.values) * law.grid.step))
+        cdf_at = np.interp(edges, law.grid.edges(), cum, left=0.0, right=cum[-1])
+        return np.diff(cdf_at), float(cdf_at[0]), float(cum[-1] - cdf_at[-1])
+
+    z = abs(summary.nonpos_hat - float(walk.nonpos_prob[n])) / summary.nonpos_se
+    law = mw.rescale_sqrt(walk.max_laws[n], n)
+    inner, under, over = bin_masses(law, summary.bin_edges)
+    emp = summary.bin_counts / samples
+    tv = 0.5 * (
+        float(np.abs(emp - inner).sum())
+        + abs(summary.underflow / samples - under)
+        + abs(summary.overflow / samples - over)
+    )
+    law = mw.rescale_sqrt(walk.max_laws[n], n)
+    inner, under, over = bin_masses(law, summary.bin_edges)
+    masses = np.clip(np.concatenate((inner, [under, over])), 0.0, 1.0)
+    allowance = float(0.5 * np.sum(np.sqrt(masses * (1.0 - masses) / samples)))
+
+    star = mw.rescale_sqrt(walk.max_laws[n], n)
+    mean_grid = mw.moment(star, 1, "all")
+    var = mw.moment(star, 2, "all") - mean_grid**2
+    se = math.sqrt(max(var, 1e-12) / samples)
+    mean_z = abs(summary.mean_max_scaled - mean_grid) / se
+
+    grid_m2 = mw.moment(star, 2, "positive")
+    x = walk.grid.centers()
+    w = _halfline_weights(walk.grid, "positive")
+    m4 = float(np.sum(w * x**4 * star.values))
+    se = math.sqrt(max(m4 - grid_m2**2, 1e-12) / samples)
+    m2_z = abs(grid_m2 - summary.m2_plus_hat) / se
+    return z, mean_z, m2_z, tv, allowance
+
+
+@pytest.mark.parametrize("name", _SPEC_NAMES)
+def test_compare_is_the_separate_readings(small_grid, name):
+    spec = mw.DistributionSpec(name)
+    walk = mw.compute_walk(spec, 8, small_grid)
+    summary = mw.simulate(spec, 8, 10**4, 41)
+    sim = mw.compare(summary, walk)
+    assert (sim.nonpos_z, sim.mean_z, sim.m2_z, sim.tv, sim.allowance) == _separate_readings(
+        summary, walk
+    )
 
 
 def _one_pass_sums(spec, n, samples, seed):

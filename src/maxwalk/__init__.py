@@ -66,9 +66,7 @@ from .limits import (
     SplitResidual,
     convergence_curves,
     curves_csv,
-    local_limit_residual,
     split_local_residual,
-    tail_mass,
     weighted_sup_residual,
 )
 from .montecarlo import Comparison, EmpiricalSummary, compare, simulate

@@ -31,8 +31,10 @@ class ConvergenceRow:
     half-normal law, D_plus its conditioned-to-positive version, tv the total
     variation to the half-normal, m2_plus the second moment of the
     nonnegative part, tail_mass_C the x^2 mass beyond the cutoff C = 4.
-    alesh/local_a are the weighted-sup local-limit residuals (alesh is NaN
-    for steps without a bounded density).
+    alesh/local_a are the weighted-sup local-limit residuals: alesh is
+    sup x |star(x) - half_normal(x) - P(M_{n-1} <= 0) sqrt(n) p(sqrt(n) x)|,
+    the bounded-density expansion (NaN for steps without a bounded
+    density), local_a that of the split's bounded part.
     """
 
     n: int
@@ -61,15 +63,6 @@ def _check_row_invariants(row: ConvergenceRow) -> None:
         raise ValueError(f"n={row.n}: tv {row.tv:.4g} exceeds entropy route bound {bound:.4g}")
 
 
-def tail_mass(walk: WalkLaws, n: int) -> float:
-    """x^2 mass of the rescaled n-step max density beyond the cutoff C = 4."""
-    walk.check_index(n)
-    scaled = rescale_sqrt(walk.max_laws[n], n)
-    x = walk.grid.centers()
-    w = np.where(x > _TAIL_CUTOFF, walk.grid.step, 0.0)
-    return float(np.sum(w * x * x * scaled.values))
-
-
 def weighted_sup_residual(density_star: GridDensity, correction: GridDensity) -> float:
     """sup over grid x in (0, 8) of x * |density - half_normal - correction|."""
     x = density_star.grid.centers()
@@ -86,24 +79,6 @@ def _half_normal_values(grid) -> np.ndarray:
     pos = x > 0
     out[pos] = np.exp(_HALF_NORMAL.log_density(x[pos]))
     return out
-
-
-def local_limit_residual(walk: WalkLaws, n: int) -> float:
-    """Weighted sup residual of the bounded-density local limit expansion:
-    sup x |max_density*(x) - half_normal(x) - P(max_{n-1}<=0) sqrt(n) p(sqrt(n) x)|.
-
-    Requires a bounded step density.
-    """
-    walk.check_index(n)
-    if not walk.spec.bounded_density:
-        raise ValueError(
-            f"{walk.spec.name!r} has an unbounded density; "
-            "the bounded-density local limit does not apply"
-        )
-    prev = 1.0 if n == 1 else float(walk.nonpos_prob[n - 1])
-    star = rescale_sqrt(walk.max_laws[n], n)
-    corr = prev * rescale_sqrt(walk.step_density, n)
-    return weighted_sup_residual(star, corr)
 
 
 @dataclass(frozen=True)
@@ -163,6 +138,10 @@ def convergence_curves(
     split for every n in n_list) may be passed to share work; otherwise
     they are built at n_max = max(n_list) on the standard working grid, with
     the full max law kept at the n of n_list only.
+
+    Each row rescales its max law once (star, the law of M_n / sqrt(n)) and
+    reads every column but local_a off it, tail_mass_C and alesh included;
+    alesh also rescales the step law and local_a the split's bounded part.
     """
     n_list = sorted(set(n_list))
     if not n_list or n_list[0] < 1:
@@ -172,6 +151,8 @@ def convergence_curves(
     if splits is None:
         splits = max_law_splits(decomp_powers(walk), walk, n_list)
 
+    x = walk.grid.centers()
+    tail_weight = np.where(x > _TAIL_CUTOFF, walk.grid.step, 0.0) * x * x
     rows = []
     for n in n_list:
         star = rescale_sqrt(walk.max_laws[n], n)
@@ -187,9 +168,10 @@ def convergence_curves(
         # Pinsker slack D_plus - tv^2/2 of the conditioned law, the tv taken
         # on the positive restriction scaled to mass 1
         cond_tv = tv_distance((1.0 / alpha) * pos, _HALF_NORMAL)
-        alesh = (
-            local_limit_residual(walk, n) if walk.spec.bounded_density else math.nan
-        )
+        alesh = math.nan
+        if walk.spec.bounded_density:  # the bounded-density local limit
+            prev = 1.0 if n == 1 else float(walk.nonpos_prob[n - 1])
+            alesh = weighted_sup_residual(star, prev * rescale_sqrt(walk.step_density, n))
         local = split_local_residual(splits[n])
         row = ConvergenceRow(
             n=n,
@@ -198,7 +180,7 @@ def convergence_curves(
             tv=tv,
             m2_plus=m2,
             Fbar0=fbar,
-            tail_mass_C=tail_mass(walk, n),
+            tail_mass_C=float(np.sum(tail_weight * star.values)),
             pinsker_slack=d_plus - 0.5 * cond_tv * cond_tv,
             alesh=alesh,
             local_a=local.part_a,

@@ -138,7 +138,8 @@ def check_route_equivalence(state: SuiteState) -> list[CheckResult]:
     ns = [n for n in (2, 4, 8, 16) if n <= state.config.n_max]
     start = time.perf_counter()
     kernel_route = wk.nagaev_density(walk, ns) if ns else {}
-    for n in ns:
+    series_route = wk.spitzer_positive_law(walk, ns) if ns else {}
+    for n, series in series_route.items():
         direct = walk.max_laws[n]
         out.append(
             _le(
@@ -150,7 +151,6 @@ def check_route_equivalence(state: SuiteState) -> list[CheckResult]:
         )
         # on the lattice: the max law's cells > 0 against the series density,
         # its mass on the cells <= 0 against the series atom
-        series = wk.spitzer_positive_law(walk, n)
         v, h, first = direct.values, walk.grid.step, walk.grid.zero_index() + 1
         gap = h * float(np.abs(v[first:] - series.density.values[first:]).sum())
         gap += abs(series.atom_at_zero - h * float(v[:first].sum()))

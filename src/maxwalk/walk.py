@@ -477,80 +477,97 @@ def kernel_sums(walk: WalkLaws, n: int, terms) -> tuple[KernelSum, ...]:
     return sums
 
 
+def _ascending(walk: WalkLaws, ns) -> list[int]:
+    """ns sorted, each n once, every n in [1, n_max] (a batch reader's ns)."""
+    ns = sorted(set(ns))
+    if not ns:
+        raise ValueError("ns must name at least one n")
+    walk.check_index(ns[0])
+    walk.check_index(ns[-1])
+    return ns
+
+
 def nagaev_density(walk: WalkLaws, ns) -> dict[int, GridDensity]:
     """Density of the n-step running maximum, for every n in ns, as the
     kernel representation: the sum over k of the k-step sum law convolved
     with the (n-k)-step kernel (kernel_sums), whose terms are the spectra
     of the sum-law stream itself.  Each n streams its own S_1..S_n, and its
     sum is finished and dropped before the next n starts."""
-    ns = sorted(set(ns))
-    if not ns:
-        raise ValueError("ns must name at least one n")
-    stream = walk.sum_laws.stream
+    ns, stream = _ascending(walk, ns), walk.sum_laws.stream
     return {n: kernel_sums(walk, n, (((s, 1.0),) for s in stream()))[0].total() for n in ns}
+
+
+def _series_coefficients(a: np.ndarray) -> np.ndarray:
+    """c_0 = 1 and c_j = (1/j) sum_{k<=j} a_k c_{j-k} for j <= len(a), the
+    coefficients of exp(sum_k a_k s^k / k), a_k = a[k - 1]."""
+    c = np.ones(len(a) + 1)
+    for j in range(1, len(a) + 1):
+        c[j] = np.dot(a[:j], c[j - 1 :: -1]) / j
+    return c
 
 
 def spitzer_nonpos_probs(walk: WalkLaws, n: int) -> np.ndarray:
     """P(M_j <= 0) for j = 0, 1, ..., n (1 at j = 0) from the sum laws
     alone, on the lattice of the walk's cells (see spitzer_positive_law):
-    c_0 = 1 and c_j = (1/j) sum_{k<=j} a_k c_{j-k}, the coefficients of
-    exp(sum_k a_k s^k / k), with a_k = P(S_k <= 0), the full 0-cell
-    included.  Each a_k is read off the streamed spectrum of S_k (Parseval
-    against the indicator of the window's cells <= 0, as
-    spitzer_second_moment reads its moments)."""
+    the coefficients c_j of exp(sum_k a_k s^k / k), a_k = P(S_k <= 0),
+    each read off one stream of S_1..S_n (Parseval against the indicator
+    of the window's cells <= 0, as spitzer_second_moment reads its
+    moments)."""
     walk.check_index(n)
     h, first = walk.grid.step, walk.grid.zero_index() + 1
     nonpos = _dual(np.ones(first), walk.pass_size)
     a = h * np.array([_parseval(s_hat, nonpos) for s_hat in islice(walk.sum_laws.stream(), n)])
-    c = np.ones(n + 1)
-    for j in range(1, n + 1):
-        c[j] = np.dot(a[:j], c[j - 1 :: -1]) / j
-    return c
+    return _series_coefficients(a)
 
 
-def spitzer_positive_law(walk: WalkLaws, n: int) -> HalfLineLaw:
-    """Law of the nonnegative part of the n-step maximum from the sum laws
-    alone, by Spitzer's identity (Trans. AMS 82, 1956) on the lattice of
-    the walk's cells, the 0-cell the point 0:
+def spitzer_positive_law(walk: WalkLaws, ns) -> dict[int, HalfLineLaw]:
+    """Law of the nonnegative part of the n-step maximum, for every n in ns,
+    from the sum laws alone, by Spitzer's identity (Trans. AMS 82, 1956) on
+    the lattice of the walk's cells, the 0-cell the point 0:
     sum_n s^n E e^{itM_n^+} = exp(sum_k (s^k / k) E e^{itS_k^+}).
 
     S_k^+ is P(S_k <= 0), the full 0-cell included, at 0 plus mu_k, S_k on
     the cells > 0.  So the law is sum_m c_{n-m} B_m, with c_j = P(M_j <= 0)
-    from spitzer_nonpos_probs and B_0 = delta_0, B_m = (1/m) sum_{j<=m}
-    mu_j * B_{m-j} the coefficients of exp(sum_k mu_k s^k / k); its atom at
-    0 is c_n.  This is the lattice law the recursion computes: its halved
-    0-cell and its atom land on the same point.
+    (as spitzer_nonpos_probs makes them) and B_0 = delta_0, B_m = (1/m)
+    sum_{j<=m} mu_j * B_{m-j} the coefficients of exp(sum_k mu_k s^k / k);
+    its atom at 0 is c_n.  This is the lattice law the recursion computes:
+    its halved 0-cell and its atom land on the same point.
 
-    Each mu_k is one inverse transform of the streamed spectrum of S_k.
-    Each mu_j and B_m is transformed once over the cells > 0, at their
-    linear convolution's fast length; B_m is one inverse of the summed
-    products, cropped under the window guard (all operands are nonnegative
-    measures).
+    One stream of S_1..S_N, N = max(ns), gives both P(S_k <= 0) (Parseval)
+    and mu_k (one inverse transform); c and B_1..B_N are made once for all
+    of ns, each n summing its own c_{n-m} B_m in ascending m.  Each mu_j
+    and B_m is transformed once over the cells > 0, at their linear
+    convolution's fast length; B_m is one inverse of the summed products,
+    cropped under the window guard (all operands are nonnegative measures).
     """
-    c = spitzer_nonpos_probs(walk, n)
-    grid = walk.grid
+    ns = _ascending(walk, ns)
+    n_max, grid = ns[-1], walk.grid
     h, first = grid.step, grid.zero_index() + 1  # the first cell > 0
+    nonpos = _dual(np.ones(first), walk.pass_size)
     length = 2 * (grid.count - first) - 1
     size = next_fast_len(length, real=True)
-    mu = [None] + [
-        irfft(s_hat, walk.pass_size)[first : grid.count].copy()
-        for s_hat in islice(walk.sum_laws.stream(), n)
-    ]
-    mu_hat = [None] + [rfft(mu[j], size) for j in range(1, n)]
+    a, mu = np.empty(n_max), [None]
+    for k, s_hat in enumerate(islice(walk.sum_laws.stream(), n_max)):
+        a[k] = h * _parseval(s_hat, nonpos)
+        mu.append(irfft(s_hat, walk.pass_size)[first : grid.count].copy())
+    c = _series_coefficients(a)
+    mu_hat = [None] + [rfft(mu[j], size) for j in range(1, n_max)]
     b_hat, b_mass = [None], [None]
-    dens = np.zeros(grid.count)
-    for m in range(1, n + 1):
+    dens = {n: np.zeros(grid.count) for n in ns}
+    for m in range(1, n_max + 1):
         b = mu[m].copy()  # j = m term: mu_m * B_0 = mu_m
         if m > 1:
             acc = sum(mu_hat[j] * b_hat[m - j] for j in range(1, m))
             scale = sum(h * mu[j].sum() * b_mass[m - j] for j in range(1, m))
             b += from_spectrum(grid, acc, scale, size, 2 * first, length).values[first:]
         b /= m
-        if m < n:
+        if m < n_max:
             b_hat.append(rfft(b, size))
             b_mass.append(h * b.sum())
-        dens[first:] += c[n - m] * b
-    return HalfLineLaw(atom_at_zero=c[n], density=GridDensity(grid, np.maximum(dens, 0.0)))
+        for n in ns:
+            if n >= m:
+                dens[n][first:] += c[n - m] * b
+    return {n: HalfLineLaw(c[n], GridDensity(grid, np.maximum(d, 0.0))) for n, d in dens.items()}
 
 
 def spitzer_second_moment(walk: WalkLaws, n: int) -> float:

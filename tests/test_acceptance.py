@@ -409,6 +409,30 @@ def test_verify_builds_each_split_once(monkeypatch):
     assert len(batches) == len(by_walk)
 
 
+def test_verify_runs_the_series_once_per_spec(monkeypatch):
+    """The route-equivalence section makes the series laws of all its n in
+    one call, over one stream of S_1..S_N: N - 1 sum-law products."""
+    steps, made = [0], []  # products made in all, and inside each series call
+    series, step = vf.wk.spitzer_positive_law, vf.wk.SumLaws._step
+
+    def counting_series(walk, ns):
+        before = steps[0]
+        laws = series(walk, ns)
+        made.append(steps[0] - before)
+        return laws
+
+    def counting_step(self, *args):
+        steps[0] += 1
+        return step(self, *args)
+
+    monkeypatch.setattr(vf.wk, "spitzer_positive_law", counting_series)
+    monkeypatch.setattr(vf.wk.SumLaws, "_step", counting_step)
+    cfg = RunConfig(specs=("gaussian",), n_max=16, n_list=(1, 2, 4, 8, 16),
+                    grid_points=2**12, mc_samples=10**4)
+    vf.run_verification(cfg)
+    assert made == [15]
+
+
 def test_verify_holds_one_spec_at_a_time(monkeypatch):
     """verify drops each spec's state before it builds the next spec's walk:
     whenever a walk is built, no walk built earlier in the run is alive."""

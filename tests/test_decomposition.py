@@ -289,7 +289,7 @@ def test_no_product_runs_at_twice_the_cell_count(small_grid, monkeypatch):
     table = mw.decomp_powers(w)
     mw.max_law_splits(table, w, [2, 5, 8])
     for n in range(1, 9):
-        mw.spitzer_positive_law(w, n)
+        mw.spitzer_positive_law(w, [n])[n]
     assert sizes and 2 * small_grid.count not in sizes
     assert not {"spectrum", "from_spectrum"} & set(vars(dc))
 

@@ -90,26 +90,29 @@ def test_row_invariants_enforce_the_entropy_floor():
         _check_row_invariants(row)
 
 
-def test_tail_mass_properties(laplace_setup):
-    walk, _ = laplace_setup
-    m2 = mw.moment(mw.rescale_sqrt(walk.max_laws[8], 8), 2, "positive")
-    assert 0.0 < mw.tail_mass(walk, 8) < m2
+@pytest.mark.parametrize("name", ("laplace", "spike"))
+def test_row_reads_tail_mass_and_local_residual_off_its_star(small_grid, name):
+    # oracle: the two readings as formulas on the row's star, the law of
+    # M_n / sqrt(n): the x^2 weight beyond C = 4, and the bounded-density
+    # residual against P(M_{n-1} <= 0) times the rescaled step law (1 at
+    # n = 1); the spike has no bounded density and no such residual
+    spec = mw.DistributionSpec(name)
+    walk = mw.compute_walk(spec, 8, small_grid)
+    x = small_grid.centers()
+    w = np.where(x > 4.0, small_grid.step, 0.0)
+    for row in mw.convergence_curves(spec, [1, 2, 8], walk=walk):
+        n = row.n
+        star = mw.rescale_sqrt(walk.max_laws[n], n)
+        assert row.tail_mass_C == float(np.sum(w * x * x * star.values))
+        assert 0.0 <= row.tail_mass_C < row.m2_plus
+        if name == "spike":
+            assert math.isnan(row.alesh)
+        else:
+            prev = 1.0 if n == 1 else float(walk.nonpos_prob[n - 1])
+            corr = prev * mw.rescale_sqrt(walk.step_density, n)
+            assert row.alesh == mw.weighted_sup_residual(star, corr) >= 0.0
+    assert row.tail_mass_C > 0.0  # n = 8
     assert half_normal_tail_x2(4.0) == pytest.approx(0.0011340, abs=1e-6)
-
-
-def test_local_limit_residual_requires_bounded(small_grid):
-    spike_walk = mw.compute_walk(mw.DistributionSpec("spike"), 2, small_grid)
-    with pytest.raises(ValueError):
-        mw.local_limit_residual(spike_walk, 2)
-
-
-def test_local_limit_residual_matches_helper(laplace_setup):
-    walk, _ = laplace_setup
-    star = mw.rescale_sqrt(walk.max_laws[8], 8)
-    corr = walk.nonpos_prob[7] * mw.rescale_sqrt(walk.step_density, 8)
-    direct = mw.weighted_sup_residual(star, corr)
-    assert mw.local_limit_residual(walk, 8) == pytest.approx(direct, abs=1e-12)
-    assert direct >= 0.0
 
 
 def test_split_residual_profile(laplace_setup):

@@ -3,13 +3,22 @@ import math
 import random
 import weakref
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
+from numpy.fft import irfft, rfft
 
 import maxwalk as mw
 import maxwalk.walk as wk
-from maxwalk.grid import _SPEC_NAMES, GridError, WindowOverflowError, zero_density
+from maxwalk._special import next_fast_len
+from maxwalk.grid import (
+    _SPEC_NAMES,
+    GridError,
+    WindowOverflowError,
+    from_spectrum,
+    zero_density,
+)
 
 
 def test_one_step_is_step_density(gaussian_walk8):
@@ -253,7 +262,8 @@ def test_kept_law_walk_matches_the_full_walk(small_grid, name):
     dens_kept, dens_full = mw.nagaev_density(kept, keep), mw.nagaev_density(full, keep)
     for n in keep:
         assert np.array_equal(dens_kept[n].values, dens_full[n].values)
-    a, b = mw.spitzer_positive_law(kept, n_max), mw.spitzer_positive_law(full, n_max)
+    a = mw.spitzer_positive_law(kept, [n_max])[n_max]
+    b = mw.spitzer_positive_law(full, [n_max])[n_max]
     assert a.atom_at_zero == b.atom_at_zero
     assert np.array_equal(a.density.values, b.density.values)
     assert mw.spitzer_second_moment(kept, n_max) == mw.spitzer_second_moment(full, n_max)
@@ -449,7 +459,7 @@ def test_no_reader_writes_to_a_walk(small_grid):
     splits = mw.max_law_splits(table, w, ns)
     mw.decomposition.smooth_split_identity_gaps(table, w, splits.values())
     wk.spitzer_nonpos_probs(w, n_max)
-    mw.spitzer_positive_law(w, n_max)
+    mw.spitzer_positive_law(w, [n_max])
     mw.spitzer_second_moment(w, n_max)
     mw.smooth_part(table, w, n_max)
     wk.walk_scalars_csv(w)
@@ -622,7 +632,7 @@ def test_spitzer_law_one_step(gaussian_walk8):
     w = gaussian_walk8
     oracle = lattice_max_laws(w.step_density, 2)
     for n in (1, 2):
-        assert_lattice_law(mw.spitzer_positive_law(w, n), oracle[n], 1e-15, 2e-15)
+        assert_lattice_law(mw.spitzer_positive_law(w, [n])[n], oracle[n], 1e-15, 2e-15)
 
 
 def test_spitzer_law_matches_recursion(small_grid):
@@ -630,7 +640,7 @@ def test_spitzer_law_matches_recursion(small_grid):
     # series reads the sum laws alone and agrees to rounding (1.0e-15 of
     # the sup measured)
     w = mw.compute_walk(mw.DistributionSpec("uniform"), 8, small_grid)
-    law = mw.spitzer_positive_law(w, 8)
+    law = mw.spitzer_positive_law(w, [8])[8]
     assert_lattice_law(law, w.max_laws[8], 1e-15, 1e-14)
     assert_lattice_law(law, lattice_max_laws(w.step_density, 8)[8], 1e-15, 1e-14)
     assert law.atom_at_zero + law.density.mass == pytest.approx(1.0, abs=1e-14)
@@ -663,11 +673,65 @@ def test_spitzer_series_matches_direct_convolutions(small_grid, name):
     assert np.allclose(mw.spitzer_nonpos_probs(w, n_max), c, rtol=0.0, atol=1e-15)
     for n in range(1, n_max + 1):
         expected = np.maximum(sum(c[n - m] * b[m].values for m in range(1, n + 1)), 0.0)
-        law = mw.spitzer_positive_law(w, n)
+        law = mw.spitzer_positive_law(w, [n])[n]
         assert law.atom_at_zero == pytest.approx(c[n], abs=1e-15)
         assert np.abs(law.density.values - expected).max() <= 2e-15 * expected.max()
         # every operand vanishes on the cells <= 0, and so does every product
         assert not law.density.values[:first].any()
+
+
+def per_n_series(walk, n):
+    """Oracle: the series law of one n as it was made one n at a time, c
+    from spitzer_nonpos_probs and mu_k from a second stream of S_1..S_n,
+    with B_1..B_n made for this n alone."""
+    c = mw.spitzer_nonpos_probs(walk, n)
+    grid = walk.grid
+    h, first = grid.step, grid.zero_index() + 1
+    length = 2 * (grid.count - first) - 1
+    size = next_fast_len(length, real=True)
+    mu = [None] + [
+        irfft(s_hat, walk.pass_size)[first : grid.count].copy()
+        for s_hat in islice(walk.sum_laws.stream(), n)
+    ]
+    mu_hat = [None] + [rfft(mu[j], size) for j in range(1, n)]
+    b_hat, b_mass = [None], [None]
+    dens = np.zeros(grid.count)
+    for m in range(1, n + 1):
+        b = mu[m].copy()
+        if m > 1:
+            acc = sum(mu_hat[j] * b_hat[m - j] for j in range(1, m))
+            scale = sum(h * mu[j].sum() * b_mass[m - j] for j in range(1, m))
+            b += from_spectrum(grid, acc, scale, size, 2 * first, length).values[first:]
+        b /= m
+        if m < n:
+            b_hat.append(rfft(b, size))
+            b_mass.append(h * b.sum())
+        dens[first:] += c[n - m] * b
+    return mw.HalfLineLaw(atom_at_zero=c[n], density=mw.GridDensity(grid, np.maximum(dens, 0.0)))
+
+
+@pytest.mark.parametrize("name", _SPEC_NAMES)
+def test_batched_series_is_the_per_n_series(name):
+    # one stream and one set of B_m for all of ns give each n the bits of
+    # the series made for that n alone, whatever the order and repeats of
+    # ns.  The grids are the working grids of n_max 16 and 64 at one step:
+    # on small_grid the laplace series at n = 16 leaves the window, and at
+    # 2^12 cells the n_max 64 grid is too coarse to sample the spike
+    w = mw.compute_walk(mw.DistributionSpec(name), 16, mw.make_working_grid(16, 2**12))
+    cases = [(w, (2, 4, 8, 16)), (w, (16, 4, 4))]
+    if name == "spike":
+        deep = mw.compute_walk(mw.DistributionSpec(name), 64, mw.make_working_grid(64, 2**13))
+        cases.append((deep, (64,)))
+    for walk, ns in cases:
+        laws = mw.spitzer_positive_law(walk, ns)
+        assert sorted(laws) == sorted(set(ns))
+        for n, law in laws.items():
+            oracle = per_n_series(walk, n)
+            assert law.atom_at_zero == oracle.atom_at_zero
+            assert np.array_equal(law.density.values, oracle.density.values)
+    for ns in ((), (0, 4), (4, 17)):
+        with pytest.raises(ValueError):
+            mw.spitzer_positive_law(w, ns)
 
 
 @pytest.mark.parametrize("name", _SPEC_NAMES)
@@ -690,10 +754,10 @@ def test_series_nonpos_probs_match_the_recursion(acceptance_state, name):
         kernels={},
         nonpos_prob=np.full_like(w.nonpos_prob, np.nan),
     )
-    law, seen = mw.spitzer_positive_law(blind, 16), mw.spitzer_positive_law(w, 16)
+    law, seen = mw.spitzer_positive_law(blind, [16])[16], mw.spitzer_positive_law(w, [16])[16]
     assert law.atom_at_zero == seen.atom_at_zero == c[16]
     assert np.array_equal(law.density.values, seen.density.values)
-    assert_lattice_law(mw.spitzer_positive_law(blind, 64), w.max_laws[64], 1e-14, 5e-14)
+    assert_lattice_law(mw.spitzer_positive_law(blind, [64])[64], w.max_laws[64], 1e-14, 5e-14)
 
 
 def test_spitzer_second_moment_consistency(small_grid):

@@ -90,29 +90,54 @@ def test_row_invariants_enforce_the_entropy_floor():
         _check_row_invariants(row)
 
 
-@pytest.mark.parametrize("name", ("laplace", "spike"))
+def _tail_mass_oracle(grid, star, C=4.0):
+    # the x^2 weight of the row's star, the law of M_n / sqrt(n), beyond C
+    x = grid.centers()
+    w = np.where(x > C, grid.step, 0.0)
+    return float(np.sum(w * x * x * star.values))
+
+
+def _rows_with_stars(spec, walk):
+    rows = mw.convergence_curves(spec, [1, 2, 8], walk=walk)
+    return [(row, mw.rescale_sqrt(walk.max_laws[row.n], row.n)) for row in rows]
+
+
+@pytest.fixture(scope="module")
+def laplace_rows(laplace_setup):
+    walk, _ = laplace_setup
+    return walk, _rows_with_stars(mw.DistributionSpec("laplace"), walk)
+
+
+def test_tail_mass_properties(laplace_rows):
+    walk, rows = laplace_rows
+    for row, star in rows:
+        assert row.tail_mass_C == _tail_mass_oracle(walk.grid, star)
+        assert 0.0 <= row.tail_mass_C < row.m2_plus
+    assert rows[-1][0].tail_mass_C > 0.0  # n = 8
+    assert half_normal_tail_x2(4.0) == pytest.approx(0.0011340, abs=1e-6)
+
+
+def test_local_limit_residual_matches_helper(laplace_rows):
+    # oracle: the bounded-density residual against P(M_{n-1} <= 0) times
+    # the rescaled step law (1 at n = 1)
+    walk, rows = laplace_rows
+    for row, star in rows:
+        n = row.n
+        prev = 1.0 if n == 1 else float(walk.nonpos_prob[n - 1])
+        corr = prev * mw.rescale_sqrt(walk.step_density, n)
+        assert row.alesh == mw.weighted_sup_residual(star, corr) >= 0.0
+
+
+@pytest.mark.parametrize("name", ("spike",))
 def test_row_reads_tail_mass_and_local_residual_off_its_star(small_grid, name):
-    # oracle: the two readings as formulas on the row's star, the law of
-    # M_n / sqrt(n): the x^2 weight beyond C = 4, and the bounded-density
-    # residual against P(M_{n-1} <= 0) times the rescaled step law (1 at
-    # n = 1); the spike has no bounded density and no such residual
+    # the spike has no bounded density and no local-limit residual, but
+    # its row still reads the tail mass off its star
     spec = mw.DistributionSpec(name)
     walk = mw.compute_walk(spec, 8, small_grid)
-    x = small_grid.centers()
-    w = np.where(x > 4.0, small_grid.step, 0.0)
-    for row in mw.convergence_curves(spec, [1, 2, 8], walk=walk):
-        n = row.n
-        star = mw.rescale_sqrt(walk.max_laws[n], n)
-        assert row.tail_mass_C == float(np.sum(w * x * x * star.values))
+    for row, star in _rows_with_stars(spec, walk):
+        assert row.tail_mass_C == _tail_mass_oracle(small_grid, star)
         assert 0.0 <= row.tail_mass_C < row.m2_plus
-        if name == "spike":
-            assert math.isnan(row.alesh)
-        else:
-            prev = 1.0 if n == 1 else float(walk.nonpos_prob[n - 1])
-            corr = prev * mw.rescale_sqrt(walk.step_density, n)
-            assert row.alesh == mw.weighted_sup_residual(star, corr) >= 0.0
-    assert row.tail_mass_C > 0.0  # n = 8
-    assert half_normal_tail_x2(4.0) == pytest.approx(0.0011340, abs=1e-6)
+        assert math.isnan(row.alesh)
 
 
 def test_split_residual_profile(laplace_setup):

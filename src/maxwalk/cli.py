@@ -121,7 +121,7 @@ def run_charfn(config: RunConfig, out: Path) -> int:
 def run_montecarlo(config: RunConfig, out: Path) -> int:
     n = config.n_max
     for name, state in _states(config, ()):  # builds no walk
-        summary = mc.simulate(state.spec, n, config.mc_samples, config.seed)
+        summary = state.summary(n)
         _write(out / f"mc_{name}_n{n}.json", mc.summary_json(summary))
         _write(out / f"mc_{name}_n{n}_hist.csv", mc.histogram_csv(summary))
     return 0

@@ -2,13 +2,14 @@
 
 Each step is drawn from one uniform by its law's elementwise map
 (`DistributionSpec.inv_cdf`): the inverse CDF for the single laws, the draw
-by component for the mixture, both exact in law.  Walks are drawn in blocks
-of whole rows, about `_DRAW_BLOCK` uniforms each, and only the maxima of the
-walks outlive a block, so memory does not grow with n (for n up to
-`_DRAW_BLOCK`, where a block is one row).  Chunk i of 2^16 walks uses the
-base Philox stream jumped i times and its blocks read that stream in row
-order, so results are bit-reproducible for a given (spec, n, samples, seed)
-and the chunk merge is order-independent by construction.
+by component for the mixture, both exact in law.  Walks run step-major:
+each group of `_GROUP` walks draws `_STEPS` steps of every walk as one block
+of about `_DRAW_BLOCK` uniforms, and adds the block's rows one step at a
+time into a running sum and a running maximum per walk, so memory holds one
+block and one chunk's maxima whatever n is.  Chunk i of 2^16 walks uses the
+base PCG64 stream jumped i times and its groups read that stream in turn,
+each in step order, so results are bit-reproducible for a given (spec, n,
+samples, seed) and the chunk merge is order-independent by construction.
 """
 
 from __future__ import annotations
@@ -19,13 +20,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import PCG64, Generator
 
 from .grid import DistributionSpec, _halfline_weights, cdf_at, moment, rescale_sqrt
 from .walk import WalkLaws
 
 _CHUNK = 1 << 16
-_DRAW_BLOCK = 1 << 14  # uniforms per row block: the block's temporaries stay in cache
+_DRAW_BLOCK = 1 << 14  # uniforms per block: the block's temporaries stay in cache
+_GROUP = 1 << 10  # walks summed side by side: long enough rows to amortize a step's two calls
+_STEPS = _DRAW_BLOCK // _GROUP  # steps per block
 _U_CLIP = 1e-17  # lowest uniform: keeps the lower tails finite (random() is < 1)
 
 
@@ -73,19 +76,27 @@ def simulate(
 ) -> EmpiricalSummary:
     """Simulate the n-step walk maximum, rescaled by sqrt(n).
 
-    Each block of max(1, _DRAW_BLOCK // n) rows is filled with uniforms,
-    floored at _U_CLIP, mapped to steps, summed in place along each row and
-    reduced to one maximum per row.  A call holds one block and one chunk's
-    maxima whatever n is, and the summary is bit-identical to drawing each
-    chunk as one (walks, n) matrix.
+    `bins` (default `default_bins()`) must be 1-D with at least two finite,
+    strictly increasing edges; it is checked before any draw.  For each
+    group of up to _GROUP walks the steps are drawn _STEPS at a time as one
+    (steps, walks) block of uniforms, floored at _U_CLIP and mapped to
+    steps; each row of the block is added to the walks' running sums, whose
+    running maximum is kept in place.  Every S_k is the sequential sum that
+    a cumulative sum over the steps makes, so the summary is bit-identical to
+    drawing each group as one (n, walks) matrix and taking the maximum of
+    its cumulative sums down the steps.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if samples < 10**4:
         raise ValueError(f"need at least 1e4 samples, got {samples}")
     edges = default_bins() if bins is None else np.asarray(bins, dtype=np.float64)
+    if edges.ndim != 1 or edges.size < 2 or not np.all(np.isfinite(edges)):
+        raise ValueError("bins must be at least two finite edges in a 1-D array")
+    if not np.all(np.diff(edges) > 0.0):
+        raise ValueError("bin edges must increase strictly")
     root_n = math.sqrt(n)
-    base = Philox(key=seed)
+    base = PCG64(seed)
 
     counts = np.zeros(len(edges) - 1, dtype=np.int64)
     underflow = 0
@@ -94,8 +105,8 @@ def simulate(
     mean_sum = 0.0
     m2_sum = 0.0
 
-    rows = max(1, _DRAW_BLOCK // n)
-    block = np.empty((rows, n))
+    buffer = np.empty(_DRAW_BLOCK)
+    sums = np.empty(_GROUP)
     n_chunks = (samples + _CHUNK - 1) // _CHUNK
     done = 0
     for i in range(n_chunks):
@@ -103,12 +114,18 @@ def simulate(
         done += m
         rng = Generator(base.jumped(i))
         walk_max = np.empty(m)
-        for r in range(0, m, rows):
-            u = block[: min(rows, m - r)]
-            rng.random(out=u)
-            np.maximum(u, _U_CLIP, out=u)
-            steps = spec.inv_cdf(u)
-            np.cumsum(steps, axis=1, out=steps).max(axis=1, out=walk_max[r : r + len(u)])
+        for g in range(0, m, _GROUP):
+            w = min(_GROUP, m - g)
+            s, top = sums[:w], walk_max[g : g + w]
+            s.fill(0.0)
+            top.fill(-np.inf)
+            for k in range(0, n, _STEPS):
+                u = buffer[: min(_STEPS, n - k) * w].reshape(-1, w)
+                rng.random(out=u)
+                np.maximum(u, _U_CLIP, out=u)
+                for x in spec.inv_cdf(u):
+                    s += x
+                    np.maximum(top, s, out=top)
         z = walk_max / root_n
         nonpos += int(np.count_nonzero(walk_max <= 0.0))
         mean_sum += float(z.sum())

@@ -94,13 +94,20 @@ class SuiteState:
         ns = list(self.config.n_list)
         return lm.convergence_curves(self.spec, ns, walk=self.walk, splits=self.splits(ns))
 
+    def summary(self, n: int, samples: int | None = None) -> mc.EmpiricalSummary:
+        """The n-step simulation of this spec: config.mc_samples walks unless
+        `samples` is given, seeded with config.seed plus the spec's place in
+        the registry, so the specs of one run draw from distinct streams."""
+        samples = self.config.mc_samples if samples is None else samples
+        seed = self.config.seed + gr._SPEC_NAMES.index(self.name)
+        return mc.simulate(self.spec, n, samples, seed)
+
     def simulation(self, n: int, samples: int | None = None) -> mc.Comparison:
-        """The n-step simulation (config.mc_samples walks unless `samples`
-        is given) compared with the walk's law (montecarlo.compare)."""
+        """The n-step `summary` compared with the walk's law
+        (montecarlo.compare)."""
         samples = self.config.mc_samples if samples is None else samples
         if (n, samples) not in self._mc:
-            seed = self.config.seed + gr._SPEC_NAMES.index(self.name)
-            self._mc[n, samples] = mc.compare(mc.simulate(self.spec, n, samples, seed), self.walk)
+            self._mc[n, samples] = mc.compare(self.summary(n, samples), self.walk)
         return self._mc[n, samples]
 
 

@@ -10,6 +10,8 @@ import pytest
 import maxwalk
 from maxwalk.cli import main
 from maxwalk.config import ConfigError, RunConfig
+from maxwalk.montecarlo import summary_json
+from maxwalk.verify import SuiteState
 
 
 def write_config(tmp_path, **overrides):
@@ -230,6 +232,21 @@ def test_montecarlo_and_charfn_modes(tmp_path):
     assert windows[0] == "decay_window_99,envelope_window"
 
 
+def test_montecarlo_seeds_each_spec_as_verify_does(tmp_path):
+    # one seed rule for both verbs: the CLI writes SuiteState.summary, and
+    # the specs of one run draw from distinct streams
+    path = write_config(tmp_path, specs=["gaussian", "uniform"])
+    out = tmp_path / "out"
+    assert main(["montecarlo", "--config", str(path), "--out", str(out)]) == 0
+    config = RunConfig.from_dict(json.loads(path.read_text()))
+    seeds = set()
+    for name in ("gaussian", "uniform"):
+        text = (out / f"mc_{name}_n4.json").read_text()
+        assert text == summary_json(SuiteState(config, name).summary(4))
+        seeds.add(json.loads(text)["seed"])
+    assert len(seeds) == 2
+
+
 def test_montecarlo_draws_a_mixture_with_a_deep_gap(tmp_path):
     # sd 0.14 at +-0.99: the density between the components falls to 3e-11
     path = write_config(tmp_path, spec_parameters=[0.5, -0.99, 0.99, 0.0199])
@@ -292,7 +309,8 @@ def test_flag_overrides(tmp_path):
     ])
     assert code == 0
     assert (out / "mc_uniform_n4.json").exists()
-    assert json.loads((out / "mc_uniform_n4.json").read_text())["seed"] == 99
+    # the simulation seed: --seed plus the spec's registry index (SuiteState.summary)
+    assert json.loads((out / "mc_uniform_n4.json").read_text())["seed"] == 99 + 1
 
 
 def test_verify_report_is_deterministic(tmp_path):

@@ -74,15 +74,18 @@ def _write(path: Path, text: str) -> None:
 
 def _states(config: RunConfig, keep):
     """(name, SuiteState) for each spec in turn, a fresh state each, so only
-    one spec's walk and splits are held at a time (the loops below keep no
-    walk or split in a variable that outlives its iteration).  Each walk
-    holds the full max law only at the n of `keep`, those its runner reads."""
+    one spec's walk is held at a time (the loops below keep no walk or split
+    in a variable that outlives its iteration).  Each walk holds the full
+    max law only at the n of `keep`, those its runner reads.  `curves` and
+    `decomp` read the state's walk and table but not its split cache: they
+    build each n's split when its row reads it and drop it before the next,
+    so they hold one split at a time."""
     return ((name, SuiteState(config, name, keep)) for name in config.specs)
 
 
 def run_curves(config: RunConfig, out: Path) -> int:
     for name, state in _states(config, config.n_list):
-        rows = state.curves
+        rows = lm.convergence_curves(state.spec, list(config.n_list), walk=state.walk)
         _write(out / f"curves_{name}.csv", lm.curves_csv(rows))
         _write(out / f"entropy_{name}.csv", lm.entropy_reports_csv(rows))
         _write(out / f"walk_{name}.csv", wk.walk_scalars_csv(state.walk))
@@ -139,8 +142,10 @@ def run_density(config: RunConfig, out: Path) -> int:
 
 def run_decomp(config: RunConfig, out: Path) -> int:
     for name, state in _states(config, config.diag_ns):
-        splits = state.splits(config.diag_ns)
-        rows = dc.split_quality_diagnostics(state.walk, list(splits.values()))
+        walk, table, rows = state.walk, state.table, []
+        for n in config.diag_ns:  # each split is dropped before the next is built
+            rows += dc.split_quality_diagnostics(
+                walk, dc.max_law_splits(table, walk, [n]).values())
         _write(out / f"decomp_{name}.csv", dc.diagnostics_csv(rows))
     return 0
 

@@ -135,21 +135,24 @@ def convergence_curves(
     """One ConvergenceRow per n, with the row-level identities asserted.
 
     A prebuilt WalkLaws and a mapping n -> MaxLawSplit of that walk (one
-    split for every n in n_list) may be passed to share work; otherwise
-    they are built at n_max = max(n_list) on the standard working grid, with
-    the full max law kept at the n of n_list only.
+    split for every n in n_list) may be passed to share work.  Without a
+    walk, one is built at n_max = max(n_list) on the standard working grid,
+    with the full max law kept at the n of n_list only.  Without splits,
+    the decomposition table is built once and each row builds its own split
+    (max_law_splits at that n alone, bit for bit the split of a batch) and
+    drops it before the next row, so one split is alive at a time.
 
     Each row rescales its max law once (star, the law of M_n / sqrt(n)) and
-    reads every column but local_a off it, tail_mass_C and alesh included;
-    alesh also rescales the step law and local_a the split's bounded part.
+    reads every column off it, tail_mass_C and alesh included; alesh also
+    rescales the step law, and local_a the split's bounded part where that
+    is not the max law itself (rho > 0).
     """
     n_list = sorted(set(n_list))
     if not n_list or n_list[0] < 1:
         raise ValueError("n_list must contain positive integers")
     if walk is None:
         walk = compute_walk(spec, n_list[-1], keep=n_list)
-    if splits is None:
-        splits = max_law_splits(decomp_powers(walk), walk, n_list)
+    table = decomp_powers(walk) if splits is None else None
 
     x = walk.grid.centers()
     tail_weight = np.where(x > _TAIL_CUTOFF, walk.grid.step, 0.0) * x * x
@@ -172,7 +175,11 @@ def convergence_curves(
         if walk.spec.bounded_density:  # the bounded-density local limit
             prev = 1.0 if n == 1 else float(walk.nonpos_prob[n - 1])
             alesh = weighted_sup_residual(star, prev * rescale_sqrt(walk.step_density, n))
-        local = split_local_residual(splits[n])
+        split = splits[n] if table is None else max_law_splits(table, walk, [n])[n]
+        # rho = 0: the bounded part is the max law itself, rescaled as star
+        q_star = star if split.bounded is walk.max_laws[n] else rescale_sqrt(split.bounded, n)
+        local_a = weighted_sup_residual(q_star, split.correction)
+        del split, q_star  # a split built here is dropped before the next row's
         row = ConvergenceRow(
             n=n,
             D=d,
@@ -183,7 +190,7 @@ def convergence_curves(
             tail_mass_C=float(np.sum(tail_weight * star.values)),
             pinsker_slack=d_plus - 0.5 * cond_tv * cond_tv,
             alesh=alesh,
-            local_a=local.part_a,
+            local_a=local_a,
         )
         _check_row_invariants(row)
         rows.append(row)

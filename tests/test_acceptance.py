@@ -379,9 +379,10 @@ def test_c14_determinism_and_runtime():
 
 
 def test_verify_builds_each_split_once(monkeypatch):
-    """Every (walk, n) max-law split of a verify run is built once, in one
-    batch per walk, and shared by the curves, the local-limit section and the
-    invariants."""
+    """Every (walk, n) max-law split of a verify run is built once.  The
+    suite's walk builds its splits in one batch and shares them between the
+    curves, the local-limit section and the invariants; the two walks of the
+    determinism section take the curves' default path, one split per row."""
     built = []
     batches = []
     original = mw.max_law_splits
@@ -389,7 +390,7 @@ def test_verify_builds_each_split_once(monkeypatch):
     def counting(table, walk, ns):
         ns = list(ns)
         built.extend((walk, n) for n in ns)  # holds the walk, so its id stays unique
-        batches.append(walk)
+        batches.append((id(walk), len(ns)))
         return original(table, walk, ns)
 
     for module in (vf.dc, vf.lm):
@@ -406,7 +407,10 @@ def test_verify_builds_each_split_once(monkeypatch):
     assert sorted(map(sorted, by_walk.values()), key=len) == [
         [1, 2, 4, 8, 16], [1, 2, 4, 8, 16], list(cfg.n_list)
     ]
-    assert len(batches) == len(by_walk)
+    sizes = {}
+    for walk_id, size in batches:
+        sizes.setdefault(walk_id, []).append(size)
+    assert sorted(sizes.values()) == [[1] * 5, [1] * 5, [len(cfg.n_list)]]
 
 
 def test_verify_runs_the_series_once_per_spec(monkeypatch):

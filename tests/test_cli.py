@@ -195,6 +195,45 @@ def test_density_and_decomp_modes(tmp_path):
     assert text.splitlines()[0].startswith("n,l1_pq")
 
 
+def test_streamed_rows_are_the_batched_rows(tmp_path, monkeypatch):
+    # curves and decomp build each split alone, when its row reads it; their
+    # files are byte for byte those from one max_law_splits batch over all n
+    import maxwalk.verify as vf
+
+    batches = []
+    batch = vf.dc.max_law_splits
+
+    def recording(table, walk, ns):
+        batches.append(sorted(ns))
+        return batch(table, walk, ns)
+
+    path = write_config(tmp_path, specs=["gaussian", "spike"], n_max=16,
+                        n_list=[1, 2, 4, 8, 16])
+    out = tmp_path / "out"
+    for module in (vf.dc, vf.lm):
+        monkeypatch.setattr(module, "max_law_splits", recording)
+    for verb in ("curves", "decomp"):
+        assert main([verb, "--config", str(path), "--out", str(out)]) == 0
+    assert batches == 2 * [[1], [2], [4], [8], [16]] + 2 * [[8], [16]]
+    monkeypatch.undo()
+    config = RunConfig.from_dict({**json.loads(path.read_text()), "mode": "curves"})
+    for name in ("gaussian", "spike"):
+        state = SuiteState(config, name, config.n_list)
+        walk = state.walk
+        splits = maxwalk.max_law_splits(state.table, walk, config.n_list)
+        rows = maxwalk.convergence_curves(state.spec, list(config.n_list), walk=walk,
+                                          splits=splits)
+        for file, text in (("curves", maxwalk.limits.curves_csv(rows)),
+                           ("entropy", maxwalk.limits.entropy_reports_csv(rows)),
+                           ("walk", maxwalk.walk.walk_scalars_csv(walk))):
+            assert (out / f"{file}_{name}.csv").read_bytes() == text.encode()
+        state = SuiteState(config, name, config.diag_ns)
+        splits = maxwalk.max_law_splits(state.table, state.walk, config.diag_ns)
+        rows = maxwalk.split_quality_diagnostics(state.walk, list(splits.values()))
+        text = maxwalk.decomposition.diagnostics_csv(rows)
+        assert (out / f"decomp_{name}.csv").read_bytes() == text.encode()
+
+
 def test_runners_keep_only_the_laws_they_read(tmp_path, monkeypatch):
     import maxwalk.verify as vf
 

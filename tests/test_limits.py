@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,3 +166,26 @@ def test_curves_csv_format(laplace_setup):
     # the splits passed in and the ones built from the walk give the same rows
     own = mw.convergence_curves(mw.DistributionSpec("laplace"), [2, 8], walk=walk)
     assert curves_csv(own) == text
+
+
+def test_curves_hold_one_split_at_a_time():
+    # memory guard (tracemalloc): without splits passed in, each row builds
+    # its split when it reads it and drops it before the next row's, so
+    # seven more rows raise the peak by less than one split (bounded part,
+    # two remainders and correction: four windows).  Building every split
+    # in one batch up front would raise it by four windows a row, 28 here
+    spec = mw.DistributionSpec("spike")
+    ns = [1, 2, 4, 8, 16, 24, 32, 48, 64]
+    grid = mw.make_working_grid(64, 2**13)
+    walk = mw.compute_walk(spec, 64, grid, keep=ns)
+    mw.convergence_curves(spec, ns[:2], walk=walk)  # first-call caches
+    peaks = {}
+    for n_list in (ns[:2], ns):
+        tracemalloc.start()
+        try:
+            rows = mw.convergence_curves(spec, n_list, walk=walk)
+            peaks[len(n_list)] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r.n for r in rows] == n_list
+    assert peaks[9] - peaks[2] < 4 * grid.count * 8
